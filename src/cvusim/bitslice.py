@@ -7,9 +7,10 @@ planes, and recombining the plane results with shift-adds:
     sum_i x_i*w_i  ==  sum_{j,k} 2**(alpha*j + beta*k) * sum_i xs[j][i]*ws[k][i]
 
 where ``xs[j]`` is the j-th slice plane of x (``alpha`` bits per slice) and
-``ws[k]`` the k-th plane of w (``beta`` bits).  All operations here are exact
-integer arithmetic; :func:`dot_exact` is the independent full-precision path
-that every composed result must reproduce bit for bit.
+``ws[k]`` the k-th plane of w (``beta`` bits).  All arithmetic here is exact
+Python-integer arithmetic, which cannot overflow at any width, so there is
+no int64 fast path and no fallback; :func:`dot_exact` is the independent
+full-precision path that every composed result must reproduce bit for bit.
 
 Signedness convention: two's complement, with only the most-significant slice
 of a signed operand carrying a negative weight.  All other slices are
@@ -19,19 +20,14 @@ zero-extended up to the next multiple before slicing.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import RangeError, ShapeError
 
 MAX_BITWIDTH = 8
 VALID_SLICE_WIDTHS = (1, 2, 4)
-
-# Largest magnitude allowed through the int64 fast path before falling back
-# to arbitrary-precision Python integers.
-_INT64_GUARD = 2**62
 
 
 def value_bounds(bitwidth: int, signed: bool) -> tuple[int, int]:
@@ -171,42 +167,29 @@ def slice_vector(vec: QuantizedVector, slice_width: int, *, bitwidth: int | None
         raise RangeError(f"cannot slice {vec.bitwidth}-bit vector at narrower width {bw}")
 
     padded = padded_bitwidth(bw, slice_width)
-    num_slices = padded // slice_width
-    values = np.asarray(vec.values, dtype=np.int64)
-    unsigned = np.where(values < 0, values + (1 << padded), values)
+    unsigned = [v % (1 << padded) for v in vec.values]  # two's complement at padded width
     mask = (1 << slice_width) - 1
-    planes = []
-    for j in range(num_slices):
-        plane = (unsigned >> (slice_width * j)) & mask
-        if vec.signed and j == num_slices - 1:
-            plane = np.where(plane >= 1 << (slice_width - 1), plane - (1 << slice_width), plane)
-        planes.append(tuple(int(s) for s in plane))
+    planes = [
+        tuple((u >> shift) & mask for u in unsigned) for shift in range(0, padded, slice_width)
+    ]
+    if vec.signed:
+        half, full = 1 << (slice_width - 1), 1 << slice_width
+        planes[-1] = tuple(s - full if s >= half else s for s in planes[-1])
     return BitSlicedVector(planes=tuple(planes), slice_width=slice_width, signed_msb=vec.signed)
-
-
-def _checked_dot(x: np.ndarray, w: np.ndarray) -> int:
-    if len(x) == 0:
-        return 0
-    bound = int(np.max(np.abs(x))) * int(np.max(np.abs(w))) * len(x)
-    if bound >= _INT64_GUARD:
-        return sum(int(a) * int(b) for a, b in zip(x, w))
-    return int(np.dot(x, w))
 
 
 def nbve_dot(x_slice: Sequence[int], w_slice: Sequence[int]) -> int:
     """Exact dot product of two slice subvectors (one engine, one cycle)."""
     if len(x_slice) != len(w_slice):
         raise ShapeError(f"slice length mismatch: {len(x_slice)} vs {len(w_slice)}")
-    x = np.asarray(x_slice, dtype=np.int64)
-    w = np.asarray(w_slice, dtype=np.int64)
-    return _checked_dot(x, w)
+    return sum(map(operator.mul, x_slice, w_slice))
 
 
 def dot_exact(x: QuantizedVector, w: QuantizedVector) -> int:
     """Plain widening integer dot product; the oracle for composed paths."""
     if len(x) != len(w):
         raise ShapeError(f"vector length mismatch: {len(x)} vs {len(w)}")
-    return _checked_dot(np.asarray(x.values, dtype=np.int64), np.asarray(w.values, dtype=np.int64))
+    return sum(map(operator.mul, x.values, w.values))
 
 
 def slice_plane_products(

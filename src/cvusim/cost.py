@@ -9,7 +9,9 @@ this is what makes a 64-engine 1-bit design pay for its global tree.
 
 Free per-bit constants absorb technology detail and are pinned by
 :func:`calibrate` against observed normalized design points.  The shipped
-defaults live in ``data/default_cost_params.json``.
+defaults live in ``data/default_cost_params.json``.  Only :func:`calibrate`
+needs numpy and scipy; it imports them on its first call, so evaluating the
+model never loads either.
 
 The normalization baseline is a conventional 8-bit MAC costed with the same
 component model: one 8x8 multiplier, an accumulate adder, and an accumulator
@@ -22,12 +24,13 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-
-import numpy as np
-from scipy.optimize import minimize
+from typing import TYPE_CHECKING
 
 from .cvu import CvuConfig, macs_per_cycle, plan_composition
 from .errors import CalibrationError, ConfigError, RangeError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ACCUMULATOR_BITS = 64
 # Fixed per-adder overhead in bit equivalents (carry logic, cell granularity).
@@ -383,6 +386,9 @@ def _qualitative_penalty(conv: dict, table: dict, coeffs: np.ndarray) -> float:
 
 
 def _fit_metric(targets: list[tuple[CvuConfig, float]], conv: dict, table: dict) -> np.ndarray:
+    import numpy as np
+    from scipy.optimize import minimize
+
     keyed = []
     for cfg, observed in targets:
         key = (cfg.slice.alpha, cfg.lanes)

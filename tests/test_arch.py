@@ -143,8 +143,9 @@ class TestSimulateNetwork:
 
     def test_config_error_carries_layer_index(self):
         acc = small_array(weight_scratchpad_bytes=64)
-        net = NetworkSpec(name="x", layers=(fc(16, 16), fc(64, 16, k=16)))
-        bad = NetworkSpec(name="x", layers=(fc(16, 16), fc(64, 4096, bw_x=8, bw_w=8)))
+        net = NetworkSpec(name="x", layers=(fc(16, 16), fc(64, 16)))
+        # layer 1's 4096-byte weight row cannot fit the 64-byte scratchpad
+        bad = NetworkSpec(name="x", layers=(fc(4096, 16), fc(16, 4096)))
         simulate_network(net, acc, INFINITE, PARAMS)
         with pytest.raises(ConfigError, match=r"layers\[1\]"):
             simulate_network(bad, acc, INFINITE, PARAMS)
