@@ -513,9 +513,12 @@ def _check_accumulator(value: int) -> int:
 def functional_dot(x: QuantizedVector, w: QuantizedVector, acc: AcceleratorConfig) -> int:
     """Compute one dot product exactly as the configured style would.
 
-    Conventional units use the plain widening MAC path; composable styles
-    run the CVU composition plan cycle by cycle.  Accumulation is checked
-    against the 64-bit column register range.
+    Conventional units use the plain widening MAC path.  Composable styles
+    dispatch the whole dot product to the CVU at once: the stream is reshaped
+    to [clusters, cycles, lanes], so cluster c reduces the contiguous chunk
+    ``[c*lanes*cycles, (c+1)*lanes*cycles)`` over ``cycles`` cycles, the same
+    cycle count as a cycle-major schedule.  Accumulation is checked against
+    the 64-bit column register range.
     """
     if len(x) != len(w):
         raise ShapeError(f"vector length mismatch: {len(x)} vs {len(w)}")
@@ -525,19 +528,14 @@ def functional_dot(x: QuantizedVector, w: QuantizedVector, acc: AcceleratorConfi
             total = _check_accumulator(total + xi * wi)
         return total
     plan = plan_composition(x.bitwidth, w.bitwidth, acc.cvu)
-    lanes = plan.lanes
-    step = plan.effective_length
+    cycles = max(1, -(-len(x) // plan.effective_length))
+    chunk = plan.lanes * cycles
+    starts = range(0, plan.clusters * chunk, chunk)
+    xt = [QuantizedVector(x.values[lo : lo + chunk], x.bitwidth, x.signed) for lo in starts]
+    wt = [QuantizedVector(w.values[lo : lo + chunk], w.bitwidth, w.signed) for lo in starts]
     total = 0
-    for start in range(0, max(1, len(x)), step):
-        xt, wt = [], []
-        for c in range(plan.clusters):
-            lo = min(start + c * lanes, len(x))
-            hi = min(start + (c + 1) * lanes, len(x))
-            xt.append(QuantizedVector(x.values[lo:hi], x.bitwidth, x.signed))
-            wt.append(QuantizedVector(w.values[lo:hi], w.bitwidth, w.signed))
-        out = execute_cycle(xt, wt, plan)
-        for scalar in out.scalars:
-            total = _check_accumulator(total + scalar)
+    for scalar in execute_cycle(xt, wt, plan, cycles).scalars:
+        total = _check_accumulator(total + scalar)
     return total
 
 

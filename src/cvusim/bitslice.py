@@ -16,10 +16,15 @@ Signedness convention: two's complement, with only the most-significant slice
 of a signed operand carrying a negative weight.  All other slices are
 unsigned.  Bitwidths that are not multiples of the slice width are sign- or
 zero-extended up to the next multiple before slicing.
+
+:func:`slice_vector` maps values through cached per-plane lookup tables of
+``2**bitwidth`` <= 256 entries, whatever the padded width; a negative value
+indexes from the end, which is its two's-complement encoding.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -75,14 +80,18 @@ class QuantizedVector:
     def __post_init__(self):
         if not 1 <= self.bitwidth <= MAX_BITWIDTH:
             raise RangeError(f"bitwidth must be in 1..{MAX_BITWIDTH}, got {self.bitwidth}")
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        raw = tuple(self.values)  # read a one-shot iterable once; a tuple is not copied
+        try:
+            values = tuple(map(operator.index, raw))
+        except TypeError:
+            i, v = next((i, v) for i, v in enumerate(raw) if not hasattr(type(v), "__index__"))
+            raise RangeError(f"value {v!r} at index {i} is not an integer") from None
         lo, hi = value_bounds(self.bitwidth, self.signed)
-        for i, v in enumerate(self.values):
-            if not lo <= v <= hi:
-                kind = "signed" if self.signed else "unsigned"
-                raise RangeError(
-                    f"value {v} at index {i} outside {kind} {self.bitwidth}-bit range [{lo}, {hi}]"
-                )
+        if values and not lo <= min(values) <= max(values) <= hi:
+            i, v = next((i, v) for i, v in enumerate(values) if not lo <= v <= hi)
+            kind = "signed" if self.signed else "unsigned"
+            raise RangeError(f"value {v} at index {i} outside {kind} {self.bitwidth}-bit range [{lo}, {hi}]")
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -153,6 +162,22 @@ def slice_value(value: int, bitwidth: int, slice_width: int, signed: bool) -> li
     return slices
 
 
+@functools.lru_cache(maxsize=None)
+def _plane_tables(bitwidth: int, padded: int, slice_width: int, signed: bool) -> tuple[list[int], ...]:
+    """Per-plane lookup lists: ``tables[j][v]`` is slice j of value v at ``padded`` bits.
+
+    Entry u holds the value encoded as u at ``bitwidth`` bits; ``>>`` is
+    arithmetic, so it sign-extends to any padded width."""
+    lo, hi = value_bounds(bitwidth, signed)
+    encoded = [*range(hi + 1), *range(lo, 0)]
+    mask = (1 << slice_width) - 1
+    tables = [[(v >> shift) & mask for v in encoded] for shift in range(0, padded, slice_width)]
+    if signed:
+        half, full = 1 << (slice_width - 1), 1 << slice_width
+        tables[-1] = [s - full if s >= half else s for s in tables[-1]]
+    return tuple(tables)  # lists: list.__getitem__ maps faster than tuple.__getitem__
+
+
 def slice_vector(vec: QuantizedVector, slice_width: int, *, bitwidth: int | None = None) -> BitSlicedVector:
     """Slice every element of a vector into planes.
 
@@ -166,16 +191,9 @@ def slice_vector(vec: QuantizedVector, slice_width: int, *, bitwidth: int | None
     if bw < vec.bitwidth:
         raise RangeError(f"cannot slice {vec.bitwidth}-bit vector at narrower width {bw}")
 
-    padded = padded_bitwidth(bw, slice_width)
-    unsigned = [v % (1 << padded) for v in vec.values]  # two's complement at padded width
-    mask = (1 << slice_width) - 1
-    planes = [
-        tuple((u >> shift) & mask for u in unsigned) for shift in range(0, padded, slice_width)
-    ]
-    if vec.signed:
-        half, full = 1 << (slice_width - 1), 1 << slice_width
-        planes[-1] = tuple(s - full if s >= half else s for s in planes[-1])
-    return BitSlicedVector(planes=tuple(planes), slice_width=slice_width, signed_msb=vec.signed)
+    tables = _plane_tables(vec.bitwidth, padded_bitwidth(bw, slice_width), slice_width, vec.signed)
+    planes = tuple(tuple(map(table.__getitem__, vec.values)) for table in tables)
+    return BitSlicedVector(planes=planes, slice_width=slice_width, signed_msb=vec.signed)
 
 
 def nbve_dot(x_slice: Sequence[int], w_slice: Sequence[int]) -> int:

@@ -132,15 +132,6 @@ class CostBreakdown:
     def total_area(self) -> float:
         return self.multiply_area + self.add_area + self.shift_area + self.register_area
 
-    def scaled(self, factor: float) -> "CostBreakdown":
-        return CostBreakdown(*(getattr(self, f.name) * factor for f in _breakdown_fields()))
-
-
-def _breakdown_fields():
-    from dataclasses import fields
-
-    return fields(CostBreakdown)
-
 
 @dataclass(frozen=True)
 class DsePoint:

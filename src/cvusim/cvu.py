@@ -6,6 +6,10 @@ slice-plane dot-product scalar per cycle.  For a given operand bitwidth pair
 the engines are clustered at runtime: every cluster covers the full plane
 grid of one dot product, and independent clusters run disjoint dot products
 in parallel, so all engines stay busy at every bitwidth.
+
+One :func:`execute_cycle` call may span several cycles.  The slice-plane
+identity holds however elements are split across cycles, so each engine takes
+one dot product over its cluster's whole tile; short tiles are not padded.
 """
 
 from __future__ import annotations
@@ -55,18 +59,10 @@ class CompositionPlan:
     def lanes(self) -> int:
         return self.effective_length // self.clusters
 
-    @property
-    def planes_x(self) -> int:
-        return self.bw_x // self.slice.alpha
-
-    @property
-    def planes_w(self) -> int:
-        return self.bw_w // self.slice.beta
-
 
 @dataclass(frozen=True)
 class CvuOutput:
-    """Per-cluster scalars for one cycle plus the lane utilization."""
+    """Per-cluster scalars for one dispatch plus the lane utilization."""
 
     scalars: tuple[int, ...]
     utilization: float
@@ -118,49 +114,39 @@ def macs_per_cycle(plan: CompositionPlan, cfg: CvuConfig) -> int:
     return plan.clusters * cfg.lanes
 
 
-def _pad_tile(tile: QuantizedVector, lanes: int) -> QuantizedVector:
-    if len(tile) == lanes:
-        return tile
-    padded = tile.values + (0,) * (lanes - len(tile))
-    return QuantizedVector(padded, tile.bitwidth, tile.signed)
-
-
 def execute_cycle(
     x_tiles: Sequence[QuantizedVector],
     w_tiles: Sequence[QuantizedVector],
     plan: CompositionPlan,
+    cycles: int = 1,
 ) -> CvuOutput:
-    """Functionally execute one CVU cycle.
+    """Functionally execute one CVU dispatch of ``cycles`` cycles.
 
-    Each cluster receives one (x, w) tile pair of length <= lanes; short
-    tiles are zero padded.  Every scalar is computed through the engines'
-    slice-plane dot products and the plan's shift-add tree, never through
-    the full-precision oracle.
+    Each cluster receives one (x, w) tile pair of length <= ``cycles * lanes``
+    and reduces it to one scalar.  Every scalar is computed through the
+    engines' slice-plane dot products and the plan's shift-add tree, never
+    through the full-precision oracle.  Utilization is the share of the
+    ``cycles * effective_length`` lane slots that held an element.
     """
+    if cycles < 1:
+        raise ShapeError(f"cycles must be >= 1, got {cycles}")
     if len(x_tiles) != plan.clusters or len(w_tiles) != plan.clusters:
         raise ShapeError(
             f"expected {plan.clusters} tile pairs, got {len(x_tiles)} x / {len(w_tiles)} w"
         )
-    lanes = plan.lanes
+    capacity = cycles * plan.lanes
     useful = 0
     scalars = []
     for c, (xt, wt) in enumerate(zip(x_tiles, w_tiles)):
         if len(xt) != len(wt):
             raise ShapeError(f"cluster {c}: tile length mismatch {len(xt)} vs {len(wt)}")
-        if len(xt) > lanes:
-            raise ShapeError(f"cluster {c}: tile length {len(xt)} exceeds {lanes} lanes")
+        if len(xt) > capacity:
+            raise ShapeError(f"cluster {c}: tile length {len(xt)} exceeds {cycles} x {plan.lanes} lanes")
         if xt.bitwidth > plan.bw_x or wt.bitwidth > plan.bw_w:
             raise RangeError(f"cluster {c}: tile bitwidths exceed the plan's padded widths")
         useful += len(xt)
-        xt = _pad_tile(xt, lanes)
-        wt = _pad_tile(wt, lanes)
         x_planes = slice_vector(xt, plan.slice.alpha, bitwidth=plan.bw_x).planes
         w_planes = slice_vector(wt, plan.slice.beta, bitwidth=plan.bw_w).planes
-        acc = 0
-        engine = 0
-        for j in range(plan.planes_x):
-            for k in range(plan.planes_w):
-                acc += nbve_dot(x_planes[j], w_planes[k]) << plan.shifts[engine]
-                engine += 1
-        scalars.append(acc)
-    return CvuOutput(scalars=tuple(scalars), utilization=useful / plan.effective_length)
+        pairs = ((xp, wp) for xp in x_planes for wp in w_planes)
+        scalars.append(sum(nbve_dot(xp, wp) << shift for shift, (xp, wp) in zip(plan.shifts, pairs)))
+    return CvuOutput(scalars=tuple(scalars), utilization=useful / (cycles * plan.effective_length))

@@ -137,12 +137,6 @@ class LayerSpec:
         return self.k * self.n
 
     @property
-    def output_elements(self) -> int:
-        if self.kind is LayerKind.CONV:
-            return self.out_channels * self.out_height * self.out_width
-        return self.m * self.n
-
-    @property
     def macs(self) -> int:
         """Multiply-accumulate count for one invocation (one timestep)."""
         if self.kind is LayerKind.CONV:

@@ -19,7 +19,7 @@ from cvusim.arch import (
     simulate_layer,
     simulate_network,
 )
-from cvusim.bitslice import QuantizedVector, value_bounds
+from cvusim.bitslice import QuantizedVector, dot_exact, value_bounds
 from cvusim.cost import default_params
 from cvusim.cvu import CvuConfig
 from cvusim.errors import AccumulatorOverflowError, ConfigError
@@ -293,6 +293,21 @@ class TestFunctionalEquivalence:
             for style in (Style.CONVENTIONAL, Style.SCALAR, Style.VECTOR)
         ]
         assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("name", ["alexnet", "convnet", "gru", "lstm", "resnet", "vgg"])
+    def test_every_bundled_layer_at_full_depth(self, name):
+        # one signed weight row and one unsigned input column per layer, as the
+        # schema defaults, at its full depth k (25,088 for VGG fc6), every style
+        arrays = [build_array(style, PARAMS) for style in Style]
+        for i, layer in enumerate(load_bundled(name).layers):
+            rng = random.Random(f"{name}/{i}")
+            k = lower_layer(layer).k
+            lo_w, hi_w = value_bounds(layer.bw_w, True)
+            w = QuantizedVector(tuple(rng.randint(lo_w, hi_w) for _ in range(k)), layer.bw_w, signed=True)
+            x = QuantizedVector(tuple(rng.randrange(1 << layer.bw_x) for _ in range(k)), layer.bw_x)
+            expected = dot_exact(x, w)
+            for acc in arrays:
+                assert functional_dot(x, w, acc) == expected, (name, i, acc.style)
 
     def test_within_64bit_bounds_no_overflow(self):
         n = 1 << 16

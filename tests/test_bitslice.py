@@ -1,5 +1,6 @@
 """Slicing, plane dot products, and shift-add recomposition."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from cvusim.bitslice import (
     slice_value,
     slice_vector,
 )
+from cvusim.cvu import CvuConfig, plan_composition
 from cvusim.errors import RangeError, ShapeError
 
 
@@ -92,6 +94,44 @@ class TestSliceVector:
     def test_range_error_carries_index(self):
         with pytest.raises(RangeError, match="index 1"):
             QuantizedVector((3, 99), 4, signed=False)
+
+    @pytest.mark.parametrize(
+        "values", [(1.7, 2.9), (1, 2.0), np.array([0.5, 3.99]), (np.int64(1), np.float32(2))]
+    )
+    def test_non_integers_rejected(self, values):
+        bad = next(i for i, v in enumerate(values) if not isinstance(v, (int, np.integer)))
+        for arg in (values, iter(values)):  # a one-shot iterable is read only once
+            with pytest.raises(RangeError, match=f"index {bad} is not an integer"):
+                QuantizedVector(arg, 2)
+
+    def test_integer_types_stored_as_int(self):
+        for values in ((1, True, 0), np.array([1, 3, 0], dtype=np.int8), (np.uint8(3), np.int64(1), False)):
+            vec = QuantizedVector(values, 2)
+            assert vec.values == (int(values[0]), int(values[1]), int(values[2]))
+            assert all(type(v) is int for v in vec.values)
+
+    def test_exhaustive_against_slice_value(self):
+        # every declared width, slice width and signedness, over the whole value
+        # range, at its own padded width and at the width plan_composition pads to
+        cases = set()
+        for bw in range(1, 9):
+            for sw in (1, 2, 4):
+                plan = plan_composition(bw, bw, CvuConfig(slice=SliceConfig(sw, sw)))
+                for signed in (False, True):
+                    cases |= {(bw, sw, signed, bs.padded_bitwidth(bw, sw)), (bw, sw, signed, plan.bw_x)}
+        # with max_bw=12, a 5-bit operand pads to 12 bits: three 4-bit planes
+        twelve = plan_composition(5, 5, CvuConfig(slice=SliceConfig(4, 4, max_bw=12))).bw_x
+        assert twelve == 12
+        cases |= {(5, 4, False, twelve), (5, 4, True, twelve)}
+        for bw, sw, signed, padded in sorted(cases):
+            lo, hi = bs.value_bounds(bw, signed)
+            values = tuple(range(lo, hi + 1))
+            planes = slice_vector(QuantizedVector(values, bw, signed), sw, bitwidth=padded).planes
+            expected = [slice_value(v, padded, sw, signed) for v in values]
+            assert planes == tuple(zip(*expected)), (bw, sw, signed, padded)
+            tables = bs._plane_tables(bw, padded, sw, signed)
+            assert len(tables) == padded // sw
+            assert all(len(table) == 1 << bw <= 256 for table in tables)
 
     @given(
         bw=st.integers(1, 8),

@@ -145,23 +145,46 @@ class TestExecuteCycle:
         with pytest.raises(ShapeError):
             execute_cycle([x], [x], plan)
 
+    def test_multi_cycle_dispatch(self):
+        # 3 elements over 2 cycles of 2 lanes: 3 of 4 lane slots hold an element
+        plan = plan_composition(8, 8, CvuConfig(lanes=2))
+        x = QuantizedVector((13, 5, 7), 8)
+        w = QuantizedVector((9, 6, 2), 8)
+        out = execute_cycle([x], [w], plan, cycles=2)
+        assert out.scalars == (13 * 9 + 5 * 6 + 7 * 2,)
+        assert out.utilization == 3 / 4
+
+    def test_multi_cycle_tile_too_long(self):
+        plan = plan_composition(8, 8, CvuConfig(lanes=2))
+        x = QuantizedVector((1, 2, 3, 4, 5), 8)
+        with pytest.raises(ShapeError):
+            execute_cycle([x], [x], plan, cycles=2)
+
+    def test_zero_cycles(self):
+        plan = plan_composition(8, 8, CvuConfig(lanes=2))
+        x = QuantizedVector((1,), 8)
+        with pytest.raises(ShapeError):
+            execute_cycle([x], [x], plan, cycles=0)
+
     @settings(max_examples=150, deadline=None)
     @given(
         bw_x=st.integers(1, 8),
         bw_w=st.integers(1, 8),
         lanes=st.sampled_from([1, 2, 4, 16]),
+        cycles=st.sampled_from([1, 2, 3]),
         signed_x=st.booleans(),
         signed_w=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_functional_equivalence(self, bw_x, bw_w, lanes, signed_x, signed_w, seed):
+    def test_functional_equivalence(self, bw_x, bw_w, lanes, cycles, signed_x, signed_w, seed):
         rng = random.Random(seed)
         cfg = CvuConfig(lanes=lanes)
         plan = plan_composition(bw_x, bw_w, cfg)
         xs, ws = [], []
         for _ in range(plan.clusters):
-            n = rng.randint(0, lanes)
+            n = rng.randint(0, lanes * cycles)
             xs.append(rand_vector(rng, n, bw_x, signed_x))
             ws.append(rand_vector(rng, n, bw_w, signed_w))
-        out = execute_cycle(xs, ws, plan)
+        out = execute_cycle(xs, ws, plan, cycles=cycles)
         assert out.scalars == tuple(dot_exact(x, w) for x, w in zip(xs, ws))
+        assert out.utilization == sum(map(len, xs)) / (cycles * plan.effective_length)
