@@ -1,0 +1,133 @@
+"""Golden outputs: every modelled layer figure and the CLI reports, compared exactly.
+
+``golden/model.csv`` holds one row per layer for every bundled network,
+style, memory and bitwidth mode, with every ``LayerReport`` field and floats
+written by ``repr``.  The ``.txt`` files hold the exact stdout of ``dse``,
+of ``compare`` over all six networks and four configs in each bitwidth mode,
+and of ``simulate`` for every network, style, memory and mode.
+
+A change that moves the model on purpose regenerates the files with
+``PYTHONPATH=src python tests/test_golden.py`` and explains the diff.  The
+module needs no pytest, so any supported Python can regenerate them.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import csv
+import io
+import sys
+import warnings
+from pathlib import Path
+
+from cvusim import cli
+from cvusim.arch import DDR4, HBM2, Style, build_array, simulate_network
+from cvusim.cost import default_params
+from cvusim.workloads import bundled_networks, load_bundled, to_homogeneous
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+NETS = tuple(sorted(bundled_networks()))
+MODES = ("file", "homogeneous")
+STYLES = {"conventional": Style.CONVENTIONAL, "scalar": Style.SCALAR, "vector": Style.VECTOR}
+MEMORIES = {"ddr4": DDR4, "hbm2": HBM2}
+COMPARE_CONFIGS = ("conventional:ddr4", "scalar:ddr4", "vector:ddr4", "vector:hbm2")
+LAYER_FIELDS = (
+    "name", "kind", "m", "k", "n", "repeats", "bw_x", "bw_w", "macs",
+    "compute_cycles", "memory_cycles", "total_cycles", "utilization", "bound",
+    "energy_compute_pj", "energy_sram_pj", "energy_offchip_pj", "energy_total_pj", "offchip_bytes",
+)
+
+
+def _cell(value) -> str:
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def model_table() -> str:
+    params = default_params()
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("network", "bitwidths", "style", "memory", *LAYER_FIELDS))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # conventional-style clamp notes
+        arrays = {style: build_array(STYLES[style], params) for style in STYLES}
+        for net_name in NETS:
+            for mode in MODES:
+                net = load_bundled(net_name)
+                if mode == "homogeneous":
+                    net = to_homogeneous(net)
+                for style in STYLES:
+                    for memory in MEMORIES.values():
+                        report = simulate_network(net, arrays[style], memory, params)
+                        for layer in report.layers:
+                            cells = (_cell(getattr(layer, f)) for f in LAYER_FIELDS)
+                            writer.writerow((net_name, mode, style, memory.name, *cells))
+    return out.getvalue()
+
+
+def cli_stdout(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = cli.main(argv)
+    assert code == 0, (argv, code)
+    return out.getvalue()
+
+
+def compare_report(mode: str) -> str:
+    argv = ["compare", "--bitwidths", mode]
+    for net in NETS:
+        argv += ["--network", net]
+    for config in COMPARE_CONFIGS:
+        argv += ["--config", config]
+    return cli_stdout(argv)
+
+
+def simulate_reports() -> str:
+    return "".join(
+        cli_stdout(["simulate", "--network", net, "--style", style, "--memory", memory, "--bitwidths", mode])
+        for net in NETS
+        for mode in MODES
+        for style in STYLES
+        for memory in MEMORIES
+    )
+
+
+FILES = {
+    "model.csv": model_table,
+    "dse.txt": lambda: cli_stdout(["dse"]),
+    "compare-file.txt": lambda: compare_report("file"),
+    "compare-homogeneous.txt": lambda: compare_report("homogeneous"),
+    "simulate.txt": simulate_reports,
+}
+
+
+def _check(name: str) -> None:
+    produced = FILES[name]().splitlines()
+    expected = (GOLDEN / name).read_text().splitlines()
+    for i, (got, want) in enumerate(zip(produced, expected)):
+        assert got == want, f"{name} line {i + 1}:\n  golden:   {want}\n  produced: {got}"
+    assert len(produced) == len(expected), f"{name}: {len(produced)} lines, golden has {len(expected)}"
+
+
+def test_model_table():
+    _check("model.csv")
+
+
+def test_dse_report():
+    _check("dse.txt")
+
+
+def test_compare_reports():
+    _check("compare-file.txt")
+    _check("compare-homogeneous.txt")
+
+
+def test_simulate_reports():
+    _check("simulate.txt")
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, produce in FILES.items():
+        (GOLDEN / name).write_text(produce())
+        print(f"wrote {GOLDEN / name}", file=sys.stderr)
