@@ -6,8 +6,6 @@ from .bitslice import (
     BitSlicedVector,
     QuantizedVector,
     SliceConfig,
-    SlicePlaneProduct,
-    compose_dot,
     dot_exact,
     nbve_dot,
     slice_value,

@@ -23,18 +23,24 @@ Three styles share the model: ``conventional`` units are fixed 8-bit MACs
 (heterogeneous bitwidths are clamped to 8 with a warning), a
 ``scalar-composable`` unit is a one-lane CVU, and ``vector-composable``
 units are full CVUs.
+
+One pass of a layer, a whole layer (:class:`LayerReport`) and a whole
+network (:class:`SimReport`) share :class:`Totals`: the summed MACs, cycle
+counts, off-chip bytes and energy categories, which :meth:`Totals.of` adds
+up over the parts, together with the derived energy total and bound.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .bitslice import QuantizedVector, SliceConfig
 from .cost import CostParams, iso_power_array_size, per_mac_normalized
-from .cvu import CompositionPlan, CvuConfig, execute_cycle, macs_per_cycle, plan_composition
+from .cvu import CvuConfig, execute_cycle, macs_per_cycle, plan_composition
 from .errors import AccumulatorOverflowError, ConfigError, ShapeError
 from .workloads import LayerKind, LayerSpec, NetworkSpec
 
@@ -59,8 +65,8 @@ class MemorySpec:
     access_energy_pj_per_bit: float
 
     def __post_init__(self):
-        if self.bandwidth_bytes_per_s <= 0 or self.access_energy_pj_per_bit < 0:
-            raise ConfigError(f"invalid memory spec {self}")
+        if not 0 < self.bandwidth_bytes_per_s < math.inf or not 0 <= self.access_energy_pj_per_bit < math.inf:
+            raise ConfigError(f"invalid memory spec {self}: needs finite bandwidth > 0 and energy >= 0")
 
 
 DDR4 = MemorySpec("ddr4", 16e9, 15.0)
@@ -115,34 +121,55 @@ class GemmDims:
     m: int
     k: int
     n: int
-    weight_reuse: int
-    input_reuse: int
 
 
 def lower_layer(layer: LayerSpec) -> GemmDims:
-    """Lower a layer to GEMM dimensions plus data-reuse factors.
+    """Lower a layer to GEMM dimensions.
 
     Convolutions use im2col: m = output channels, k = C*R*S, n = output
-    pixels.  Reuse counts how many MACs consume each weight / input element.
+    pixels.
     """
     if layer.kind is LayerKind.CONV:
-        m = layer.out_channels
-        k = layer.in_channels * layer.kernel_h * layer.kernel_w
-        n = layer.out_height * layer.out_width
-    else:
-        m, k, n = layer.m, layer.k, layer.n
-    macs = m * k * n
-    return GemmDims(
-        m=m,
-        k=k,
-        n=n,
-        weight_reuse=n,
-        input_reuse=max(1, macs // max(1, layer.input_elements)),
-    )
+        return GemmDims(
+            m=layer.out_channels,
+            k=layer.in_channels * layer.kernel_h * layer.kernel_w,
+            n=layer.out_height * layer.out_width,
+        )
+    return GemmDims(m=layer.m, k=layer.k, n=layer.n)
 
 
 @dataclass(frozen=True)
-class LayerReport:
+class Totals:
+    """Figures that add up over the parts of a run: passes, layers, networks."""
+
+    macs: int
+    compute_cycles: int
+    memory_cycles: int
+    total_cycles: int
+    offchip_bytes: int
+    energy_compute_pj: float
+    energy_sram_pj: float
+    energy_offchip_pj: float
+
+    @classmethod
+    def of(cls, parts) -> Totals:
+        """Field-by-field sums over ``parts``, in order."""
+        return cls(*map(sum, zip(*map(_totals_of, parts))))
+
+    @property
+    def energy_total_pj(self) -> float:
+        return self.energy_compute_pj + self.energy_sram_pj + self.energy_offchip_pj
+
+    @property
+    def bound(self) -> str:
+        return "memory" if self.memory_cycles > self.compute_cycles else "compute"
+
+
+_totals_of = operator.attrgetter(*(f.name for f in fields(Totals)))
+
+
+@dataclass(frozen=True)
+class LayerReport(Totals):
     name: str
     kind: str
     m: int
@@ -151,61 +178,16 @@ class LayerReport:
     repeats: int
     bw_x: int
     bw_w: int
-    macs: int
-    compute_cycles: int
-    memory_cycles: int
-    total_cycles: int
     utilization: float
-    bound: str
-    energy_compute_pj: float
-    energy_sram_pj: float
-    energy_offchip_pj: float
-    offchip_bytes: int
-
-    @property
-    def energy_total_pj(self) -> float:
-        return self.energy_compute_pj + self.energy_sram_pj + self.energy_offchip_pj
 
 
 @dataclass(frozen=True)
-class SimReport:
+class SimReport(Totals):
     network: str
     style: str
     memory: str
     layers: tuple[LayerReport, ...]
     notes: tuple[str, ...] = ()
-
-    @property
-    def compute_cycles(self) -> int:
-        return sum(l.compute_cycles for l in self.layers)
-
-    @property
-    def memory_cycles(self) -> int:
-        return sum(l.memory_cycles for l in self.layers)
-
-    @property
-    def total_cycles(self) -> int:
-        return sum(l.total_cycles for l in self.layers)
-
-    @property
-    def macs(self) -> int:
-        return sum(l.macs for l in self.layers)
-
-    @property
-    def energy_compute_pj(self) -> float:
-        return sum(l.energy_compute_pj for l in self.layers)
-
-    @property
-    def energy_sram_pj(self) -> float:
-        return sum(l.energy_sram_pj for l in self.layers)
-
-    @property
-    def energy_offchip_pj(self) -> float:
-        return sum(l.energy_offchip_pj for l in self.layers)
-
-    @property
-    def energy_total_pj(self) -> float:
-        return self.energy_compute_pj + self.energy_sram_pj + self.energy_offchip_pj
 
     def runtime_s(self, frequency_hz: float) -> float:
         return self.total_cycles / frequency_hz
@@ -264,11 +246,10 @@ def _effective_bitwidths(layer: LayerSpec, style: Style) -> tuple[int, int, str 
     return layer.bw_x, layer.bw_w, None
 
 
-def _unit_peak(acc: AcceleratorConfig, bw_x: int, bw_w: int) -> tuple[int, CompositionPlan | None]:
+def _unit_peak(acc: AcceleratorConfig, bw_x: int, bw_w: int) -> int:
     if acc.style is Style.CONVENTIONAL:
-        return 1, None
-    plan = plan_composition(bw_x, bw_w, acc.cvu)
-    return macs_per_cycle(plan, acc.cvu), plan
+        return 1
+    return macs_per_cycle(plan_composition(bw_x, bw_w, acc.cvu), acc.cvu)
 
 
 def _mem_cycles(nbytes: int, acc: AcceleratorConfig, mem: MemorySpec) -> int:
@@ -348,7 +329,7 @@ def _simulate_pass(
     bw_x: int,
     bw_w: int,
     weights_resident: bool,
-) -> dict:
+) -> Totals:
     """One invocation of a layer (one timestep for recurrent layers)."""
     phases = _layer_phases(layer, acc, peak, bw_x, bw_w, weights_resident)
 
@@ -378,16 +359,16 @@ def _simulate_pass(
     operand_bytes = _ceil_bits_to_bytes(macs, bw_x) + _ceil_bits_to_bytes(macs, bw_w)
     sram_bytes = weight_fill_bytes + stream_bytes + operand_bytes
 
-    return {
-        "macs": macs,
-        "compute_cycles": sum(p.compute_cycles for p in phases),
-        "memory_cycles": _mem_cycles(offchip_bytes, acc, mem),
-        "total_cycles": total,
-        "offchip_bytes": offchip_bytes,
-        "energy_compute_pj": macs * energy_per_mac,
-        "energy_sram_pj": sram_bytes * acc.sram_energy_pj_per_byte,
-        "energy_offchip_pj": offchip_bytes * 8 * mem.access_energy_pj_per_bit,
-    }
+    return Totals(
+        macs=macs,
+        compute_cycles=sum(p.compute_cycles for p in phases),
+        memory_cycles=_mem_cycles(offchip_bytes, acc, mem),
+        total_cycles=total,
+        offchip_bytes=offchip_bytes,
+        energy_compute_pj=macs * energy_per_mac,
+        energy_sram_pj=sram_bytes * acc.sram_energy_pj_per_byte,
+        energy_offchip_pj=offchip_bytes * 8 * mem.access_energy_pj_per_bit,
+    )
 
 
 def _check_staging(layer: LayerSpec, acc: AcceleratorConfig, peak: int, bw_x: int) -> None:
@@ -416,8 +397,7 @@ def simulate_layer(layer: LayerSpec, acc: AcceleratorConfig, mem: MemorySpec, pa
     bw_x, bw_w, note = _effective_bitwidths(layer, acc.style)
     if note:
         warnings.warn(note, UserWarning, stacklevel=2)
-    peak_unit, _ = _unit_peak(acc, bw_x, bw_w)
-    peak = peak_unit * acc.unit_count
+    peak = _unit_peak(acc, bw_x, bw_w) * acc.unit_count
     _check_staging(layer, acc, peak, bw_x)
     dims = lower_layer(layer)
 
@@ -429,8 +409,9 @@ def simulate_layer(layer: LayerSpec, acc: AcceleratorConfig, mem: MemorySpec, pa
         steady = _simulate_pass(layer, acc, mem, params, peak, bw_x, bw_w, weights_resident=resident)
         passes.extend([steady] * (layer.repeat - 1))
 
-    agg = {key: sum(p[key] for p in passes) for key in first}
+    totals = Totals.of(passes)
     return LayerReport(
+        **vars(totals),
         name=layer.name or layer.kind.value,
         kind=layer.kind.value,
         m=dims.m,
@@ -439,16 +420,7 @@ def simulate_layer(layer: LayerSpec, acc: AcceleratorConfig, mem: MemorySpec, pa
         repeats=layer.repeat,
         bw_x=bw_x,
         bw_w=bw_w,
-        macs=agg["macs"],
-        compute_cycles=agg["compute_cycles"],
-        memory_cycles=agg["memory_cycles"],
-        total_cycles=agg["total_cycles"],
-        utilization=agg["macs"] / (peak * agg["compute_cycles"]),
-        bound="memory" if agg["memory_cycles"] > agg["compute_cycles"] else "compute",
-        energy_compute_pj=agg["energy_compute_pj"],
-        energy_sram_pj=agg["energy_sram_pj"],
-        energy_offchip_pj=agg["energy_offchip_pj"],
-        offchip_bytes=agg["offchip_bytes"],
+        utilization=totals.macs / (peak * totals.compute_cycles),
     )
 
 
@@ -465,7 +437,14 @@ def simulate_network(net: NetworkSpec, acc: AcceleratorConfig, mem: MemorySpec, 
         notes = tuple(str(w.message) for w in caught)
     for note in notes:
         warnings.warn(note, UserWarning, stacklevel=2)
-    return SimReport(network=net.name, style=acc.style.value, memory=mem.name, layers=tuple(reports), notes=notes)
+    return SimReport(
+        **vars(Totals.of(reports)),
+        network=net.name,
+        style=acc.style.value,
+        memory=mem.name,
+        layers=tuple(reports),
+        notes=notes,
+    )
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,10 @@ planes, and recombining the plane results with shift-adds:
     sum_i x_i*w_i  ==  sum_{j,k} 2**(alpha*j + beta*k) * sum_i xs[j][i]*ws[k][i]
 
 where ``xs[j]`` is the j-th slice plane of x (``alpha`` bits per slice) and
-``ws[k]`` the k-th plane of w (``beta`` bits).  All arithmetic here is exact
+``ws[k]`` the k-th plane of w (``beta`` bits).  This module slices operands
+and takes single plane dot products; the composed path, which applies the
+identity through a composition plan's shift-add tree, is
+:func:`cvusim.cvu.execute_cycle`.  All arithmetic here is exact
 Python-integer arithmetic, which cannot overflow at any width, so there is
 no int64 fast path and no fallback; :func:`dot_exact` is the independent
 full-precision path that every composed result must reproduce bit for bit.
@@ -128,16 +131,6 @@ class BitSlicedVector:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class SlicePlaneProduct:
-    """One plane-pair dot product and the shift that positions it."""
-
-    j: int
-    k: int
-    value: int
-    shift: int
-
-
 def slice_value(value: int, bitwidth: int, slice_width: int, signed: bool) -> list[int]:
     """Slice one integer into LSB-first slice values.
 
@@ -208,43 +201,3 @@ def dot_exact(x: QuantizedVector, w: QuantizedVector) -> int:
     if len(x) != len(w):
         raise ShapeError(f"vector length mismatch: {len(x)} vs {len(w)}")
     return sum(map(operator.mul, x.values, w.values))
-
-
-def slice_plane_products(
-    x: QuantizedVector,
-    w: QuantizedVector,
-    cfg: SliceConfig,
-    *,
-    bw_x: int | None = None,
-    bw_w: int | None = None,
-) -> list[SlicePlaneProduct]:
-    """All plane-pair dot products with their shifts, j-major order.
-
-    Exactly ``ceil(bw_x/alpha) * ceil(bw_w/beta)`` engine dot products are
-    evaluated.  ``bw_x``/``bw_w`` override the operand widths (plan padding).
-    """
-    if len(x) != len(w):
-        raise ShapeError(f"vector length mismatch: {len(x)} vs {len(w)}")
-    for vec, bw in ((x, bw_x), (w, bw_w)):
-        if (bw or vec.bitwidth) > cfg.max_bw:
-            raise RangeError(f"bitwidth {bw or vec.bitwidth} exceeds max_bw {cfg.max_bw}")
-    xs = slice_vector(x, cfg.alpha, bitwidth=bw_x)
-    ws = slice_vector(w, cfg.beta, bitwidth=bw_w)
-    products = []
-    for j, xp in enumerate(xs.planes):
-        for k, wp in enumerate(ws.planes):
-            products.append(
-                SlicePlaneProduct(j=j, k=k, value=nbve_dot(xp, wp), shift=cfg.alpha * j + cfg.beta * k)
-            )
-    return products
-
-
-def compose_dot(x: QuantizedVector, w: QuantizedVector, cfg: SliceConfig) -> int:
-    """Dot product via slice planes and shift-add recombination.
-
-    Equals :func:`dot_exact` for every valid input, with zero tolerance.
-    """
-    total = 0
-    for p in slice_plane_products(x, w, cfg):
-        total += p.value << p.shift
-    return total

@@ -22,16 +22,14 @@ from . import __version__
 from .arch import (
     DDR4,
     HBM2,
-    AcceleratorConfig,
     MemorySpec,
-    SimReport,
     Style,
     build_array,
     compare,
     simulate_network,
 )
 from .cost import default_params, dse_sweep, load_params
-from .errors import ConfigError, NetworkFormatError
+from .errors import ConfigError, NetworkFormatError, RangeError
 from .workloads import NetworkSpec, bundled_networks, load_network, to_homogeneous
 
 EXIT_OK = 0
@@ -44,6 +42,7 @@ _STYLES = {
     "scalar": Style.SCALAR,
     "vector": Style.VECTOR,
 }
+_MEMORIES = {"ddr4": DDR4, "hbm2": HBM2}
 
 
 class _UsageError(Exception):
@@ -128,10 +127,8 @@ def _resolve_network(name_or_path: str) -> tuple[NetworkSpec, Path]:
 
 
 def _memory_from_args(args) -> MemorySpec:
-    if args.memory == "ddr4":
-        return DDR4
-    if args.memory == "hbm2":
-        return HBM2
+    if args.memory in _MEMORIES:
+        return _MEMORIES[args.memory]
     if args.bandwidth is None or args.pj_per_bit is None:
         raise _UsageError("--memory custom requires --bandwidth and --pj-per-bit")
     return MemorySpec("custom", args.bandwidth * 1e9, args.pj_per_bit)
@@ -171,16 +168,6 @@ def cmd_dse(args) -> int:
     return EXIT_OK
 
 
-def _simulate_one(net: NetworkSpec, style: Style, mem: MemorySpec, args, params) -> tuple[SimReport, AcceleratorConfig]:
-    acc = build_array(
-        style,
-        params,
-        budget_mw=args.budget,
-        total_sram_bytes=args.sram_bytes,
-    )
-    return simulate_network(net, acc, mem, params), acc
-
-
 def cmd_simulate(args) -> int:
     params, digests = _load_cost_params(args)
     net, path = _resolve_network(args.network)
@@ -188,7 +175,8 @@ def cmd_simulate(args) -> int:
     if args.bitwidths == "homogeneous":
         net = to_homogeneous(net)
     mem = _memory_from_args(args)
-    report, acc = _simulate_one(net, _STYLES[args.style], mem, args, params)
+    acc = build_array(_STYLES[args.style], params, budget_mw=args.budget, total_sram_bytes=args.sram_bytes)
+    report = simulate_network(net, acc, mem, params)
 
     manifest = RunManifest(
         command="simulate",
@@ -221,11 +209,8 @@ def cmd_simulate(args) -> int:
     rows.append(
         [
             "TOTAL", "-", "-", "-", "-", "-", "-", "-", report.macs,
-            report.compute_cycles, report.memory_cycles, report.total_cycles,
-            "memory" if report.memory_cycles > report.compute_cycles else "compute",
-            "-",
-            report.energy_compute_pj, report.energy_sram_pj, report.energy_offchip_pj,
-            sum(l.offchip_bytes for l in report.layers),
+            report.compute_cycles, report.memory_cycles, report.total_cycles, report.bound, "-",
+            report.energy_compute_pj, report.energy_sram_pj, report.energy_offchip_pj, report.offchip_bytes,
         ]
     )
     _emit(manifest, header, rows, args.out)
@@ -248,13 +233,13 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _parse_config_group(text: str) -> tuple[Style, str]:
+def _parse_config_group(text: str) -> tuple[Style, MemorySpec]:
     parts = text.split(":")
-    if len(parts) != 2 or parts[0] not in _STYLES or parts[1] not in ("ddr4", "hbm2"):
+    if len(parts) != 2 or parts[0] not in _STYLES or parts[1] not in _MEMORIES:
         raise _UsageError(
             f"--config must look like 'vector:ddr4' (styles: {', '.join(_STYLES)}; memories: ddr4, hbm2), got {text!r}"
         )
-    return _STYLES[parts[0]], parts[1]
+    return _STYLES[parts[0]], _MEMORIES[parts[1]]
 
 
 def cmd_compare(args) -> int:
@@ -271,11 +256,10 @@ def cmd_compare(args) -> int:
             net = to_homogeneous(net)
         nets.append(net)
 
-    configs = []
-    for style, mem_name in groups:
-        mem = DDR4 if mem_name == "ddr4" else HBM2
-        acc = build_array(style, params, budget_mw=args.budget, total_sram_bytes=args.sram_bytes)
-        configs.append((acc, mem))
+    configs = [
+        (build_array(style, params, budget_mw=args.budget, total_sram_bytes=args.sram_bytes), mem)
+        for style, mem in groups
+    ]
 
     manifest = RunManifest(
         command="compare",
@@ -321,7 +305,7 @@ def _build_parser() -> _Parser:
     sim = sub.add_parser("simulate", help="simulate one network on one platform")
     sim.add_argument("--network", required=True, help="network file or bundled benchmark name")
     sim.add_argument("--style", choices=sorted(_STYLES), required=True)
-    sim.add_argument("--memory", choices=["ddr4", "hbm2", "custom"], default="ddr4")
+    sim.add_argument("--memory", choices=[*_MEMORIES, "custom"], default="ddr4")
     sim.add_argument("--bandwidth", type=float, default=None, help="custom memory bandwidth, GB/s")
     sim.add_argument("--pj-per-bit", type=float, default=None, help="custom memory access energy")
     sim.add_argument("--budget", type=float, default=250.0, help="core power budget, mW")
@@ -351,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, NetworkFormatError, ConfigError) as exc:
+    except (OSError, UnicodeDecodeError, NetworkFormatError, ConfigError, RangeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # internal invariant violation

@@ -21,11 +21,14 @@ register, both sized to the 64-bit accumulation path used by the array.
 from __future__ import annotations
 
 import json
+import math
+import operator
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from .bitslice import SliceConfig
 from .cvu import CvuConfig, macs_per_cycle, plan_composition
 from .errors import CalibrationError, ConfigError, RangeError
 
@@ -37,7 +40,17 @@ ACCUMULATOR_BITS = 64
 ADDER_OVERHEAD_BITS = 8
 PARAMS_SCHEMA_VERSION = 1
 
-_COST_FIELDS = ("mult", "adder", "shifter", "register")
+# The four hardware categories: params-file key, CostBreakdown field prefix,
+# inventory key, and the CostParams energy and area constants.
+_CATEGORIES = (
+    ("mult", "multiply", "mult_units", "mult_energy_coeff", "mult_area_coeff"),
+    ("adder", "add", "add_units", "adder_energy_per_bit", "adder_area_per_bit"),
+    ("shifter", "shift", "shift_units", "shifter_energy_per_bit", "shifter_area_per_bit"),
+    ("register", "register", "register_units", "register_energy_per_bit", "register_area_per_bit"),
+)
+_unit_counts = operator.itemgetter(*(unit_key for _, _, unit_key, _, _ in _CATEGORIES))
+_energy_constants = operator.attrgetter(*(energy for _, _, _, energy, _ in _CATEGORIES))
+_area_constants = operator.attrgetter(*(area for _, _, _, _, area in _CATEGORIES))
 
 
 @dataclass(frozen=True)
@@ -62,30 +75,14 @@ class CostParams:
 
     def __post_init__(self):
         for name, value in self.__dict__.items():
-            if not value > 0:
-                raise RangeError(f"{name} must be strictly positive, got {value}")
-
-    def mult_energy(self, alpha: int, beta: int) -> float:
-        return self.mult_energy_coeff * alpha * beta
-
-    def mult_area(self, alpha: int, beta: int) -> float:
-        return self.mult_area_coeff * alpha * beta
+            if not 0 < value < math.inf:
+                raise RangeError(f"{name} must be strictly positive and finite, got {value}")
 
     def to_json(self) -> str:
         doc = {
             "version": PARAMS_SCHEMA_VERSION,
-            "energy": {
-                "mult": self.mult_energy_coeff,
-                "adder": self.adder_energy_per_bit,
-                "shifter": self.shifter_energy_per_bit,
-                "register": self.register_energy_per_bit,
-            },
-            "area": {
-                "mult": self.mult_area_coeff,
-                "adder": self.adder_area_per_bit,
-                "shifter": self.shifter_area_per_bit,
-                "register": self.register_area_per_bit,
-            },
+            "energy": {key: getattr(self, energy) for key, _, _, energy, _ in _CATEGORIES},
+            "area": {key: getattr(self, area) for key, _, _, _, area in _CATEGORIES},
             "conventional_mac_mw": self.conventional_mac_mw,
         }
         return json.dumps(doc, indent=2) + "\n"
@@ -94,17 +91,13 @@ class CostParams:
     def from_json(cls, text: str) -> "CostParams":
         try:
             doc = json.loads(text)
+            if not isinstance(doc, dict):
+                raise ConfigError(f"cost params must be a JSON object, got {type(doc).__name__}")
             if doc.get("version") != PARAMS_SCHEMA_VERSION:
                 raise ConfigError(f"unsupported cost params version {doc.get('version')!r}")
             return cls(
-                mult_energy_coeff=doc["energy"]["mult"],
-                adder_energy_per_bit=doc["energy"]["adder"],
-                shifter_energy_per_bit=doc["energy"]["shifter"],
-                register_energy_per_bit=doc["energy"]["register"],
-                mult_area_coeff=doc["area"]["mult"],
-                adder_area_per_bit=doc["area"]["adder"],
-                shifter_area_per_bit=doc["area"]["shifter"],
-                register_area_per_bit=doc["area"]["register"],
+                **{energy: doc["energy"][key] for key, _, _, energy, _ in _CATEGORIES},
+                **{area: doc["area"][key] for key, _, _, _, area in _CATEGORIES},
                 conventional_mac_mw=doc.get("conventional_mac_mw", 0.25),
             )
         except (KeyError, TypeError, json.JSONDecodeError) as exc:
@@ -144,19 +137,6 @@ class DsePoint:
     breakdown: CostBreakdown
 
 
-@dataclass(frozen=True)
-class AdderInventory:
-    """Adder counts by tree level (introspection and tests)."""
-
-    per_nbve: int
-    global_tree: int
-    accumulate: int
-
-    @property
-    def total(self) -> int:
-        return self.per_nbve + self.global_tree + self.accumulate
-
-
 def _adder_units(width_bits: int) -> int:
     return width_bits + ADDER_OVERHEAD_BITS
 
@@ -179,12 +159,17 @@ def _tree_reduce(maxima: list[int]) -> tuple[int, int, int]:
     return units, count, level[0] if level else 0
 
 
-def adder_inventory(cfg: CvuConfig) -> AdderInventory:
-    per_nbve = cfg.nbve_count * (cfg.lanes - 1)
-    return AdderInventory(per_nbve=per_nbve, global_tree=cfg.nbve_count - 1, accumulate=1)
+# The conventional 8-bit MAC baseline: one 8x8 multiplier and a 64-bit
+# accumulate adder and register.
+_CONVENTIONAL_MAC = {
+    "mult_units": 64,
+    "add_units": _adder_units(ACCUMULATOR_BITS),
+    "shift_units": 0,
+    "register_units": ACCUMULATOR_BITS,
+}
 
 
-def _structure(cfg: CvuConfig) -> dict[str, float]:
+def _structure(cfg: CvuConfig) -> dict[str, int]:
     """Bit-unit inventory of one CVU (constants not yet applied)."""
     alpha, beta, max_bw = cfg.slice.alpha, cfg.slice.beta, cfg.slice.max_bw
     planes_x = max_bw // alpha
@@ -198,65 +183,49 @@ def _structure(cfg: CvuConfig) -> dict[str, float]:
     shifted = [
         nbve_out_max << (alpha * j + beta * k) for j in range(planes_x) for k in range(planes_w)
     ]
-    global_units, _, global_out_max = _tree_reduce(shifted)
+    global_units, _, _ = _tree_reduce(shifted)
 
     return {
         "mult_units": cfg.nbve_count * cfg.lanes * alpha * beta,
         "add_units": cfg.nbve_count * nbve_units + global_units + _adder_units(ACCUMULATOR_BITS),
         "shift_units": cfg.nbve_count * (nbve_out_bits + max_shift),
         "register_units": ACCUMULATOR_BITS,
-        "output_bits": global_out_max.bit_length(),
     }
+
+
+def _cost(
+    units: dict[str, int], params: CostParams, macs: int = 1, per: tuple[float, float] = (1.0, 1.0)
+) -> CostBreakdown:
+    """Apply the constants to a bit-unit inventory, then divide by ``macs`` and ``per`` (energy, area)."""
+    per_energy, per_area = per
+    fields = {}
+    rows = zip(_CATEGORIES, _unit_counts(units), _energy_constants(params), _area_constants(params))
+    for (_, prefix, _, _, _), n, energy, area in rows:
+        fields[prefix + "_energy"] = n * energy / macs / per_energy
+        fields[prefix + "_area"] = n * area / macs / per_area
+    return CostBreakdown(**fields)
+
+
+def _weighted(units: dict[str, int], coeffs) -> float:
+    """Unit counts times one coefficient per category, summed in category order."""
+    return sum(map(operator.mul, _unit_counts(units), coeffs))
 
 
 def cvu_cost(cfg: CvuConfig, params: CostParams) -> CostBreakdown:
     """Absolute model cost of one CVU (energy per cycle, area)."""
-    s = _structure(cfg)
-    return CostBreakdown(
-        multiply_energy=s["mult_units"] * params.mult_energy_coeff,
-        add_energy=s["add_units"] * params.adder_energy_per_bit,
-        shift_energy=s["shift_units"] * params.shifter_energy_per_bit,
-        register_energy=s["register_units"] * params.register_energy_per_bit,
-        multiply_area=s["mult_units"] * params.mult_area_coeff,
-        add_area=s["add_units"] * params.adder_area_per_bit,
-        shift_area=s["shift_units"] * params.shifter_area_per_bit,
-        register_area=s["register_units"] * params.register_area_per_bit,
-    )
+    return _cost(_structure(cfg), params)
 
 
 def conventional_mac_cost(params: CostParams) -> tuple[float, float]:
     """(energy, area) of the conventional 8-bit MAC normalization baseline."""
-    mult_units = 64
-    add_units = _adder_units(ACCUMULATOR_BITS)
-    reg_units = ACCUMULATOR_BITS
-    energy = (
-        mult_units * params.mult_energy_coeff
-        + add_units * params.adder_energy_per_bit
-        + reg_units * params.register_energy_per_bit
-    )
-    area = (
-        mult_units * params.mult_area_coeff
-        + add_units * params.adder_area_per_bit
-        + reg_units * params.register_area_per_bit
-    )
-    return energy, area
+    energy = _weighted(_CONVENTIONAL_MAC, _energy_constants(params))
+    return energy, _weighted(_CONVENTIONAL_MAC, _area_constants(params))
 
 
 def per_mac_breakdown(cfg: CvuConfig, params: CostParams) -> CostBreakdown:
     """CVU cost per 8-bit MAC, normalized to the conventional MAC."""
     macs = macs_per_cycle(plan_composition(cfg.slice.max_bw, cfg.slice.max_bw, cfg), cfg)
-    conv_energy, conv_area = conventional_mac_cost(params)
-    raw = cvu_cost(cfg, params)
-    return CostBreakdown(
-        multiply_energy=raw.multiply_energy / macs / conv_energy,
-        add_energy=raw.add_energy / macs / conv_energy,
-        shift_energy=raw.shift_energy / macs / conv_energy,
-        register_energy=raw.register_energy / macs / conv_energy,
-        multiply_area=raw.multiply_area / macs / conv_area,
-        add_area=raw.add_area / macs / conv_area,
-        shift_area=raw.shift_area / macs / conv_area,
-        register_area=raw.register_area / macs / conv_area,
-    )
+    return _cost(_structure(cfg), params, macs, conventional_mac_cost(params))
 
 
 def per_mac_normalized(cfg: CvuConfig, params: CostParams) -> tuple[float, float]:
@@ -270,7 +239,7 @@ def dse_sweep(slice_widths, lanes_values, params: CostParams) -> list[DsePoint]:
     points = []
     for sw in sorted(set(int(s) for s in slice_widths)):
         for lanes in sorted(set(int(l) for l in lanes_values)):
-            cfg = CvuConfig(lanes=lanes, slice=_symmetric_slice(sw))
+            cfg = CvuConfig(lanes=lanes, slice=SliceConfig(sw, sw))
             breakdown = per_mac_breakdown(cfg, params)
             points.append(
                 DsePoint(
@@ -284,18 +253,12 @@ def dse_sweep(slice_widths, lanes_values, params: CostParams) -> list[DsePoint]:
     return points
 
 
-def _symmetric_slice(width: int):
-    from .bitslice import SliceConfig
-
-    return SliceConfig(alpha=width, beta=width)
-
-
 def iso_power_array_size(power_budget_mw: float, per_unit_power_mw: float) -> int:
     """How many MAC-equivalents fit under a power budget."""
-    if per_unit_power_mw <= 0:
-        raise ConfigError(f"per-unit power must be positive, got {per_unit_power_mw}")
-    if power_budget_mw < 0:
-        raise ConfigError(f"power budget must be non-negative, got {power_budget_mw}")
+    if not 0 < per_unit_power_mw < math.inf:
+        raise ConfigError(f"per-unit power must be positive and finite, got {per_unit_power_mw}")
+    if not 0 <= power_budget_mw < math.inf:
+        raise ConfigError(f"power budget must be non-negative and finite, got {power_budget_mw}")
     return int(power_budget_mw / per_unit_power_mw)
 
 
@@ -315,40 +278,33 @@ class CalibrationAnchor:
 # that every quoted figure is met with margin; rerunning
 # ``calibrate(DEFAULT_ANCHORS)`` recovers the shipped constants.
 DEFAULT_ANCHORS = (
-    CalibrationAnchor(CvuConfig(16, _symmetric_slice(2)), power_norm=0.559, area_norm=0.540),
-    CalibrationAnchor(CvuConfig(1, _symmetric_slice(2)), power_norm=1.503, area_norm=1.515),
-    CalibrationAnchor(CvuConfig(16, _symmetric_slice(1)), power_norm=1.146, area_norm=1.117),
-    CalibrationAnchor(CvuConfig(1, _symmetric_slice(1)), power_norm=2.859, area_norm=2.907),
+    CalibrationAnchor(CvuConfig(16, SliceConfig(2, 2)), power_norm=0.559, area_norm=0.540),
+    CalibrationAnchor(CvuConfig(1, SliceConfig(2, 2)), power_norm=1.503, area_norm=1.515),
+    CalibrationAnchor(CvuConfig(16, SliceConfig(1, 1)), power_norm=1.146, area_norm=1.117),
+    CalibrationAnchor(CvuConfig(1, SliceConfig(1, 1)), power_norm=2.859, area_norm=2.907),
 )
 
 _SWEEP_LANES = (1, 2, 4, 8, 16)
 
 
-def _norms_for(structure: dict[str, float], conv: dict[str, float], coeffs: np.ndarray) -> float:
-    mult, adder, shifter, register = coeffs
-    num = (
-        structure["mult_units"] * mult
-        + structure["add_units"] * adder
-        + structure["shift_units"] * shifter
-        + structure["register_units"] * register
-    )
-    den = conv["mult_units"] * mult + conv["add_units"] * adder + conv["register_units"] * register
-    return num / den / structure["macs"]
+def _norms_for(table: dict[tuple[int, int], dict], coeffs: np.ndarray) -> dict[tuple[int, int], float]:
+    """Per-MAC metric of every inventory in ``table``, normalized to the conventional MAC."""
+    conv = _weighted(_CONVENTIONAL_MAC, coeffs)
+    return {key: _weighted(s, coeffs) / conv / s["macs"] for key, s in table.items()}
 
 
-def _per_mac_structures() -> tuple[dict, dict[tuple[int, int], dict]]:
-    conv = {"mult_units": 64, "add_units": _adder_units(ACCUMULATOR_BITS), "register_units": ACCUMULATOR_BITS}
+def _per_mac_structures() -> dict[tuple[int, int], dict]:
     table = {}
     for sw in (1, 2, 4):
         for lanes in _SWEEP_LANES:
-            cfg = CvuConfig(lanes=lanes, slice=_symmetric_slice(sw))
+            cfg = CvuConfig(lanes=lanes, slice=SliceConfig(sw, sw))
             s = _structure(cfg)
             s["macs"] = lanes
             table[(sw, lanes)] = s
-    return conv, table
+    return table
 
 
-def _qualitative_penalty(conv: dict, table: dict, coeffs: np.ndarray) -> float:
+def _qualitative_penalty(table: dict, norm: dict, coeffs: np.ndarray) -> float:
     """Soft constraints keeping the model's qualitative shape during fits.
 
     Violations of: per-MAC cost strictly decreasing in lanes, saturation of
@@ -357,7 +313,6 @@ def _qualitative_penalty(conv: dict, table: dict, coeffs: np.ndarray) -> float:
     (2-bit, 16-lane) point.
     """
     penalty = 0.0
-    norm = {key: _norms_for(s, conv, coeffs) for key, s in table.items()}
     for sw in (1, 2):
         series = [norm[(sw, l)] for l in _SWEEP_LANES]
         for a, b in zip(series, series[1:]):
@@ -376,7 +331,7 @@ def _qualitative_penalty(conv: dict, table: dict, coeffs: np.ndarray) -> float:
     return penalty
 
 
-def _fit_metric(targets: list[tuple[CvuConfig, float]], conv: dict, table: dict) -> np.ndarray:
+def _fit_metric(targets: list[tuple[CvuConfig, float]], table: dict) -> np.ndarray:
     import numpy as np
     from scipy.optimize import minimize
 
@@ -389,8 +344,9 @@ def _fit_metric(targets: list[tuple[CvuConfig, float]], conv: dict, table: dict)
 
     def objective(x: np.ndarray) -> float:
         coeffs = np.concatenate(([1.0], np.exp(x)))
-        err = max(abs(_norms_for(table[key], conv, coeffs) / obs - 1.0) for key, obs in keyed)
-        return err + 10.0 * _qualitative_penalty(conv, table, coeffs)
+        norm = _norms_for(table, coeffs)
+        err = max(abs(norm[key] / obs - 1.0) for key, obs in keyed)
+        return err + 10.0 * _qualitative_penalty(table, norm, coeffs)
 
     best = None
     for start in ((0.28, 0.16, 2.76), (0.1, 0.05, 1.0), (1.0, 0.5, 5.0)):
@@ -420,18 +376,12 @@ def calibrate(anchors, max_rel_error: float = 0.25) -> CostParams:
     if not power_targets or not area_targets:
         raise ConfigError("anchors must cover both power and area")
 
-    conv, table = _per_mac_structures()
-    e = _fit_metric(power_targets, conv, table)
-    a = _fit_metric(area_targets, conv, table)
+    table = _per_mac_structures()
+    e = _fit_metric(power_targets, table)
+    a = _fit_metric(area_targets, table)
     params = CostParams(
-        mult_energy_coeff=e[0],
-        adder_energy_per_bit=e[1],
-        shifter_energy_per_bit=e[2],
-        register_energy_per_bit=e[3],
-        mult_area_coeff=a[0],
-        adder_area_per_bit=a[1],
-        shifter_area_per_bit=a[2],
-        register_area_per_bit=a[3],
+        **{energy: e[i] for i, (_, _, _, energy, _) in enumerate(_CATEGORIES)},
+        **{area: a[i] for i, (_, _, _, _, area) in enumerate(_CATEGORIES)},
     )
 
     residuals = {}

@@ -131,12 +131,6 @@ class LayerSpec:
         return self.m * self.k
 
     @property
-    def input_elements(self) -> int:
-        if self.kind is LayerKind.CONV:
-            return self.in_channels * self.height * self.width
-        return self.k * self.n
-
-    @property
     def macs(self) -> int:
         """Multiply-accumulate count for one invocation (one timestep)."""
         if self.kind is LayerKind.CONV:

@@ -1,5 +1,6 @@
 """Array simulation: lowering, cycle model, energy accounting, comparisons."""
 
+import math
 import random
 from dataclasses import replace
 
@@ -56,7 +57,15 @@ class TestLowerLayer:
 
     def test_gemv_weight_reuse_is_one(self):
         dims = lower_layer(LayerSpec(kind=LayerKind.GEMV, m=512, k=512, bw_x=8, bw_w=8))
-        assert dims.weight_reuse == 1
+        assert dims.n == 1
+
+
+@pytest.mark.parametrize(
+    "bandwidth,pj_per_bit", [(math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0), (1e9, math.nan), (1e9, math.inf), (1e9, -1.0)]
+)
+def test_memory_spec_rejects_invalid(bandwidth, pj_per_bit):
+    with pytest.raises(ConfigError):
+        MemorySpec("m", bandwidth, pj_per_bit)
 
 
 class TestSimulateLayer:

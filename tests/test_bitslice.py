@@ -1,4 +1,8 @@
-"""Slicing, plane dot products, and shift-add recomposition."""
+"""Slicing, plane dot products, and the full-precision oracle.
+
+The shift-add recomposition itself is :func:`cvusim.cvu.execute_cycle`,
+tested in ``test_cvu.py`` and, through ``functional_dot``, in ``test_arch.py``.
+"""
 
 import numpy as np
 import pytest
@@ -6,16 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cvusim.bitslice as bs
-from cvusim.bitslice import (
-    QuantizedVector,
-    SliceConfig,
-    compose_dot,
-    dot_exact,
-    nbve_dot,
-    slice_plane_products,
-    slice_value,
-    slice_vector,
-)
+from cvusim.bitslice import QuantizedVector, SliceConfig, dot_exact, nbve_dot, slice_value, slice_vector
+from cvusim.arch import Style, build_array, functional_dot
+from cvusim.cost import default_params
 from cvusim.cvu import CvuConfig, plan_composition
 from cvusim.errors import RangeError, ShapeError
 
@@ -208,71 +205,13 @@ class TestDotExact:
         assert type(result) is int
 
 
-class TestComposeDot:
-    def test_4bit_example(self):
-        x = QuantizedVector((13, 5), 4)
-        w = QuantizedVector((9, 6), 4)
-        assert compose_dot(x, w, SliceConfig(2, 2)) == 147
-
-    def test_identity(self):
-        x = QuantizedVector((1,), 8)
-        assert compose_dot(x, x, SliceConfig(2, 2)) == 1
-
-    def test_signed_8bit(self):
-        x = QuantizedVector((-100, 77), 8, signed=True)
-        w = QuantizedVector((3, -128), 8, signed=True)
-        assert dot_exact(x, w) == -10156
-        assert compose_dot(x, w, SliceConfig(2, 2)) == -10156
-
-    def test_bitwidth_over_max(self):
-        x = QuantizedVector((1,), 8)
-        with pytest.raises(RangeError):
-            compose_dot(x, x, SliceConfig(2, 2, max_bw=4))
-
-    def test_plane_count(self, monkeypatch):
-        # exactly ceil(bw_x/alpha) * ceil(bw_w/beta) engine dot products
-        calls = []
-        real = bs.nbve_dot
-        monkeypatch.setattr(bs, "nbve_dot", lambda a, b: calls.append(1) or real(a, b))
-        x = QuantizedVector((5, 2), 5)
-        w = QuantizedVector((1, 3), 3)
-        compose_dot(x, w, SliceConfig(2, 2))
-        assert len(calls) == -(-5 // 2) * -(-3 // 2)
-
-    def test_shift_amounts(self):
-        cfg = SliceConfig(2, 4)
-        x = QuantizedVector((7,), 6)
-        w = QuantizedVector((3,), 8)
-        for p in slice_plane_products(x, w, cfg):
-            assert p.shift == cfg.alpha * p.j + cfg.beta * p.k
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        bw_x=st.integers(1, 8),
-        bw_w=st.integers(1, 8),
-        alpha=st.sampled_from([1, 2, 4]),
-        beta=st.sampled_from([1, 2, 4]),
-        signed_x=st.booleans(),
-        signed_w=st.booleans(),
-        data=st.data(),
-    )
-    def test_matches_oracle(self, bw_x, bw_w, alpha, beta, signed_x, signed_w, data):
-        lo_x, hi_x = bs.value_bounds(bw_x, signed_x)
-        lo_w, hi_w = bs.value_bounds(bw_w, signed_w)
-        n = data.draw(st.integers(0, 64))
-        xs = data.draw(st.lists(st.integers(lo_x, hi_x), min_size=n, max_size=n))
-        ws = data.draw(st.lists(st.integers(lo_w, hi_w), min_size=n, max_size=n))
-        x = QuantizedVector(tuple(xs), bw_x, signed_x)
-        w = QuantizedVector(tuple(ws), bw_w, signed_w)
-        assert compose_dot(x, w, SliceConfig(alpha, beta)) == dot_exact(x, w)
-
-
 def test_accumulator_sufficiency():
-    # worst case at the documented bounds: length 2^16, 8-bit signed extremes
+    # worst case at the documented bounds: length 2^16, 8-bit signed extremes,
+    # through the vector style's composed path
     n = 1 << 16
     x = QuantizedVector((-128,) * n, 8, signed=True)
     w = QuantizedVector((-128,) * n, 8, signed=True)
     expected = 128 * 128 * n
     assert expected < 2**63
     assert dot_exact(x, w) == expected
-    assert compose_dot(x, w, SliceConfig(2, 2)) == expected
+    assert functional_dot(x, w, build_array(Style.VECTOR, default_params())) == expected

@@ -1,14 +1,18 @@
 """Power/area model: breakdowns, sweep shape, calibration, iso-power sizing."""
 
 import math
+from importlib import resources
 
 import pytest
 
 from cvusim.bitslice import SliceConfig
 from cvusim.cost import (
+    ACCUMULATOR_BITS,
     CalibrationAnchor,
     CostParams,
-    adder_inventory,
+    _adder_units,
+    _structure,
+    _tree_reduce,
     calibrate,
     conventional_mac_cost,
     cvu_cost,
@@ -36,9 +40,14 @@ class TestCvuCost:
         assert b.add_area >= max(b.multiply_area, b.shift_area, b.register_area)
 
     def test_single_lane_has_no_engine_tree(self):
-        inv = adder_inventory(cfg(2, 1))
-        assert inv.per_nbve == 0
-        assert inv.global_tree == 15
+        # 2-bit slices: 16 engines, each 3*3 at most per lane
+        engine_units, engine_adders, engine_max = _tree_reduce([3 * 3] * 1)
+        assert (engine_units, engine_adders, engine_max) == (0, 0, 9)
+        shifted = [engine_max << (2 * j + 2 * k) for j in range(4) for k in range(4)]
+        global_units, global_adders, _ = _tree_reduce(shifted)
+        assert global_adders == 15
+        # the adder inventory is the global tree plus the accumulate adder only
+        assert _structure(cfg(2, 1))["add_units"] == global_units + _adder_units(ACCUMULATOR_BITS)
 
     def test_doubling_lanes_less_than_doubles_add(self):
         add8 = cvu_cost(cfg(2, 8), PARAMS).add_energy
@@ -58,6 +67,9 @@ class TestCvuCost:
     def test_params_must_be_positive(self):
         with pytest.raises(RangeError):
             CostParams(1, 0.0, 1, 1, 1, 1, 1, 1)
+        for bad in (-1.0, math.inf, math.nan):
+            with pytest.raises(RangeError):
+                CostParams(1, 1, 1, 1, 1, 1, 1, bad)
 
 
 class TestPerMacNormalized:
@@ -178,8 +190,14 @@ class TestIsoPower:
         assert iso_power_array_size(0.0, 1.0) == 0
 
     def test_invalid_unit_power(self):
-        with pytest.raises(ConfigError):
-            iso_power_array_size(250.0, 0.0)
+        for unit in (0.0, math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                iso_power_array_size(250.0, unit)
+
+    def test_invalid_budget(self):
+        for budget in (-1.0, math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                iso_power_array_size(budget, 1.0)
 
 
 def test_conventional_mac_cost_positive():
@@ -190,3 +208,10 @@ def test_conventional_mac_cost_positive():
 def test_default_params_round_trip_json():
     text = PARAMS.to_json()
     assert CostParams.from_json(text) == PARAMS
+    assert text == resources.files("cvusim").joinpath("data/default_cost_params.json").read_text()
+
+
+@pytest.mark.parametrize("text", ["[]", "3", '"params"', "null"])
+def test_params_document_must_be_an_object(text):
+    with pytest.raises(ConfigError, match="JSON object"):
+        CostParams.from_json(text)

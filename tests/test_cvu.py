@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cvusim.cvu as cvu
 from cvusim.bitslice import QuantizedVector, SliceConfig, dot_exact, value_bounds
 from cvusim.cvu import CvuConfig, execute_cycle, macs_per_cycle, plan_composition
 from cvusim.errors import RangeError, ShapeError
@@ -43,6 +44,8 @@ class TestPlanComposition:
             plan_composition(0, 8, DEFAULT)
         with pytest.raises(RangeError):
             plan_composition(8, 9, DEFAULT)
+        with pytest.raises(RangeError):  # 8-bit operands on a CVU built for 4 bits
+            plan_composition(8, 8, CvuConfig(slice=SliceConfig(2, 2, max_bw=4)))
 
     @pytest.mark.parametrize("bw_x", range(1, 9))
     @pytest.mark.parametrize("bw_w", range(1, 9))
@@ -63,6 +66,10 @@ class TestPlanComposition:
         plan = plan_composition(8, 4, DEFAULT)
         expected = [2 * j + 2 * k for j in range(4) for k in range(2)]
         assert list(plan.shifts) == expected
+        # unequal slice widths: alpha=2 on x, beta=4 on w; 6-bit x pads to 4 planes
+        plan = plan_composition(6, 8, CvuConfig(slice=SliceConfig(2, 4)))
+        assert (plan.bw_x, plan.bw_w) == (8, 8)
+        assert list(plan.shifts) == [2 * j + 4 * k for j in range(4) for k in range(2)]
 
 
 class TestMacsPerCycle:
@@ -102,13 +109,33 @@ class TestMacsPerCycle:
 
 class TestExecuteCycle:
     def test_homogeneous_example(self):
-        cfg = CvuConfig(lanes=2)
-        plan = plan_composition(8, 8, cfg)
-        x = QuantizedVector((13, 5), 8)
-        w = QuantizedVector((9, 6), 8)
-        out = execute_cycle([x], [w], plan)
-        assert out.scalars == (147,)
-        assert out.utilization == 1.0
+        cases = [
+            (QuantizedVector((13, 5), 8), QuantizedVector((9, 6), 8), 147),
+            (QuantizedVector((13, 5), 4), QuantizedVector((9, 6), 4), 147),
+            (QuantizedVector((-100, 77), 8, signed=True), QuantizedVector((3, -128), 8, signed=True), -10156),
+            (QuantizedVector((1,), 8), QuantizedVector((1,), 8), 1),
+        ]
+        for x, w, expected in cases:
+            # planned at the operands' own widths; the other clusters get empty tiles
+            assert dot_exact(x, w) == expected
+            plan = plan_composition(x.bitwidth, w.bitwidth, CvuConfig(lanes=2))
+            idle_x, idle_w = QuantizedVector((), x.bitwidth), QuantizedVector((), w.bitwidth)
+            out = execute_cycle([x] + [idle_x] * (plan.clusters - 1), [w] + [idle_w] * (plan.clusters - 1), plan)
+            assert out.scalars == (expected,) + (0,) * (plan.clusters - 1)
+            assert out.utilization == len(x) / plan.effective_length
+
+    def test_plane_count(self, monkeypatch):
+        # one engine dot product per (x plane, w plane) pair of every cluster
+        calls = []
+        real = cvu.nbve_dot
+        monkeypatch.setattr(cvu, "nbve_dot", lambda a, b: calls.append(1) or real(a, b))
+        plan = plan_composition(5, 3, DEFAULT)
+        assert (plan.clusters, plan.nbves_per_cluster) == (2, 8)
+        x = QuantizedVector((5, 2), 5)
+        w = QuantizedVector((1, 3), 3)
+        out = execute_cycle([x, x], [w, w], plan)
+        assert out.scalars == (11, 11)
+        assert len(calls) == plan.clusters * plan.nbves_per_cluster
 
     def test_sixteen_identities(self):
         plan = plan_composition(2, 2, DEFAULT)
@@ -166,19 +193,21 @@ class TestExecuteCycle:
         with pytest.raises(ShapeError):
             execute_cycle([x], [x], plan, cycles=0)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
         bw_x=st.integers(1, 8),
         bw_w=st.integers(1, 8),
+        alpha=st.sampled_from([1, 2, 4]),
+        beta=st.sampled_from([1, 2, 4]),
         lanes=st.sampled_from([1, 2, 4, 16]),
         cycles=st.sampled_from([1, 2, 3]),
         signed_x=st.booleans(),
         signed_w=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_functional_equivalence(self, bw_x, bw_w, lanes, cycles, signed_x, signed_w, seed):
+    def test_functional_equivalence(self, bw_x, bw_w, alpha, beta, lanes, cycles, signed_x, signed_w, seed):
         rng = random.Random(seed)
-        cfg = CvuConfig(lanes=lanes)
+        cfg = CvuConfig(lanes=lanes, slice=SliceConfig(alpha, beta))
         plan = plan_composition(bw_x, bw_w, cfg)
         xs, ws = [], []
         for _ in range(plan.clusters):
