@@ -6,12 +6,12 @@ tested in ``test_cvu.py`` and, through ``functional_dot``, in ``test_arch.py``.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import cvusim.bitslice as bs
-from cvusim.bitslice import QuantizedVector, SliceConfig, dot_exact, nbve_dot, slice_value, slice_vector
 from cvusim.arch import Style, build_array, functional_dot
+from cvusim.bitslice import QuantizedVector, SliceConfig, dot_exact, nbve_dot, slice_value, slice_vector
 from cvusim.cost import default_params
 from cvusim.cvu import CvuConfig, plan_composition
 from cvusim.errors import RangeError, ShapeError

@@ -20,8 +20,11 @@ def files(tmp_path):
     """Bad input files, by name."""
     params = json.loads(default_params().to_json())
     params["energy"]["mult"] = -1.0
+    negative = json.dumps(params)
+    params["energy"]["mult"] = float("inf")
     paths = {
-        "negative-params": json.dumps(params),
+        "negative-params": negative,
+        "infinite-params": json.dumps(params),
         "list-params": "[1, 2]",
         "bad-json": "{",
         "not-utf8": b"\xff\xfe",
@@ -87,6 +90,7 @@ def test_usage_errors(argv, capsys):
         ["dse", "--slices", "3"],
         ["dse", "--lanes", "0"],
         ["dse", "--params", "{negative-params}"],
+        ["dse", "--params", "{infinite-params}"],
         ["dse", "--params", "{list-params}"],
         ["dse", "--params", "{bad-json}"],
         ["dse", "--params", "{not-utf8}"],
