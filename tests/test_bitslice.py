@@ -1,25 +1,35 @@
 """Slicing, plane dot products, and the full-precision oracle.
 
-The shift-add recomposition itself is :func:`cvusim.cvu.execute_cycle`,
-tested in ``test_cvu.py`` and, through ``functional_dot``, in ``test_arch.py``.
+The shift-add recomposition itself is :func:`cvusim.cvu.execute_cycle`;
+``TestComposeDot`` drives it for one vector pair, ``test_cvu.py`` covers its
+clusters and dispatch, and ``test_arch.py`` reaches it through ``functional_dot``.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cvusim.bitslice as bs
 from cvusim.arch import Style, build_array, functional_dot
 from cvusim.bitslice import QuantizedVector, SliceConfig, dot_exact, nbve_dot, slice_value, slice_vector
 from cvusim.cost import default_params
-from cvusim.cvu import CvuConfig, plan_composition
+from cvusim.cvu import CvuConfig, execute_cycle, plan_composition
 from cvusim.errors import RangeError, ShapeError
 
 
 def reconstruct(slices, slice_width):
     """Independent reconstruction oracle: sum of 2^(sw*j) * slice_j."""
     return sum(s << (slice_width * j) for j, s in enumerate(slices))
+
+
+def compose_dot(x, w, slice_cfg):
+    """Composed dot product of one vector pair: the only busy cluster of one CVU issue."""
+    plan = plan_composition(x.bitwidth, w.bitwidth, CvuConfig(lanes=1, slice=slice_cfg))
+    idle_x, idle_w = QuantizedVector((), x.bitwidth), QuantizedVector((), w.bitwidth)
+    xs = [x] + [idle_x] * (plan.clusters - 1)
+    ws = [w] + [idle_w] * (plan.clusters - 1)
+    return execute_cycle(xs, ws, plan, cycles=max(1, len(x))).scalars[0]
 
 
 def dot_loop(xs, ws):
@@ -203,6 +213,65 @@ class TestDotExact:
         result = dot_exact(Wide([1 << 62] * 4), Wide([3] * 4))
         assert result == 3 << 64
         assert type(result) is int
+
+
+class TestComposeDot:
+    def test_4bit_example(self):
+        x = QuantizedVector((13, 5), 4)
+        w = QuantizedVector((9, 6), 4)
+        assert compose_dot(x, w, SliceConfig(2, 2)) == 147
+
+    def test_identity(self):
+        x = QuantizedVector((1,), 8)
+        assert compose_dot(x, x, SliceConfig(2, 2)) == 1
+
+    def test_signed_8bit(self):
+        x = QuantizedVector((-100, 77), 8, signed=True)
+        w = QuantizedVector((3, -128), 8, signed=True)
+        assert dot_exact(x, w) == -10156
+        assert compose_dot(x, w, SliceConfig(2, 2)) == -10156
+
+    def test_bitwidth_over_max(self):
+        x = QuantizedVector((1,), 8)
+        with pytest.raises(RangeError):
+            compose_dot(x, x, SliceConfig(2, 2, max_bw=4))
+
+    def test_shift_amounts(self):
+        # plane pair (j, k) is shifted by alpha*j + beta*k, and the shifted
+        # plane products add back up to the full product
+        cfg = SliceConfig(2, 4)
+        x = QuantizedVector((7,), 6)
+        w = QuantizedVector((3,), 8)
+        plan = plan_composition(x.bitwidth, w.bitwidth, CvuConfig(lanes=1, slice=cfg))
+        x_planes = slice_vector(x, cfg.alpha, bitwidth=plan.bw_x).planes
+        w_planes = slice_vector(w, cfg.beta, bitwidth=plan.bw_w).planes
+        assert len(plan.shifts) == len(x_planes) * len(w_planes)
+        total = 0
+        for i, shift in enumerate(plan.shifts):
+            j, k = divmod(i, len(w_planes))
+            assert shift == cfg.alpha * j + cfg.beta * k
+            total += nbve_dot(x_planes[j], w_planes[k]) << shift
+        assert total == 21 == compose_dot(x, w, cfg)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        bw_x=st.integers(1, 8),
+        bw_w=st.integers(1, 8),
+        alpha=st.sampled_from([1, 2, 4]),
+        beta=st.sampled_from([1, 2, 4]),
+        signed_x=st.booleans(),
+        signed_w=st.booleans(),
+        data=st.data(),
+    )
+    def test_matches_oracle(self, bw_x, bw_w, alpha, beta, signed_x, signed_w, data):
+        lo_x, hi_x = bs.value_bounds(bw_x, signed_x)
+        lo_w, hi_w = bs.value_bounds(bw_w, signed_w)
+        n = data.draw(st.integers(0, 64))
+        xs = data.draw(st.lists(st.integers(lo_x, hi_x), min_size=n, max_size=n))
+        ws = data.draw(st.lists(st.integers(lo_w, hi_w), min_size=n, max_size=n))
+        x = QuantizedVector(tuple(xs), bw_x, signed_x)
+        w = QuantizedVector(tuple(ws), bw_w, signed_w)
+        assert compose_dot(x, w, SliceConfig(alpha, beta)) == dot_exact(x, w)
 
 
 def test_accumulator_sufficiency():
