@@ -11,14 +11,13 @@ from .bitslice import (
     slice_value,
     slice_vector,
 )
-from .cvu import CompositionPlan, CvuConfig, CvuOutput, execute_cycle, macs_per_cycle, plan_composition
+from .cvu import CompositionPlan, CvuConfig, CvuOutput, execute_cycle, plan_composition
 from .cost import (
     CalibrationAnchor,
     CostBreakdown,
     CostParams,
     DsePoint,
     calibrate,
-    cvu_cost,
     default_params,
     dse_sweep,
     iso_power_array_size,

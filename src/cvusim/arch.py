@@ -35,12 +35,12 @@ from __future__ import annotations
 import math
 import operator
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 from .bitslice import QuantizedVector, SliceConfig
 from .cost import CostParams, iso_power_array_size, per_mac_normalized
-from .cvu import CvuConfig, execute_cycle, macs_per_cycle, plan_composition
+from .cvu import CvuConfig, execute_cycle, plan_composition
 from .errors import AccumulatorOverflowError, ConfigError, ShapeError
 from .workloads import LayerKind, LayerSpec, NetworkSpec
 
@@ -83,7 +83,6 @@ class AcceleratorConfig:
     input_buffer_bytes: int = 65536
     output_buffer_bytes: int = 65536
     frequency_hz: float = 500e6
-    core_power_budget_mw: float = 250.0
     sram_energy_pj_per_byte: float = 0.8
 
     def __post_init__(self):
@@ -93,8 +92,8 @@ class AcceleratorConfig:
             raise ConfigError("weight scratchpad must be at least one byte")
         if self.input_buffer_bytes < 1 or self.output_buffer_bytes < 1:
             raise ConfigError("staging buffers must be positive")
-        if self.frequency_hz <= 0 or self.core_power_budget_mw <= 0:
-            raise ConfigError("frequency and power budget must be positive")
+        if self.frequency_hz <= 0:
+            raise ConfigError("frequency must be positive")
         if self.style is Style.SCALAR and self.cvu.lanes != 1:
             raise ConfigError(f"scalar-composable style requires 1 lane, got {self.cvu.lanes}")
 
@@ -187,7 +186,6 @@ class SimReport(Totals):
     style: str
     memory: str
     layers: tuple[LayerReport, ...]
-    notes: tuple[str, ...] = ()
 
     def runtime_s(self, frequency_hz: float) -> float:
         return self.total_cycles / frequency_hz
@@ -208,16 +206,11 @@ def build_array(
     All styles share the same total weight-SRAM budget, split evenly across
     their units, so performance differences come from the compute style.
     """
+    cvu = CvuConfig(lanes=lanes if style is Style.VECTOR else 1, slice=slice_cfg)
     if style is Style.CONVENTIONAL:
-        cvu = CvuConfig(lanes=1, slice=slice_cfg)
         unit_mw = params.conventional_mac_mw
-    elif style is Style.SCALAR:
-        cvu = CvuConfig(lanes=1, slice=slice_cfg)
-        unit_mw = per_mac_normalized(cvu, params)[0] * params.conventional_mac_mw
     else:
-        cvu = CvuConfig(lanes=lanes, slice=slice_cfg)
-        power_norm = per_mac_normalized(cvu, params)[0]
-        unit_mw = lanes * power_norm * params.conventional_mac_mw
+        unit_mw = cvu.lanes * per_mac_normalized(cvu, params)[0] * params.conventional_mac_mw
     units = iso_power_array_size(budget_mw, unit_mw)
     if units < 1:
         raise ConfigError(
@@ -232,7 +225,6 @@ def build_array(
         weight_scratchpad_bytes=total_sram_bytes // (rows * cols),
         style=style,
         frequency_hz=frequency_hz,
-        core_power_budget_mw=budget_mw,
     )
 
 
@@ -244,12 +236,6 @@ def _effective_bitwidths(layer: LayerSpec, style: Style) -> tuple[int, int, str 
         )
         return 8, 8, note
     return layer.bw_x, layer.bw_w, None
-
-
-def _unit_peak(acc: AcceleratorConfig, bw_x: int, bw_w: int) -> int:
-    if acc.style is Style.CONVENTIONAL:
-        return 1
-    return macs_per_cycle(plan_composition(bw_x, bw_w, acc.cvu), acc.cvu)
 
 
 def _mem_cycles(nbytes: int, acc: AcceleratorConfig, mem: MemorySpec) -> int:
@@ -271,21 +257,12 @@ class _Phase:
 
 
 def _layer_phases(
-    layer: LayerSpec,
-    acc: AcceleratorConfig,
-    peak: int,
-    bw_x: int,
-    bw_w: int,
-    weights_resident: bool,
+    layer: LayerSpec, dims: GemmDims, acc: AcceleratorConfig, unit_macs: int, bw_x: int, bw_w: int
 ) -> list[_Phase]:
-    dims = lower_layer(layer)
-    spad_bits = acc.weight_scratchpad_bytes * 8
-
     # Every unit must hold at least one weight vector of the plan's width.
-    per_cycle_elems = peak // acc.unit_count if acc.style is not Style.CONVENTIONAL else 1
-    if per_cycle_elems * bw_w > spad_bits:
+    if unit_macs * bw_w > acc.weight_scratchpad_bytes * 8:
         raise ConfigError(
-            f"layer {layer.name or layer.kind.value}: one {per_cycle_elems}-element weight vector "
+            f"layer {layer.name or layer.kind.value}: one {unit_macs}-element weight vector "
             f"at {bw_w} bit does not fit the {acc.weight_scratchpad_bytes}-byte scratchpad"
         )
 
@@ -297,6 +274,7 @@ def _layer_phases(
             f"exceeds the combined scratchpad capacity of {acc.total_scratchpad_bytes} bytes"
         )
 
+    peak = unit_macs * acc.unit_count
     input_bytes = _ceil_bits_to_bytes(dims.k * dims.n, bw_x)
     phases = []
     m_done = 0
@@ -307,7 +285,7 @@ def _layer_phases(
             _Phase(
                 macs=macs,
                 compute_cycles=math.ceil(macs / peak),
-                weight_bytes=0 if weights_resident else _ceil_bits_to_bytes(m_chunk * dims.k, bw_w),
+                weight_bytes=_ceil_bits_to_bytes(m_chunk * dims.k, bw_w),
                 stream_bytes=input_bytes + _ceil_bits_to_bytes(m_chunk * dims.n, OUTPUT_BITS),
             )
         )
@@ -315,24 +293,10 @@ def _layer_phases(
     return phases
 
 
-def _conventional_mac_energy_pj(acc: AcceleratorConfig, params: CostParams) -> float:
-    # mW -> pJ per cycle: P[mW] * 1e9 / f[Hz]
-    return params.conventional_mac_mw * 1e9 / acc.frequency_hz
-
-
 def _simulate_pass(
-    layer: LayerSpec,
-    acc: AcceleratorConfig,
-    mem: MemorySpec,
-    params: CostParams,
-    peak: int,
-    bw_x: int,
-    bw_w: int,
-    weights_resident: bool,
+    phases: list[_Phase], acc: AcceleratorConfig, mem: MemorySpec, mac_pj: float, bw_x: int, bw_w: int
 ) -> Totals:
     """One invocation of a layer (one timestep for recurrent layers)."""
-    phases = _layer_phases(layer, acc, peak, bw_x, bw_w, weights_resident)
-
     # Double buffering: tile i+1 loads while tile i computes and streams.
     # The first load and the last compute are exposed.
     total = _mem_cycles(phases[0].weight_bytes, acc, mem)
@@ -345,17 +309,6 @@ def _simulate_pass(
     weight_fill_bytes = sum(p.weight_bytes for p in phases)
     stream_bytes = sum(p.stream_bytes for p in phases)
     offchip_bytes = weight_fill_bytes + stream_bytes
-
-    if acc.style is Style.CONVENTIONAL:
-        energy_per_mac = _conventional_mac_energy_pj(acc, params)
-    else:
-        unit_macs = peak // acc.unit_count
-        cvu_cycle_pj = (
-            acc.cvu.lanes
-            * per_mac_normalized(acc.cvu, params)[0]
-            * _conventional_mac_energy_pj(acc, params)
-        )
-        energy_per_mac = cvu_cycle_pj / unit_macs
     operand_bytes = _ceil_bits_to_bytes(macs, bw_x) + _ceil_bits_to_bytes(macs, bw_w)
     sram_bytes = weight_fill_bytes + stream_bytes + operand_bytes
 
@@ -365,7 +318,7 @@ def _simulate_pass(
         memory_cycles=_mem_cycles(offchip_bytes, acc, mem),
         total_cycles=total,
         offchip_bytes=offchip_bytes,
-        energy_compute_pj=macs * energy_per_mac,
+        energy_compute_pj=macs * mac_pj,
         energy_sram_pj=sram_bytes * acc.sram_energy_pj_per_byte,
         energy_offchip_pj=offchip_bytes * 8 * mem.access_energy_pj_per_bit,
     )
@@ -397,19 +350,24 @@ def simulate_layer(layer: LayerSpec, acc: AcceleratorConfig, mem: MemorySpec, pa
     bw_x, bw_w, note = _effective_bitwidths(layer, acc.style)
     if note:
         warnings.warn(note, UserWarning, stacklevel=2)
-    peak = _unit_peak(acc, bw_x, bw_w) * acc.unit_count
+    # mW -> pJ per cycle: P[mW] * 1e9 / f[Hz]
+    conventional_pj = params.conventional_mac_mw * 1e9 / acc.frequency_hz
+    if acc.style is Style.CONVENTIONAL:
+        unit_macs, mac_pj = 1, conventional_pj
+    else:
+        unit_macs = plan_composition(bw_x, bw_w, acc.cvu).effective_length
+        mac_pj = acc.cvu.lanes * per_mac_normalized(acc.cvu, params)[0] * conventional_pj / unit_macs
+    peak = unit_macs * acc.unit_count
     _check_staging(layer, acc, peak, bw_x)
     dims = lower_layer(layer)
+    phases = _layer_phases(layer, dims, acc, unit_macs, bw_x, bw_w)
 
-    first = _simulate_pass(layer, acc, mem, params, peak, bw_x, bw_w, weights_resident=False)
-    passes = [first]
-    if layer.repeat > 1:
-        weight_bytes = _ceil_bits_to_bytes(dims.m * dims.k, bw_w)
-        resident = weight_bytes <= acc.total_scratchpad_bytes
-        steady = _simulate_pass(layer, acc, mem, params, peak, bw_x, bw_w, weights_resident=resident)
-        passes.extend([steady] * (layer.repeat - 1))
+    first = steady = _simulate_pass(phases, acc, mem, mac_pj, bw_x, bw_w)
+    if layer.repeat > 1 and _ceil_bits_to_bytes(dims.m * dims.k, bw_w) <= acc.total_scratchpad_bytes:
+        resident = [replace(p, weight_bytes=0) for p in phases]
+        steady = _simulate_pass(resident, acc, mem, mac_pj, bw_x, bw_w)
 
-    totals = Totals.of(passes)
+    totals = Totals.of([first] + [steady] * (layer.repeat - 1))
     return LayerReport(
         **vars(totals),
         name=layer.name or layer.kind.value,
@@ -427,29 +385,22 @@ def simulate_layer(layer: LayerSpec, acc: AcceleratorConfig, mem: MemorySpec, pa
 def simulate_network(net: NetworkSpec, acc: AcceleratorConfig, mem: MemorySpec, params: CostParams) -> SimReport:
     """Simulate every layer in order; deterministic for identical inputs."""
     reports = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for i, layer in enumerate(net.layers):
-            try:
-                reports.append(simulate_layer(layer, acc, mem, params))
-            except ConfigError as exc:
-                raise ConfigError(f"layers[{i}]: {exc}") from exc
-        notes = tuple(str(w.message) for w in caught)
-    for note in notes:
-        warnings.warn(note, UserWarning, stacklevel=2)
+    for i, layer in enumerate(net.layers):
+        try:
+            reports.append(simulate_layer(layer, acc, mem, params))
+        except ConfigError as exc:
+            raise ConfigError(f"layers[{i}]: {exc}") from exc
     return SimReport(
         **vars(Totals.of(reports)),
         network=net.name,
         style=acc.style.value,
         memory=mem.name,
         layers=tuple(reports),
-        notes=notes,
     )
 
 
 @dataclass(frozen=True)
 class ComparisonEntry:
-    label: str
     runtime_s: float
     energy_pj: float
     speedup: float
@@ -467,19 +418,16 @@ def compare(
     results = []
     for acc, mem in configs:
         report = simulate_network(net, acc, mem, params)
-        results.append(
-            (f"{acc.style.value}+{mem.name}", report.runtime_s(acc.frequency_hz), report.energy_total_pj)
-        )
-    base_runtime, base_energy = results[0][1], results[0][2]
+        results.append((report.runtime_s(acc.frequency_hz), report.energy_total_pj))
+    base_runtime, base_energy = results[0]
     return [
         ComparisonEntry(
-            label=label,
             runtime_s=runtime,
             energy_pj=energy,
             speedup=base_runtime / runtime,
             energy_reduction=base_energy / energy,
         )
-        for label, runtime, energy in results
+        for runtime, energy in results
     ]
 
 

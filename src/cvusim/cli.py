@@ -275,16 +275,16 @@ def cmd_compare(args) -> int:
 
     header = ["network", "config", "runtime_s", "energy_pj", "speedup", "energy_reduction"]
     rows = []
-    ratio_log = {label: [0.0, 0.0] for label in args.config}
+    ratio_log = [[0.0, 0.0] for _ in args.config]  # by position: a repeated --config keeps its own row
     for net in nets:
         entries = compare(net, configs, params)
-        for raw_label, entry in zip(args.config, entries):
+        for raw_label, entry, logs in zip(args.config, entries, ratio_log):
             rows.append([net.name, raw_label, entry.runtime_s, entry.energy_pj, entry.speedup, entry.energy_reduction])
-            ratio_log[raw_label][0] += math.log(entry.speedup)
-            ratio_log[raw_label][1] += math.log(entry.energy_reduction)
-    for raw_label in args.config:  # geometric mean across networks
-        s = math.exp(ratio_log[raw_label][0] / len(nets))
-        e = math.exp(ratio_log[raw_label][1] / len(nets))
+            logs[0] += math.log(entry.speedup)
+            logs[1] += math.log(entry.energy_reduction)
+    for raw_label, (speedup_log, energy_log) in zip(args.config, ratio_log):  # geometric mean across networks
+        s = math.exp(speedup_log / len(nets))
+        e = math.exp(energy_log / len(nets))
         rows.append(["geomean", raw_label, "-", "-", s, e])
     _emit(manifest, header, rows, args.out)
     return EXIT_OK

@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .bitslice import SliceConfig
-from .cvu import CvuConfig, macs_per_cycle, plan_composition
+from .cvu import CvuConfig
 from .errors import CalibrationError, ConfigError, RangeError
 
 if TYPE_CHECKING:
@@ -211,11 +211,6 @@ def _weighted(units: dict[str, int], coeffs) -> float:
     return sum(map(operator.mul, _unit_counts(units), coeffs))
 
 
-def cvu_cost(cfg: CvuConfig, params: CostParams) -> CostBreakdown:
-    """Absolute model cost of one CVU (energy per cycle, area)."""
-    return _cost(_structure(cfg), params)
-
-
 def conventional_mac_cost(params: CostParams) -> tuple[float, float]:
     """(energy, area) of the conventional 8-bit MAC normalization baseline."""
     energy = _weighted(_CONVENTIONAL_MAC, _energy_constants(params))
@@ -223,9 +218,11 @@ def conventional_mac_cost(params: CostParams) -> tuple[float, float]:
 
 
 def per_mac_breakdown(cfg: CvuConfig, params: CostParams) -> CostBreakdown:
-    """CVU cost per 8-bit MAC, normalized to the conventional MAC."""
-    macs = macs_per_cycle(plan_composition(cfg.slice.max_bw, cfg.slice.max_bw, cfg), cfg)
-    return _cost(_structure(cfg), params, macs, conventional_mac_cost(params))
+    """CVU cost per 8-bit MAC, normalized to the conventional MAC.
+
+    At full width the engines form one cluster, so a CVU cycle is ``lanes`` MACs.
+    """
+    return _cost(_structure(cfg), params, cfg.lanes, conventional_mac_cost(params))
 
 
 def per_mac_normalized(cfg: CvuConfig, params: CostParams) -> tuple[float, float]:

@@ -44,7 +44,7 @@ class CompositionPlan:
     ``bw_x``/``bw_w`` are the plan-effective (padded) bitwidths.  ``shifts``
     lists the shift amount of each engine within a cluster, j-major over the
     (x-plane, w-plane) grid.  ``effective_length`` is the number of dot
-    product elements the whole CVU completes per cycle.
+    product elements the whole CVU completes per cycle: its MACs per cycle.
     """
 
     bw_x: int
@@ -105,13 +105,6 @@ def plan_composition(bw_x: int, bw_w: int, cfg: CvuConfig) -> CompositionPlan:
         effective_length=clusters * cfg.lanes,
         slice=cfg.slice,
     )
-
-
-def macs_per_cycle(plan: CompositionPlan, cfg: CvuConfig) -> int:
-    """MAC throughput of one CVU cycle under the given plan."""
-    if plan.clusters * plan.nbves_per_cluster != cfg.nbve_count:
-        raise ShapeError("plan does not match the CVU configuration")
-    return plan.clusters * cfg.lanes
 
 
 def execute_cycle(

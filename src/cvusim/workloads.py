@@ -124,23 +124,6 @@ class LayerSpec:
             return self.out_channels * self.pooled_height * self.pooled_width
         return self.m
 
-    @property
-    def weight_elements(self) -> int:
-        if self.kind is LayerKind.CONV:
-            return self.out_channels * self.in_channels * self.kernel_h * self.kernel_w
-        return self.m * self.k
-
-    @property
-    def macs(self) -> int:
-        """Multiply-accumulate count for one invocation (one timestep)."""
-        if self.kind is LayerKind.CONV:
-            return self.weight_elements * self.out_height * self.out_width
-        return self.m * self.k * self.n
-
-    @property
-    def weight_bytes(self) -> int:
-        return -(-self.weight_elements * self.bw_w // 8)
-
 
 @dataclass(frozen=True)
 class NetworkSpec:
@@ -158,14 +141,6 @@ class NetworkSpec:
                         f"layers[{i}] ({layer.name}): homogeneous-8bit mode requires 8-bit layers"
                     )
         _check_chain(self.layers)
-
-    @property
-    def total_macs(self) -> int:
-        return sum(l.macs * l.repeat for l in self.layers)
-
-    @property
-    def total_weight_elements(self) -> int:
-        return sum(l.weight_elements for l in self.layers)
 
 
 def _check_chain(layers: tuple[LayerSpec, ...]) -> None:

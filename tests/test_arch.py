@@ -2,10 +2,12 @@
 
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+import cvusim.arch as arch
 from cvusim.arch import (
     DDR4,
     HBM2,
@@ -113,23 +115,59 @@ class TestSimulateLayer:
         assert report.compute_cycles == baseline.compute_cycles
 
 
+def recurrent_cells():
+    """Every gemv layer of the bundled recurrent networks, with its network name."""
+    return [(name, l) for name in ("lstm", "gru") for l in load_bundled(name).layers if l.kind is LayerKind.GEMV]
+
+
+def weight_set_bytes(layer):
+    dims = lower_layer(layer)
+    return -(-dims.m * dims.k * layer.bw_w // 8)
+
+
 class TestRepeats:
     def test_resident_weights_amortize(self):
-        # weights fit: repeats after the first skip the weight fetch
+        # weights fit: each repeat after the first is the first pass less
+        # exactly the weight fetch
         acc = build_array(Style.VECTOR, PARAMS)
-        single = LayerSpec(kind=LayerKind.GEMV, m=512, k=512, bw_x=8, bw_w=8)
-        repeated = replace(single, repeat=10)
-        r1 = simulate_layer(single, acc, DDR4, PARAMS)
-        r10 = simulate_layer(repeated, acc, DDR4, PARAMS)
-        assert r10.offchip_bytes < 10 * r1.offchip_bytes
-        assert r10.compute_cycles == 10 * r1.compute_cycles
+        for name, layer in recurrent_cells():
+            weight_bytes = weight_set_bytes(layer)
+            assert weight_bytes <= acc.total_scratchpad_bytes
+            one = simulate_layer(replace(layer, repeat=1), acc, DDR4, PARAMS)
+            for r in sorted({2, layer.repeat}):
+                rep = simulate_layer(replace(layer, repeat=r), acc, DDR4, PARAMS)
+                assert rep.offchip_bytes == one.offchip_bytes + (r - 1) * (one.offchip_bytes - weight_bytes)
+                assert rep.compute_cycles == r * one.compute_cycles
+                if name == "lstm":
+                    # stacked cells, hidden = input = 1024: weights per cell 4*h*(h+i)
+                    h = i = 1024
+                    saved = r * one.offchip_bytes - rep.offchip_bytes
+                    assert saved == (r - 1) * 4 * h * (h + i) * layer.bw_w // 8
 
     def test_non_resident_weights_refetch(self):
         acc = build_array(Style.VECTOR, PARAMS, total_sram_bytes=1 << 16)
-        layer = LayerSpec(kind=LayerKind.GEMV, m=512, k=512, bw_x=8, bw_w=8, repeat=5)
-        single = simulate_layer(replace(layer, repeat=1), acc, DDR4, PARAMS)
-        five = simulate_layer(layer, acc, DDR4, PARAMS)
-        assert five.offchip_bytes == 5 * single.offchip_bytes
+        for _, layer in recurrent_cells():
+            assert weight_set_bytes(layer) > acc.total_scratchpad_bytes
+            one = simulate_layer(replace(layer, repeat=1), acc, DDR4, PARAMS)
+            for r in sorted({2, layer.repeat}):
+                rep = simulate_layer(replace(layer, repeat=r), acc, DDR4, PARAMS)
+                assert rep.offchip_bytes == r * one.offchip_bytes
+                assert rep.compute_cycles == r * one.compute_cycles
+
+    def test_layer_is_planned_lowered_and_priced_once(self, monkeypatch):
+        acc = build_array(Style.VECTOR, PARAMS)
+        cell = next(layer for _, layer in recurrent_cells())
+        assert cell.repeat == 25
+        calls = Counter()
+
+        def counted(name):
+            real = getattr(arch, name)
+            return lambda *args: calls.update([name]) or real(*args)
+
+        for name in ("plan_composition", "per_mac_normalized", "lower_layer"):
+            monkeypatch.setattr(arch, name, counted(name))
+        simulate_layer(cell, acc, DDR4, PARAMS)
+        assert calls == {"plan_composition": 1, "per_mac_normalized": 1, "lower_layer": 1}
 
 
 class TestSimulateNetwork:

@@ -65,6 +65,18 @@ def test_success(argv, capsys):
     assert run(argv, capsys) == EXIT_OK
 
 
+def test_repeated_config_keeps_its_own_geomean(capsys):
+    base = ["compare", "--network", "convnet", "--network", "gru", "--config", "conventional:ddr4", "--config", "vector:ddr4"]
+
+    def geomeans(argv):
+        assert main(argv) == EXIT_OK
+        return [line.split(",")[1:] for line in capsys.readouterr().out.splitlines() if line.startswith("geomean,")]
+
+    single = geomeans(base)
+    repeated = geomeans([*base, "--config", "vector:ddr4"])
+    assert repeated == [single[0], single[1], single[1]]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import cvusim.cvu as cvu
 from cvusim.bitslice import QuantizedVector, SliceConfig, dot_exact, value_bounds
-from cvusim.cvu import CvuConfig, execute_cycle, macs_per_cycle, plan_composition
+from cvusim.cvu import CvuConfig, execute_cycle, plan_composition
 from cvusim.errors import RangeError, ShapeError
 
 DEFAULT = CvuConfig(lanes=16)
@@ -73,38 +73,38 @@ class TestPlanComposition:
 
 
 class TestMacsPerCycle:
+    # a unit's MACs per cycle is its plan's effective length
     def test_homogeneous(self):
-        assert macs_per_cycle(plan_composition(8, 8, DEFAULT), DEFAULT) == 16
+        assert plan_composition(8, 8, DEFAULT).effective_length == 16
 
     def test_8x2(self):
-        assert macs_per_cycle(plan_composition(8, 2, DEFAULT), DEFAULT) == 64
+        assert plan_composition(8, 2, DEFAULT).effective_length == 64
 
     def test_2x2(self):
-        assert macs_per_cycle(plan_composition(2, 2, DEFAULT), DEFAULT) == 256
+        assert plan_composition(2, 2, DEFAULT).effective_length == 256
 
     @pytest.mark.parametrize("bw_x", range(1, 9))
     @pytest.mark.parametrize("bw_w", range(1, 9))
     def test_throughput_law(self, bw_x, bw_w):
         plan = plan_composition(bw_x, bw_w, DEFAULT)
-        assert macs_per_cycle(plan, DEFAULT) == 16 * (8 // plan.bw_x) * (8 // plan.bw_w)
+        assert plan.effective_length == 16 * (8 // plan.bw_x) * (8 // plan.bw_w)
 
     def test_halving_padded_width_doubles(self):
         for bw in (8, 4):
-            full = macs_per_cycle(plan_composition(bw, 8, DEFAULT), DEFAULT)
-            half = macs_per_cycle(plan_composition(bw // 2, 8, DEFAULT), DEFAULT)
+            full = plan_composition(bw, 8, DEFAULT).effective_length
+            half = plan_composition(bw // 2, 8, DEFAULT).effective_length
             assert half == 2 * full
 
     def test_monotone_in_bitwidth(self):
         for fixed in range(1, 9):
-            seq = [macs_per_cycle(plan_composition(bw, fixed, DEFAULT), DEFAULT) for bw in range(1, 9)]
+            seq = [plan_composition(bw, fixed, DEFAULT).effective_length for bw in range(1, 9)]
             assert all(a >= b for a, b in zip(seq, seq[1:]))
-            seq = [macs_per_cycle(plan_composition(fixed, bw, DEFAULT), DEFAULT) for bw in range(1, 9)]
+            seq = [plan_composition(fixed, bw, DEFAULT).effective_length for bw in range(1, 9)]
             assert all(a >= b for a, b in zip(seq, seq[1:]))
 
     def test_scalar_composable_degenerate(self):
         # one-lane configuration: the per-scalar composable design point
-        cfg = CvuConfig(lanes=1)
-        assert macs_per_cycle(plan_composition(8, 8, cfg), cfg) == 1
+        assert plan_composition(8, 8, CvuConfig(lanes=1)).effective_length == 1
 
 
 class TestExecuteCycle:

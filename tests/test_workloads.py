@@ -15,6 +15,7 @@ from cvusim.workloads import (
     serialize_network,
     to_homogeneous,
 )
+from cvusim.arch import lower_layer
 from cvusim.errors import NetworkFormatError
 
 MINIMAL = """
@@ -27,6 +28,14 @@ MINIMAL = """
 """
 
 
+def weight_elements(net):
+    return sum(d.m * d.k for d in map(lower_layer, net.layers))
+
+
+def total_macs(net):
+    return sum(d.m * d.k * d.n * l.repeat for l, d in zip(net.layers, map(lower_layer, net.layers)))
+
+
 class TestParse:
     def test_minimal_fc(self):
         net = parse_network(MINIMAL)
@@ -34,7 +43,8 @@ class TestParse:
         assert len(net.layers) == 1
         layer = net.layers[0]
         assert (layer.kind, layer.m, layer.k) == (LayerKind.FC, 16, 32)
-        assert layer.macs == 16 * 32
+        dims = lower_layer(layer)
+        assert dims.m * dims.k * dims.n == 16 * 32
 
     def test_bitwidth_error_names_layer(self):
         doc = json.loads(MINIMAL)
@@ -109,7 +119,7 @@ class TestToHomogeneous:
     def test_dims_unchanged_mac_invariant(self):
         het = load_bundled("vgg")
         hom = to_homogeneous(het)
-        assert hom.total_macs == het.total_macs
+        assert total_macs(hom) == total_macs(het)
         assert [(l.kind, l.out_features) for l in hom.layers] == [
             (l.kind, l.out_features) for l in het.layers
         ]
@@ -130,20 +140,21 @@ class TestBundledSuite:
         assert net.bitwidth_mode is BitwidthMode.HETEROGENEOUS
 
     def test_lstm_weight_bytes_closed_form(self):
-        # stacked cells, hidden = input = 1024: weights per cell 4*h*(h+i)
+        # stacked cells, hidden = input = 1024: weights per cell 4*h*(h+i);
+        # the bytes the simulator fetches are checked in test_arch.TestRepeats
         net = load_bundled("lstm")
         h = i = 1024
         cells = [l for l in net.layers if l.kind is LayerKind.GEMV]
         assert len(cells) == 2
         for cell in cells:
-            assert cell.weight_elements == 4 * h * (h + i)
-            assert cell.weight_bytes == 4 * h * (h + i) * cell.bw_w // 8
+            dims = lower_layer(cell)
+            assert dims.m * dims.k == 4 * h * (h + i)
 
     def test_gru_weight_elements_closed_form(self):
         net = load_bundled("gru")
         h = i = 1280
         cells = [l for l in net.layers if l.kind is LayerKind.GEMV]
-        assert all(c.weight_elements == 3 * h * (h + i) for c in cells)
+        assert all(lower_layer(c).m * lower_layer(c).k == 3 * h * (h + i) for c in cells)
 
     def test_alexnet_counts_closed_form(self):
         # independent per-layer recomputation from the published shapes
@@ -158,12 +169,12 @@ class TestBundledSuite:
         fc_shapes = [(4096, 12544), (4096, 4096), (1000, 4096)]
         params = sum(k * c * r * s for k, c, r, s, _ in conv_shapes) + sum(m * k for m, k in fc_shapes)
         macs = sum(k * c * r * s * px for k, c, r, s, px in conv_shapes) + sum(m * k for m, k in fc_shapes)
-        assert net.total_weight_elements == params
-        assert net.total_macs == macs
+        assert weight_elements(net) == params
+        assert total_macs(net) == macs
 
     def test_vgg_parameter_count_magnitude(self):
         # VGG-16 class: ~138M parameters
-        assert load_bundled("vgg").total_weight_elements == 138_344_128
+        assert weight_elements(load_bundled("vgg")) == 138_344_128
 
     def test_unknown_bundled_name(self):
         with pytest.raises(NetworkFormatError, match="unknown bundled network"):
