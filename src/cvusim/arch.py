@@ -92,8 +92,8 @@ class AcceleratorConfig:
             raise ConfigError("weight scratchpad must be at least one byte")
         if self.input_buffer_bytes < 1 or self.output_buffer_bytes < 1:
             raise ConfigError("staging buffers must be positive")
-        if self.frequency_hz <= 0:
-            raise ConfigError("frequency must be positive")
+        if not (math.isfinite(self.frequency_hz) and self.frequency_hz > 0):
+            raise ConfigError(f"frequency must be positive and finite, got {self.frequency_hz}")
         if self.style is Style.SCALAR and self.cvu.lanes != 1:
             raise ConfigError(f"scalar-composable style requires 1 lane, got {self.cvu.lanes}")
 
@@ -195,7 +195,7 @@ def build_array(
     style: Style,
     params: CostParams,
     *,
-    lanes: int = 16,
+    lanes: int | None = None,
     slice_cfg: SliceConfig = SliceConfig(),
     budget_mw: float = 250.0,
     total_sram_bytes: int = DEFAULT_TOTAL_SRAM_BYTES,
@@ -205,8 +205,14 @@ def build_array(
 
     All styles share the same total weight-SRAM budget, split evenly across
     their units, so performance differences come from the compute style.
+    ``lanes`` defaults to 16 for the vector style and 1 for the others, which
+    have one lane by definition.
     """
-    cvu = CvuConfig(lanes=lanes if style is Style.VECTOR else 1, slice=slice_cfg)
+    if lanes is None:
+        lanes = 16 if style is Style.VECTOR else 1
+    elif style is not Style.VECTOR and lanes != 1:
+        raise ConfigError(f"{style.value} style has 1 lane per unit, got lanes={lanes}")
+    cvu = CvuConfig(lanes=lanes, slice=slice_cfg)
     if style is Style.CONVENTIONAL:
         unit_mw = params.conventional_mac_mw
     else:
@@ -440,12 +446,9 @@ def _check_accumulator(value: int) -> int:
 def functional_dot(x: QuantizedVector, w: QuantizedVector, acc: AcceleratorConfig) -> int:
     """Compute one dot product exactly as the configured style would.
 
-    Conventional units use the plain widening MAC path.  Composable styles
-    dispatch the whole dot product to the CVU at once: the stream is reshaped
-    to [clusters, cycles, lanes], so cluster c reduces the contiguous chunk
-    ``[c*lanes*cycles, (c+1)*lanes*cycles)`` over ``cycles`` cycles, the same
-    cycle count as a cycle-major schedule.  Accumulation is checked against
-    the 64-bit column register range.
+    Conventional units use the plain widening MAC path, checked against the
+    64-bit column register range after every MAC.  Composable styles compute
+    it as a 1 x 1 :func:`functional_gemm`.
     """
     if len(x) != len(w):
         raise ShapeError(f"vector length mismatch: {len(x)} vs {len(w)}")
@@ -454,16 +457,7 @@ def functional_dot(x: QuantizedVector, w: QuantizedVector, acc: AcceleratorConfi
         for xi, wi in zip(x.values, w.values):
             total = _check_accumulator(total + xi * wi)
         return total
-    plan = plan_composition(x.bitwidth, w.bitwidth, acc.cvu)
-    cycles = max(1, -(-len(x) // plan.effective_length))
-    chunk = plan.lanes * cycles
-    starts = range(0, plan.clusters * chunk, chunk)
-    xt = [QuantizedVector(x.values[lo : lo + chunk], x.bitwidth, x.signed) for lo in starts]
-    wt = [QuantizedVector(w.values[lo : lo + chunk], w.bitwidth, w.signed) for lo in starts]
-    total = 0
-    for scalar in execute_cycle(xt, wt, plan, cycles).scalars:
-        total = _check_accumulator(total + scalar)
-    return total
+    return functional_gemm([w], [x], acc)[0][0]
 
 
 def functional_gemm(
@@ -471,5 +465,21 @@ def functional_gemm(
     inputs: list[QuantizedVector],
     acc: AcceleratorConfig,
 ) -> list[list[int]]:
-    """m x n output matrix computed through the style's functional path."""
-    return [[functional_dot(col, row, acc) for col in inputs] for row in weights]
+    """m x n output matrix computed through the style's functional path.
+
+    Conventional units run :func:`functional_dot` per output.  Composable styles plan the
+    CVU at the widest operand widths and dispatch every output's whole dot product at once
+    over ``cycles`` cycles, the same count as a cycle-major schedule: the whole m x n tile
+    is one batched :func:`execute_cycle` call.  Each output's cluster scalars are summed
+    and checked against the 64-bit column register range.
+    """
+    if acc.style is Style.CONVENTIONAL:
+        return [[functional_dot(col, row, acc) for col in inputs] for row in weights]
+    if not weights or not inputs:
+        return [[] for _ in weights]
+    plan = plan_composition(max(v.bitwidth for v in inputs), max(v.bitwidth for v in weights), acc.cvu)
+    cycles = max(1, -(-len(inputs[0]) // plan.effective_length))
+    scalars = execute_cycle(inputs, weights, plan, cycles, batch=True).scalars
+    c, n = plan.clusters, len(inputs)
+    sums = [_check_accumulator(sum(scalars[i : i + c])) for i in range(0, len(scalars), c)]
+    return [sums[j : j + n] for j in range(0, len(sums), n)]

@@ -8,12 +8,18 @@ planes, and recombining the plane results with shift-adds:
 
 where ``xs[j]`` is the j-th slice plane of x (``alpha`` bits per slice) and
 ``ws[k]`` the k-th plane of w (``beta`` bits).  This module slices operands
-and takes single plane dot products; the composed path, which applies the
-identity through a composition plan's shift-add tree, is
-:func:`cvusim.cvu.execute_cycle`.  All arithmetic here is exact
-Python-integer arithmetic, which cannot overflow at any width, so there is
-no int64 fast path and no fallback; :func:`dot_exact` is the independent
-full-precision path that every composed result must reproduce bit for bit.
+into int64 plane arrays and takes the engines' plane dot products
+(:func:`nbve_dot`); the composed path, which applies the identity through a
+composition plan's shift-add tree, is :func:`cvusim.cvu.execute_cycle`.
+:func:`dot_exact` is the independent full-precision path, in Python
+integers, that every composed result must reproduce bit for bit.
+
+Planes are int64 and no plane dot product can wrap.  A slice is at most 4
+bits wide, so every plane value is at most 2**4 in magnitude and every lane
+product at most 2**8.  A plane of 2**40 int64 elements would take 8 TiB, so
+every addressable plane is shorter, and every partial sum of a plane dot
+product stays below 2**48.  The shift-add's bound is given in
+:mod:`cvusim.cvu`.
 
 Signedness convention: two's complement, with only the most-significant slice
 of a signed operand carrying a negative weight.  All other slices are
@@ -22,17 +28,23 @@ zero-extended up to the next multiple before slicing.
 
 :func:`slice_vector` maps values through cached per-plane lookup tables of
 ``2**bitwidth`` <= 256 entries, whatever the padded width; a negative value
-indexes from the end, which is its two's-complement encoding.
+indexes from the end, which is its two's-complement encoding.  numpy is
+imported only when a vector is sliced, so planning and the analytic model
+never load it.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from collections.abc import Sequence
+import struct
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import RangeError, ShapeError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_BITWIDTH = 8
 VALID_SLICE_WIDTHS = (1, 2, 4)
@@ -72,6 +84,12 @@ class SliceConfig:
             raise RangeError(f"max_bw must be positive, got {self.max_bw}")
 
 
+@functools.lru_cache(maxsize=None)
+def _value_set(bitwidth: int, signed: bool) -> frozenset[int]:
+    lo, hi = value_bounds(bitwidth, signed)
+    return frozenset(range(lo, hi + 1))
+
+
 @dataclass(frozen=True)
 class QuantizedVector:
     """Integer vector with a declared bitwidth and signedness."""
@@ -89,8 +107,8 @@ class QuantizedVector:
         except TypeError:
             i, v = next((i, v) for i, v in enumerate(raw) if not hasattr(type(v), "__index__"))
             raise RangeError(f"value {v!r} at index {i} is not an integer") from None
-        lo, hi = value_bounds(self.bitwidth, self.signed)
-        if values and not lo <= min(values) <= max(values) <= hi:
+        if not _value_set(self.bitwidth, self.signed).issuperset(values):  # one pass, unlike min and max
+            lo, hi = value_bounds(self.bitwidth, self.signed)
             i, v = next((i, v) for i, v in enumerate(values) if not lo <= v <= hi)
             kind = "signed" if self.signed else "unsigned"
             raise RangeError(f"value {v} at index {i} outside {kind} {self.bitwidth}-bit range [{lo}, {hi}]")
@@ -100,35 +118,18 @@ class QuantizedVector:
         return len(self.values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BitSlicedVector:
     """Per-plane decomposition of a :class:`QuantizedVector`.
 
-    ``planes[j][i]`` is slice j (LSB-first) of element i.  When
-    ``signed_msb`` is set, the last plane holds signed slice values; every
-    other plane is unsigned.
+    ``planes`` is an int64 array of shape (planes, length): ``planes[j, i]``
+    is slice j (LSB-first) of element i.  When ``signed_msb`` is set, the
+    last plane holds signed slice values; every other plane is unsigned.
     """
 
-    planes: tuple[tuple[int, ...], ...]
+    planes: np.ndarray
     slice_width: int
     signed_msb: bool
-
-    @property
-    def num_slices(self) -> int:
-        return len(self.planes)
-
-    @property
-    def length(self) -> int:
-        return len(self.planes[0]) if self.planes else 0
-
-    def reconstruct(self) -> tuple[int, ...]:
-        """Recombine the planes back into the original values."""
-        out = [0] * self.length
-        for j, plane in enumerate(self.planes):
-            weight = 1 << (self.slice_width * j)
-            for i, s in enumerate(plane):
-                out[i] += weight * s
-        return tuple(out)
 
 
 def slice_value(value: int, bitwidth: int, slice_width: int, signed: bool) -> list[int]:
@@ -156,11 +157,13 @@ def slice_value(value: int, bitwidth: int, slice_width: int, signed: bool) -> li
 
 
 @functools.lru_cache(maxsize=None)
-def _plane_tables(bitwidth: int, padded: int, slice_width: int, signed: bool) -> tuple[list[int], ...]:
-    """Per-plane lookup lists: ``tables[j][v]`` is slice j of value v at ``padded`` bits.
+def _plane_tables(bitwidth: int, padded: int, slice_width: int, signed: bool) -> np.ndarray:
+    """Read-only int64 lookup table: ``tables[j, v]`` is slice j of value v at ``padded`` bits.
 
     Entry u holds the value encoded as u at ``bitwidth`` bits; ``>>`` is
     arithmetic, so it sign-extends to any padded width."""
+    import numpy as np
+
     lo, hi = value_bounds(bitwidth, signed)
     encoded = [*range(hi + 1), *range(lo, 0)]
     mask = (1 << slice_width) - 1
@@ -168,16 +171,20 @@ def _plane_tables(bitwidth: int, padded: int, slice_width: int, signed: bool) ->
     if signed:
         half, full = 1 << (slice_width - 1), 1 << slice_width
         tables[-1] = [s - full if s >= half else s for s in tables[-1]]
-    return tuple(tables)  # lists: list.__getitem__ maps faster than tuple.__getitem__
+    array = np.array(tables, np.int64)
+    array.flags.writeable = False  # one cached array is shared by every caller
+    return array
 
 
 def slice_vector(vec: QuantizedVector, slice_width: int, *, bitwidth: int | None = None) -> BitSlicedVector:
-    """Slice every element of a vector into planes.
+    """Slice every element of a vector into an int64 plane array.
 
     ``bitwidth`` optionally widens the declared bitwidth before slicing
     (used when a composition plan pads operands); it must not be narrower
     than the vector's own width.
     """
+    import numpy as np
+
     if slice_width not in VALID_SLICE_WIDTHS:
         raise RangeError(f"slice_width must be one of {VALID_SLICE_WIDTHS}, got {slice_width}")
     bw = vec.bitwidth if bitwidth is None else bitwidth
@@ -185,15 +192,21 @@ def slice_vector(vec: QuantizedVector, slice_width: int, *, bitwidth: int | None
         raise RangeError(f"cannot slice {vec.bitwidth}-bit vector at narrower width {bw}")
 
     tables = _plane_tables(vec.bitwidth, padded_bitwidth(bw, slice_width), slice_width, vec.signed)
-    planes = tuple(tuple(map(table.__getitem__, vec.values)) for table in tables)
-    return BitSlicedVector(planes=planes, slice_width=slice_width, signed_msb=vec.signed)
+    # Packing the validated integers is about twice as fast as np.fromiter.
+    values = np.frombuffer(struct.pack(f"{len(vec)}q", *vec.values), np.int64)
+    return BitSlicedVector(planes=tables.take(values, axis=1), slice_width=slice_width, signed_msb=vec.signed)
 
 
-def nbve_dot(x_slice: Sequence[int], w_slice: Sequence[int]) -> int:
-    """Exact dot product of two slice subvectors (one engine, one cycle)."""
-    if len(x_slice) != len(w_slice):
-        raise ShapeError(f"slice length mismatch: {len(x_slice)} vs {len(w_slice)}")
-    return sum(map(operator.mul, x_slice, w_slice))
+def nbve_dot(x_planes: np.ndarray, w_planes: np.ndarray) -> np.ndarray:
+    """Every engine's plane dot product at once: one int64 matmul over the lane axis.
+
+    ``x_planes`` has shape (..., a, lanes) and ``w_planes`` (..., b, lanes);
+    entry [..., i, j] of the result is the dot product of x plane i with w
+    plane j, the scalar one engine reduces from its slice multipliers.
+    """
+    if x_planes.shape[-1] != w_planes.shape[-1]:
+        raise ShapeError(f"lane count mismatch: {x_planes.shape[-1]} vs {w_planes.shape[-1]}")
+    return x_planes @ w_planes.swapaxes(-1, -2)
 
 
 def dot_exact(x: QuantizedVector, w: QuantizedVector) -> int:

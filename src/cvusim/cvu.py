@@ -9,7 +9,10 @@ in parallel, so all engines stay busy at every bitwidth.
 
 One :func:`execute_cycle` call may span several cycles.  The slice-plane
 identity holds however elements are split across cycles, so each engine takes
-one dot product over its cluster's whole tile; short tiles are not padded.
+one dot product over its cluster's whole tile.  A call may also carry a batch
+of dispatches that share operands, such as a whole GEMM tile; each operand
+is then sliced once, and one int64 kernel computes every dispatch.  Planning
+imports nothing beyond the standard library; execution imports numpy.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ class CompositionPlan:
 
 @dataclass(frozen=True)
 class CvuOutput:
-    """Per-cluster scalars for one dispatch plus the lane utilization."""
+    """Per-cluster scalars of one dispatch, or of every dispatch of a batch, plus the lane utilization."""
 
     scalars: tuple[int, ...]
     utilization: float
@@ -107,39 +110,100 @@ def plan_composition(bw_x: int, bw_w: int, cfg: CvuConfig) -> CompositionPlan:
     )
 
 
+# A batch runs its w operands in blocks of rows with rows * (clusters * lanes + n)
+# near this many elements, which bounds one block's w planes and engine products.
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _planes(operands, slice_width: int, bitwidth: int, clusters: int, lanes: int):
+    """Int64 planes [cluster, operand * plane, lane] on ``clusters * lanes`` zeroed positions.
+
+    Each operand is a list of (first position, vector) tiles; each vector is
+    sliced once, at the plan's padded ``bitwidth``."""
+    import numpy as np
+
+    planes = bitwidth // slice_width
+    out = np.zeros((len(operands), planes, clusters * lanes), np.int64)
+    for i, tiles in enumerate(operands):
+        for lo, vec in tiles:
+            out[i, :, lo : lo + len(vec)] = slice_vector(vec, slice_width, bitwidth=bitwidth).planes
+    # [operand, plane, cluster, lane] -> [cluster, operand * plane, lane], as views
+    return out.reshape(len(operands), planes, clusters, lanes).transpose(2, 0, 1, 3).reshape(
+        clusters, len(operands) * planes, lanes
+    )
+
+
 def execute_cycle(
     x_tiles: Sequence[QuantizedVector],
     w_tiles: Sequence[QuantizedVector],
     plan: CompositionPlan,
     cycles: int = 1,
+    *,
+    batch: bool = False,
 ) -> CvuOutput:
-    """Functionally execute one CVU dispatch of ``cycles`` cycles.
+    """Functionally execute one CVU dispatch of ``cycles`` cycles, or a batch of them.
 
-    Each cluster receives one (x, w) tile pair of length <= ``cycles * lanes``
-    and reduces it to one scalar.  Every scalar is computed through the
-    engines' slice-plane dot products and the plan's shift-add tree, never
-    through the full-precision oracle.  Utilization is the share of the
-    ``cycles * effective_length`` lane slots that held an element.
+    One dispatch gives each cluster one (x, w) tile pair of length <= ``cycles * lanes``;
+    ``scalars`` holds the clusters' scalars in order.  With ``batch`` set, ``x_tiles`` and
+    ``w_tiles`` hold n and m whole operands of one length k <= ``clusters * cycles * lanes``,
+    and every (w, x) pair is one dispatch whose stream is reshaped to [clusters, cycles,
+    lanes]; ``scalars`` then holds m * n * clusters values, w-major, then x, then cluster.
+
+    Every scalar comes from the engines' plane dot products (:func:`nbve_dot`) and the
+    plan's shift-add tree, never from the full-precision oracle.  Each operand or tile is
+    sliced once; clusters and zero padding are reshapes and padding of its planes.  The w
+    operands run in blocks, so a call holds the x planes and one block's w planes and
+    engine products, never an array of m * n * k elements.  Utilization is the share of
+    one dispatch's ``cycles * effective_length`` lane slots that held an element.
+
+    The kernel is int64, and no partial sum can wrap.  Summed by magnitude, the planes of
+    an element padded to e bits weigh at most 2**e, so every engine product and every
+    partial sum of one cluster's shift-add over L lanes is at most ``L * 2**(bw_x + bw_w)``:
+    below 2**56 at 8-bit widths, as no addressable plane reaches 2**40 elements (see
+    :mod:`cvusim.bitslice`).  Only a CVU wider than 8 bits could pass 2**63, and such a
+    call raises :class:`RangeError`.
     """
     if cycles < 1:
         raise ShapeError(f"cycles must be >= 1, got {cycles}")
-    if len(x_tiles) != plan.clusters or len(w_tiles) != plan.clusters:
-        raise ShapeError(
-            f"expected {plan.clusters} tile pairs, got {len(x_tiles)} x / {len(w_tiles)} w"
-        )
     capacity = cycles * plan.lanes
-    useful = 0
+    if batch:
+        lengths = {len(v) for v in (*x_tiles, *w_tiles)}
+        if len(lengths) > 1:
+            raise ShapeError(f"batch operands differ in length: {sorted(lengths)}")
+        k = max(lengths, default=0)
+        if k > plan.clusters * capacity:
+            raise ShapeError(f"operand length {k} exceeds {plan.clusters} clusters x {cycles} x {plan.lanes} lanes")
+        lanes, useful = min(k, capacity), k
+        x_ops, w_ops = [[(0, v)] for v in x_tiles], [[(0, v)] for v in w_tiles]
+    else:
+        if len(x_tiles) != plan.clusters or len(w_tiles) != plan.clusters:
+            raise ShapeError(
+                f"expected {plan.clusters} tile pairs, got {len(x_tiles)} x / {len(w_tiles)} w"
+            )
+        for c, (xt, wt) in enumerate(zip(x_tiles, w_tiles)):
+            if len(xt) != len(wt):
+                raise ShapeError(f"cluster {c}: tile length mismatch {len(xt)} vs {len(wt)}")
+            if len(xt) > capacity:
+                raise ShapeError(f"cluster {c}: tile length {len(xt)} exceeds {cycles} x {plan.lanes} lanes")
+        lanes, useful = max(map(len, x_tiles)), sum(map(len, x_tiles))
+        x_ops = [[(c * lanes, t) for c, t in enumerate(x_tiles)]]
+        w_ops = [[(c * lanes, t) for c, t in enumerate(w_tiles)]]
+    for side, tiles, width in (("x", x_tiles, plan.bw_x), ("w", w_tiles, plan.bw_w)):
+        if any(t.bitwidth > width for t in tiles):
+            raise RangeError(f"{side} tile bitwidths exceed the plan's padded width {width}")
+    if max(lanes, 1) << (plan.bw_x + plan.bw_w) >= 1 << 63:
+        raise RangeError(f"{lanes}-lane tiles at {plan.bw_x}x{plan.bw_w} padded bits could overflow int64")
+
+    import numpy as np
+
+    x = _planes(x_ops, plan.slice.alpha, plan.bw_x, plan.clusters, lanes)
+    px, pw = plan.bw_x // plan.slice.alpha, plan.bw_w // plan.slice.beta
+    shifts = np.array([1 << s for s in plan.shifts], np.int64).reshape(px, 1, pw)
+    rows = max(1, _BLOCK_ELEMENTS // (plan.clusters * lanes + len(x_ops)))
     scalars = []
-    for c, (xt, wt) in enumerate(zip(x_tiles, w_tiles)):
-        if len(xt) != len(wt):
-            raise ShapeError(f"cluster {c}: tile length mismatch {len(xt)} vs {len(wt)}")
-        if len(xt) > capacity:
-            raise ShapeError(f"cluster {c}: tile length {len(xt)} exceeds {cycles} x {plan.lanes} lanes")
-        if xt.bitwidth > plan.bw_x or wt.bitwidth > plan.bw_w:
-            raise RangeError(f"cluster {c}: tile bitwidths exceed the plan's padded widths")
-        useful += len(xt)
-        x_planes = slice_vector(xt, plan.slice.alpha, bitwidth=plan.bw_x).planes
-        w_planes = slice_vector(wt, plan.slice.beta, bitwidth=plan.bw_w).planes
-        pairs = ((xp, wp) for xp in x_planes for wp in w_planes)
-        scalars.append(sum(nbve_dot(xp, wp) << shift for shift, (xp, wp) in zip(plan.shifts, pairs)))
+    for lo in range(0, len(w_ops), rows):
+        block = w_ops[lo : lo + rows]
+        w = _planes(block, plan.slice.beta, plan.bw_w, plan.clusters, lanes)
+        products = nbve_dot(x, w).reshape(plan.clusters, len(x_ops), px, len(block), pw)
+        scalars += (products * shifts).sum(axis=(2, 4)).transpose(2, 1, 0).ravel().tolist()  # [w, x, cluster]
     return CvuOutput(scalars=tuple(scalars), utilization=useful / (cycles * plan.effective_length))

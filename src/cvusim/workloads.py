@@ -169,6 +169,13 @@ def _check_chain(layers: tuple[LayerSpec, ...]) -> None:
                 )
 
 
+def _report_name(where: str, value) -> str:
+    """A name that reports write unquoted into CSV rows."""
+    if not isinstance(value, str) or any(c in value for c in ',"\r\n'):
+        raise NetworkFormatError(f"{where}: expected a string without commas, quotes or line breaks, got {value!r}")
+    return value
+
+
 _LAYER_REQUIRED = {
     LayerKind.CONV: ("in_channels", "out_channels", "height", "width", "kernel", "bw_x", "bw_w"),
     LayerKind.FC: ("m", "k", "bw_x", "bw_w"),
@@ -204,7 +211,7 @@ def _layer_from_dict(i: int, raw: dict) -> LayerSpec:
             raise NetworkFormatError(f"{where}.{field}: expected integer >= {minimum}, got {v!r}")
         return v
 
-    name = raw.get("name", "")
+    name = _report_name(f"{where}.name", raw.get("name", ""))
     bw_x, bw_w = integer("bw_x"), integer("bw_w")
     for bname, bw in (("bw_x", bw_x), ("bw_w", bw_w)):
         if bw > MAX_LAYER_BITWIDTH:
@@ -213,7 +220,7 @@ def _layer_from_dict(i: int, raw: dict) -> LayerSpec:
             )
     if kind is LayerKind.CONV:
         kernel = raw["kernel"]
-        if not (isinstance(kernel, list) and len(kernel) == 2 and all(isinstance(x, int) for x in kernel)):
+        if not (isinstance(kernel, list) and len(kernel) == 2 and all(type(x) is int for x in kernel)):
             raise NetworkFormatError(f"{where}.kernel: expected [kernel_h, kernel_w]")
         return LayerSpec(
             kind=kind,
@@ -256,6 +263,7 @@ def parse_network(text: str) -> NetworkSpec:
     name = doc.get("name")
     if not isinstance(name, str) or not name:
         raise NetworkFormatError("name: expected a non-empty string")
+    _report_name("name", name)
     try:
         mode = BitwidthMode(doc.get("bitwidth_mode", "heterogeneous"))
     except ValueError:

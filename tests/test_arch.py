@@ -5,6 +5,7 @@ import random
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import cvusim.arch as arch
@@ -25,7 +26,7 @@ from cvusim.arch import (
 from cvusim.bitslice import QuantizedVector, dot_exact, value_bounds
 from cvusim.cost import default_params
 from cvusim.cvu import CvuConfig
-from cvusim.errors import AccumulatorOverflowError, ConfigError
+from cvusim.errors import AccumulatorOverflowError, ConfigError, ShapeError
 from cvusim.workloads import LayerKind, LayerSpec, NetworkSpec, load_bundled, to_homogeneous
 
 PARAMS = default_params()
@@ -273,6 +274,23 @@ class TestIsoPowerSizing:
             conv.weight_scratchpad_bytes, vect.weight_scratchpad_bytes
         )
 
+    def test_lanes_default_per_style(self):
+        assert build_array(Style.VECTOR, PARAMS).cvu.lanes == 16
+        assert build_array(Style.VECTOR, PARAMS, lanes=4).cvu.lanes == 4
+        for style in (Style.SCALAR, Style.CONVENTIONAL):
+            assert build_array(style, PARAMS).cvu.lanes == 1
+            assert build_array(style, PARAMS, lanes=1).cvu.lanes == 1
+
+    @pytest.mark.parametrize("style", [Style.SCALAR, Style.CONVENTIONAL])
+    def test_explicit_lanes_rejected_for_one_lane_styles(self, style):
+        with pytest.raises(ConfigError, match="lanes=4"):
+            build_array(style, PARAMS, lanes=4)
+
+    @pytest.mark.parametrize("frequency", [0.0, -1.0, math.nan, math.inf])
+    def test_frequency_must_be_positive_and_finite(self, frequency):
+        with pytest.raises(ConfigError, match="frequency"):
+            build_array(Style.VECTOR, PARAMS, frequency_hz=frequency)
+
     def test_scalar_style_requires_one_lane(self):
         with pytest.raises(ConfigError, match="1 lane"):
             AcceleratorConfig(
@@ -355,6 +373,36 @@ class TestFunctionalEquivalence:
             expected = dot_exact(x, w)
             for acc in arrays:
                 assert functional_dot(x, w, acc) == expected, (name, i, acc.style)
+
+    @pytest.mark.parametrize(
+        "name,index", [(name, i) for name in ("convnet", "lstm", "gru") for i in range(len(load_bundled(name).layers))]
+    )
+    def test_every_layer_whole(self, name, index):
+        # the whole layer: seeded signed m x k weights and unsigned k x n
+        # inputs through both composable styles, against int64 W @ X
+        layer = load_bundled(name).layers[index]
+        dims = lower_layer(layer)
+        rng = np.random.default_rng([*name.encode(), index])
+        w = rng.integers(-(1 << (layer.bw_w - 1)), 1 << (layer.bw_w - 1), size=(dims.m, dims.k), dtype=np.int16)
+        x = rng.integers(0, 1 << layer.bw_x, size=(dims.k, dims.n), dtype=np.int16)
+        expected = (w.astype(np.int64) @ x.astype(np.int64)).tolist()
+        weights = [QuantizedVector(row.tolist(), layer.bw_w, signed=True) for row in w]
+        inputs = [QuantizedVector(col.tolist(), layer.bw_x) for col in x.T]
+        for style in (Style.VECTOR, Style.SCALAR):
+            assert functional_gemm(weights, inputs, build_array(style, PARAMS)) == expected, style
+
+    @pytest.mark.parametrize("style", list(Style))
+    def test_gemm_length_mismatch(self, style):
+        weights = [QuantizedVector((1, 2, 3), 4), QuantizedVector((1, 2), 4)]
+        with pytest.raises(ShapeError):
+            functional_gemm(weights, [QuantizedVector((1, 2, 3), 4)], build_array(style, PARAMS))
+
+    @pytest.mark.parametrize("style", list(Style))
+    def test_gemm_empty_sides(self, style):
+        acc = build_array(style, PARAMS)
+        col = QuantizedVector((1, 2), 4)
+        assert functional_gemm([], [col], acc) == []
+        assert functional_gemm([col, col], [], acc) == [[], []]
 
     def test_within_64bit_bounds_no_overflow(self):
         n = 1 << 16

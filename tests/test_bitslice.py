@@ -85,18 +85,17 @@ class TestSliceVector:
     def test_planes_example(self):
         vec = QuantizedVector((13, 5), 4, signed=False)
         sliced = slice_vector(vec, 2)
-        assert sliced.planes[0] == (1, 1)
-        assert sliced.planes[1] == (3, 1)
+        assert sliced.planes.dtype == np.int64
+        assert sliced.planes.tolist() == [[1, 1], [3, 1]]
 
     def test_zero_planes(self):
         sliced = slice_vector(QuantizedVector((0, 0, 0), 6, signed=False), 2)
-        assert all(plane == (0, 0, 0) for plane in sliced.planes)
+        assert sliced.planes.tolist() == [[0, 0, 0]] * 3
 
     def test_signed_planes(self):
         sliced = slice_vector(QuantizedVector((-8, 7), 4, signed=True), 2)
-        assert sliced.planes[0] == (0, 3)
-        assert sliced.planes[1] == (-2, 1)
-        assert sliced.reconstruct() == (-8, 7)
+        assert sliced.planes.tolist() == [[0, 3], [-2, 1]]
+        assert [reconstruct(column, 2) for column in zip(*sliced.planes.tolist())] == [-8, 7]
 
     def test_range_error_carries_index(self):
         with pytest.raises(RangeError, match="index 1"):
@@ -135,7 +134,7 @@ class TestSliceVector:
             values = tuple(range(lo, hi + 1))
             planes = slice_vector(QuantizedVector(values, bw, signed), sw, bitwidth=padded).planes
             expected = [slice_value(v, padded, sw, signed) for v in values]
-            assert planes == tuple(zip(*expected)), (bw, sw, signed, padded)
+            assert planes.tolist() == [list(plane) for plane in zip(*expected)], (bw, sw, signed, padded)
             tables = bs._plane_tables(bw, padded, sw, signed)
             assert len(tables) == padded // sw
             assert all(len(table) == 1 << bw <= 256 for table in tables)
@@ -149,31 +148,44 @@ class TestSliceVector:
     def test_reconstruction_all_elements(self, bw, sw, signed, data):
         lo, hi = bs.value_bounds(bw, signed)
         values = data.draw(st.lists(st.integers(lo, hi), max_size=32))
-        sliced = slice_vector(QuantizedVector(tuple(values), bw, signed), sw)
-        assert sliced.reconstruct() == tuple(values)
-        assert sliced.num_slices == -(-bw // sw)
+        planes = slice_vector(QuantizedVector(tuple(values), bw, signed), sw).planes
+        assert [reconstruct(column, sw) for column in zip(*planes.tolist())] == values
+        assert planes.shape == (-(-bw // sw), len(values))
 
 
 class TestNbveDot:
+    # the batched engine op: [..., i, j] is the dot product of x plane i and w plane j
     def test_basic(self):
-        assert nbve_dot([1, 1], [1, 2]) == 3
-        assert type(nbve_dot([1, 1], [1, 2])) is int
+        out = nbve_dot(np.array([[1, 1]], np.int64), np.array([[1, 2]], np.int64))
+        assert out.dtype == np.int64
+        assert out.tolist() == [[3]]
 
     def test_empty(self):
-        assert nbve_dot([], []) == 0
-        assert type(nbve_dot([], [])) is int
+        assert nbve_dot(np.zeros((1, 0), np.int64), np.zeros((1, 0), np.int64)).tolist() == [[0]]
 
     def test_against_loop_oracle(self):
-        assert nbve_dot([3, 2, 1], [2, 0, -1]) == dot_loop([3, 2, 1], [2, 0, -1]) == 5
+        rng = np.random.default_rng(5)
+        x = rng.integers(-8, 16, size=(3, 2, 7))  # clusters x x planes x lanes
+        w = rng.integers(-8, 16, size=(3, 4, 7))
+        out = nbve_dot(x, w)
+        assert out.shape == (3, 2, 4)
+        for c in range(3):
+            for i in range(2):
+                for j in range(4):
+                    assert out[c, i, j] == dot_loop(x[c, i].tolist(), w[c, j].tolist())
 
     def test_shape_error(self):
         with pytest.raises(ShapeError):
-            nbve_dot([1, 2], [1])
+            nbve_dot(np.zeros((1, 2), np.int64), np.zeros((1, 1), np.int64))
 
-    def test_past_int64_range(self):
-        result = nbve_dot([1 << 62] * 4, [3] * 4)
-        assert result == 3 << 64 == dot_loop([1 << 62] * 4, [3] * 4)
-        assert type(result) is int
+    def test_exact_at_largest_slice_magnitudes(self):
+        # every 4-bit plane value extreme (15 unsigned, -8 signed MSB) over a
+        # 2^16-lane plane, against Python integers
+        n = 1 << 16
+        extremes = np.array([[15] * n, [-8] * n], np.int64)
+        out = nbve_dot(extremes, extremes)
+        assert out.tolist() == [[dot_loop(a, b) for b in ([15] * n, [-8] * n)] for a in ([15] * n, [-8] * n)]
+        assert out.tolist() == [[225 * n, -120 * n], [-120 * n, 64 * n]]
 
 
 class TestDotExact:
@@ -245,12 +257,13 @@ class TestComposeDot:
         plan = plan_composition(x.bitwidth, w.bitwidth, CvuConfig(lanes=1, slice=cfg))
         x_planes = slice_vector(x, cfg.alpha, bitwidth=plan.bw_x).planes
         w_planes = slice_vector(w, cfg.beta, bitwidth=plan.bw_w).planes
+        products = nbve_dot(x_planes, w_planes).tolist()  # [x plane][w plane]
         assert len(plan.shifts) == len(x_planes) * len(w_planes)
         total = 0
         for i, shift in enumerate(plan.shifts):
             j, k = divmod(i, len(w_planes))
             assert shift == cfg.alpha * j + cfg.beta * k
-            total += nbve_dot(x_planes[j], w_planes[k]) << shift
+            total += products[j][k] << shift
         assert total == 21 == compose_dot(x, w, cfg)
 
     @settings(max_examples=300, deadline=None)

@@ -30,6 +30,9 @@ def files(tmp_path):
         "not-utf8": b"\xff\xfe",
         "list-network": "[]",
         "no-layers-network": json.dumps({"schema_version": 1, "name": "x", "layers": []}),
+        "comma-name-network": json.dumps(
+            {"schema_version": 1, "name": "x", "layers": [{"kind": "fc", "name": "p,q", "m": 4, "k": 4, "bw_x": 8, "bw_w": 8}]}
+        ),
     }
     out = {}
     for name, content in paths.items():
@@ -122,6 +125,7 @@ def test_usage_errors(argv, capsys):
         ["simulate", "--network", "{list-network}", "--style", "vector"],
         ["simulate", "--network", "{no-layers-network}", "--style", "vector"],
         ["simulate", "--network", "{not-utf8}", "--style", "vector"],
+        ["simulate", "--network", "{comma-name-network}", "--style", "vector"],
         ["compare", "--network", "{bad-json}", "--config", "vector:ddr4", "--config", "scalar:ddr4"],
         ["compare", "--network", "convnet", "--config", "vector:ddr4", "--config", "scalar:ddr4", "--budget", "nan"],
         ["dse", "--out", "{dir}"],

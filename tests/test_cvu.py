@@ -1,5 +1,6 @@
 """Composition planning, cycle execution, and throughput laws."""
 
+import math
 import random
 
 import pytest
@@ -125,17 +126,28 @@ class TestExecuteCycle:
             assert out.utilization == len(x) / plan.effective_length
 
     def test_plane_count(self, monkeypatch):
-        # one engine dot product per (x plane, w plane) pair of every cluster
-        calls = []
+        # one engine dot product per (x plane, w plane) pair of every cluster,
+        # all from one batched engine op per call
+        shapes = []
         real = cvu.nbve_dot
-        monkeypatch.setattr(cvu, "nbve_dot", lambda a, b: calls.append(1) or real(a, b))
+
+        def spy(x_planes, w_planes):
+            products = real(x_planes, w_planes)
+            shapes.append(products.shape)
+            return products
+
+        monkeypatch.setattr(cvu, "nbve_dot", spy)
         plan = plan_composition(5, 3, DEFAULT)
         assert (plan.clusters, plan.nbves_per_cluster) == (2, 8)
         x = QuantizedVector((5, 2), 5)
         w = QuantizedVector((1, 3), 3)
         out = execute_cycle([x, x], [w, w], plan)
         assert out.scalars == (11, 11)
-        assert len(calls) == plan.clusters * plan.nbves_per_cluster
+        assert len(shapes) == 1 and math.prod(shapes[0]) == plan.clusters * plan.nbves_per_cluster
+        # a batch of 3 x 2 dispatches: every dispatch still has its own engines
+        shapes.clear()
+        execute_cycle([x] * 2, [w] * 3, plan, batch=True)
+        assert len(shapes) == 1 and math.prod(shapes[0]) == 3 * 2 * plan.clusters * plan.nbves_per_cluster
 
     def test_sixteen_identities(self):
         plan = plan_composition(2, 2, DEFAULT)
@@ -217,3 +229,93 @@ class TestExecuteCycle:
         out = execute_cycle(xs, ws, plan, cycles=cycles)
         assert out.scalars == tuple(dot_exact(x, w) for x, w in zip(xs, ws))
         assert out.utilization == sum(map(len, xs)) / (cycles * plan.effective_length)
+
+
+class TestExecuteBatch:
+    def test_matches_oracle_cluster_by_cluster(self):
+        # cluster c of dispatch (w, x) reduces elements [c*cycles*lanes, (c+1)*cycles*lanes)
+        rng = random.Random(3)
+        plan = plan_composition(4, 4, CvuConfig(lanes=2))
+        assert plan.clusters == 4
+        cycles, k = 3, 21  # 24 lane slots per cluster row: the last cluster is short
+        xs = [rand_vector(rng, k, 4, False) for _ in range(3)]
+        ws = [rand_vector(rng, k, 4, True) for _ in range(2)]
+        out = execute_cycle(xs, ws, plan, cycles, batch=True)
+        chunk = cycles * plan.lanes
+        expected = []
+        for w in ws:
+            for x in xs:
+                for lo in range(0, plan.clusters * chunk, chunk):
+                    x_part = QuantizedVector(x.values[lo : lo + chunk], 4)
+                    w_part = QuantizedVector(w.values[lo : lo + chunk], 4, signed=True)
+                    expected.append(dot_exact(x_part, w_part))
+        assert out.scalars == tuple(expected)
+        assert out.utilization == k / (cycles * plan.effective_length)
+
+    def test_blocks_of_w_operands(self, monkeypatch):
+        # one w operand per block gives the same scalars as one block for all
+        rng = random.Random(5)
+        plan = plan_composition(8, 4, CvuConfig(lanes=4))
+        xs = [rand_vector(rng, 30, 8, False) for _ in range(3)]
+        ws = [rand_vector(rng, 30, 4, True) for _ in range(5)]
+        whole = execute_cycle(xs, ws, plan, cycles=4, batch=True)
+        monkeypatch.setattr(cvu, "_BLOCK_ELEMENTS", 1)
+        assert execute_cycle(xs, ws, plan, cycles=4, batch=True) == whole
+        assert [sum(whole.scalars[i : i + plan.clusters]) for i in range(0, len(whole.scalars), plan.clusters)] == [
+            dot_exact(x, w) for w in ws for x in xs
+        ]
+
+    def test_single_dispatch_is_a_batch_of_one(self):
+        rng = random.Random(4)
+        plan = plan_composition(8, 2, DEFAULT)
+        x, w = rand_vector(rng, 50, 8, True), rand_vector(rng, 50, 2, False)
+
+        def tiles(v):  # the stream cut into one 16-lane tile per cluster
+            return [QuantizedVector(v.values[lo : lo + 16], v.bitwidth, v.signed) for lo in range(0, 64, 16)]
+
+        single = execute_cycle(tiles(x), tiles(w), plan)
+        assert execute_cycle([x], [w], plan, batch=True) == single
+        assert sum(single.scalars) == dot_exact(x, w)
+
+    def test_each_operand_sliced_once(self, monkeypatch):
+        calls = []
+        real = cvu.slice_vector
+        monkeypatch.setattr(cvu, "slice_vector", lambda v, *a, **kw: calls.append(v) or real(v, *a, **kw))
+        plan = plan_composition(8, 8, DEFAULT)
+        xs = [QuantizedVector((i, 1, 2), 8) for i in range(5)]
+        ws = [QuantizedVector((1, i, 3), 8) for i in range(4)]
+        execute_cycle(xs, ws, plan, batch=True)
+        assert len(calls) == len(xs) + len(ws)
+
+    def test_empty_operands(self):
+        plan = plan_composition(8, 8, DEFAULT)
+        assert execute_cycle([QuantizedVector((), 8)], [QuantizedVector((), 8)], plan, batch=True).scalars == (0,)
+        assert execute_cycle([], [QuantizedVector((1,), 8)], plan, batch=True).scalars == ()
+
+    def test_length_mismatch(self):
+        plan = plan_composition(8, 8, DEFAULT)
+        with pytest.raises(ShapeError):
+            execute_cycle([QuantizedVector((1, 2), 8)], [QuantizedVector((1,), 8)], plan, batch=True)
+
+    def test_too_long_for_the_cycles(self):
+        plan = plan_composition(8, 8, CvuConfig(lanes=2))
+        x = QuantizedVector((1, 2, 3), 8)
+        with pytest.raises(ShapeError):
+            execute_cycle([x], [x], plan, batch=True)
+        assert execute_cycle([x], [x], plan, cycles=2, batch=True).scalars == (14,)
+
+    def test_bitwidth_over_plan(self):
+        plan = plan_composition(4, 4, DEFAULT)
+        with pytest.raises(RangeError):
+            execute_cycle([QuantizedVector((1,), 8)], [QuantizedVector((1,), 4)], plan, batch=True)
+
+    def test_refuses_tiles_whose_sums_could_pass_int64(self):
+        # 1-bit slices on a 31-bit CVU pad 8-bit operands to 31 bits each:
+        # one lane fits 2^62, two lanes could reach 2^63
+        plan = plan_composition(8, 8, CvuConfig(lanes=2, slice=SliceConfig(1, 1, max_bw=31)))
+        assert (plan.bw_x, plan.bw_w) == (31, 31)
+        one = QuantizedVector((-128,), 8, signed=True)
+        assert execute_cycle([one], [one], plan).scalars == (1 << 14,)
+        two = QuantizedVector((-128, -128), 8, signed=True)
+        with pytest.raises(RangeError, match="overflow int64"):
+            execute_cycle([two], [two], plan)

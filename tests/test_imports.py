@@ -1,4 +1,5 @@
-"""Import hygiene: only `calibrate` may load numpy or scipy."""
+"""Import hygiene: only `calibrate` may load scipy, and only it and the
+bit-exact functional path may load numpy."""
 
 import json
 import os
@@ -31,13 +32,42 @@ print(json.dumps({"codes": codes, "loaded": loaded, "calibrated": type(params)._
 """
 
 
-def test_cli_commands_load_neither_numpy_nor_scipy_and_calibrate_still_works():
+_FUNCTIONAL_CHILD = """
+import json, sys
+
+import cvusim
+from cvusim import arch, cost, cvu
+from cvusim.bitslice import QuantizedVector
+
+def loaded():
+    return sorted({m.split(".")[0] for m in sys.modules if m.startswith(("numpy", "scipy"))})
+
+cvu.plan_composition(4, 2, cvu.CvuConfig())
+planned = loaded()
+acc = arch.build_array(arch.Style.VECTOR, cost.default_params())
+value = arch.functional_dot(QuantizedVector((3, 5), 4), QuantizedVector((-1, 1), 2, signed=True), acc)
+print(json.dumps({"planned": planned, "computed": loaded(), "value": value}))
+"""
+
+
+def _child(code: str) -> dict:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_cli_commands_load_neither_numpy_nor_scipy_and_calibrate_still_works():
+    result = _child(_CHILD)
     assert result["codes"] == [0, 0, 0]
     assert result["loaded"] == []
     assert result["calibrated"] == "CostParams"
+
+
+def test_planning_loads_no_numpy_and_the_functional_path_no_scipy():
+    result = _child(_FUNCTIONAL_CHILD)
+    assert result["planned"] == []
+    assert result["computed"] == ["numpy"]
+    assert result["value"] == 2

@@ -92,6 +92,33 @@ class TestParse:
         with pytest.raises(NetworkFormatError, match="in_channels=7"):
             parse_network(json.dumps(doc))
 
+    @pytest.mark.parametrize("kernel", [[True, True], [3, False], [3.0, 3], [3], "3x3"])
+    def test_kernel_must_be_two_integers(self, kernel):
+        layer = {"kind": "conv", "in_channels": 3, "out_channels": 8, "height": 8, "width": 8,
+                 "kernel": kernel, "bw_x": 8, "bw_w": 8}
+        with pytest.raises(NetworkFormatError, match=r"layers\[0\].kernel"):
+            parse_network(json.dumps({"schema_version": 1, "name": "x", "layers": [layer]}))
+
+    @pytest.mark.parametrize("name", ["p,q", 'say "hi"', "two\nlines", "cr\rlf", 7, ["fc"], None])
+    def test_layer_name_must_be_a_plain_string(self, name):
+        # names are written unquoted into CSV rows
+        doc = json.loads(MINIMAL)
+        doc["layers"][0]["name"] = name
+        with pytest.raises(NetworkFormatError, match=r"layers\[0\].name"):
+            parse_network(json.dumps(doc))
+
+    @pytest.mark.parametrize("name", ["a,b", 'a"b', "a\nb"])
+    def test_network_name_must_be_a_plain_string(self, name):
+        doc = json.loads(MINIMAL)
+        doc["name"] = name
+        with pytest.raises(NetworkFormatError, match="name"):
+            parse_network(json.dumps(doc))
+
+    def test_plain_names_still_parse(self):
+        doc = json.loads(MINIMAL)
+        doc["layers"][0]["name"] = "fc 1-a_b.c(x)"
+        assert parse_network(json.dumps(doc)).layers[0].name == "fc 1-a_b.c(x)"
+
     def test_homogeneous_mode_requires_8bit(self):
         doc = json.loads(MINIMAL)
         doc["bitwidth_mode"] = "homogeneous-8bit"
