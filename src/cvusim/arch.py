@@ -9,12 +9,17 @@ overlaps compute; across generations, the next weight tile loads while the
 current one computes (double buffering).  The first load and the last
 generation's compute have nothing to overlap with and are exposed.
 
-Cycle accounting:
+Cycle accounting, in closed form: a pass runs ``m // m_res`` identical full
+generations of ``m_res`` output rows, then one generation of any rows left;
+each figure is one generation's figure times its count, summed over the groups.
 
 * ``compute_cycles`` = sum over generations of ceil(MACs / peak MACs/cycle)
 * ``memory_cycles``  = off-chip bytes moved * frequency / bandwidth
-* ``total_cycles``   = per-phase max of compute and memory under the
-  double-buffering rule above
+* ``total_cycles``   = the first load, plus per generation the max of its
+  compute, its stream and the next generation's load (double buffering)
+
+:func:`simulate_network` prices the array once per call and plans each
+distinct bitwidth pair once; the price depends on nothing in a layer.
 
 Inputs are assumed to traverse the array combinationally (no pipeline fill
 cycles), which keeps compute_cycles exactly equal to the analytical count.
@@ -35,13 +40,14 @@ from __future__ import annotations
 import math
 import operator
 import warnings
-from dataclasses import dataclass, fields, replace
+from collections import namedtuple
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .bitslice import QuantizedVector, SliceConfig
 from .cost import CostParams, iso_power_array_size, per_mac_normalized
 from .cvu import CvuConfig, execute_cycle, plan_composition
-from .errors import AccumulatorOverflowError, ConfigError, ShapeError
+from .errors import AccumulatorOverflowError, ConfigError, RangeError, ShapeError
 from .workloads import LayerKind, LayerSpec, NetworkSpec
 
 # Completed outputs are written back requantized to 8 bits.
@@ -245,26 +251,21 @@ def _effective_bitwidths(layer: LayerSpec, style: Style) -> tuple[int, int, str 
 
 
 def _mem_cycles(nbytes: int, acc: AcceleratorConfig, mem: MemorySpec) -> int:
-    if nbytes == 0:
-        return 0
-    return max(1, math.ceil(nbytes * acc.frequency_hz / mem.bandwidth_bytes_per_s))
+    return max(1, math.ceil(nbytes * acc.frequency_hz / mem.bandwidth_bytes_per_s)) if nbytes else 0
 
 
 def _ceil_bits_to_bytes(elements: int, bits: int) -> int:
     return -(-elements * bits // 8)
 
 
-@dataclass(frozen=True)
-class _Phase:
-    macs: int
-    compute_cycles: int
-    weight_bytes: int
-    stream_bytes: int
+# ``count`` identical weight generations of one pass; the other figures are per generation.
+_Generations = namedtuple("_Generations", "count macs compute_cycles weight_bytes stream_bytes")
 
 
-def _layer_phases(
+def _layer_generations(
     layer: LayerSpec, dims: GemmDims, acc: AcceleratorConfig, unit_macs: int, bw_x: int, bw_w: int
-) -> list[_Phase]:
+) -> list[_Generations]:
+    """The full generations of ``m_res`` output rows, then the remainder, if any."""
     # Every unit must hold at least one weight vector of the plan's width.
     if unit_macs * bw_w > acc.weight_scratchpad_bytes * 8:
         raise ConfigError(
@@ -272,8 +273,7 @@ def _layer_phases(
             f"at {bw_w} bit does not fit the {acc.weight_scratchpad_bytes}-byte scratchpad"
         )
 
-    spad_total_elems = acc.total_scratchpad_bytes * 8 // bw_w
-    m_res = spad_total_elems // dims.k
+    m_res = acc.total_scratchpad_bytes * 8 // bw_w // dims.k
     if m_res < 1:
         raise ConfigError(
             f"layer {layer.name or layer.kind.value}: one weight row (k={dims.k}, {bw_w} bit) "
@@ -282,45 +282,40 @@ def _layer_phases(
 
     peak = unit_macs * acc.unit_count
     input_bytes = _ceil_bits_to_bytes(dims.k * dims.n, bw_x)
-    phases = []
-    m_done = 0
-    while m_done < dims.m:
-        m_chunk = min(m_res, dims.m - m_done)
-        macs = m_chunk * dims.k * dims.n
-        phases.append(
-            _Phase(
-                macs=macs,
-                compute_cycles=math.ceil(macs / peak),
-                weight_bytes=_ceil_bits_to_bytes(m_chunk * dims.k, bw_w),
-                stream_bytes=input_bytes + _ceil_bits_to_bytes(m_chunk * dims.n, OUTPUT_BITS),
-            )
-        )
-        m_done += m_chunk
-    return phases
+
+    def generations(count: int, rows: int) -> _Generations:
+        macs = rows * dims.k * dims.n
+        weight_bytes = _ceil_bits_to_bytes(rows * dims.k, bw_w)
+        stream_bytes = input_bytes + _ceil_bits_to_bytes(rows * dims.n, OUTPUT_BITS)
+        return _Generations(count, macs, math.ceil(macs / peak), weight_bytes, stream_bytes)
+
+    full, rest = divmod(dims.m, m_res)
+    return [generations(count, rows) for count, rows in ((full, m_res), (1, rest)) if count * rows]
 
 
 def _simulate_pass(
-    phases: list[_Phase], acc: AcceleratorConfig, mem: MemorySpec, mac_pj: float, bw_x: int, bw_w: int
+    groups: list[_Generations], acc: AcceleratorConfig, mem: MemorySpec, mac_pj: float, bw_x: int, bw_w: int
 ) -> Totals:
     """One invocation of a layer (one timestep for recurrent layers)."""
-    # Double buffering: tile i+1 loads while tile i computes and streams.
-    # The first load and the last compute are exposed.
-    total = _mem_cycles(phases[0].weight_bytes, acc, mem)
-    for i, phase in enumerate(phases):
-        next_load = _mem_cycles(phases[i + 1].weight_bytes, acc, mem) if i + 1 < len(phases) else 0
-        stream = _mem_cycles(phase.stream_bytes, acc, mem)
-        total += max(phase.compute_cycles, stream, next_load)
+    # Double buffering: generation i+1 loads while generation i computes and streams;
+    # the first load and the last compute are exposed.  Inside a group the next load is
+    # the group's own; after its last generation it is the next group's, or none.
+    loads = [_mem_cycles(g.weight_bytes, acc, mem) for g in groups]
+    total = loads[0]
+    for g, load, next_load in zip(groups, loads, loads[1:] + [0]):
+        busy = max(g.compute_cycles, _mem_cycles(g.stream_bytes, acc, mem))
+        total += (g.count - 1) * max(busy, load) + max(busy, next_load)
 
-    macs = sum(p.macs for p in phases)
-    weight_fill_bytes = sum(p.weight_bytes for p in phases)
-    stream_bytes = sum(p.stream_bytes for p in phases)
+    macs = sum(g.count * g.macs for g in groups)
+    weight_fill_bytes = sum(g.count * g.weight_bytes for g in groups)
+    stream_bytes = sum(g.count * g.stream_bytes for g in groups)
     offchip_bytes = weight_fill_bytes + stream_bytes
     operand_bytes = _ceil_bits_to_bytes(macs, bw_x) + _ceil_bits_to_bytes(macs, bw_w)
     sram_bytes = weight_fill_bytes + stream_bytes + operand_bytes
 
     return Totals(
         macs=macs,
-        compute_cycles=sum(p.compute_cycles for p in phases),
+        compute_cycles=sum(g.count * g.compute_cycles for g in groups),
         memory_cycles=_mem_cycles(offchip_bytes, acc, mem),
         total_cycles=total,
         offchip_bytes=offchip_bytes,
@@ -341,36 +336,47 @@ def _check_staging(layer: LayerSpec, acc: AcceleratorConfig, peak: int, bw_x: in
             f"buffer holds {acc.input_buffer_bytes}"
         )
     if output_need > acc.output_buffer_bytes:
-        raise ConfigError(
-            f"output staging needs {output_need} bytes, buffer holds {acc.output_buffer_bytes}"
-        )
+        raise ConfigError(f"output staging needs {output_need} bytes, buffer holds {acc.output_buffer_bytes}")
 
 
-def simulate_layer(layer: LayerSpec, acc: AcceleratorConfig, mem: MemorySpec, params: CostParams) -> LayerReport:
+def _price(acc: AcceleratorConfig, params: CostParams, bw_x: int, bw_w: int, memo: dict) -> tuple[int, float]:
+    """One unit's MACs per cycle and pJ per MAC at a bitwidth pair, kept in ``memo``."""
+    key = (bw_x, bw_w)
+    if key not in memo:
+        # mW -> pJ per cycle: P[mW] * 1e9 / f[Hz]
+        conventional_pj = params.conventional_mac_mw * 1e9 / acc.frequency_hz
+        if acc.style is Style.CONVENTIONAL:
+            memo[key] = 1, conventional_pj
+        else:
+            unit_macs = plan_composition(bw_x, bw_w, acc.cvu).effective_length
+            if "array" not in memo:
+                memo["array"] = acc.cvu.lanes * per_mac_normalized(acc.cvu, params)[0] * conventional_pj
+            memo[key] = unit_macs, memo["array"] / unit_macs
+    return memo[key]
+
+
+def simulate_layer(
+    layer: LayerSpec, acc: AcceleratorConfig, mem: MemorySpec, params: CostParams, *, _prices: dict | None = None
+) -> LayerReport:
     """Simulate one layer, aggregating recurrent timesteps.
 
     When a gemv layer's full weight set fits in the combined scratchpads,
     repeats after the first reuse the pinned weights and pay only for input
-    and output streaming.
+    and output streaming.  ``_prices`` is the price memo that
+    :func:`simulate_network` shares across the layers of one call.
     """
     bw_x, bw_w, note = _effective_bitwidths(layer, acc.style)
     if note:
         warnings.warn(note, UserWarning, stacklevel=2)
-    # mW -> pJ per cycle: P[mW] * 1e9 / f[Hz]
-    conventional_pj = params.conventional_mac_mw * 1e9 / acc.frequency_hz
-    if acc.style is Style.CONVENTIONAL:
-        unit_macs, mac_pj = 1, conventional_pj
-    else:
-        unit_macs = plan_composition(bw_x, bw_w, acc.cvu).effective_length
-        mac_pj = acc.cvu.lanes * per_mac_normalized(acc.cvu, params)[0] * conventional_pj / unit_macs
+    unit_macs, mac_pj = _price(acc, params, bw_x, bw_w, {} if _prices is None else _prices)
     peak = unit_macs * acc.unit_count
     _check_staging(layer, acc, peak, bw_x)
     dims = lower_layer(layer)
-    phases = _layer_phases(layer, dims, acc, unit_macs, bw_x, bw_w)
+    groups = _layer_generations(layer, dims, acc, unit_macs, bw_x, bw_w)
 
-    first = steady = _simulate_pass(phases, acc, mem, mac_pj, bw_x, bw_w)
+    first = steady = _simulate_pass(groups, acc, mem, mac_pj, bw_x, bw_w)
     if layer.repeat > 1 and _ceil_bits_to_bytes(dims.m * dims.k, bw_w) <= acc.total_scratchpad_bytes:
-        resident = [replace(p, weight_bytes=0) for p in phases]
+        resident = [g._replace(weight_bytes=0) for g in groups]
         steady = _simulate_pass(resident, acc, mem, mac_pj, bw_x, bw_w)
 
     totals = Totals.of([first] + [steady] * (layer.repeat - 1))
@@ -390,10 +396,10 @@ def simulate_layer(layer: LayerSpec, acc: AcceleratorConfig, mem: MemorySpec, pa
 
 def simulate_network(net: NetworkSpec, acc: AcceleratorConfig, mem: MemorySpec, params: CostParams) -> SimReport:
     """Simulate every layer in order; deterministic for identical inputs."""
-    reports = []
+    reports, prices = [], {}
     for i, layer in enumerate(net.layers):
         try:
-            reports.append(simulate_layer(layer, acc, mem, params))
+            reports.append(simulate_layer(layer, acc, mem, params, _prices=prices))
         except ConfigError as exc:
             raise ConfigError(f"layers[{i}]: {exc}") from exc
     return SimReport(
@@ -427,13 +433,7 @@ def compare(
         results.append((report.runtime_s(acc.frequency_hz), report.energy_total_pj))
     base_runtime, base_energy = results[0]
     return [
-        ComparisonEntry(
-            runtime_s=runtime,
-            energy_pj=energy,
-            speedup=base_runtime / runtime,
-            energy_reduction=base_energy / energy,
-        )
-        for runtime, energy in results
+        ComparisonEntry(runtime, energy, base_runtime / runtime, base_energy / energy) for runtime, energy in results
     ]
 
 
@@ -446,24 +446,24 @@ def _check_accumulator(value: int) -> int:
 def functional_dot(x: QuantizedVector, w: QuantizedVector, acc: AcceleratorConfig) -> int:
     """Compute one dot product exactly as the configured style would.
 
-    Conventional units use the plain widening MAC path, checked against the
-    64-bit column register range after every MAC.  Composable styles compute
-    it as a 1 x 1 :func:`functional_gemm`.
+    Conventional units take the plain widening MAC path as one sum.  Each
+    product is at most ``2**(bw_x + bw_w)`` in magnitude, so a partial sum of k
+    products is at most ``k * 2**(bw_x + bw_w)``.  Below 2**63 no partial sum
+    can leave the 64-bit column register and checking the output checks every
+    MAC; a longer dot product raises :class:`RangeError` up front.  Composable
+    styles compute it as a 1 x 1 :func:`functional_gemm`.
     """
     if len(x) != len(w):
         raise ShapeError(f"vector length mismatch: {len(x)} vs {len(w)}")
     if acc.style is Style.CONVENTIONAL:
-        total = 0
-        for xi, wi in zip(x.values, w.values):
-            total = _check_accumulator(total + xi * wi)
-        return total
+        if len(x) << (x.bitwidth + w.bitwidth) >= 1 << 63:
+            raise RangeError(f"{len(x)} MACs at {x.bitwidth}x{w.bitwidth} bits could overflow the 64-bit accumulator")
+        return _check_accumulator(sum(map(operator.mul, x.values, w.values)))
     return functional_gemm([w], [x], acc)[0][0]
 
 
 def functional_gemm(
-    weights: list[QuantizedVector],
-    inputs: list[QuantizedVector],
-    acc: AcceleratorConfig,
+    weights: list[QuantizedVector], inputs: list[QuantizedVector], acc: AcceleratorConfig
 ) -> list[list[int]]:
     """m x n output matrix computed through the style's functional path.
 

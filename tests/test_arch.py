@@ -2,11 +2,14 @@
 
 import math
 import random
+import warnings
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cvusim.arch as arch
 from cvusim.arch import (
@@ -15,6 +18,7 @@ from cvusim.arch import (
     AcceleratorConfig,
     MemorySpec,
     Style,
+    Totals,
     build_array,
     compare,
     functional_dot,
@@ -24,9 +28,9 @@ from cvusim.arch import (
     simulate_network,
 )
 from cvusim.bitslice import QuantizedVector, dot_exact, value_bounds
-from cvusim.cost import default_params
-from cvusim.cvu import CvuConfig
-from cvusim.errors import AccumulatorOverflowError, ConfigError, ShapeError
+from cvusim.cost import default_params, per_mac_normalized
+from cvusim.cvu import CvuConfig, plan_composition
+from cvusim.errors import AccumulatorOverflowError, ConfigError, RangeError, ShapeError
 from cvusim.workloads import LayerKind, LayerSpec, NetworkSpec, load_bundled, to_homogeneous
 
 PARAMS = default_params()
@@ -171,7 +175,106 @@ class TestRepeats:
         assert calls == {"plan_composition": 1, "per_mac_normalized": 1, "lower_layer": 1}
 
 
+def reference_layer_totals(layer, acc, mem, params):
+    """The per-generation loop that ``simulate_layer`` summed before its closed form.
+
+    Returns None where ``simulate_layer`` must raise ``ConfigError``.
+    """
+    bw_x, bw_w = (8, 8) if acc.style is Style.CONVENTIONAL else (layer.bw_x, layer.bw_w)
+    conventional_pj = params.conventional_mac_mw * 1e9 / acc.frequency_hz
+    if acc.style is Style.CONVENTIONAL:
+        unit_macs, mac_pj = 1, conventional_pj
+    else:
+        unit_macs = plan_composition(bw_x, bw_w, acc.cvu).effective_length
+        mac_pj = acc.cvu.lanes * per_mac_normalized(acc.cvu, params)[0] * conventional_pj / unit_macs
+    dims = lower_layer(layer)
+    m_res = acc.total_scratchpad_bytes * 8 // bw_w // dims.k
+    if unit_macs * bw_w > acc.weight_scratchpad_bytes * 8 or m_res < 1:
+        return None
+
+    def mem_cycles(nbytes):
+        return max(1, math.ceil(nbytes * acc.frequency_hz / mem.bandwidth_bytes_per_s)) if nbytes else 0
+
+    def to_bytes(elements, bits):
+        return -(-elements * bits // 8)
+
+    peak = unit_macs * acc.unit_count
+    phases = []  # (macs, compute cycles, weight bytes, stream bytes) of each generation
+    for m_done in range(0, dims.m, m_res):
+        rows = min(m_res, dims.m - m_done)
+        macs = rows * dims.k * dims.n
+        stream = to_bytes(dims.k * dims.n, bw_x) + to_bytes(rows * dims.n, 8)
+        phases.append((macs, math.ceil(macs / peak), to_bytes(rows * dims.k, bw_w), stream))
+
+    def one_pass(phases):
+        total = mem_cycles(phases[0][2])
+        for i, (_, compute, _, stream) in enumerate(phases):
+            next_load = mem_cycles(phases[i + 1][2]) if i + 1 < len(phases) else 0
+            total += max(compute, mem_cycles(stream), next_load)
+        macs, compute, weight_bytes, stream_bytes = (sum(column) for column in zip(*phases))
+        offchip = weight_bytes + stream_bytes
+        sram = weight_bytes + stream_bytes + to_bytes(macs, bw_x) + to_bytes(macs, bw_w)
+        return Totals(
+            macs, compute, mem_cycles(offchip), total, offchip,
+            macs * mac_pj, sram * acc.sram_energy_pj_per_byte, offchip * 8 * mem.access_energy_pj_per_bit,
+        )
+
+    first = steady = one_pass(phases)
+    if layer.repeat > 1 and to_bytes(dims.m * dims.k, bw_w) <= acc.total_scratchpad_bytes:
+        steady = one_pass([(macs, compute, 0, stream) for macs, compute, _, stream in phases])
+    return Totals.of([first] + [steady] * (layer.repeat - 1))
+
+
+class TestClosedForm:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        style=st.sampled_from(list(Style)),
+        m=st.integers(1, 3000),
+        k=st.integers(1, 3000),
+        n=st.integers(1, 64),
+        bw_x=st.integers(1, 8),
+        bw_w=st.integers(1, 8),
+        total_sram_bytes=st.integers(1 << 10, 1 << 22),
+        mem=st.sampled_from([DDR4, HBM2])
+        | st.builds(MemorySpec, st.just("drawn"), st.floats(1e8, 1e12), st.floats(0.0, 20.0)),
+        repeat=st.integers(1, 6),
+    )
+    def test_matches_per_generation_loop(self, style, m, k, n, bw_x, bw_w, total_sram_bytes, mem, repeat):
+        # every Totals field, floats included, exactly as the per-generation loop sums it
+        acc = build_array(style, PARAMS, total_sram_bytes=total_sram_bytes)
+        layer = LayerSpec(kind=LayerKind.GEMV, m=m, k=k, n=n, bw_x=bw_x, bw_w=bw_w, repeat=repeat)
+        expected = reference_layer_totals(layer, acc, mem, PARAMS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # conventional-style clamp notes
+            if expected is None:
+                with pytest.raises(ConfigError):
+                    simulate_layer(layer, acc, mem, PARAMS)
+                return
+            report = simulate_layer(layer, acc, mem, PARAMS)
+        for f in fields(Totals):
+            assert getattr(report, f.name) == getattr(expected, f.name), f.name
+
+
 class TestSimulateNetwork:
+    @pytest.mark.parametrize("style", list(Style))
+    def test_array_priced_once_and_each_pair_planned_once(self, style, monkeypatch):
+        acc = build_array(style, PARAMS)
+        # a chain of five fc layers at two distinct bitwidth pairs
+        widths, pairs = (64, 128, 96, 64, 32, 16), ((8, 8), (4, 2), (8, 8), (4, 2), (8, 8))
+        layers = tuple(fc(m, k, *pair) for k, m, pair in zip(widths, widths[1:], pairs))
+        net = NetworkSpec(name="mixed", layers=layers)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # conventional-style clamp notes
+            by_layer = tuple(simulate_layer(layer, acc, DDR4, PARAMS) for layer in net.layers)
+            calls = Counter()
+            for name in ("plan_composition", "per_mac_normalized"):
+                real = getattr(arch, name)
+                monkeypatch.setattr(arch, name, lambda *args, name=name, real=real: calls.update([name]) or real(*args))
+            report = simulate_network(net, acc, DDR4, PARAMS)
+        assert report.layers == by_layer
+        expected = {} if style is Style.CONVENTIONAL else {"per_mac_normalized": 1, "plan_composition": 2}
+        assert calls == expected
+
     def test_single_layer_matches_simulate_layer(self):
         layer = fc(256, 256)
         net = NetworkSpec(name="one", layers=(layer,))
@@ -403,6 +506,29 @@ class TestFunctionalEquivalence:
         col = QuantizedVector((1, 2), 4)
         assert functional_gemm([], [col], acc) == []
         assert functional_gemm([col, col], [], acc) == [[], []]
+
+    def test_accumulator_range_is_int64(self):
+        lo, hi = -(1 << 63), (1 << 63) - 1
+        assert arch._check_accumulator(lo) == lo and arch._check_accumulator(hi) == hi
+        for value in (hi + 1, lo - 1):  # 2**63 and -2**63 - 1
+            with pytest.raises(AccumulatorOverflowError):
+                arch._check_accumulator(value)
+
+    def test_conventional_dot_bound_checked_up_front(self):
+        # a stand-in vector long enough that k * 2**(bw_x + bw_w) reaches 2**63
+        class Long:
+            bitwidth, values = 8, ()
+
+            def __init__(self, length):
+                self.length = length
+
+            def __len__(self):
+                return self.length
+
+        acc = build_array(Style.CONVENTIONAL, PARAMS)
+        assert functional_dot(Long((1 << 47) - 1), Long((1 << 47) - 1), acc) == 0
+        with pytest.raises(RangeError):
+            functional_dot(Long(1 << 47), Long(1 << 47), acc)
 
     def test_within_64bit_bounds_no_overflow(self):
         n = 1 << 16

@@ -126,6 +126,21 @@ def test_simulate_reports():
     _check("simulate.txt")
 
 
+def test_narrower_bitwidths_never_cost_more():
+    # every layer at its file bitwidths against the same layer at 8x8, same
+    # network, style and memory: never more cycles, energy or off-chip bytes
+    with (GOLDEN / "model.csv").open(newline="") as f:
+        rows = list(csv.DictReader(f))
+    by_mode = {mode: [row for row in rows if row["bitwidths"] == mode] for mode in MODES}
+    pairs = list(zip(by_mode["file"], by_mode["homogeneous"]))
+    assert len(pairs) == 336 and len(rows) == 2 * len(pairs)
+    key = ("network", "style", "memory", "name", "m", "k", "n", "repeats")
+    for narrow, wide in pairs:
+        assert [narrow[f] for f in key] == [wide[f] for f in key]
+        for field, number in (("total_cycles", int), ("energy_total_pj", float), ("offchip_bytes", int)):
+            assert number(narrow[field]) <= number(wide[field]), (field, narrow)
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, produce in FILES.items():
