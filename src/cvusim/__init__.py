@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .bitslice import (
-    BitSlicedVector,
     QuantizedVector,
     SliceConfig,
     dot_exact,

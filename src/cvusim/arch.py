@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass, fields
@@ -366,8 +367,11 @@ def simulate_layer(
     :func:`simulate_network` shares across the layers of one call.
     """
     bw_x, bw_w, note = _effective_bitwidths(layer, acc.style)
-    if note:
-        warnings.warn(note, UserWarning, stacklevel=2)
+    if note:  # warn at the caller's line: the first frame outside this module, also under simulate_network
+        frame, level = sys._getframe(1), 2
+        while frame.f_globals.get("__name__") == __name__ and frame.f_back is not None:
+            frame, level = frame.f_back, level + 1
+        warnings.warn(note, UserWarning, stacklevel=level)
     unit_macs, mac_pj = _price(acc, params, bw_x, bw_w, {} if _prices is None else _prices)
     peak = unit_macs * acc.unit_count
     _check_staging(layer, acc, peak, bw_x)
@@ -470,7 +474,7 @@ def functional_gemm(
     Conventional units run :func:`functional_dot` per output.  Composable styles plan the
     CVU at the widest operand widths and dispatch every output's whole dot product at once
     over ``cycles`` cycles, the same count as a cycle-major schedule: the whole m x n tile
-    is one batched :func:`execute_cycle` call.  Each output's cluster scalars are summed
+    is one :func:`execute_cycle` call.  Each output's cluster scalars are summed
     and checked against the 64-bit column register range.
     """
     if acc.style is Style.CONVENTIONAL:
@@ -479,7 +483,7 @@ def functional_gemm(
         return [[] for _ in weights]
     plan = plan_composition(max(v.bitwidth for v in inputs), max(v.bitwidth for v in weights), acc.cvu)
     cycles = max(1, -(-len(inputs[0]) // plan.effective_length))
-    scalars = execute_cycle(inputs, weights, plan, cycles, batch=True).scalars
+    scalars = execute_cycle(inputs, weights, plan, cycles).scalars
     c, n = plan.clusters, len(inputs)
     sums = [_check_accumulator(sum(scalars[i : i + c])) for i in range(0, len(scalars), c)]
     return [sums[j : j + n] for j in range(0, len(sums), n)]

@@ -7,12 +7,12 @@ planes, and recombining the plane results with shift-adds:
     sum_i x_i*w_i  ==  sum_{j,k} 2**(alpha*j + beta*k) * sum_i xs[j][i]*ws[k][i]
 
 where ``xs[j]`` is the j-th slice plane of x (``alpha`` bits per slice) and
-``ws[k]`` the k-th plane of w (``beta`` bits).  This module slices operands
-into int64 plane arrays and takes the engines' plane dot products
-(:func:`nbve_dot`); the composed path, which applies the identity through a
-composition plan's shift-add tree, is :func:`cvusim.cvu.execute_cycle`.
-:func:`dot_exact` is the independent full-precision path, in Python
-integers, that every composed result must reproduce bit for bit.
+``ws[k]`` the k-th plane of w (``beta`` bits).  :func:`slice_vector` turns
+an operand into its int64 plane array, of shape (planes, length), and
+:func:`nbve_dot` takes the engines' plane dot products; the shift-add over
+those products is :func:`cvusim.cvu.execute_cycle`.  :func:`dot_exact` is
+the independent full-precision path, in Python integers, that every composed
+result must reproduce bit for bit.
 
 Planes are int64 and no plane dot product can wrap.  A slice is at most 4
 bits wide, so every plane value is at most 2**4 in magnitude and every lane
@@ -118,20 +118,6 @@ class QuantizedVector:
         return len(self.values)
 
 
-@dataclass(frozen=True, eq=False)
-class BitSlicedVector:
-    """Per-plane decomposition of a :class:`QuantizedVector`.
-
-    ``planes`` is an int64 array of shape (planes, length): ``planes[j, i]``
-    is slice j (LSB-first) of element i.  When ``signed_msb`` is set, the
-    last plane holds signed slice values; every other plane is unsigned.
-    """
-
-    planes: np.ndarray
-    slice_width: int
-    signed_msb: bool
-
-
 def slice_value(value: int, bitwidth: int, slice_width: int, signed: bool) -> list[int]:
     """Slice one integer into LSB-first slice values.
 
@@ -176,9 +162,11 @@ def _plane_tables(bitwidth: int, padded: int, slice_width: int, signed: bool) ->
     return array
 
 
-def slice_vector(vec: QuantizedVector, slice_width: int, *, bitwidth: int | None = None) -> BitSlicedVector:
-    """Slice every element of a vector into an int64 plane array.
+def slice_vector(vec: QuantizedVector, slice_width: int, *, bitwidth: int | None = None) -> np.ndarray:
+    """Slice every element of a vector: an int64 array of shape (planes, length).
 
+    Entry [j, i] is slice j (LSB-first) of element i; the last plane of a
+    signed vector holds signed slice values, every other plane is unsigned.
     ``bitwidth`` optionally widens the declared bitwidth before slicing
     (used when a composition plan pads operands); it must not be narrower
     than the vector's own width.
@@ -194,7 +182,7 @@ def slice_vector(vec: QuantizedVector, slice_width: int, *, bitwidth: int | None
     tables = _plane_tables(vec.bitwidth, padded_bitwidth(bw, slice_width), slice_width, vec.signed)
     # Packing the validated integers is about twice as fast as np.fromiter.
     values = np.frombuffer(struct.pack(f"{len(vec)}q", *vec.values), np.int64)
-    return BitSlicedVector(planes=tables.take(values, axis=1), slice_width=slice_width, signed_msb=vec.signed)
+    return tables.take(values, axis=1)
 
 
 def nbve_dot(x_planes: np.ndarray, w_planes: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple
 from pathlib import Path
 
 from . import __version__
@@ -43,6 +43,12 @@ _STYLES = {
     "vector": Style.VECTOR,
 }
 _MEMORIES = {"ddr4": DDR4, "hbm2": HBM2}
+# `simulate` columns: LayerReport attributes; the TOTAL row reads the SimReport's or "-"
+_LAYER_COLUMNS = (
+    "name", "kind", "m", "k", "n", "repeats", "bw_x", "bw_w", "macs",
+    "compute_cycles", "memory_cycles", "total_cycles", "bound", "utilization",
+    "energy_compute_pj", "energy_sram_pj", "energy_offchip_pj", "offchip_bytes",
+)
 
 
 class _UsageError(Exception):
@@ -52,29 +58,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); usage errors are exit 1
         raise _UsageError(message)
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    parameters: dict
-    input_digests: dict
-    version: str = __version__
-    seed: int = 0  # reserved; all commands are deterministic
-
-    def canonical_json(self) -> str:
-        doc = {
-            "command": self.command,
-            "parameters": self.parameters,
-            "input_digests": self.input_digests,
-            "version": self.version,
-            "seed": self.seed,
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-    @property
-    def digest(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
 
 
 def _digest_file(path: Path) -> str:
@@ -87,20 +70,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(manifest: RunManifest, header: list[str], rows: list[list], out: str | None) -> None:
-    lines = [
-        f"# cvusim {manifest.command} report",
-        f"# manifest: {manifest.canonical_json()}",
-        f"# manifest-digest: {manifest.digest}",
-        ",".join(header),
-    ]
+def _emit(command: str, parameters: dict, input_digests: dict, header: list[str], rows: list[list], out: str | None) -> None:
+    """Write the report: the run manifest, its digest, then the CSV."""
+    manifest = json.dumps(
+        {"command": command, "parameters": parameters, "input_digests": input_digests, "version": __version__, "seed": 0},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    digest = hashlib.sha256(manifest.encode()).hexdigest()[:16]
+    lines = [f"# cvusim {command} report", f"# manifest: {manifest}", f"# manifest-digest: {digest}", ",".join(header)]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
     text = "\n".join(lines) + "\n"
     if out:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
-    print(f"manifest-digest: {manifest.digest}", file=sys.stderr)
+    print(f"manifest-digest: {digest}", file=sys.stderr)
 
 
 def _load_cost_params(args) -> tuple:
@@ -144,27 +129,14 @@ def _int_list(text: str) -> list[int]:
 def cmd_dse(args) -> int:
     params, digests = _load_cost_params(args)
     points = dse_sweep(args.slices, args.lanes, params)
-    manifest = RunManifest(
-        command="dse",
-        parameters={"slices": sorted(set(args.slices)), "lanes": sorted(set(args.lanes))},
-        input_digests=digests,
-    )
     header = [
         "slice_width", "L", "power_norm", "area_norm",
         "mult_power", "add_power", "shift_power", "register_power",
         "mult_area", "add_area", "shift_area", "register_area",
     ]
-    rows = [
-        [
-            p.slice_width, p.lanes, p.power_per_mac_norm, p.area_per_mac_norm,
-            p.breakdown.multiply_energy, p.breakdown.add_energy,
-            p.breakdown.shift_energy, p.breakdown.register_energy,
-            p.breakdown.multiply_area, p.breakdown.add_area,
-            p.breakdown.shift_area, p.breakdown.register_area,
-        ]
-        for p in points
-    ]
-    _emit(manifest, header, rows, args.out)
+    rows = [[p.slice_width, p.lanes, p.power_per_mac_norm, p.area_per_mac_norm, *astuple(p.breakdown)] for p in points]
+    parameters = {"slices": sorted(set(args.slices)), "lanes": sorted(set(args.lanes))}
+    _emit("dse", parameters, digests, header, rows, args.out)
     return EXIT_OK
 
 
@@ -178,42 +150,20 @@ def cmd_simulate(args) -> int:
     acc = build_array(_STYLES[args.style], params, budget_mw=args.budget, total_sram_bytes=args.sram_bytes)
     report = simulate_network(net, acc, mem, params)
 
-    manifest = RunManifest(
-        command="simulate",
-        parameters={
-            "network": net.name,
-            "bitwidths": args.bitwidths,
-            "style": args.style,
-            "memory": mem.name,
-            "bandwidth_gbps": mem.bandwidth_bytes_per_s / 1e9,
-            "pj_per_bit": mem.access_energy_pj_per_bit,
-            "budget_mw": args.budget,
-            "sram_bytes": args.sram_bytes,
-            "array": f"{acc.rows}x{acc.cols}",
-        },
-        input_digests=digests,
-    )
-    header = [
-        "layer", "kind", "m", "k", "n", "repeats", "bw_x", "bw_w", "macs",
-        "compute_cycles", "memory_cycles", "total_cycles", "bound", "utilization",
-        "energy_compute_pj", "energy_sram_pj", "energy_offchip_pj", "offchip_bytes",
-    ]
-    rows = [
-        [
-            l.name, l.kind, l.m, l.k, l.n, l.repeats, l.bw_x, l.bw_w, l.macs,
-            l.compute_cycles, l.memory_cycles, l.total_cycles, l.bound, l.utilization,
-            l.energy_compute_pj, l.energy_sram_pj, l.energy_offchip_pj, l.offchip_bytes,
-        ]
-        for l in report.layers
-    ]
-    rows.append(
-        [
-            "TOTAL", "-", "-", "-", "-", "-", "-", "-", report.macs,
-            report.compute_cycles, report.memory_cycles, report.total_cycles, report.bound, "-",
-            report.energy_compute_pj, report.energy_sram_pj, report.energy_offchip_pj, report.offchip_bytes,
-        ]
-    )
-    _emit(manifest, header, rows, args.out)
+    parameters = {
+        "network": net.name,
+        "bitwidths": args.bitwidths,
+        "style": args.style,
+        "memory": mem.name,
+        "bandwidth_gbps": mem.bandwidth_bytes_per_s / 1e9,
+        "pj_per_bit": mem.access_energy_pj_per_bit,
+        "budget_mw": args.budget,
+        "sram_bytes": args.sram_bytes,
+        "array": f"{acc.rows}x{acc.cols}",
+    }
+    rows = [[getattr(layer, c) for c in _LAYER_COLUMNS] for layer in report.layers]
+    rows.append(["TOTAL", *(getattr(report, c, "-") for c in _LAYER_COLUMNS[1:])])
+    _emit("simulate", parameters, digests, ["layer", *_LAYER_COLUMNS[1:]], rows, args.out)
 
     bound_counts = {"compute": 0, "memory": 0}
     for l in report.layers:
@@ -261,18 +211,13 @@ def cmd_compare(args) -> int:
         for style, mem in groups
     ]
 
-    manifest = RunManifest(
-        command="compare",
-        parameters={
-            "networks": [n.name for n in nets],
-            "bitwidths": args.bitwidths,
-            "configs": list(args.config),
-            "budget_mw": args.budget,
-            "sram_bytes": args.sram_bytes,
-        },
-        input_digests=digests,
-    )
-
+    parameters = {
+        "networks": [n.name for n in nets],
+        "bitwidths": args.bitwidths,
+        "configs": list(args.config),
+        "budget_mw": args.budget,
+        "sram_bytes": args.sram_bytes,
+    }
     header = ["network", "config", "runtime_s", "energy_pj", "speedup", "energy_reduction"]
     rows = []
     ratio_log = [[0.0, 0.0] for _ in args.config]  # by position: a repeated --config keeps its own row
@@ -286,7 +231,7 @@ def cmd_compare(args) -> int:
         s = math.exp(speedup_log / len(nets))
         e = math.exp(energy_log / len(nets))
         rows.append(["geomean", raw_label, "-", "-", s, e])
-    _emit(manifest, header, rows, args.out)
+    _emit("compare", parameters, digests, header, rows, args.out)
     return EXIT_OK
 
 

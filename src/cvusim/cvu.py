@@ -7,12 +7,10 @@ the engines are clustered at runtime: every cluster covers the full plane
 grid of one dot product, and independent clusters run disjoint dot products
 in parallel, so all engines stay busy at every bitwidth.
 
-One :func:`execute_cycle` call may span several cycles.  The slice-plane
-identity holds however elements are split across cycles, so each engine takes
-one dot product over its cluster's whole tile.  A call may also carry a batch
-of dispatches that share operands, such as a whole GEMM tile; each operand
-is then sliced once, and one int64 kernel computes every dispatch.  Planning
-imports nothing beyond the standard library; execution imports numpy.
+:func:`execute_cycle` runs every (w, x) pair of a set of operands of one
+length: each pair's element stream is spread over the clusters, ``cycles *
+lanes`` elements each, and every cluster emits its share of the dot product.
+Planning imports nothing beyond the standard library; execution imports numpy.
 """
 
 from __future__ import annotations
@@ -65,7 +63,7 @@ class CompositionPlan:
 
 @dataclass(frozen=True)
 class CvuOutput:
-    """Per-cluster scalars of one dispatch, or of every dispatch of a batch, plus the lane utilization."""
+    """Cluster scalars of every (w, x) pair of one call, plus the lane utilization."""
 
     scalars: tuple[int, ...]
     utilization: float
@@ -110,23 +108,21 @@ def plan_composition(bw_x: int, bw_w: int, cfg: CvuConfig) -> CompositionPlan:
     )
 
 
-# A batch runs its w operands in blocks of rows with rows * (clusters * lanes + n)
-# near this many elements, which bounds one block's w planes and engine products.
+# The w operands run in blocks of rows with rows * (clusters * lanes + n) near
+# this many elements, which bounds one block's w planes and engine products.
 _BLOCK_ELEMENTS = 1 << 16
 
 
 def _planes(operands, slice_width: int, bitwidth: int, clusters: int, lanes: int):
-    """Int64 planes [cluster, operand * plane, lane] on ``clusters * lanes`` zeroed positions.
+    """Int64 planes [cluster, operand * plane, lane] of operands zero-padded to ``clusters * lanes`` elements.
 
-    Each operand is a list of (first position, vector) tiles; each vector is
-    sliced once, at the plan's padded ``bitwidth``."""
+    Each operand is sliced once, at the plan's padded ``bitwidth``."""
     import numpy as np
 
     planes = bitwidth // slice_width
     out = np.zeros((len(operands), planes, clusters * lanes), np.int64)
-    for i, tiles in enumerate(operands):
-        for lo, vec in tiles:
-            out[i, :, lo : lo + len(vec)] = slice_vector(vec, slice_width, bitwidth=bitwidth).planes
+    for i, vec in enumerate(operands):
+        out[i, :, : len(vec)] = slice_vector(vec, slice_width, bitwidth=bitwidth)
     # [operand, plane, cluster, lane] -> [cluster, operand * plane, lane], as views
     return out.reshape(len(operands), planes, clusters, lanes).transpose(2, 0, 1, 3).reshape(
         clusters, len(operands) * planes, lanes
@@ -134,27 +130,21 @@ def _planes(operands, slice_width: int, bitwidth: int, clusters: int, lanes: int
 
 
 def execute_cycle(
-    x_tiles: Sequence[QuantizedVector],
-    w_tiles: Sequence[QuantizedVector],
-    plan: CompositionPlan,
-    cycles: int = 1,
-    *,
-    batch: bool = False,
+    x_ops: Sequence[QuantizedVector], w_ops: Sequence[QuantizedVector], plan: CompositionPlan, cycles: int = 1
 ) -> CvuOutput:
-    """Functionally execute one CVU dispatch of ``cycles`` cycles, or a batch of them.
+    """Functionally execute every (w, x) pair of n x and m w operands over ``cycles`` cycles.
 
-    One dispatch gives each cluster one (x, w) tile pair of length <= ``cycles * lanes``;
-    ``scalars`` holds the clusters' scalars in order.  With ``batch`` set, ``x_tiles`` and
-    ``w_tiles`` hold n and m whole operands of one length k <= ``clusters * cycles * lanes``,
-    and every (w, x) pair is one dispatch whose stream is reshaped to [clusters, cycles,
-    lanes]; ``scalars`` then holds m * n * clusters values, w-major, then x, then cluster.
+    The operands share one length k <= ``clusters * cycles * lanes``.  Each pair's stream
+    is reshaped to [clusters, cycles, lanes], zero-padded, so cluster c reduces elements
+    ``[c * cycles * lanes, (c + 1) * cycles * lanes)``.  ``scalars`` holds m * n * clusters
+    values, in the order w, then x, then cluster; a pair's dot product is the sum of its
+    cluster scalars.  Utilization is the share of one pair's ``cycles * effective_length``
+    lane slots that held an element.
 
     Every scalar comes from the engines' plane dot products (:func:`nbve_dot`) and the
-    plan's shift-add tree, never from the full-precision oracle.  Each operand or tile is
-    sliced once; clusters and zero padding are reshapes and padding of its planes.  The w
-    operands run in blocks, so a call holds the x planes and one block's w planes and
-    engine products, never an array of m * n * k elements.  Utilization is the share of
-    one dispatch's ``cycles * effective_length`` lane slots that held an element.
+    plan's shift-add tree, never from the full-precision oracle.  Each operand is sliced
+    once.  The w operands run in blocks, so a call holds the x planes and one block's w
+    planes and engine products, never an array of m * n * k elements.
 
     The kernel is int64, and no partial sum can wrap.  Summed by magnitude, the planes of
     an element padded to e bits weigh at most 2**e, so every engine product and every
@@ -165,34 +155,18 @@ def execute_cycle(
     """
     if cycles < 1:
         raise ShapeError(f"cycles must be >= 1, got {cycles}")
-    capacity = cycles * plan.lanes
-    if batch:
-        lengths = {len(v) for v in (*x_tiles, *w_tiles)}
-        if len(lengths) > 1:
-            raise ShapeError(f"batch operands differ in length: {sorted(lengths)}")
-        k = max(lengths, default=0)
-        if k > plan.clusters * capacity:
-            raise ShapeError(f"operand length {k} exceeds {plan.clusters} clusters x {cycles} x {plan.lanes} lanes")
-        lanes, useful = min(k, capacity), k
-        x_ops, w_ops = [[(0, v)] for v in x_tiles], [[(0, v)] for v in w_tiles]
-    else:
-        if len(x_tiles) != plan.clusters or len(w_tiles) != plan.clusters:
-            raise ShapeError(
-                f"expected {plan.clusters} tile pairs, got {len(x_tiles)} x / {len(w_tiles)} w"
-            )
-        for c, (xt, wt) in enumerate(zip(x_tiles, w_tiles)):
-            if len(xt) != len(wt):
-                raise ShapeError(f"cluster {c}: tile length mismatch {len(xt)} vs {len(wt)}")
-            if len(xt) > capacity:
-                raise ShapeError(f"cluster {c}: tile length {len(xt)} exceeds {cycles} x {plan.lanes} lanes")
-        lanes, useful = max(map(len, x_tiles)), sum(map(len, x_tiles))
-        x_ops = [[(c * lanes, t) for c, t in enumerate(x_tiles)]]
-        w_ops = [[(c * lanes, t) for c, t in enumerate(w_tiles)]]
-    for side, tiles, width in (("x", x_tiles, plan.bw_x), ("w", w_tiles, plan.bw_w)):
-        if any(t.bitwidth > width for t in tiles):
-            raise RangeError(f"{side} tile bitwidths exceed the plan's padded width {width}")
-    if max(lanes, 1) << (plan.bw_x + plan.bw_w) >= 1 << 63:
-        raise RangeError(f"{lanes}-lane tiles at {plan.bw_x}x{plan.bw_w} padded bits could overflow int64")
+    lengths = {len(v) for v in (*x_ops, *w_ops)}
+    if len(lengths) > 1:
+        raise ShapeError(f"operands differ in length: {sorted(lengths)}")
+    k = max(lengths, default=0)
+    if k > plan.clusters * cycles * plan.lanes:
+        raise ShapeError(f"operand length {k} exceeds {plan.clusters} clusters x {cycles} x {plan.lanes} lanes")
+    for side, ops, width in (("x", x_ops, plan.bw_x), ("w", w_ops, plan.bw_w)):
+        if any(v.bitwidth > width for v in ops):
+            raise RangeError(f"{side} operand bitwidths exceed the plan's padded width {width}")
+    lanes = max(1, min(k, cycles * plan.lanes))  # an empty stream still gets one lane of zeros
+    if lanes << (plan.bw_x + plan.bw_w) >= 1 << 63:
+        raise RangeError(f"{lanes}-lane clusters at {plan.bw_x}x{plan.bw_w} padded bits could overflow int64")
 
     import numpy as np
 
@@ -206,4 +180,4 @@ def execute_cycle(
         w = _planes(block, plan.slice.beta, plan.bw_w, plan.clusters, lanes)
         products = nbve_dot(x, w).reshape(plan.clusters, len(x_ops), px, len(block), pw)
         scalars += (products * shifts).sum(axis=(2, 4)).transpose(2, 1, 0).ravel().tolist()  # [w, x, cluster]
-    return CvuOutput(scalars=tuple(scalars), utilization=useful / (cycles * plan.effective_length))
+    return CvuOutput(scalars=tuple(scalars), utilization=k / (cycles * plan.effective_length))

@@ -119,6 +119,23 @@ class TestSimulateLayer:
         baseline = simulate_layer(fc(64, 64), acc, INFINITE, PARAMS)
         assert report.compute_cycles == baseline.compute_cycles
 
+    def test_clamp_warning_points_at_the_caller(self):
+        # the note names the caller's line, not a line of arch, whichever entry point ran it
+        acc = build_array(Style.CONVENTIONAL, PARAMS)
+        layer = fc(64, 64, bw_x=4, bw_w=2, name="clamped")
+        net = NetworkSpec(name="one", layers=(layer,))
+        calls = {
+            "simulate_layer": lambda: simulate_layer(layer, acc, INFINITE, PARAMS),
+            "simulate_network": lambda: simulate_network(net, acc, INFINITE, PARAMS),
+            "compare": lambda: compare(net, [(acc, INFINITE), (acc, DDR4)], PARAMS),
+        }
+        for name, call in calls.items():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            assert caught and all("clamped" in str(w.message) for w in caught), name
+            assert {w.filename for w in caught} == {__file__}, name
+
 
 def recurrent_cells():
     """Every gemv layer of the bundled recurrent networks, with its network name."""

@@ -2,7 +2,7 @@
 
 The shift-add recomposition itself is :func:`cvusim.cvu.execute_cycle`;
 ``TestComposeDot`` drives it for one vector pair, ``test_cvu.py`` covers its
-clusters and dispatch, and ``test_arch.py`` reaches it through ``functional_dot``.
+clusters and operand sets, and ``test_arch.py`` reaches it through ``functional_dot``.
 """
 
 import numpy as np
@@ -24,12 +24,9 @@ def reconstruct(slices, slice_width):
 
 
 def compose_dot(x, w, slice_cfg):
-    """Composed dot product of one vector pair: the only busy cluster of one CVU issue."""
+    """Composed dot product of one vector pair: the sum of its cluster scalars in one CVU issue."""
     plan = plan_composition(x.bitwidth, w.bitwidth, CvuConfig(lanes=1, slice=slice_cfg))
-    idle_x, idle_w = QuantizedVector((), x.bitwidth), QuantizedVector((), w.bitwidth)
-    xs = [x] + [idle_x] * (plan.clusters - 1)
-    ws = [w] + [idle_w] * (plan.clusters - 1)
-    return execute_cycle(xs, ws, plan, cycles=max(1, len(x))).scalars[0]
+    return sum(execute_cycle([x], [w], plan, cycles=max(1, len(x))).scalars)
 
 
 def dot_loop(xs, ws):
@@ -84,18 +81,18 @@ class TestSliceValue:
 class TestSliceVector:
     def test_planes_example(self):
         vec = QuantizedVector((13, 5), 4, signed=False)
-        sliced = slice_vector(vec, 2)
-        assert sliced.planes.dtype == np.int64
-        assert sliced.planes.tolist() == [[1, 1], [3, 1]]
+        planes = slice_vector(vec, 2)
+        assert planes.dtype == np.int64
+        assert planes.tolist() == [[1, 1], [3, 1]]
 
     def test_zero_planes(self):
-        sliced = slice_vector(QuantizedVector((0, 0, 0), 6, signed=False), 2)
-        assert sliced.planes.tolist() == [[0, 0, 0]] * 3
+        planes = slice_vector(QuantizedVector((0, 0, 0), 6, signed=False), 2)
+        assert planes.tolist() == [[0, 0, 0]] * 3
 
     def test_signed_planes(self):
-        sliced = slice_vector(QuantizedVector((-8, 7), 4, signed=True), 2)
-        assert sliced.planes.tolist() == [[0, 3], [-2, 1]]
-        assert [reconstruct(column, 2) for column in zip(*sliced.planes.tolist())] == [-8, 7]
+        planes = slice_vector(QuantizedVector((-8, 7), 4, signed=True), 2)
+        assert planes.tolist() == [[0, 3], [-2, 1]]
+        assert [reconstruct(column, 2) for column in zip(*planes.tolist())] == [-8, 7]
 
     def test_range_error_carries_index(self):
         with pytest.raises(RangeError, match="index 1"):
@@ -132,7 +129,7 @@ class TestSliceVector:
         for bw, sw, signed, padded in sorted(cases):
             lo, hi = bs.value_bounds(bw, signed)
             values = tuple(range(lo, hi + 1))
-            planes = slice_vector(QuantizedVector(values, bw, signed), sw, bitwidth=padded).planes
+            planes = slice_vector(QuantizedVector(values, bw, signed), sw, bitwidth=padded)
             expected = [slice_value(v, padded, sw, signed) for v in values]
             assert planes.tolist() == [list(plane) for plane in zip(*expected)], (bw, sw, signed, padded)
             tables = bs._plane_tables(bw, padded, sw, signed)
@@ -148,7 +145,7 @@ class TestSliceVector:
     def test_reconstruction_all_elements(self, bw, sw, signed, data):
         lo, hi = bs.value_bounds(bw, signed)
         values = data.draw(st.lists(st.integers(lo, hi), max_size=32))
-        planes = slice_vector(QuantizedVector(tuple(values), bw, signed), sw).planes
+        planes = slice_vector(QuantizedVector(tuple(values), bw, signed), sw)
         assert [reconstruct(column, sw) for column in zip(*planes.tolist())] == values
         assert planes.shape == (-(-bw // sw), len(values))
 
@@ -255,8 +252,8 @@ class TestComposeDot:
         x = QuantizedVector((7,), 6)
         w = QuantizedVector((3,), 8)
         plan = plan_composition(x.bitwidth, w.bitwidth, CvuConfig(lanes=1, slice=cfg))
-        x_planes = slice_vector(x, cfg.alpha, bitwidth=plan.bw_x).planes
-        w_planes = slice_vector(w, cfg.beta, bitwidth=plan.bw_w).planes
+        x_planes = slice_vector(x, cfg.alpha, bitwidth=plan.bw_x)
+        w_planes = slice_vector(w, cfg.beta, bitwidth=plan.bw_w)
         products = nbve_dot(x_planes, w_planes).tolist()  # [x plane][w plane]
         assert len(plan.shifts) == len(x_planes) * len(w_planes)
         total = 0

@@ -108,6 +108,19 @@ class TestMacsPerCycle:
         assert plan_composition(8, 8, CvuConfig(lanes=1)).effective_length == 1
 
 
+def cluster_dots(xs, ws, plan, cycles):
+    """Oracle scalars in execute_cycle's order: cluster c of pair (w, x) reduces
+    elements [c * cycles * lanes, (c + 1) * cycles * lanes)."""
+    chunk = cycles * plan.lanes
+
+    def part(v, lo):
+        return QuantizedVector(v.values[lo : lo + chunk], v.bitwidth, v.signed)
+
+    return tuple(
+        dot_exact(part(x, lo), part(w, lo)) for w in ws for x in xs for lo in range(0, plan.clusters * chunk, chunk)
+    )
+
+
 class TestExecuteCycle:
     def test_homogeneous_example(self):
         cases = [
@@ -117,17 +130,16 @@ class TestExecuteCycle:
             (QuantizedVector((1,), 8), QuantizedVector((1,), 8), 1),
         ]
         for x, w, expected in cases:
-            # planned at the operands' own widths; the other clusters get empty tiles
+            # planned at the operands' own widths; the stream fits the first cluster, the others get zeros
             assert dot_exact(x, w) == expected
             plan = plan_composition(x.bitwidth, w.bitwidth, CvuConfig(lanes=2))
-            idle_x, idle_w = QuantizedVector((), x.bitwidth), QuantizedVector((), w.bitwidth)
-            out = execute_cycle([x] + [idle_x] * (plan.clusters - 1), [w] + [idle_w] * (plan.clusters - 1), plan)
+            out = execute_cycle([x], [w], plan)
             assert out.scalars == (expected,) + (0,) * (plan.clusters - 1)
             assert out.utilization == len(x) / plan.effective_length
 
     def test_plane_count(self, monkeypatch):
-        # one engine dot product per (x plane, w plane) pair of every cluster,
-        # all from one batched engine op per call
+        # one engine dot product per (x plane, w plane) pair of every cluster
+        # of every (w, x) pair, all from one batched engine op per call
         shapes = []
         real = cvu.nbve_dot
 
@@ -141,27 +153,24 @@ class TestExecuteCycle:
         assert (plan.clusters, plan.nbves_per_cluster) == (2, 8)
         x = QuantizedVector((5, 2), 5)
         w = QuantizedVector((1, 3), 3)
-        out = execute_cycle([x, x], [w, w], plan)
-        assert out.scalars == (11, 11)
+        assert execute_cycle([x], [w], plan).scalars == (11, 0)
         assert len(shapes) == 1 and math.prod(shapes[0]) == plan.clusters * plan.nbves_per_cluster
-        # a batch of 3 x 2 dispatches: every dispatch still has its own engines
         shapes.clear()
-        execute_cycle([x] * 2, [w] * 3, plan, batch=True)
+        execute_cycle([x] * 2, [w] * 3, plan)
         assert len(shapes) == 1 and math.prod(shapes[0]) == 3 * 2 * plan.clusters * plan.nbves_per_cluster
 
     def test_sixteen_identities(self):
-        plan = plan_composition(2, 2, DEFAULT)
-        one = QuantizedVector((1,), 2)
-        out = execute_cycle([one] * 16, [one] * 16, plan)
-        assert out.scalars == (1,) * 16
+        # sixteen one-lane clusters, one element each
+        plan = plan_composition(2, 2, CvuConfig(lanes=1))
+        ones = QuantizedVector((1,) * 16, 2)
+        assert execute_cycle([ones], [ones], plan).scalars == (1,) * 16
 
     def test_8x2_clusters_match_oracle(self):
         rng = random.Random(99)
         plan = plan_composition(8, 2, DEFAULT)
-        xs = [rand_vector(rng, 16, 8, True) for _ in range(4)]
-        ws = [rand_vector(rng, 16, 2, False) for _ in range(4)]
-        out = execute_cycle(xs, ws, plan)
-        assert out.scalars == tuple(dot_exact(x, w) for x, w in zip(xs, ws))
+        assert plan.clusters == 4
+        x, w = rand_vector(rng, 50, 8, True), rand_vector(rng, 50, 2, False)  # the last cluster is short
+        assert execute_cycle([x], [w], plan).scalars == cluster_dots([x], [w], plan, 1)
 
     def test_short_tiles_zero_padded(self):
         plan = plan_composition(8, 8, DEFAULT)
@@ -170,12 +179,6 @@ class TestExecuteCycle:
         out = execute_cycle([x], [w], plan)
         assert out.scalars == (39,)
         assert out.utilization == pytest.approx(2 / 16)
-
-    def test_tile_count_mismatch(self):
-        plan = plan_composition(8, 2, DEFAULT)
-        x = QuantizedVector((1,), 8)
-        with pytest.raises(ShapeError):
-            execute_cycle([x], [x], plan)
 
     def test_tile_too_long(self):
         cfg = CvuConfig(lanes=2)
@@ -215,41 +218,37 @@ class TestExecuteCycle:
         cycles=st.sampled_from([1, 2, 3]),
         signed_x=st.booleans(),
         signed_w=st.booleans(),
+        m=st.integers(0, 3),
+        n=st.integers(1, 3),  # an x operand fixes k
+        data=st.data(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_functional_equivalence(self, bw_x, bw_w, alpha, beta, lanes, cycles, signed_x, signed_w, seed):
+    def test_functional_equivalence(self, bw_x, bw_w, alpha, beta, lanes, cycles, signed_x, signed_w, m, n, data, seed):
         rng = random.Random(seed)
-        cfg = CvuConfig(lanes=lanes, slice=SliceConfig(alpha, beta))
-        plan = plan_composition(bw_x, bw_w, cfg)
-        xs, ws = [], []
-        for _ in range(plan.clusters):
-            n = rng.randint(0, lanes * cycles)
-            xs.append(rand_vector(rng, n, bw_x, signed_x))
-            ws.append(rand_vector(rng, n, bw_w, signed_w))
+        plan = plan_composition(bw_x, bw_w, CvuConfig(lanes=lanes, slice=SliceConfig(alpha, beta)))
+        k = data.draw(st.integers(0, plan.clusters * cycles * lanes))
+        xs = [rand_vector(rng, k, bw_x, signed_x) for _ in range(n)]
+        ws = [rand_vector(rng, k, bw_w, signed_w) for _ in range(m)]
         out = execute_cycle(xs, ws, plan, cycles=cycles)
-        assert out.scalars == tuple(dot_exact(x, w) for x, w in zip(xs, ws))
-        assert out.utilization == sum(map(len, xs)) / (cycles * plan.effective_length)
+        c = plan.clusters
+        assert [sum(out.scalars[i : i + c]) for i in range(0, len(out.scalars), c)] == [
+            dot_exact(x, w) for w in ws for x in xs
+        ]
+        assert out.scalars == cluster_dots(xs, ws, plan, cycles)
+        assert out.utilization == k / (cycles * plan.effective_length)
 
 
 class TestExecuteBatch:
+    # n x and m w operands of one length in one call, and the checks on such a set
     def test_matches_oracle_cluster_by_cluster(self):
-        # cluster c of dispatch (w, x) reduces elements [c*cycles*lanes, (c+1)*cycles*lanes)
         rng = random.Random(3)
         plan = plan_composition(4, 4, CvuConfig(lanes=2))
         assert plan.clusters == 4
         cycles, k = 3, 21  # 24 lane slots per cluster row: the last cluster is short
         xs = [rand_vector(rng, k, 4, False) for _ in range(3)]
         ws = [rand_vector(rng, k, 4, True) for _ in range(2)]
-        out = execute_cycle(xs, ws, plan, cycles, batch=True)
-        chunk = cycles * plan.lanes
-        expected = []
-        for w in ws:
-            for x in xs:
-                for lo in range(0, plan.clusters * chunk, chunk):
-                    x_part = QuantizedVector(x.values[lo : lo + chunk], 4)
-                    w_part = QuantizedVector(w.values[lo : lo + chunk], 4, signed=True)
-                    expected.append(dot_exact(x_part, w_part))
-        assert out.scalars == tuple(expected)
+        out = execute_cycle(xs, ws, plan, cycles)
+        assert out.scalars == cluster_dots(xs, ws, plan, cycles)
         assert out.utilization == k / (cycles * plan.effective_length)
 
     def test_blocks_of_w_operands(self, monkeypatch):
@@ -258,24 +257,10 @@ class TestExecuteBatch:
         plan = plan_composition(8, 4, CvuConfig(lanes=4))
         xs = [rand_vector(rng, 30, 8, False) for _ in range(3)]
         ws = [rand_vector(rng, 30, 4, True) for _ in range(5)]
-        whole = execute_cycle(xs, ws, plan, cycles=4, batch=True)
+        whole = execute_cycle(xs, ws, plan, cycles=4)
         monkeypatch.setattr(cvu, "_BLOCK_ELEMENTS", 1)
-        assert execute_cycle(xs, ws, plan, cycles=4, batch=True) == whole
-        assert [sum(whole.scalars[i : i + plan.clusters]) for i in range(0, len(whole.scalars), plan.clusters)] == [
-            dot_exact(x, w) for w in ws for x in xs
-        ]
-
-    def test_single_dispatch_is_a_batch_of_one(self):
-        rng = random.Random(4)
-        plan = plan_composition(8, 2, DEFAULT)
-        x, w = rand_vector(rng, 50, 8, True), rand_vector(rng, 50, 2, False)
-
-        def tiles(v):  # the stream cut into one 16-lane tile per cluster
-            return [QuantizedVector(v.values[lo : lo + 16], v.bitwidth, v.signed) for lo in range(0, 64, 16)]
-
-        single = execute_cycle(tiles(x), tiles(w), plan)
-        assert execute_cycle([x], [w], plan, batch=True) == single
-        assert sum(single.scalars) == dot_exact(x, w)
+        assert execute_cycle(xs, ws, plan, cycles=4) == whole
+        assert whole.scalars == cluster_dots(xs, ws, plan, 4)
 
     def test_each_operand_sliced_once(self, monkeypatch):
         calls = []
@@ -284,30 +269,31 @@ class TestExecuteBatch:
         plan = plan_composition(8, 8, DEFAULT)
         xs = [QuantizedVector((i, 1, 2), 8) for i in range(5)]
         ws = [QuantizedVector((1, i, 3), 8) for i in range(4)]
-        execute_cycle(xs, ws, plan, batch=True)
+        execute_cycle(xs, ws, plan)
         assert len(calls) == len(xs) + len(ws)
 
     def test_empty_operands(self):
         plan = plan_composition(8, 8, DEFAULT)
-        assert execute_cycle([QuantizedVector((), 8)], [QuantizedVector((), 8)], plan, batch=True).scalars == (0,)
-        assert execute_cycle([], [QuantizedVector((1,), 8)], plan, batch=True).scalars == ()
+        assert execute_cycle([QuantizedVector((), 8)], [QuantizedVector((), 8)], plan).scalars == (0,)
+        assert execute_cycle([], [QuantizedVector((1,), 8)], plan).scalars == ()
+        assert execute_cycle([], [QuantizedVector((), 8)], plan).scalars == ()  # no x operand and k = 0
 
     def test_length_mismatch(self):
         plan = plan_composition(8, 8, DEFAULT)
         with pytest.raises(ShapeError):
-            execute_cycle([QuantizedVector((1, 2), 8)], [QuantizedVector((1,), 8)], plan, batch=True)
+            execute_cycle([QuantizedVector((1, 2), 8)], [QuantizedVector((1,), 8)], plan)
 
     def test_too_long_for_the_cycles(self):
         plan = plan_composition(8, 8, CvuConfig(lanes=2))
         x = QuantizedVector((1, 2, 3), 8)
         with pytest.raises(ShapeError):
-            execute_cycle([x], [x], plan, batch=True)
-        assert execute_cycle([x], [x], plan, cycles=2, batch=True).scalars == (14,)
+            execute_cycle([x], [x], plan)
+        assert execute_cycle([x], [x], plan, cycles=2).scalars == (14,)
 
     def test_bitwidth_over_plan(self):
         plan = plan_composition(4, 4, DEFAULT)
         with pytest.raises(RangeError):
-            execute_cycle([QuantizedVector((1,), 8)], [QuantizedVector((1,), 4)], plan, batch=True)
+            execute_cycle([QuantizedVector((1,), 8)], [QuantizedVector((1,), 4)], plan)
 
     def test_refuses_tiles_whose_sums_could_pass_int64(self):
         # 1-bit slices on a 31-bit CVU pad 8-bit operands to 31 bits each:
