@@ -44,8 +44,9 @@ import warnings
 from collections import namedtuple
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import reduce
 
-from .bitslice import QuantizedVector, SliceConfig
+from .bitslice import QuantizedVector
 from .cost import CostParams, iso_power_array_size, per_mac_normalized
 from .cvu import CvuConfig, execute_cycle, plan_composition
 from .errors import AccumulatorOverflowError, ConfigError, RangeError, ShapeError
@@ -53,6 +54,7 @@ from .workloads import LayerKind, LayerSpec, NetworkSpec
 
 # Completed outputs are written back requantized to 8 bits.
 OUTPUT_BITS = 8
+DEFAULT_BUDGET_MW = 250.0
 DEFAULT_TOTAL_SRAM_BYTES = 6 * 1024 * 1024
 _INT64_LO, _INT64_HI = -(1 << 63), (1 << 63) - 1
 
@@ -159,8 +161,8 @@ class Totals:
 
     @classmethod
     def of(cls, parts) -> Totals:
-        """Field-by-field sums over ``parts``, in order."""
-        return cls(*map(sum, zip(*map(_totals_of, parts))))
+        """Field-by-field sums over ``parts``, added left to right on every Python version."""
+        return cls(*(reduce(operator.add, column) for column in zip(*map(_totals_of, parts))))
 
     @property
     def energy_total_pj(self) -> float:
@@ -203,8 +205,7 @@ def build_array(
     params: CostParams,
     *,
     lanes: int | None = None,
-    slice_cfg: SliceConfig = SliceConfig(),
-    budget_mw: float = 250.0,
+    budget_mw: float = DEFAULT_BUDGET_MW,
     total_sram_bytes: int = DEFAULT_TOTAL_SRAM_BYTES,
     frequency_hz: float = 500e6,
 ) -> AcceleratorConfig:
@@ -219,7 +220,7 @@ def build_array(
         lanes = 16 if style is Style.VECTOR else 1
     elif style is not Style.VECTOR and lanes != 1:
         raise ConfigError(f"{style.value} style has 1 lane per unit, got lanes={lanes}")
-    cvu = CvuConfig(lanes=lanes, slice=slice_cfg)
+    cvu = CvuConfig(lanes=lanes)
     if style is Style.CONVENTIONAL:
         unit_mw = params.conventional_mac_mw
     else:

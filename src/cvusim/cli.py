@@ -21,6 +21,8 @@ from pathlib import Path
 from . import __version__
 from .arch import (
     DDR4,
+    DEFAULT_BUDGET_MW,
+    DEFAULT_TOTAL_SRAM_BYTES,
     HBM2,
     MemorySpec,
     Style,
@@ -253,8 +255,8 @@ def _build_parser() -> _Parser:
     sim.add_argument("--memory", choices=[*_MEMORIES, "custom"], default="ddr4")
     sim.add_argument("--bandwidth", type=float, default=None, help="custom memory bandwidth, GB/s")
     sim.add_argument("--pj-per-bit", type=float, default=None, help="custom memory access energy")
-    sim.add_argument("--budget", type=float, default=250.0, help="core power budget, mW")
-    sim.add_argument("--sram-bytes", type=int, default=6 * 1024 * 1024, help="total weight SRAM")
+    sim.add_argument("--budget", type=float, default=DEFAULT_BUDGET_MW, help="core power budget, mW")
+    sim.add_argument("--sram-bytes", type=int, default=DEFAULT_TOTAL_SRAM_BYTES, help="total weight SRAM")
     sim.add_argument("--bitwidths", choices=["file", "homogeneous"], default="file")
     sim.add_argument("--params", default=None)
     sim.add_argument("--out", default=None)
@@ -264,8 +266,8 @@ def _build_parser() -> _Parser:
     cmp_.add_argument("--network", action="append", required=True, help="repeatable; file or bundled name")
     cmp_.add_argument("--config", action="append", required=True, help="repeatable; style:memory, e.g. vector:hbm2")
     cmp_.add_argument("--bitwidths", choices=["file", "homogeneous"], default="file")
-    cmp_.add_argument("--budget", type=float, default=250.0)
-    cmp_.add_argument("--sram-bytes", type=int, default=6 * 1024 * 1024)
+    cmp_.add_argument("--budget", type=float, default=DEFAULT_BUDGET_MW)
+    cmp_.add_argument("--sram-bytes", type=int, default=DEFAULT_TOTAL_SRAM_BYTES)
     cmp_.add_argument("--params", default=None)
     cmp_.add_argument("--out", default=None)
     cmp_.set_defaults(func=cmd_compare)

@@ -24,6 +24,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
+from functools import reduce
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -207,8 +208,8 @@ def _cost(
 
 
 def _weighted(units: dict[str, int], coeffs) -> float:
-    """Unit counts times one coefficient per category, summed in category order."""
-    return sum(map(operator.mul, _unit_counts(units), coeffs))
+    """Unit counts times one coefficient per category, added left to right in category order."""
+    return reduce(operator.add, map(operator.mul, _unit_counts(units), coeffs))
 
 
 def conventional_mac_cost(params: CostParams) -> tuple[float, float]:
@@ -284,21 +285,19 @@ DEFAULT_ANCHORS = (
 _SWEEP_LANES = (1, 2, 4, 8, 16)
 
 
-def _norms_for(table: dict[tuple[int, int], dict], coeffs: np.ndarray) -> dict[tuple[int, int], float]:
+def _norms_for(table: dict[tuple[int, int, int], dict], coeffs: np.ndarray) -> dict[tuple[int, int, int], float]:
     """Per-MAC metric of every inventory in ``table``, normalized to the conventional MAC."""
     conv = _weighted(_CONVENTIONAL_MAC, coeffs)
     return {key: _weighted(s, coeffs) / conv / s["macs"] for key, s in table.items()}
 
 
-def _per_mac_structures() -> dict[tuple[int, int], dict]:
-    table = {}
-    for sw in (1, 2, 4):
-        for lanes in _SWEEP_LANES:
-            cfg = CvuConfig(lanes=lanes, slice=SliceConfig(sw, sw))
-            s = _structure(cfg)
-            s["macs"] = lanes
-            table[(sw, lanes)] = s
-    return table
+def _key(cfg: CvuConfig) -> tuple[int, int, int]:
+    return cfg.slice.alpha, cfg.slice.beta, cfg.lanes
+
+
+def _inventories(cfgs) -> dict[tuple[int, int, int], dict]:
+    """Per-CVU inventory and its MACs per cycle, keyed by (alpha, beta, lanes)."""
+    return {_key(cfg): dict(_structure(cfg), macs=cfg.lanes) for cfg in cfgs}
 
 
 def _qualitative_penalty(table: dict, norm: dict, coeffs: np.ndarray) -> float:
@@ -311,16 +310,16 @@ def _qualitative_penalty(table: dict, norm: dict, coeffs: np.ndarray) -> float:
     """
     penalty = 0.0
     for sw in (1, 2):
-        series = [norm[(sw, l)] for l in _SWEEP_LANES]
+        series = [norm[(sw, sw, l)] for l in _SWEEP_LANES]
         for a, b in zip(series, series[1:]):
             penalty += max(0.0, (b - a) / a + 1e-4)  # must decrease with lanes
         first = series[0] / series[1]
         last = series[-2] / series[-1]
         penalty += max(0.0, last - first)  # diminishing returns
     for lanes in _SWEEP_LANES:
-        penalty += max(0.0, (norm[(2, lanes)] - norm[(1, lanes)]) / norm[(1, lanes)] + 1e-4)
-        penalty += max(0.0, 1.0 - norm[(1, lanes)])  # 1-bit never beats conventional
-    s216 = table[(2, 16)]
+        penalty += max(0.0, (norm[(2, 2, lanes)] - norm[(1, 1, lanes)]) / norm[(1, 1, lanes)] + 1e-4)
+        penalty += max(0.0, 1.0 - norm[(1, 1, lanes)])  # 1-bit never beats conventional
+    s216 = table[(2, 2, 16)]
     mult, adder, shifter, register = coeffs
     add_cost = s216["add_units"] * adder
     for other in (s216["mult_units"] * mult, s216["shift_units"] * shifter, s216["register_units"] * register):
@@ -328,16 +327,14 @@ def _qualitative_penalty(table: dict, norm: dict, coeffs: np.ndarray) -> float:
     return penalty
 
 
-def _fit_metric(targets: list[tuple[CvuConfig, float]], table: dict) -> np.ndarray:
+def _fit_metric(targets: list[tuple[CvuConfig, float]]) -> np.ndarray:
     import numpy as np
     from scipy.optimize import minimize
 
-    keyed = []
-    for cfg, observed in targets:
-        key = (cfg.slice.alpha, cfg.lanes)
-        if key not in table or cfg.slice.alpha != cfg.slice.beta:
-            table[key] = dict(_structure(cfg), macs=cfg.lanes)
-        keyed.append((key, observed))
+    # the symmetric sweep that the qualitative penalty reads, then the anchors
+    sweep = (CvuConfig(lanes=lanes, slice=SliceConfig(sw, sw)) for sw in (1, 2, 4) for lanes in _SWEEP_LANES)
+    table = _inventories((*sweep, *(cfg for cfg, _ in targets)))
+    keyed = [(_key(cfg), observed) for cfg, observed in targets]
 
     def objective(x: np.ndarray) -> float:
         coeffs = np.concatenate(([1.0], np.exp(x)))
@@ -373,9 +370,8 @@ def calibrate(anchors, max_rel_error: float = 0.25) -> CostParams:
     if not power_targets or not area_targets:
         raise ConfigError("anchors must cover both power and area")
 
-    table = _per_mac_structures()
-    e = _fit_metric(power_targets, table)
-    a = _fit_metric(area_targets, table)
+    e = _fit_metric(power_targets)
+    a = _fit_metric(area_targets)
     params = CostParams(
         **{energy: e[i] for i, (_, _, _, energy, _) in enumerate(_CATEGORIES)},
         **{area: a[i] for i, (_, _, _, _, area) in enumerate(_CATEGORIES)},
@@ -384,7 +380,7 @@ def calibrate(anchors, max_rel_error: float = 0.25) -> CostParams:
     residuals = {}
     for anchor in anchors:
         power, area = per_mac_normalized(anchor.cfg, params)
-        label = f"sw{anchor.cfg.slice.alpha}_L{anchor.cfg.lanes}"
+        label = "sw{}x{}_L{}".format(*_key(anchor.cfg))
         if anchor.power_norm is not None:
             residuals[f"{label}_power"] = abs(power / anchor.power_norm - 1.0)
         if anchor.area_norm is not None:

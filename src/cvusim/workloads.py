@@ -1,9 +1,20 @@
 """Network descriptions: schema, parsing, validation, bundled benchmarks.
 
 Networks are stored as versioned JSON (``schema_version`` 1).  A network
-holds a layer list plus a bitwidth mode; layers are convolutions, fully
-connected layers, or recurrent matrix-vector products.  Conventions:
+holds a layer list plus a bitwidth mode; layers are convolutions (conv),
+fully connected layers (fc), or recurrent matrix-vector products (gemv).
 
+``_LAYER_FIELDS`` is the layer schema: each kind's integer fields in file
+order, each with its default (None: required) and its bounds (1 up to a
+maximum).  The file's ``kernel`` is the pair ``[kernel_h, kernel_w]``.
+
+* ``_layer_from_dict`` (under :func:`parse_network`) checks the JSON shape
+  only: a known kind, no unknown or missing fields, integers, plain names.
+* :class:`LayerSpec` checks the values: its kind's fields within bounds and
+  every other kind's field at its dataclass default.  :class:`NetworkSpec`
+  checks the bitwidth mode and the chain rule below.
+* ``_layer_to_dict`` (under :func:`serialize_network`) writes the kind's
+  fields, leaving out those at their defaults.
 * conv ``height``/``width`` are the layer's input spatial dims; outputs are
   ``ceil(dim/stride)`` (same-style padding) and an optional ``pool`` factor
   downsamples the output fed to the next layer (pooling arithmetic itself is
@@ -28,10 +39,10 @@ from enum import Enum
 from importlib import resources
 from pathlib import Path
 
+from .bitslice import MAX_BITWIDTH
 from .errors import NetworkFormatError
 
 SCHEMA_VERSION = 1
-MAX_LAYER_BITWIDTH = 8
 
 
 class LayerKind(str, Enum):
@@ -43,6 +54,21 @@ class LayerKind(str, Enum):
 class BitwidthMode(str, Enum):
     HOMOGENEOUS = "homogeneous-8bit"
     HETEROGENEOUS = "heterogeneous"
+
+
+# (default, maximum) per field, named as in LayerSpec; a default of None means required
+_SIZE = (None, 2**31 - 1)
+_FACTOR = (1, 2**31 - 1)
+_BITS = (None, MAX_BITWIDTH)
+_LAYER_FIELDS = {
+    LayerKind.CONV: {"in_channels": _SIZE, "out_channels": _SIZE, "height": _SIZE, "width": _SIZE, "kernel_h": _SIZE,
+                     "kernel_w": _SIZE, "stride": _FACTOR, "pool": _FACTOR, "bw_x": _BITS, "bw_w": _BITS},
+    LayerKind.FC: {"m": _SIZE, "k": _SIZE, "n": _FACTOR, "bw_x": _BITS, "bw_w": _BITS},
+    LayerKind.GEMV: {"m": _SIZE, "k": _SIZE, "n": _FACTOR, "repeat": (1, 2**16), "bw_x": _BITS, "bw_w": _BITS},
+}
+_KERNEL = ("kernel_h", "kernel_w")
+_FILE_KEY = dict.fromkeys(_KERNEL, "kernel")
+_ANY_KIND = dict.fromkeys(field for fields in _LAYER_FIELDS.values() for field in fields)
 
 
 @dataclass(frozen=True)
@@ -69,36 +95,15 @@ class LayerSpec:
     repeat: int = 1
 
     def __post_init__(self):
-        def positive(**fields):
-            for fname, v in fields.items():
-                if v < 1:
-                    raise NetworkFormatError(
-                        f"layer {self.name or self.kind.value}: {fname} must be >= 1, got {v}"
-                    )
-
-        for bname, bw in (("bw_x", self.bw_x), ("bw_w", self.bw_w)):
-            if not 1 <= bw <= MAX_LAYER_BITWIDTH:
-                raise NetworkFormatError(
-                    f"layer {self.name or self.kind.value}: {bname}={bw} outside 1..{MAX_LAYER_BITWIDTH}"
-                )
-        if self.kind is LayerKind.CONV:
-            positive(
-                in_channels=self.in_channels,
-                out_channels=self.out_channels,
-                height=self.height,
-                width=self.width,
-                kernel_h=self.kernel_h,
-                kernel_w=self.kernel_w,
-                stride=self.stride,
-                pool=self.pool,
-            )
-            if self.repeat != 1:
-                raise NetworkFormatError(f"layer {self.name}: repeat applies to gemv layers only")
-        else:
-            positive(m=self.m, k=self.k, n=self.n)
-            if self.kind is LayerKind.FC and self.repeat != 1:
-                raise NetworkFormatError(f"layer {self.name}: repeat applies to gemv layers only")
-            positive(repeat=self.repeat)
+        own = _LAYER_FIELDS[self.kind]
+        label = f"layer {self.name or self.kind.value}"
+        for field, (_, maximum) in own.items():
+            value = getattr(self, field)
+            if not 1 <= value <= maximum:
+                raise NetworkFormatError(f"{label}: {field}={value} outside 1..{maximum}")
+        for field in _ANY_KIND:
+            if field not in own and getattr(self, field) != getattr(LayerSpec, field):  # the dataclass default
+                raise NetworkFormatError(f"{label}: {field} does not apply to {self.kind.value} layers")
 
     # conv output geometry (same-style padding, then pooling)
     @property
@@ -137,9 +142,7 @@ class NetworkSpec:
         if self.bitwidth_mode is BitwidthMode.HOMOGENEOUS:
             for i, layer in enumerate(self.layers):
                 if layer.bw_x != 8 or layer.bw_w != 8:
-                    raise NetworkFormatError(
-                        f"layers[{i}] ({layer.name}): homogeneous-8bit mode requires 8-bit layers"
-                    )
+                    raise NetworkFormatError(f"layers[{i}] ({layer.name}): homogeneous-8bit mode requires 8-bit layers")
         _check_chain(self.layers)
 
 
@@ -176,19 +179,8 @@ def _report_name(where: str, value) -> str:
     return value
 
 
-_LAYER_REQUIRED = {
-    LayerKind.CONV: ("in_channels", "out_channels", "height", "width", "kernel", "bw_x", "bw_w"),
-    LayerKind.FC: ("m", "k", "bw_x", "bw_w"),
-    LayerKind.GEMV: ("m", "k", "bw_x", "bw_w"),
-}
-_LAYER_OPTIONAL = {
-    LayerKind.CONV: ("name", "stride", "pool"),
-    LayerKind.FC: ("name", "n"),
-    LayerKind.GEMV: ("name", "n", "repeat"),
-}
-
-
 def _layer_from_dict(i: int, raw: dict) -> LayerSpec:
+    """Check the JSON shape of one layer; LayerSpec checks the values."""
     where = f"layers[{i}]"
     if not isinstance(raw, dict):
         raise NetworkFormatError(f"{where}: expected an object")
@@ -197,55 +189,31 @@ def _layer_from_dict(i: int, raw: dict) -> LayerSpec:
     except ValueError:
         raise NetworkFormatError(f"{where}.kind: expected one of {[k.value for k in LayerKind]}")
 
-    allowed = set(_LAYER_REQUIRED[kind]) | set(_LAYER_OPTIONAL[kind]) | {"kind"}
-    for field in raw:
-        if field not in allowed:
-            raise NetworkFormatError(f"{where}.{field}: unknown field for kind {kind.value!r}")
-    for field in _LAYER_REQUIRED[kind]:
-        if field not in raw:
-            raise NetworkFormatError(f"{where}: missing required field {field!r}")
+    fields = _LAYER_FIELDS[kind]
+    allowed = {"kind", "name", *(_FILE_KEY.get(field, field) for field in fields)}
+    for key in raw:
+        if key not in allowed:
+            raise NetworkFormatError(f"{where}.{key}: unknown field for kind {kind.value!r}")
+    for field, (default, _) in fields.items():
+        key = _FILE_KEY.get(field, field)
+        if default is None and key not in raw:
+            raise NetworkFormatError(f"{where}: missing required field {key!r}")
 
-    def integer(field, default=None, minimum=1):
-        v = raw.get(field, default)
-        if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
-            raise NetworkFormatError(f"{where}.{field}: expected integer >= {minimum}, got {v!r}")
-        return v
-
-    name = _report_name(f"{where}.name", raw.get("name", ""))
-    bw_x, bw_w = integer("bw_x"), integer("bw_w")
-    for bname, bw in (("bw_x", bw_x), ("bw_w", bw_w)):
-        if bw > MAX_LAYER_BITWIDTH:
-            raise NetworkFormatError(
-                f"{where} ({name or kind.value}): {bname}={bw} exceeds the {MAX_LAYER_BITWIDTH}-bit maximum"
-            )
+    values = {"kind": kind, "name": _report_name(f"{where}.name", raw.get("name", ""))}
     if kind is LayerKind.CONV:
         kernel = raw["kernel"]
         if not (isinstance(kernel, list) and len(kernel) == 2 and all(type(x) is int for x in kernel)):
             raise NetworkFormatError(f"{where}.kernel: expected [kernel_h, kernel_w]")
-        return LayerSpec(
-            kind=kind,
-            name=name,
-            bw_x=bw_x,
-            bw_w=bw_w,
-            in_channels=integer("in_channels"),
-            out_channels=integer("out_channels"),
-            height=integer("height"),
-            width=integer("width"),
-            kernel_h=kernel[0],
-            kernel_w=kernel[1],
-            stride=integer("stride", default=1),
-            pool=integer("pool", default=1),
-        )
-    return LayerSpec(
-        kind=kind,
-        name=name,
-        bw_x=bw_x,
-        bw_w=bw_w,
-        m=integer("m"),
-        k=integer("k"),
-        n=integer("n", default=1),
-        repeat=integer("repeat", default=1) if kind is LayerKind.GEMV else 1,
-    )
+        values.update(zip(_KERNEL, kernel))
+    for field, (default, _) in fields.items():
+        if field not in _KERNEL:
+            value = values[field] = raw.get(field, default)
+            if type(value) is not int:
+                raise NetworkFormatError(f"{where}.{field}: expected an integer, got {value!r}")
+    try:
+        return LayerSpec(**values)
+    except NetworkFormatError as exc:
+        raise NetworkFormatError(f"{where}: {exc}") from None
 
 
 def parse_network(text: str) -> NetworkSpec:
@@ -276,28 +244,16 @@ def parse_network(text: str) -> NetworkSpec:
 
 
 def _layer_to_dict(layer: LayerSpec) -> dict:
+    """The layer's fields that are not at their defaults, required ones always."""
     out: dict = {"kind": layer.kind.value}
     if layer.name:
         out["name"] = layer.name
-    if layer.kind is LayerKind.CONV:
-        out.update(
-            in_channels=layer.in_channels,
-            out_channels=layer.out_channels,
-            height=layer.height,
-            width=layer.width,
-            kernel=[layer.kernel_h, layer.kernel_w],
-        )
-        if layer.stride != 1:
-            out["stride"] = layer.stride
-        if layer.pool != 1:
-            out["pool"] = layer.pool
-    else:
-        out.update(m=layer.m, k=layer.k)
-        if layer.n != 1:
-            out["n"] = layer.n
-        if layer.repeat != 1:
-            out["repeat"] = layer.repeat
-    out.update(bw_x=layer.bw_x, bw_w=layer.bw_w)
+    for field, (default, _) in _LAYER_FIELDS[layer.kind].items():
+        value = getattr(layer, field)
+        if field in _KERNEL:
+            out.setdefault("kernel", []).append(value)
+        elif value != default:
+            out[field] = value
     return out
 
 

@@ -33,6 +33,12 @@ def files(tmp_path):
         "comma-name-network": json.dumps(
             {"schema_version": 1, "name": "x", "layers": [{"kind": "fc", "name": "p,q", "m": 4, "k": 4, "bw_x": 8, "bw_w": 8}]}
         ),
+        "huge-int-network": json.dumps(
+            {"schema_version": 1, "name": "x", "layers": [{"kind": "fc", "m": 4, "k": 4, "n": 10**300, "bw_x": 8, "bw_w": 8}]}
+        ),
+        "huge-repeat-network": json.dumps(
+            {"schema_version": 1, "name": "x", "layers": [{"kind": "gemv", "m": 4, "k": 4, "repeat": 10**105, "bw_x": 8, "bw_w": 8}]}
+        ),
     }
     out = {}
     for name, content in paths.items():
@@ -130,6 +136,8 @@ def test_usage_errors(argv, capsys):
         ["compare", "--network", "convnet", "--config", "vector:ddr4", "--config", "scalar:ddr4", "--budget", "nan"],
         ["dse", "--out", "{dir}"],
         ["dse", "--out", "{missing}/report.csv"],
+        ["simulate", "--network", "{huge-int-network}", "--style", "vector"],
+        ["simulate", "--network", "{huge-repeat-network}", "--style", "vector"],
     ],
 )
 def test_input_errors(argv, files, capsys):

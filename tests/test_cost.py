@@ -8,6 +8,7 @@ import pytest
 from cvusim.bitslice import SliceConfig
 from cvusim.cost import (
     ACCUMULATOR_BITS,
+    DEFAULT_ANCHORS,
     CalibrationAnchor,
     CostParams,
     _adder_units,
@@ -162,6 +163,15 @@ class TestCalibrate:
             got = per_mac_normalized(c, fitted)
             assert got[0] == pytest.approx(want[0], rel=0.01)
             assert got[1] == pytest.approx(want[1], rel=0.01)
+
+    def test_anchors_with_unequal_slice_widths_keep_their_own_entries(self):
+        # exact anchors at the four default configurations plus one whose slice widths differ
+        probes = [a.cfg for a in DEFAULT_ANCHORS] + [CvuConfig(16, SliceConfig(2, 1))]
+        anchors = [CalibrationAnchor(c, *per_mac_normalized(c, PARAMS)) for c in probes]
+        with pytest.raises(CalibrationError) as err:  # a bound of 0 makes calibrate report every residual
+            calibrate(anchors, max_rel_error=0.0)
+        assert len(err.value.residuals) == 10
+        assert max(err.value.residuals.values()) < 1e-6
 
     def test_infeasible_targets_raise_with_residuals(self):
         bad = [

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvusim.workloads import (
     BitwidthMode,
@@ -26,6 +28,52 @@ MINIMAL = """
   "layers": [{"kind": "fc", "m": 16, "k": 32, "bw_x": 8, "bw_w": 4}]
 }
 """
+
+
+# The schema as the file format documents it: each kind's integer fields and their largest values
+SIZE_MAX = 2**31 - 1
+REPEAT_MAX = 2**16
+BOUNDS = {
+    LayerKind.CONV: dict(
+        in_channels=SIZE_MAX, out_channels=SIZE_MAX, height=SIZE_MAX, width=SIZE_MAX,
+        kernel_h=SIZE_MAX, kernel_w=SIZE_MAX, stride=SIZE_MAX, pool=SIZE_MAX, bw_x=8, bw_w=8,
+    ),
+    LayerKind.FC: dict(m=SIZE_MAX, k=SIZE_MAX, n=SIZE_MAX, bw_x=8, bw_w=8),
+    LayerKind.GEMV: dict(m=SIZE_MAX, k=SIZE_MAX, n=SIZE_MAX, repeat=REPEAT_MAX, bw_x=8, bw_w=8),
+}
+OPTIONAL = {"stride", "pool", "n", "repeat"}  # all default to 1
+names = st.text(alphabet="abcxyz019 -_.()", max_size=6)
+
+
+def optional(maximum):
+    return st.one_of(st.just(1), st.integers(2, maximum))
+
+
+@st.composite
+def networks(draw):
+    """Chain-valid conv/fc/gemv stacks in either bitwidth mode."""
+    homogeneous = draw(st.booleans())
+    bits = st.just(8) if homogeneous else st.integers(1, 8)
+    small = st.integers(1, 64)
+    layers = []
+    for _ in range(draw(st.integers(1, 5))):
+        prev = layers[-1] if layers else None
+        kind = draw(st.sampled_from([LayerKind.FC, LayerKind.GEMV] if prev is not None and prev.kind is LayerKind.FC else list(LayerKind)))
+        chained = prev is not None and LayerKind.GEMV not in (prev.kind, kind)
+        common = dict(kind=kind, name=draw(names), bw_x=draw(bits), bw_w=draw(bits))
+        if kind is LayerKind.CONV:
+            c, h, w = (prev.out_channels, prev.pooled_height, prev.pooled_width) if chained else draw(st.tuples(small, small, small))
+            layer = LayerSpec(
+                **common, in_channels=c, out_channels=draw(small), height=h, width=w,
+                kernel_h=draw(small), kernel_w=draw(small), stride=draw(optional(8)), pool=draw(optional(8)),
+            )
+        else:
+            k = prev.out_features if chained else draw(st.integers(1, SIZE_MAX))
+            repeat = draw(optional(REPEAT_MAX)) if kind is LayerKind.GEMV else 1
+            layer = LayerSpec(**common, m=draw(st.integers(1, SIZE_MAX)), k=k, n=draw(optional(SIZE_MAX)), repeat=repeat)
+        layers.append(layer)
+    mode = BitwidthMode.HOMOGENEOUS if homogeneous else BitwidthMode.HETEROGENEOUS
+    return NetworkSpec(draw(names.filter(bool)), tuple(layers), mode)
 
 
 def weight_elements(net):
@@ -135,6 +183,44 @@ class TestRoundTrip:
     def test_bundled_round_trip(self, name):
         net = load_bundled(name)
         assert parse_network(serialize_network(net)) == net
+
+
+class TestSchemaProperties:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(net=networks())
+    def test_round_trip(self, net):
+        text = serialize_network(net)
+        assert parse_network(text) == net
+        assert serialize_network(parse_network(text)) == text
+        # optional fields written out at their defaults parse to the same network
+        doc = json.loads(text)
+        for raw in doc["layers"]:
+            for field in OPTIONAL & BOUNDS[LayerKind(raw["kind"])].keys():
+                raw.setdefault(field, 1)
+        assert parse_network(json.dumps(doc)) == net
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_layer_spec_rejects_foreign_fields_and_out_of_bounds_values(self, data):
+        kind = data.draw(st.sampled_from(list(LayerKind)))
+        valid = dict.fromkeys(BOUNDS[kind], 1)
+        LayerSpec(kind=kind, **valid)
+        foreign = sorted({f for bounds in BOUNDS.values() for f in bounds} - BOUNDS[kind].keys())
+        field = data.draw(st.sampled_from(foreign))
+        with pytest.raises(NetworkFormatError, match=f"{field} does not apply"):
+            LayerSpec(kind=kind, **valid, **{field: data.draw(st.integers(2, SIZE_MAX))})
+        field = data.draw(st.sampled_from(sorted(BOUNDS[kind])))
+        value = data.draw(st.one_of(st.integers(BOUNDS[kind][field] + 1, 10**300), st.integers(max_value=0)))
+        with pytest.raises(NetworkFormatError, match=f"{field}={value} outside"):
+            LayerSpec(kind=kind, **{**valid, field: value})
+
+    def test_every_maximum_is_inclusive(self):
+        for kind, bounds in BOUNDS.items():
+            valid = dict.fromkeys(bounds, 1)
+            for field, maximum in bounds.items():
+                LayerSpec(kind=kind, **{**valid, field: maximum})
+                with pytest.raises(NetworkFormatError, match=f"{field}={maximum + 1} outside"):
+                    LayerSpec(kind=kind, **{**valid, field: maximum + 1})
 
 
 class TestToHomogeneous:
