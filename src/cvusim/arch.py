@@ -9,14 +9,26 @@ overlaps compute; across generations, the next weight tile loads while the
 current one computes (double buffering).  The first load and the last
 generation's compute have nothing to overlap with and are exposed.
 
-Cycle accounting, in closed form: a pass runs ``m // m_res`` identical full
-generations of ``m_res`` output rows, then one generation of any rows left;
-each figure is one generation's figure times its count, summed over the groups.
+Data movement, in closed form: a pass runs ``m // m_res`` identical full
+generations of ``m_res`` output rows, then one generation of any rows left.
+It names each byte it moves by purpose (off chip: weight fill, input stream,
+output write; on chip: operand reads), and its cycles and energy come from
+those bytes and its MACs.  ``compute_cycles`` sums ceil(MACs / peak MACs per
+cycle) over the generations, ``memory_cycles`` is the off-chip bytes at the
+memory's bandwidth, and ``total_cycles`` is the first load plus, per
+generation, the max of its compute, its stream and the next generation's
+load.  The assumptions, each with its test in ``tests/test_arch.py``:
 
-* ``compute_cycles`` = sum over generations of ceil(MACs / peak MACs/cycle)
-* ``memory_cycles``  = off-chip bytes moved * frequency / bandwidth
-* ``total_cycles``   = the first load, plus per generation the max of its
-  compute, its stream and the next generation's load (double buffering)
+* weights stay resident across repeats only when all of them fit the
+  combined scratchpads (``TestRepeats``);
+* the next generation loads into the same full scratchpad that the current
+  one computes from (unchecked);
+* the input stream and the next load are taken as a per-phase max, though
+  they share one off-chip channel (violated: ``total_cycles < memory_cycles``
+  on the 12 ``fc6`` rows on DDR4 in ``tests/golden/model.csv``);
+* each MAC makes one SRAM read of each operand, and every off-chip byte is
+  one SRAM access too (``TestSimulateLayer.test_traffic_by_purpose``);
+* outputs are written back at 8 bits (``TestSimulateLayer.test_traffic_by_purpose``).
 
 :func:`simulate_network` prices the array once per call and plans each
 distinct bitwidth pair once; the price depends on nothing in a layer.
@@ -204,23 +216,16 @@ def build_array(
     style: Style,
     params: CostParams,
     *,
-    lanes: int | None = None,
     budget_mw: float = DEFAULT_BUDGET_MW,
     total_sram_bytes: int = DEFAULT_TOTAL_SRAM_BYTES,
-    frequency_hz: float = 500e6,
 ) -> AcceleratorConfig:
     """Iso-power array sizing: fill the core budget with units of one style.
 
     All styles share the same total weight-SRAM budget, split evenly across
     their units, so performance differences come from the compute style.
-    ``lanes`` defaults to 16 for the vector style and 1 for the others, which
-    have one lane by definition.
+    Vector units have 16 lanes; the other styles have one lane by definition.
     """
-    if lanes is None:
-        lanes = 16 if style is Style.VECTOR else 1
-    elif style is not Style.VECTOR and lanes != 1:
-        raise ConfigError(f"{style.value} style has 1 lane per unit, got lanes={lanes}")
-    cvu = CvuConfig(lanes=lanes)
+    cvu = CvuConfig(lanes=16 if style is Style.VECTOR else 1)
     if style is Style.CONVENTIONAL:
         unit_mw = params.conventional_mac_mw
     else:
@@ -238,7 +243,6 @@ def build_array(
         cvu=cvu,
         weight_scratchpad_bytes=total_sram_bytes // (rows * cols),
         style=style,
-        frequency_hz=frequency_hz,
     )
 
 
@@ -260,70 +264,53 @@ def _ceil_bits_to_bytes(elements: int, bits: int) -> int:
     return -(-elements * bits // 8)
 
 
-# ``count`` identical weight generations of one pass; the other figures are per generation.
-_Generations = namedtuple("_Generations", "count macs compute_cycles weight_bytes stream_bytes")
-
-
-def _layer_generations(
-    layer: LayerSpec, dims: GemmDims, acc: AcceleratorConfig, unit_macs: int, bw_x: int, bw_w: int
-) -> list[_Generations]:
-    """The full generations of ``m_res`` output rows, then the remainder, if any."""
-    # Every unit must hold at least one weight vector of the plan's width.
-    if unit_macs * bw_w > acc.weight_scratchpad_bytes * 8:
-        raise ConfigError(
-            f"layer {layer.name or layer.kind.value}: one {unit_macs}-element weight vector "
-            f"at {bw_w} bit does not fit the {acc.weight_scratchpad_bytes}-byte scratchpad"
-        )
-
-    m_res = acc.total_scratchpad_bytes * 8 // bw_w // dims.k
-    if m_res < 1:
-        raise ConfigError(
-            f"layer {layer.name or layer.kind.value}: one weight row (k={dims.k}, {bw_w} bit) "
-            f"exceeds the combined scratchpad capacity of {acc.total_scratchpad_bytes} bytes"
-        )
-
-    peak = unit_macs * acc.unit_count
-    input_bytes = _ceil_bits_to_bytes(dims.k * dims.n, bw_x)
-
-    def generations(count: int, rows: int) -> _Generations:
-        macs = rows * dims.k * dims.n
-        weight_bytes = _ceil_bits_to_bytes(rows * dims.k, bw_w)
-        stream_bytes = input_bytes + _ceil_bits_to_bytes(rows * dims.n, OUTPUT_BITS)
-        return _Generations(count, macs, math.ceil(macs / peak), weight_bytes, stream_bytes)
-
-    full, rest = divmod(dims.m, m_res)
-    return [generations(count, rows) for count, rows in ((full, m_res), (1, rest)) if count * rows]
+# Bytes one pass moves, by purpose.  Off chip: the weight fill, the input stream and the
+# output write-back, each also written to or read from SRAM once.  On chip: the operand reads.
+_Traffic = namedtuple("_Traffic", "weight_fill input_stream output_write x_reads w_reads")
 
 
 def _simulate_pass(
-    groups: list[_Generations], acc: AcceleratorConfig, mem: MemorySpec, mac_pj: float, bw_x: int, bw_w: int
+    dims: GemmDims, m_res: int, peak: int, acc: AcceleratorConfig, mem: MemorySpec, mac_pj: float,
+    bw_x: int, bw_w: int, weights_resident: bool,
 ) -> Totals:
-    """One invocation of a layer (one timestep for recurrent layers)."""
-    # Double buffering: generation i+1 loads while generation i computes and streams;
-    # the first load and the last compute are exposed.  Inside a group the next load is
-    # the group's own; after its last generation it is the next group's, or none.
-    loads = [_mem_cycles(g.weight_bytes, acc, mem) for g in groups]
-    total = loads[0]
-    for g, load, next_load in zip(groups, loads, loads[1:] + [0]):
-        busy = max(g.compute_cycles, _mem_cycles(g.stream_bytes, acc, mem))
-        total += (g.count - 1) * max(busy, load) + max(busy, next_load)
+    """One invocation of a layer (one timestep for recurrent layers), priced from its traffic.
 
-    macs = sum(g.count * g.macs for g in groups)
-    weight_fill_bytes = sum(g.count * g.weight_bytes for g in groups)
-    stream_bytes = sum(g.count * g.stream_bytes for g in groups)
-    offchip_bytes = weight_fill_bytes + stream_bytes
-    operand_bytes = _ceil_bits_to_bytes(macs, bw_x) + _ceil_bits_to_bytes(macs, bw_w)
-    sram_bytes = weight_fill_bytes + stream_bytes + operand_bytes
+    The pass runs ``m // m_res`` identical full generations of ``m_res`` output rows, then
+    one generation of the rows left, if any.  Resident weights need no fill.
+    """
+    input_bytes = _ceil_bits_to_bytes(dims.k * dims.n, bw_x)
+    compute = total = weight_fill = input_stream = output_write = next_load = 0
+    # Double buffering: generation i+1 loads while generation i computes and streams; the
+    # first load and the last compute are exposed.  The groups are walked last to first, so
+    # the load after a group's last generation is the one of the group walked before it.
+    full, rest = divmod(dims.m, m_res)
+    for count, rows in ((1, rest), (full, m_res)):
+        if count * rows:
+            cycles = math.ceil(rows * dims.k * dims.n / peak)
+            weight = 0 if weights_resident else _ceil_bits_to_bytes(rows * dims.k, bw_w)
+            output = _ceil_bits_to_bytes(rows * dims.n, OUTPUT_BITS)
+            load = _mem_cycles(weight, acc, mem)
+            busy = max(cycles, _mem_cycles(input_bytes + output, acc, mem))
+            total += (count - 1) * max(busy, load) + max(busy, next_load)
+            compute += count * cycles
+            weight_fill += count * weight
+            input_stream += count * input_bytes
+            output_write += count * output
+            next_load = load
 
+    macs = dims.m * dims.k * dims.n
+    operand_reads = _ceil_bits_to_bytes(macs, bw_x), _ceil_bits_to_bytes(macs, bw_w)
+    traffic = _Traffic(weight_fill, input_stream, output_write, *operand_reads)
+    offchip = traffic.weight_fill + traffic.input_stream + traffic.output_write
     return Totals(
         macs=macs,
-        compute_cycles=sum(g.count * g.compute_cycles for g in groups),
-        memory_cycles=_mem_cycles(offchip_bytes, acc, mem),
-        total_cycles=total,
-        offchip_bytes=offchip_bytes,
+        compute_cycles=compute,
+        memory_cycles=_mem_cycles(offchip, acc, mem),
+        total_cycles=total + next_load,  # after the walk, the first generation's load: exposed
+        offchip_bytes=offchip,
         energy_compute_pj=macs * mac_pj,
-        energy_sram_pj=sram_bytes * acc.sram_energy_pj_per_byte,
-        energy_offchip_pj=offchip_bytes * 8 * mem.access_energy_pj_per_bit,
+        energy_sram_pj=(offchip + traffic.x_reads + traffic.w_reads) * acc.sram_energy_pj_per_byte,
+        energy_offchip_pj=offchip * 8 * mem.access_energy_pj_per_bit,
     )
 
 
@@ -377,12 +364,22 @@ def simulate_layer(
     peak = unit_macs * acc.unit_count
     _check_staging(layer, acc, peak, bw_x)
     dims = lower_layer(layer)
-    groups = _layer_generations(layer, dims, acc, unit_macs, bw_x, bw_w)
+    # Every unit must hold at least one weight vector of the plan's width.
+    if unit_macs * bw_w > acc.weight_scratchpad_bytes * 8:
+        raise ConfigError(
+            f"layer {layer.name or layer.kind.value}: one {unit_macs}-element weight vector "
+            f"at {bw_w} bit does not fit the {acc.weight_scratchpad_bytes}-byte scratchpad"
+        )
+    m_res = acc.total_scratchpad_bytes * 8 // bw_w // dims.k
+    if m_res < 1:
+        raise ConfigError(
+            f"layer {layer.name or layer.kind.value}: one weight row (k={dims.k}, {bw_w} bit) "
+            f"exceeds the combined scratchpad capacity of {acc.total_scratchpad_bytes} bytes"
+        )
 
-    first = steady = _simulate_pass(groups, acc, mem, mac_pj, bw_x, bw_w)
+    first = steady = _simulate_pass(dims, m_res, peak, acc, mem, mac_pj, bw_x, bw_w, weights_resident=False)
     if layer.repeat > 1 and _ceil_bits_to_bytes(dims.m * dims.k, bw_w) <= acc.total_scratchpad_bytes:
-        resident = [g._replace(weight_bytes=0) for g in groups]
-        steady = _simulate_pass(resident, acc, mem, mac_pj, bw_x, bw_w)
+        steady = _simulate_pass(dims, m_res, peak, acc, mem, mac_pj, bw_x, bw_w, weights_resident=True)
 
     totals = Totals.of([first] + [steady] * (layer.repeat - 1))
     return LayerReport(

@@ -194,9 +194,7 @@ def _structure(cfg: CvuConfig) -> dict[str, int]:
     }
 
 
-def _cost(
-    units: dict[str, int], params: CostParams, macs: int = 1, per: tuple[float, float] = (1.0, 1.0)
-) -> CostBreakdown:
+def _cost(units: dict[str, int], params: CostParams, macs: int, per: tuple[float, float]) -> CostBreakdown:
     """Apply the constants to a bit-unit inventory, then divide by ``macs`` and ``per`` (energy, area)."""
     per_energy, per_area = per
     fields = {}

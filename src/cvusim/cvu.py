@@ -51,7 +51,6 @@ class CompositionPlan:
     bw_x: int
     bw_w: int
     clusters: int
-    nbves_per_cluster: int
     shifts: tuple[int, ...]
     effective_length: int
     slice: SliceConfig
@@ -92,8 +91,7 @@ def plan_composition(bw_x: int, bw_w: int, cfg: CvuConfig) -> CompositionPlan:
     eff_w = _plan_width(bw_w, cfg.slice.beta, cfg.slice.max_bw)
     planes_x = eff_x // cfg.slice.alpha
     planes_w = eff_w // cfg.slice.beta
-    per_cluster = planes_x * planes_w
-    clusters = cfg.nbve_count // per_cluster
+    clusters = cfg.nbve_count // (planes_x * planes_w)
     shifts = tuple(
         cfg.slice.alpha * j + cfg.slice.beta * k for j in range(planes_x) for k in range(planes_w)
     )
@@ -101,7 +99,6 @@ def plan_composition(bw_x: int, bw_w: int, cfg: CvuConfig) -> CompositionPlan:
         bw_x=eff_x,
         bw_w=eff_w,
         clusters=clusters,
-        nbves_per_cluster=per_cluster,
         shifts=shifts,
         effective_length=clusters * cfg.lanes,
         slice=cfg.slice,

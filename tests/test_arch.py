@@ -96,6 +96,17 @@ class TestSimulateLayer:
         for layer in simulate_network(net, acc, DDR4, PARAMS).layers:
             assert (layer.bound == "memory") == (layer.memory_cycles > layer.compute_cycles)
 
+    def test_traffic_by_purpose(self):
+        # one generation: the off-chip weights, inputs and 8-bit outputs are each one SRAM
+        # access, and every MAC reads each operand from SRAM once
+        layer = LayerSpec(kind=LayerKind.GEMV, m=64, k=64, n=3, bw_x=4, bw_w=2)
+        report = simulate_layer(layer, small_array(), DDR4, PARAMS)
+        weights, inputs, outputs = 64 * 64 * 2 // 8, 64 * 3 * 4 // 8, 64 * 3
+        macs = 64 * 64 * 3
+        assert report.offchip_bytes == weights + inputs + outputs
+        assert report.energy_sram_pj == (weights + inputs + outputs + macs * 4 // 8 + macs * 2 // 8) * 0.8
+        assert report.energy_offchip_pj == report.offchip_bytes * 8 * DDR4.access_energy_pj_per_bit
+
     def test_scratchpad_too_small_for_weight_vector(self):
         acc = small_array(weight_scratchpad_bytes=8)  # one 16-element 8-bit vector needs 16
         with pytest.raises(ConfigError, match="scratchpad"):
@@ -396,20 +407,13 @@ class TestIsoPowerSizing:
 
     def test_lanes_default_per_style(self):
         assert build_array(Style.VECTOR, PARAMS).cvu.lanes == 16
-        assert build_array(Style.VECTOR, PARAMS, lanes=4).cvu.lanes == 4
         for style in (Style.SCALAR, Style.CONVENTIONAL):
             assert build_array(style, PARAMS).cvu.lanes == 1
-            assert build_array(style, PARAMS, lanes=1).cvu.lanes == 1
-
-    @pytest.mark.parametrize("style", [Style.SCALAR, Style.CONVENTIONAL])
-    def test_explicit_lanes_rejected_for_one_lane_styles(self, style):
-        with pytest.raises(ConfigError, match="lanes=4"):
-            build_array(style, PARAMS, lanes=4)
 
     @pytest.mark.parametrize("frequency", [0.0, -1.0, math.nan, math.inf])
     def test_frequency_must_be_positive_and_finite(self, frequency):
         with pytest.raises(ConfigError, match="frequency"):
-            build_array(Style.VECTOR, PARAMS, frequency_hz=frequency)
+            small_array(frequency_hz=frequency)
 
     def test_scalar_style_requires_one_lane(self):
         with pytest.raises(ConfigError, match="1 lane"):

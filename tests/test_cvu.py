@@ -23,21 +23,21 @@ def rand_vector(rng, n, bw, signed):
 class TestPlanComposition:
     def test_homogeneous_8bit(self):
         plan = plan_composition(8, 8, DEFAULT)
-        assert (plan.clusters, plan.nbves_per_cluster) == (1, 16)
+        assert (plan.clusters, len(plan.shifts)) == (1, 16)
         assert plan.effective_length == 16
 
     def test_8x2_clusters(self):
         plan = plan_composition(8, 2, DEFAULT)
-        assert (plan.clusters, plan.nbves_per_cluster) == (4, 4)
+        assert (plan.clusters, len(plan.shifts)) == (4, 4)
         assert plan.effective_length == 4 * 16
 
     def test_2x2_independent(self):
         plan = plan_composition(2, 2, DEFAULT)
-        assert (plan.clusters, plan.nbves_per_cluster) == (16, 1)
+        assert (plan.clusters, len(plan.shifts)) == (16, 1)
 
     def test_4x4(self):
         plan = plan_composition(4, 4, DEFAULT)
-        assert (plan.clusters, plan.nbves_per_cluster) == (4, 4)
+        assert (plan.clusters, len(plan.shifts)) == (4, 4)
         assert plan.effective_length == 4 * 16
 
     def test_out_of_range(self):
@@ -52,7 +52,7 @@ class TestPlanComposition:
     @pytest.mark.parametrize("bw_w", range(1, 9))
     def test_full_utilization_everywhere(self, bw_x, bw_w):
         plan = plan_composition(bw_x, bw_w, DEFAULT)
-        assert plan.clusters * plan.nbves_per_cluster == DEFAULT.nbve_count
+        assert plan.clusters * len(plan.shifts) == DEFAULT.nbve_count
         assert plan.effective_length == plan.clusters * DEFAULT.lanes
 
     @pytest.mark.parametrize("alpha,beta", [(1, 1), (1, 2), (2, 4), (4, 4)])
@@ -61,7 +61,7 @@ class TestPlanComposition:
         for bw_x in range(1, 9):
             for bw_w in range(1, 9):
                 plan = plan_composition(bw_x, bw_w, cfg)
-                assert plan.clusters * plan.nbves_per_cluster == cfg.nbve_count
+                assert plan.clusters * len(plan.shifts) == cfg.nbve_count
 
     def test_shifts_follow_plane_grid(self):
         plan = plan_composition(8, 4, DEFAULT)
@@ -150,14 +150,14 @@ class TestExecuteCycle:
 
         monkeypatch.setattr(cvu, "nbve_dot", spy)
         plan = plan_composition(5, 3, DEFAULT)
-        assert (plan.clusters, plan.nbves_per_cluster) == (2, 8)
+        assert (plan.clusters, len(plan.shifts)) == (2, 8)
         x = QuantizedVector((5, 2), 5)
         w = QuantizedVector((1, 3), 3)
         assert execute_cycle([x], [w], plan).scalars == (11, 0)
-        assert len(shapes) == 1 and math.prod(shapes[0]) == plan.clusters * plan.nbves_per_cluster
+        assert len(shapes) == 1 and math.prod(shapes[0]) == plan.clusters * len(plan.shifts)
         shapes.clear()
         execute_cycle([x] * 2, [w] * 3, plan)
-        assert len(shapes) == 1 and math.prod(shapes[0]) == 3 * 2 * plan.clusters * plan.nbves_per_cluster
+        assert len(shapes) == 1 and math.prod(shapes[0]) == 3 * 2 * plan.clusters * len(plan.shifts)
 
     def test_sixteen_identities(self):
         # sixteen one-lane clusters, one element each

@@ -5,6 +5,8 @@ style, memory and bitwidth mode, with every ``LayerReport`` field and floats
 written by ``repr``.  The ``.txt`` files hold the exact stdout of ``dse``,
 of ``compare`` over all six networks and four configs in each bitwidth mode,
 and of ``simulate`` for every network, style, memory and mode.
+``sensitivity.txt`` holds the file-mode ``compare`` geomeans at several SRAM
+budgets, so a change in how the model moves weights shows in every diff.
 
 A change that moves the model on purpose regenerates the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and explains the diff.  The
@@ -31,6 +33,7 @@ MODES = ("file", "homogeneous")
 STYLES = {"conventional": Style.CONVENTIONAL, "scalar": Style.SCALAR, "vector": Style.VECTOR}
 MEMORIES = {"ddr4": DDR4, "hbm2": HBM2}
 COMPARE_CONFIGS = ("conventional:ddr4", "scalar:ddr4", "vector:ddr4", "vector:hbm2")
+SENSITIVITY_SRAM_MIB = (4, 6, 8, 10)
 LAYER_FIELDS = (
     "name", "kind", "m", "k", "n", "repeats", "bw_x", "bw_w", "macs",
     "compute_cycles", "memory_cycles", "total_cycles", "utilization", "bound",
@@ -73,8 +76,8 @@ def cli_stdout(argv: list[str]) -> str:
     return out.getvalue()
 
 
-def compare_report(mode: str) -> str:
-    argv = ["compare", "--bitwidths", mode]
+def compare_report(mode: str, *options: str) -> str:
+    argv = ["compare", "--bitwidths", mode, *options]
     for net in NETS:
         argv += ["--network", net]
     for config in COMPARE_CONFIGS:
@@ -92,12 +95,23 @@ def simulate_reports() -> str:
     )
 
 
+def sensitivity_table() -> str:
+    lines = ["sram_bytes,config,speedup,energy_reduction"]
+    for mib in SENSITIVITY_SRAM_MIB:
+        for row in compare_report("file", "--sram-bytes", str(mib << 20)).splitlines():
+            if row.startswith("geomean,"):
+                _, config, _, _, speedup, energy = row.split(",")
+                lines.append(f"{mib << 20},{config},{speedup},{energy}")
+    return "\n".join(lines) + "\n"
+
+
 FILES = {
     "model.csv": model_table,
     "dse.txt": lambda: cli_stdout(["dse"]),
     "compare-file.txt": lambda: compare_report("file"),
     "compare-homogeneous.txt": lambda: compare_report("homogeneous"),
     "simulate.txt": simulate_reports,
+    "sensitivity.txt": sensitivity_table,
 }
 
 
@@ -126,11 +140,32 @@ def test_simulate_reports():
     _check("simulate.txt")
 
 
+def test_sensitivity_table():
+    _check("sensitivity.txt")
+
+
+def _model_rows() -> list[dict[str, str]]:
+    with (GOLDEN / "model.csv").open(newline="") as f:
+        return list(csv.DictReader(f))
+
+
+def test_model_rows_hold_the_invariants():
+    # total >= memory is left out: the input stream and the next load are taken as a
+    # per-phase max on one channel, so the 12 fc6 rows on DDR4 break it
+    rows = _model_rows()
+    assert len(rows) == 672
+    for row in rows:
+        compute, memory, total = (int(row[f]) for f in ("compute_cycles", "memory_cycles", "total_cycles"))
+        assert 0 < float(row["utilization"]) <= 1, row
+        assert total >= compute, row
+        assert int(row["macs"]) == int(row["m"]) * int(row["k"]) * int(row["n"]) * int(row["repeats"]), row
+        assert row["bound"] == ("memory" if memory > compute else "compute"), row
+
+
 def test_narrower_bitwidths_never_cost_more():
     # every layer at its file bitwidths against the same layer at 8x8, same
     # network, style and memory: never more cycles, energy or off-chip bytes
-    with (GOLDEN / "model.csv").open(newline="") as f:
-        rows = list(csv.DictReader(f))
+    rows = _model_rows()
     by_mode = {mode: [row for row in rows if row["bitwidths"] == mode] for mode in MODES}
     pairs = list(zip(by_mode["file"], by_mode["homogeneous"]))
     assert len(pairs) == 336 and len(rows) == 2 * len(pairs)
