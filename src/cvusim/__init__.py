@@ -7,7 +7,6 @@ from .bitslice import (
     SliceConfig,
     dot_exact,
     nbve_dot,
-    slice_value,
     slice_vector,
 )
 from .cvu import CompositionPlan, CvuConfig, CvuOutput, execute_cycle, plan_composition

@@ -317,15 +317,14 @@ def _simulate_pass(
 def _check_staging(layer: LayerSpec, acc: AcceleratorConfig, peak: int, bw_x: int) -> None:
     # Double-buffered staging of one cycle's input broadcast and one column
     # of 64-bit output partials.
-    input_need = 2 * _ceil_bits_to_bytes(max(1, peak // acc.cols), bw_x)
-    output_need = 2 * acc.cols * 8
-    if input_need > acc.input_buffer_bytes:
-        raise ConfigError(
-            f"layer {layer.name or layer.kind.value}: input staging needs {input_need} bytes, "
-            f"buffer holds {acc.input_buffer_bytes}"
-        )
-    if output_need > acc.output_buffer_bytes:
-        raise ConfigError(f"output staging needs {output_need} bytes, buffer holds {acc.output_buffer_bytes}")
+    for side, need, holds in (
+        ("input", 2 * _ceil_bits_to_bytes(max(1, peak // acc.cols), bw_x), acc.input_buffer_bytes),
+        ("output", 2 * acc.cols * 8, acc.output_buffer_bytes),
+    ):
+        if need > holds:
+            raise ConfigError(
+                f"layer {layer.name or layer.kind.value}: {side} staging needs {need} bytes, buffer holds {holds}"
+            )
 
 
 def _price(acc: AcceleratorConfig, params: CostParams, bw_x: int, bw_w: int, memo: dict) -> tuple[int, float]:
@@ -448,19 +447,19 @@ def _check_accumulator(value: int) -> int:
 def functional_dot(x: QuantizedVector, w: QuantizedVector, acc: AcceleratorConfig) -> int:
     """Compute one dot product exactly as the configured style would.
 
-    Conventional units take the plain widening MAC path as one sum.  Each
-    product is at most ``2**(bw_x + bw_w)`` in magnitude, so a partial sum of k
-    products is at most ``k * 2**(bw_x + bw_w)``.  Below 2**63 no partial sum
-    can leave the 64-bit column register and checking the output checks every
-    MAC; a longer dot product raises :class:`RangeError` up front.  Composable
-    styles compute it as a 1 x 1 :func:`functional_gemm`.
+    Conventional units take the plain widening MAC path: one int64 dot product
+    of the two operands' arrays.  Each product is at most ``2**(bw_x + bw_w)``
+    in magnitude, so a partial sum of k products is at most
+    ``k * 2**(bw_x + bw_w)``.  Below 2**63 no partial sum can wrap or leave the
+    64-bit column register; a longer dot product raises :class:`RangeError` up
+    front.  Composable styles compute it as a 1 x 1 :func:`functional_gemm`.
     """
     if len(x) != len(w):
         raise ShapeError(f"vector length mismatch: {len(x)} vs {len(w)}")
     if acc.style is Style.CONVENTIONAL:
         if len(x) << (x.bitwidth + w.bitwidth) >= 1 << 63:
             raise RangeError(f"{len(x)} MACs at {x.bitwidth}x{w.bitwidth} bits could overflow the 64-bit accumulator")
-        return _check_accumulator(sum(map(operator.mul, x.values, w.values)))
+        return int(x.array @ w.array)
     return functional_gemm([w], [x], acc)[0][0]
 
 

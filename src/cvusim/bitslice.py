@@ -26,11 +26,17 @@ of a signed operand carrying a negative weight.  All other slices are
 unsigned.  Bitwidths that are not multiples of the slice width are sign- or
 zero-extended up to the next multiple before slicing.
 
-:func:`slice_vector` maps values through cached per-plane lookup tables of
-``2**bitwidth`` <= 256 entries, whatever the padded width; a negative value
-indexes from the end, which is its two's-complement encoding.  numpy is
-imported only when a vector is sliced, so planning and the analytic model
-never load it.
+A :class:`QuantizedVector` is validated once, when it is built: its values
+are packed into a read-only int64 ``array``, and one min/max over that array
+checks the declared range.  The functional path computes from that array
+only: :func:`slice_vector` maps it through cached per-plane lookup tables of
+``2**bitwidth`` <= 256 entries, whatever the padded width (a negative value
+indexes from the end, which is its two's-complement encoding), and the
+conventional style's dot product is one int64 dot of two arrays.
+:func:`dot_exact` adds the Python integers of ``values`` instead, so the
+oracle shares no arithmetic with the paths it checks.  numpy is imported
+only when a vector is built, so planning and the analytic model never load
+it.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from __future__ import annotations
 import functools
 import operator
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import RangeError, ShapeError
@@ -84,19 +90,18 @@ class SliceConfig:
             raise RangeError(f"max_bw must be positive, got {self.max_bw}")
 
 
-@functools.lru_cache(maxsize=None)
-def _value_set(bitwidth: int, signed: bool) -> frozenset[int]:
-    lo, hi = value_bounds(bitwidth, signed)
-    return frozenset(range(lo, hi + 1))
-
-
 @dataclass(frozen=True)
 class QuantizedVector:
-    """Integer vector with a declared bitwidth and signedness."""
+    """Integer vector with a declared bitwidth and signedness.
+
+    ``array`` holds ``values`` as a read-only int64 array, built once here and
+    read by every functional path; it takes no part in ``==``, ``hash`` or ``repr``.
+    """
 
     values: tuple[int, ...]
     bitwidth: int
     signed: bool = False
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.bitwidth <= MAX_BITWIDTH:
@@ -107,39 +112,22 @@ class QuantizedVector:
         except TypeError:
             i, v = next((i, v) for i, v in enumerate(raw) if not hasattr(type(v), "__index__"))
             raise RangeError(f"value {v!r} at index {i} is not an integer") from None
-        if not _value_set(self.bitwidth, self.signed).issuperset(values):  # one pass, unlike min and max
-            lo, hi = value_bounds(self.bitwidth, self.signed)
+        import numpy as np
+
+        lo, hi = value_bounds(self.bitwidth, self.signed)
+        try:  # packing is about twice as fast as np.fromiter; the buffer is immutable bytes
+            array = np.frombuffer(struct.pack(f"{len(values)}q", *values), np.int64)
+        except struct.error:  # a value outside int64 is outside every declared range
+            array = None
+        if array is None or (len(array) and not lo <= array.min() <= array.max() <= hi):
             i, v = next((i, v) for i, v in enumerate(values) if not lo <= v <= hi)
             kind = "signed" if self.signed else "unsigned"
             raise RangeError(f"value {v} at index {i} outside {kind} {self.bitwidth}-bit range [{lo}, {hi}]")
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "array", array)
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-def slice_value(value: int, bitwidth: int, slice_width: int, signed: bool) -> list[int]:
-    """Slice one integer into LSB-first slice values.
-
-    The value is first sign/zero-extended to the next multiple of
-    ``slice_width``.  Reconstruction ``sum(2**(slice_width*j) * s_j)``
-    returns the original value exactly.
-    """
-    if slice_width not in VALID_SLICE_WIDTHS:
-        raise RangeError(f"slice_width must be one of {VALID_SLICE_WIDTHS}, got {slice_width}")
-    lo, hi = value_bounds(bitwidth, signed)
-    if not lo <= value <= hi:
-        kind = "signed" if signed else "unsigned"
-        raise RangeError(f"value {value} outside {kind} {bitwidth}-bit range [{lo}, {hi}]")
-
-    padded = padded_bitwidth(bitwidth, slice_width)
-    num_slices = padded // slice_width
-    unsigned = value % (1 << padded)  # two's-complement encoding at padded width
-    mask = (1 << slice_width) - 1
-    slices = [(unsigned >> (slice_width * j)) & mask for j in range(num_slices)]
-    if signed and slices[-1] >= 1 << (slice_width - 1):
-        slices[-1] -= 1 << slice_width
-    return slices
 
 
 @functools.lru_cache(maxsize=None)
@@ -171,8 +159,6 @@ def slice_vector(vec: QuantizedVector, slice_width: int, *, bitwidth: int | None
     (used when a composition plan pads operands); it must not be narrower
     than the vector's own width.
     """
-    import numpy as np
-
     if slice_width not in VALID_SLICE_WIDTHS:
         raise RangeError(f"slice_width must be one of {VALID_SLICE_WIDTHS}, got {slice_width}")
     bw = vec.bitwidth if bitwidth is None else bitwidth
@@ -180,9 +166,7 @@ def slice_vector(vec: QuantizedVector, slice_width: int, *, bitwidth: int | None
         raise RangeError(f"cannot slice {vec.bitwidth}-bit vector at narrower width {bw}")
 
     tables = _plane_tables(vec.bitwidth, padded_bitwidth(bw, slice_width), slice_width, vec.signed)
-    # Packing the validated integers is about twice as fast as np.fromiter.
-    values = np.frombuffer(struct.pack(f"{len(vec)}q", *vec.values), np.int64)
-    return tables.take(values, axis=1)
+    return tables.take(vec.array, axis=1)
 
 
 def nbve_dot(x_planes: np.ndarray, w_planes: np.ndarray) -> np.ndarray:

@@ -117,6 +117,13 @@ class TestSimulateLayer:
         with pytest.raises(ConfigError, match="combined scratchpad"):
             simulate_layer(fc(64, 4096), acc, INFINITE, PARAMS)
 
+    def test_staging_errors_name_the_layer(self):
+        layer = fc(64, 64, name="fc_a")  # 2 x 2 units of 16 lanes: 32 elements per column per cycle
+        with pytest.raises(ConfigError, match=r"^layer fc_a: input staging needs 64 bytes, buffer holds 8$"):
+            simulate_layer(layer, small_array(input_buffer_bytes=8), INFINITE, PARAMS)
+        with pytest.raises(ConfigError, match=r"^layer fc_a: output staging needs 32 bytes, buffer holds 8$"):
+            simulate_layer(layer, small_array(output_buffer_bytes=8), INFINITE, PARAMS)
+
     def test_utilization_bounds(self):
         report = simulate_layer(fc(64, 60), small_array(), INFINITE, PARAMS)
         assert 0 < report.utilization <= 1
@@ -503,7 +510,7 @@ class TestFunctionalEquivalence:
     )
     def test_every_layer_whole(self, name, index):
         # the whole layer: seeded signed m x k weights and unsigned k x n
-        # inputs through both composable styles, against int64 W @ X
+        # inputs through all three styles, against int64 W @ X
         layer = load_bundled(name).layers[index]
         dims = lower_layer(layer)
         rng = np.random.default_rng([*name.encode(), index])
@@ -512,7 +519,7 @@ class TestFunctionalEquivalence:
         expected = (w.astype(np.int64) @ x.astype(np.int64)).tolist()
         weights = [QuantizedVector(row.tolist(), layer.bw_w, signed=True) for row in w]
         inputs = [QuantizedVector(col.tolist(), layer.bw_x) for col in x.T]
-        for style in (Style.VECTOR, Style.SCALAR):
+        for style in (Style.VECTOR, Style.SCALAR, Style.CONVENTIONAL):
             assert functional_gemm(weights, inputs, build_array(style, PARAMS)) == expected, style
 
     @pytest.mark.parametrize("style", list(Style))
@@ -538,7 +545,7 @@ class TestFunctionalEquivalence:
     def test_conventional_dot_bound_checked_up_front(self):
         # a stand-in vector long enough that k * 2**(bw_x + bw_w) reaches 2**63
         class Long:
-            bitwidth, values = 8, ()
+            bitwidth, values, array = 8, (), np.zeros(0, np.int64)
 
             def __init__(self, length):
                 self.length = length

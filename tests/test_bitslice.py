@@ -5,6 +5,8 @@ The shift-add recomposition itself is :func:`cvusim.cvu.execute_cycle`;
 clusters and operand sets, and ``test_arch.py`` reaches it through ``functional_dot``.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 import cvusim.bitslice as bs
 from cvusim.arch import Style, build_array, functional_dot
-from cvusim.bitslice import QuantizedVector, SliceConfig, dot_exact, nbve_dot, slice_value, slice_vector
+from cvusim.bitslice import QuantizedVector, SliceConfig, dot_exact, nbve_dot, slice_vector
 from cvusim.cost import default_params
 from cvusim.cvu import CvuConfig, execute_cycle, plan_composition
 from cvusim.errors import RangeError, ShapeError
@@ -21,6 +23,25 @@ from cvusim.errors import RangeError, ShapeError
 def reconstruct(slices, slice_width):
     """Independent reconstruction oracle: sum of 2^(sw*j) * slice_j."""
     return sum(s << (slice_width * j) for j, s in enumerate(slices))
+
+
+def slice_value(value, bitwidth, slice_width, signed):
+    """Independent per-value slicing oracle: LSB-first slices of one in-range integer.
+
+    The value is sign/zero-extended to the next multiple of ``slice_width`` and
+    cut with shifts and masks; a signed value's top slice reads as signed."""
+    padded = -(-bitwidth // slice_width) * slice_width
+    unsigned = value % (1 << padded)  # two's-complement encoding at padded width
+    mask = (1 << slice_width) - 1
+    slices = [(unsigned >> (slice_width * j)) & mask for j in range(padded // slice_width)]
+    if signed and slices[-1] >= 1 << (slice_width - 1):
+        slices[-1] -= 1 << slice_width
+    return slices
+
+
+def slices_of(value, bitwidth, slice_width, signed):
+    """``slice_vector``'s slices of one value, LSB-first."""
+    return slice_vector(QuantizedVector((value,), bitwidth, signed), slice_width)[:, 0].tolist()
 
 
 def compose_dot(x, w, slice_cfg):
@@ -38,30 +59,32 @@ def dot_loop(xs, ws):
 
 
 class TestSliceValue:
+    # one value through slice_vector, against the per-value oracle above
     def test_unsigned_example(self):
-        assert slice_value(13, 4, 2, signed=False) == [1, 3]
+        assert slices_of(13, 4, 2, signed=False) == slice_value(13, 4, 2, signed=False) == [1, 3]
 
     def test_zero(self):
-        assert slice_value(0, 8, 2, signed=False) == [0, 0, 0, 0]
+        assert slices_of(0, 8, 2, signed=False) == [0, 0, 0, 0]
 
     def test_signed_msb_slice(self):
         # two's complement 1101 at 4 bits; MSB slice 11 reads as -1
-        slices = slice_value(-3, 4, 2, signed=True)
-        assert slices == [1, -1]
+        slices = slices_of(-3, 4, 2, signed=True)
+        assert slices == slice_value(-3, 4, 2, signed=True) == [1, -1]
         assert reconstruct(slices, 2) == -3
 
     def test_out_of_range(self):
-        with pytest.raises(RangeError):
-            slice_value(16, 4, 2, signed=False)
-        with pytest.raises(RangeError):
-            slice_value(8, 4, 2, signed=True)
-        with pytest.raises(RangeError):
-            slice_value(-1, 4, 2, signed=False)
+        for value, signed in ((16, False), (8, True), (-1, False)):
+            with pytest.raises(RangeError, match="index 0"):
+                QuantizedVector((value,), 4, signed)
+        with pytest.raises(RangeError, match="narrower"):
+            slice_vector(QuantizedVector((3,), 4), 2, bitwidth=2)
+        with pytest.raises(RangeError, match="slice_width"):
+            slice_vector(QuantizedVector((3,), 4), 3)
 
     def test_padded_width(self):
         # 3-bit signed value sliced at 2 bits pads to 4 bits
-        assert len(slice_value(-4, 3, 2, signed=True)) == 2
-        assert reconstruct(slice_value(-4, 3, 2, signed=True), 2) == -4
+        assert len(slices_of(-4, 3, 2, signed=True)) == 2
+        assert reconstruct(slices_of(-4, 3, 2, signed=True), 2) == -4
 
     @given(
         bw=st.integers(1, 8),
@@ -72,7 +95,8 @@ class TestSliceValue:
     def test_reconstruction_property(self, bw, sw, signed, data):
         lo, hi = bs.value_bounds(bw, signed)
         v = data.draw(st.integers(lo, hi))
-        slices = slice_value(v, bw, sw, signed)
+        slices = slices_of(v, bw, sw, signed)
+        assert slices == slice_value(v, bw, sw, signed)
         assert reconstruct(slices, sw) == v
         for s in slices[:-1]:
             assert 0 <= s < (1 << sw)
@@ -112,6 +136,42 @@ class TestSliceVector:
             vec = QuantizedVector(values, 2)
             assert vec.values == (int(values[0]), int(values[1]), int(values[2]))
             assert all(type(v) is int for v in vec.values)
+
+    @pytest.mark.parametrize("value", [1 << 63, -(1 << 63) - 1, 1 << 70])
+    def test_values_outside_int64_raise_range_error(self, value):
+        for signed in (False, True):
+            with pytest.raises(RangeError, match=f"value {value} at index 1 outside"):
+                QuantizedVector((0, value, 1), 8, signed)
+
+    def test_empty_vector(self):
+        vec = QuantizedVector((), 8, signed=True)
+        assert len(vec) == 0 and vec.array.dtype == np.int64 and vec.array.shape == (0,)
+        assert slice_vector(vec, 2).shape == (4, 0)
+        assert dot_exact(vec, vec) == 0
+        for style in Style:
+            assert functional_dot(vec, vec, build_array(style, default_params())) == 0, style
+
+    def test_array_is_read_only_and_outside_equality_hash_and_repr(self):
+        vec = QuantizedVector((3, -2, 1), 4, signed=True)
+        assert vec.array.dtype == np.int64 and vec.array.tolist() == list(vec.values)
+        assert not vec.array.flags.writeable
+        with pytest.raises(ValueError):
+            vec.array[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            vec.array = np.zeros(3, np.int64)
+        with pytest.raises(TypeError):
+            QuantizedVector((1,), 4, array=np.ones(1, np.int64))
+        other = QuantizedVector((3, -2, 1), 4, signed=True)
+        object.__setattr__(other, "array", np.zeros(3, np.int64))  # differs only in array
+        assert other == vec and hash(other) == hash(vec)
+        assert "array" not in repr(vec)
+
+    @given(bw=st.integers(1, 8), signed=st.booleans(), data=st.data())
+    def test_array_holds_the_values(self, bw, signed, data):
+        values = data.draw(st.lists(st.integers(*bs.value_bounds(bw, signed)), max_size=32))
+        vec = QuantizedVector(values, bw, signed)
+        assert vec.array.dtype == np.int64
+        assert vec.array.tolist() == list(vec.values) == values
 
     def test_exhaustive_against_slice_value(self):
         # every declared width, slice width and signedness, over the whole value

@@ -1,5 +1,6 @@
 """Import hygiene: only `calibrate` may load scipy, and only it and the
-bit-exact functional path may load numpy."""
+bit-exact functional path, from building its first `QuantizedVector` on, may
+load numpy."""
 
 import json
 import os
@@ -44,9 +45,11 @@ def loaded():
 
 cvu.plan_composition(4, 2, cvu.CvuConfig())
 planned = loaded()
+x, w = QuantizedVector((3, 5), 4), QuantizedVector((-1, 1), 2, signed=True)
+constructed = loaded()
 acc = arch.build_array(arch.Style.VECTOR, cost.default_params())
-value = arch.functional_dot(QuantizedVector((3, 5), 4), QuantizedVector((-1, 1), 2, signed=True), acc)
-print(json.dumps({"planned": planned, "computed": loaded(), "value": value}))
+value = arch.functional_dot(x, w, acc)
+print(json.dumps({"planned": planned, "constructed": constructed, "computed": loaded(), "value": value}))
 """
 
 
@@ -69,5 +72,5 @@ def test_cli_commands_load_neither_numpy_nor_scipy_and_calibrate_still_works():
 def test_planning_loads_no_numpy_and_the_functional_path_no_scipy():
     result = _child(_FUNCTIONAL_CHILD)
     assert result["planned"] == []
-    assert result["computed"] == ["numpy"]
+    assert result["constructed"] == result["computed"] == ["numpy"]
     assert result["value"] == 2
