@@ -28,7 +28,12 @@ load.  The assumptions, each with its test in ``tests/test_arch.py``:
   on the 12 ``fc6`` rows on DDR4 in ``tests/golden/model.csv``);
 * each MAC makes one SRAM read of each operand, and every off-chip byte is
   one SRAM access too (``TestSimulateLayer.test_traffic_by_purpose``);
-* outputs are written back at 8 bits (``TestSimulateLayer.test_traffic_by_purpose``).
+* outputs are written back at 8 bits (``TestSimulateLayer.test_traffic_by_purpose``);
+* every array runs at one fixed clock, ``FREQUENCY_HZ``, which converts off-chip bytes to
+  cycles, unit power to pJ per MAC and cycles to ``SimReport.runtime_s`` (``TestClosedForm``);
+  every SRAM byte costs ``SRAM_PJ_PER_BYTE`` (``TestSimulateLayer.test_traffic_by_purpose``);
+  and each staging buffer holds ``STAGING_BUFFER_BYTES``
+  (``TestSimulateLayer.test_staging_errors_name_the_layer``).
 
 :func:`simulate_network` prices the array once per call and plans each
 distinct bitwidth pair once; the price depends on nothing in a layer.
@@ -68,6 +73,9 @@ from .workloads import LayerKind, LayerSpec, NetworkSpec
 OUTPUT_BITS = 8
 DEFAULT_BUDGET_MW = 250.0
 DEFAULT_TOTAL_SRAM_BYTES = 6 * 1024 * 1024
+FREQUENCY_HZ = 500e6
+STAGING_BUFFER_BYTES = 65536  # each of the input and output staging buffers
+SRAM_PJ_PER_BYTE = 0.8
 _INT64_LO, _INT64_HI = -(1 << 63), (1 << 63) - 1
 
 
@@ -85,9 +93,9 @@ class MemorySpec:
     bandwidth_bytes_per_s: float
     access_energy_pj_per_bit: float
 
-    def __post_init__(self):
-        if not 0 < self.bandwidth_bytes_per_s < math.inf or not 0 <= self.access_energy_pj_per_bit < math.inf:
-            raise ConfigError(f"invalid memory spec {self}: needs finite bandwidth > 0 and energy >= 0")
+    def __post_init__(self):  # at >= 1 byte/s, every transfer's cycle count stays finite
+        if not 1 <= self.bandwidth_bytes_per_s < math.inf or not 0 <= self.access_energy_pj_per_bit < math.inf:
+            raise ConfigError(f"invalid memory spec {self}: needs finite bandwidth >= 1 byte/s and energy >= 0")
 
 
 DDR4 = MemorySpec("ddr4", 16e9, 15.0)
@@ -101,20 +109,12 @@ class AcceleratorConfig:
     cvu: CvuConfig
     weight_scratchpad_bytes: int
     style: Style
-    input_buffer_bytes: int = 65536
-    output_buffer_bytes: int = 65536
-    frequency_hz: float = 500e6
-    sram_energy_pj_per_byte: float = 0.8
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ConfigError(f"array geometry must be positive, got {self.rows}x{self.cols}")
         if self.weight_scratchpad_bytes < 1:
             raise ConfigError("weight scratchpad must be at least one byte")
-        if self.input_buffer_bytes < 1 or self.output_buffer_bytes < 1:
-            raise ConfigError("staging buffers must be positive")
-        if not (math.isfinite(self.frequency_hz) and self.frequency_hz > 0):
-            raise ConfigError(f"frequency must be positive and finite, got {self.frequency_hz}")
         if self.style is Style.SCALAR and self.cvu.lanes != 1:
             raise ConfigError(f"scalar-composable style requires 1 lane, got {self.cvu.lanes}")
 
@@ -208,8 +208,9 @@ class SimReport(Totals):
     memory: str
     layers: tuple[LayerReport, ...]
 
-    def runtime_s(self, frequency_hz: float) -> float:
-        return self.total_cycles / frequency_hz
+    @property
+    def runtime_s(self) -> float:
+        return self.total_cycles / FREQUENCY_HZ
 
 
 def build_array(
@@ -256,8 +257,8 @@ def _effective_bitwidths(layer: LayerSpec, style: Style) -> tuple[int, int, str 
     return layer.bw_x, layer.bw_w, None
 
 
-def _mem_cycles(nbytes: int, acc: AcceleratorConfig, mem: MemorySpec) -> int:
-    return max(1, math.ceil(nbytes * acc.frequency_hz / mem.bandwidth_bytes_per_s)) if nbytes else 0
+def _mem_cycles(nbytes: int, mem: MemorySpec) -> int:
+    return max(1, math.ceil(nbytes * FREQUENCY_HZ / mem.bandwidth_bytes_per_s)) if nbytes else 0
 
 
 def _ceil_bits_to_bytes(elements: int, bits: int) -> int:
@@ -270,8 +271,7 @@ _Traffic = namedtuple("_Traffic", "weight_fill input_stream output_write x_reads
 
 
 def _simulate_pass(
-    dims: GemmDims, m_res: int, peak: int, acc: AcceleratorConfig, mem: MemorySpec, mac_pj: float,
-    bw_x: int, bw_w: int, weights_resident: bool,
+    dims: GemmDims, m_res: int, peak: int, mem: MemorySpec, mac_pj: float, bw_x: int, bw_w: int, weights_resident: bool
 ) -> Totals:
     """One invocation of a layer (one timestep for recurrent layers), priced from its traffic.
 
@@ -289,8 +289,8 @@ def _simulate_pass(
             cycles = math.ceil(rows * dims.k * dims.n / peak)
             weight = 0 if weights_resident else _ceil_bits_to_bytes(rows * dims.k, bw_w)
             output = _ceil_bits_to_bytes(rows * dims.n, OUTPUT_BITS)
-            load = _mem_cycles(weight, acc, mem)
-            busy = max(cycles, _mem_cycles(input_bytes + output, acc, mem))
+            load = _mem_cycles(weight, mem)
+            busy = max(cycles, _mem_cycles(input_bytes + output, mem))
             total += (count - 1) * max(busy, load) + max(busy, next_load)
             compute += count * cycles
             weight_fill += count * weight
@@ -305,11 +305,11 @@ def _simulate_pass(
     return Totals(
         macs=macs,
         compute_cycles=compute,
-        memory_cycles=_mem_cycles(offchip, acc, mem),
+        memory_cycles=_mem_cycles(offchip, mem),
         total_cycles=total + next_load,  # after the walk, the first generation's load: exposed
         offchip_bytes=offchip,
         energy_compute_pj=macs * mac_pj,
-        energy_sram_pj=(offchip + traffic.x_reads + traffic.w_reads) * acc.sram_energy_pj_per_byte,
+        energy_sram_pj=(offchip + traffic.x_reads + traffic.w_reads) * SRAM_PJ_PER_BYTE,
         energy_offchip_pj=offchip * 8 * mem.access_energy_pj_per_bit,
     )
 
@@ -317,14 +317,13 @@ def _simulate_pass(
 def _check_staging(layer: LayerSpec, acc: AcceleratorConfig, peak: int, bw_x: int) -> None:
     # Double-buffered staging of one cycle's input broadcast and one column
     # of 64-bit output partials.
-    for side, need, holds in (
-        ("input", 2 * _ceil_bits_to_bytes(max(1, peak // acc.cols), bw_x), acc.input_buffer_bytes),
-        ("output", 2 * acc.cols * 8, acc.output_buffer_bytes),
+    for side, need in (
+        ("input", 2 * _ceil_bits_to_bytes(max(1, peak // acc.cols), bw_x)),
+        ("output", 2 * acc.cols * 8),
     ):
-        if need > holds:
-            raise ConfigError(
-                f"layer {layer.name or layer.kind.value}: {side} staging needs {need} bytes, buffer holds {holds}"
-            )
+        if need > STAGING_BUFFER_BYTES:
+            name = layer.name or layer.kind.value
+            raise ConfigError(f"layer {name}: {side} staging needs {need} bytes, buffer holds {STAGING_BUFFER_BYTES}")
 
 
 def _price(acc: AcceleratorConfig, params: CostParams, bw_x: int, bw_w: int, memo: dict) -> tuple[int, float]:
@@ -332,7 +331,7 @@ def _price(acc: AcceleratorConfig, params: CostParams, bw_x: int, bw_w: int, mem
     key = (bw_x, bw_w)
     if key not in memo:
         # mW -> pJ per cycle: P[mW] * 1e9 / f[Hz]
-        conventional_pj = params.conventional_mac_mw * 1e9 / acc.frequency_hz
+        conventional_pj = params.conventional_mac_mw * 1e9 / FREQUENCY_HZ
         if acc.style is Style.CONVENTIONAL:
             memo[key] = 1, conventional_pj
         else:
@@ -376,9 +375,9 @@ def simulate_layer(
             f"exceeds the combined scratchpad capacity of {acc.total_scratchpad_bytes} bytes"
         )
 
-    first = steady = _simulate_pass(dims, m_res, peak, acc, mem, mac_pj, bw_x, bw_w, weights_resident=False)
+    first = steady = _simulate_pass(dims, m_res, peak, mem, mac_pj, bw_x, bw_w, weights_resident=False)
     if layer.repeat > 1 and _ceil_bits_to_bytes(dims.m * dims.k, bw_w) <= acc.total_scratchpad_bytes:
-        steady = _simulate_pass(dims, m_res, peak, acc, mem, mac_pj, bw_x, bw_w, weights_resident=True)
+        steady = _simulate_pass(dims, m_res, peak, mem, mac_pj, bw_x, bw_w, weights_resident=True)
 
     totals = Totals.of([first] + [steady] * (layer.repeat - 1))
     return LayerReport(
@@ -428,10 +427,8 @@ def compare(
     """Run one network on several platforms; ratios vs. the first entry."""
     if len(configs) < 2:
         raise ConfigError(f"compare needs at least 2 configurations, got {len(configs)}")
-    results = []
-    for acc, mem in configs:
-        report = simulate_network(net, acc, mem, params)
-        results.append((report.runtime_s(acc.frequency_hz), report.energy_total_pj))
+    reports = [simulate_network(net, acc, mem, params) for acc, mem in configs]
+    results = [(report.runtime_s, report.energy_total_pj) for report in reports]
     base_runtime, base_energy = results[0]
     return [
         ComparisonEntry(runtime, energy, base_runtime / runtime, base_energy / energy) for runtime, energy in results

@@ -19,7 +19,8 @@ bits wide, so every plane value is at most 2**4 in magnitude and every lane
 product at most 2**8.  A plane of 2**40 int64 elements would take 8 TiB, so
 every addressable plane is shorter, and every partial sum of a plane dot
 product stays below 2**48.  The shift-add's bound is given in
-:mod:`cvusim.cvu`.
+:mod:`cvusim.cvu`; only a hand-built composition plan wider than
+``MAX_BITWIDTH`` reaches its int64 guard.
 
 Signedness convention: two's complement, with only the most-significant slice
 of a signed operand carrying a negative weight.  All other slices are
@@ -73,21 +74,16 @@ class SliceConfig:
     """Slice widths for the two dot-product operands.
 
     ``alpha`` applies to the x (activation) operand, ``beta`` to the w
-    (weight) operand.  Both must divide ``max_bw``.
+    (weight) operand.  Every valid slice width divides ``MAX_BITWIDTH``.
     """
 
     alpha: int = 2
     beta: int = 2
-    max_bw: int = MAX_BITWIDTH
 
     def __post_init__(self):
         for name, width in (("alpha", self.alpha), ("beta", self.beta)):
             if width not in VALID_SLICE_WIDTHS:
                 raise RangeError(f"{name} must be one of {VALID_SLICE_WIDTHS}, got {width}")
-            if self.max_bw % width != 0:
-                raise RangeError(f"{name}={width} does not divide max_bw={self.max_bw}")
-        if self.max_bw < 1:
-            raise RangeError(f"max_bw must be positive, got {self.max_bw}")
 
 
 @dataclass(frozen=True)

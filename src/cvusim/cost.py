@@ -29,7 +29,7 @@ from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .bitslice import SliceConfig
+from .bitslice import MAX_BITWIDTH, SliceConfig
 from .cvu import CvuConfig
 from .errors import CalibrationError, ConfigError, RangeError
 
@@ -40,6 +40,7 @@ ACCUMULATOR_BITS = 64
 # Fixed per-adder overhead in bit equivalents (carry logic, cell granularity).
 ADDER_OVERHEAD_BITS = 8
 PARAMS_SCHEMA_VERSION = 1
+MAX_CALIBRATION_ERROR = 0.25  # the worst relative anchor residual a calibration may leave
 
 # The four hardware categories: params-file key, CostBreakdown field prefix,
 # inventory key, and the CostParams energy and area constants.
@@ -172,9 +173,9 @@ _CONVENTIONAL_MAC = {
 
 def _structure(cfg: CvuConfig) -> dict[str, int]:
     """Bit-unit inventory of one CVU (constants not yet applied)."""
-    alpha, beta, max_bw = cfg.slice.alpha, cfg.slice.beta, cfg.slice.max_bw
-    planes_x = max_bw // alpha
-    planes_w = max_bw // beta
+    alpha, beta = cfg.slice.alpha, cfg.slice.beta
+    planes_x = MAX_BITWIDTH // alpha
+    planes_w = MAX_BITWIDTH // beta
     product_max = ((1 << alpha) - 1) * ((1 << beta) - 1)
 
     nbve_units, _, nbve_out_max = _tree_reduce([product_max] * cfg.lanes)
@@ -353,12 +354,16 @@ def _fit_metric(targets: list[tuple[CvuConfig, float]]) -> np.ndarray:
     return np.concatenate(([1.0], np.exp(best.x)))
 
 
-def calibrate(anchors, max_rel_error: float = 0.25) -> CostParams:
+def calibrate(anchors) -> tuple[CostParams, dict[str, float]]:
     """Fit the free constants to observed (power, area) anchor points.
 
     Minimizes the maximum relative error over the anchors, subject to the
     model's qualitative invariants.  The multiplier coefficient is the scale
     reference and fixed at 1; only normalized predictions are identifiable.
+
+    Returns the parameters and the residuals: each observed metric's relative error, keyed
+    ``sw{alpha}x{beta}_L{lanes}_{power|area}``.  A worst residual above
+    ``MAX_CALIBRATION_ERROR`` raises :class:`CalibrationError` with the same residuals.
     """
     anchors = list(anchors)
     if len(anchors) < 3:
@@ -384,11 +389,9 @@ def calibrate(anchors, max_rel_error: float = 0.25) -> CostParams:
         if anchor.area_norm is not None:
             residuals[f"{label}_area"] = abs(area / anchor.area_norm - 1.0)
     worst = max(residuals.values())
-    if worst > max_rel_error:
-        raise CalibrationError(
-            f"calibration residual {worst:.1%} exceeds {max_rel_error:.0%}", residuals
-        )
-    return params
+    if worst > MAX_CALIBRATION_ERROR:
+        raise CalibrationError(f"calibration residual {worst:.1%} exceeds {MAX_CALIBRATION_ERROR:.0%}", residuals)
+    return params, residuals
 
 
 def load_params(path: str | Path) -> CostParams:

@@ -18,8 +18,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .bitslice import QuantizedVector, SliceConfig, nbve_dot, padded_bitwidth, slice_vector
+from .bitslice import MAX_BITWIDTH, QuantizedVector, SliceConfig, nbve_dot, padded_bitwidth, slice_vector
 from .errors import RangeError, ShapeError
+
+MAX_LANES = 2**16  # the cost model builds each engine's adder tree as a Python list of one leaf per lane
 
 
 @dataclass(frozen=True)
@@ -30,12 +32,12 @@ class CvuConfig:
     slice: SliceConfig = SliceConfig()
 
     def __post_init__(self):
-        if self.lanes < 1:
-            raise RangeError(f"lanes must be >= 1, got {self.lanes}")
+        if not 1 <= self.lanes <= MAX_LANES:
+            raise RangeError(f"lanes must be in 1..{MAX_LANES}, got {self.lanes}")
 
     @property
     def nbve_count(self) -> int:
-        return (self.slice.max_bw // self.slice.alpha) * (self.slice.max_bw // self.slice.beta)
+        return (MAX_BITWIDTH // self.slice.alpha) * (MAX_BITWIDTH // self.slice.beta)
 
 
 @dataclass(frozen=True)
@@ -68,15 +70,15 @@ class CvuOutput:
     utilization: float
 
 
-def _plan_width(bitwidth: int, slice_width: int, max_bw: int) -> int:
+def _plan_width(bitwidth: int, slice_width: int) -> int:
     """Pad a bitwidth so its plane count divides the maximum plane count.
 
     Padding to a multiple of the slice width keeps the plane grid regular;
-    rounding the plane count up to a divisor of ``max_bw/slice_width`` keeps
-    every engine busy (integral cluster count).
+    rounding the plane count up to a divisor of ``MAX_BITWIDTH/slice_width``
+    keeps every engine busy (integral cluster count).
     """
     planes = padded_bitwidth(bitwidth, slice_width) // slice_width
-    max_planes = max_bw // slice_width
+    max_planes = MAX_BITWIDTH // slice_width
     while max_planes % planes != 0:
         planes += 1
     return planes * slice_width
@@ -85,10 +87,10 @@ def _plan_width(bitwidth: int, slice_width: int, max_bw: int) -> int:
 def plan_composition(bw_x: int, bw_w: int, cfg: CvuConfig) -> CompositionPlan:
     """Cluster the engines of a CVU for one (bw_x, bw_w) pair."""
     for name, bw in (("bw_x", bw_x), ("bw_w", bw_w)):
-        if not 1 <= bw <= cfg.slice.max_bw:
-            raise RangeError(f"{name} must be in 1..{cfg.slice.max_bw}, got {bw}")
-    eff_x = _plan_width(bw_x, cfg.slice.alpha, cfg.slice.max_bw)
-    eff_w = _plan_width(bw_w, cfg.slice.beta, cfg.slice.max_bw)
+        if not 1 <= bw <= MAX_BITWIDTH:
+            raise RangeError(f"{name} must be in 1..{MAX_BITWIDTH}, got {bw}")
+    eff_x = _plan_width(bw_x, cfg.slice.alpha)
+    eff_w = _plan_width(bw_w, cfg.slice.beta)
     planes_x = eff_x // cfg.slice.alpha
     planes_w = eff_w // cfg.slice.beta
     clusters = cfg.nbve_count // (planes_x * planes_w)
@@ -147,8 +149,9 @@ def execute_cycle(
     an element padded to e bits weigh at most 2**e, so every engine product and every
     partial sum of one cluster's shift-add over L lanes is at most ``L * 2**(bw_x + bw_w)``:
     below 2**56 at 8-bit widths, as no addressable plane reaches 2**40 elements (see
-    :mod:`cvusim.bitslice`).  Only a CVU wider than 8 bits could pass 2**63, and such a
-    call raises :class:`RangeError`.
+    :mod:`cvusim.bitslice`).  :func:`plan_composition` pads to at most ``MAX_BITWIDTH``
+    bits, so only a hand-built plan wider than that could pass 2**63, and such a call
+    raises :class:`RangeError`.
     """
     if cycles < 1:
         raise ShapeError(f"cycles must be >= 1, got {cycles}")

@@ -68,11 +68,20 @@ class TestLowerLayer:
 
 
 @pytest.mark.parametrize(
-    "bandwidth,pj_per_bit", [(math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0), (1e9, math.nan), (1e9, math.inf), (1e9, -1.0)]
+    "bandwidth,pj_per_bit",
+    [(math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0), (5e-324, 1.0), (0.999, 1.0), (1e9, math.nan), (1e9, math.inf), (1e9, -1.0)],
 )
 def test_memory_spec_rejects_invalid(bandwidth, pj_per_bit):
     with pytest.raises(ConfigError):
         MemorySpec("m", bandwidth, pj_per_bit)
+
+
+def test_slowest_memory_keeps_cycles_finite():
+    # at the 1 byte/s floor, a layer of 2**31 - 1 rows still takes a finite, integral cycle count
+    report = simulate_layer(fc(2**31 - 1, 1), small_array(), MemorySpec("slowest", 1.0, 1.0), PARAMS)
+    assert isinstance(report.total_cycles, int) and isinstance(report.memory_cycles, int)
+    assert report.memory_cycles == pytest.approx(report.offchip_bytes * arch.FREQUENCY_HZ)
+    assert math.isfinite(report.energy_total_pj)
 
 
 class TestSimulateLayer:
@@ -118,11 +127,13 @@ class TestSimulateLayer:
             simulate_layer(fc(64, 4096), acc, INFINITE, PARAMS)
 
     def test_staging_errors_name_the_layer(self):
-        layer = fc(64, 64, name="fc_a")  # 2 x 2 units of 16 lanes: 32 elements per column per cycle
-        with pytest.raises(ConfigError, match=r"^layer fc_a: input staging needs 64 bytes, buffer holds 8$"):
-            simulate_layer(layer, small_array(input_buffer_bytes=8), INFINITE, PARAMS)
-        with pytest.raises(ConfigError, match=r"^layer fc_a: output staging needs 32 bytes, buffer holds 8$"):
-            simulate_layer(layer, small_array(output_buffer_bytes=8), INFINITE, PARAMS)
+        layer = fc(64, 64, name="fc_a")
+        # 2049 x 1 units of 16 lanes: 32784 8-bit elements per column per cycle, double-buffered
+        with pytest.raises(ConfigError, match=r"^layer fc_a: input staging needs 65568 bytes, buffer holds 65536$"):
+            simulate_layer(layer, small_array(rows=2049, cols=1), INFINITE, PARAMS)
+        # 4097 columns of 64-bit partials, double-buffered
+        with pytest.raises(ConfigError, match=r"^layer fc_a: output staging needs 65552 bytes, buffer holds 65536$"):
+            simulate_layer(layer, small_array(rows=1, cols=4097), INFINITE, PARAMS)
 
     def test_utilization_bounds(self):
         report = simulate_layer(fc(64, 60), small_array(), INFINITE, PARAMS)
@@ -216,7 +227,7 @@ def reference_layer_totals(layer, acc, mem, params):
     Returns None where ``simulate_layer`` must raise ``ConfigError``.
     """
     bw_x, bw_w = (8, 8) if acc.style is Style.CONVENTIONAL else (layer.bw_x, layer.bw_w)
-    conventional_pj = params.conventional_mac_mw * 1e9 / acc.frequency_hz
+    conventional_pj = params.conventional_mac_mw * 1e9 / arch.FREQUENCY_HZ
     if acc.style is Style.CONVENTIONAL:
         unit_macs, mac_pj = 1, conventional_pj
     else:
@@ -228,7 +239,7 @@ def reference_layer_totals(layer, acc, mem, params):
         return None
 
     def mem_cycles(nbytes):
-        return max(1, math.ceil(nbytes * acc.frequency_hz / mem.bandwidth_bytes_per_s)) if nbytes else 0
+        return max(1, math.ceil(nbytes * arch.FREQUENCY_HZ / mem.bandwidth_bytes_per_s)) if nbytes else 0
 
     def to_bytes(elements, bits):
         return -(-elements * bits // 8)
@@ -251,7 +262,7 @@ def reference_layer_totals(layer, acc, mem, params):
         sram = weight_bytes + stream_bytes + to_bytes(macs, bw_x) + to_bytes(macs, bw_w)
         return Totals(
             macs, compute, mem_cycles(offchip), total, offchip,
-            macs * mac_pj, sram * acc.sram_energy_pj_per_byte, offchip * 8 * mem.access_energy_pj_per_bit,
+            macs * mac_pj, sram * arch.SRAM_PJ_PER_BYTE, offchip * 8 * mem.access_energy_pj_per_bit,
         )
 
     first = steady = one_pass(phases)
@@ -416,11 +427,6 @@ class TestIsoPowerSizing:
         assert build_array(Style.VECTOR, PARAMS).cvu.lanes == 16
         for style in (Style.SCALAR, Style.CONVENTIONAL):
             assert build_array(style, PARAMS).cvu.lanes == 1
-
-    @pytest.mark.parametrize("frequency", [0.0, -1.0, math.nan, math.inf])
-    def test_frequency_must_be_positive_and_finite(self, frequency):
-        with pytest.raises(ConfigError, match="frequency"):
-            small_array(frequency_hz=frequency)
 
     def test_scalar_style_requires_one_lane(self):
         with pytest.raises(ConfigError, match="1 lane"):

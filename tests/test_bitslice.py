@@ -182,10 +182,8 @@ class TestSliceVector:
                 plan = plan_composition(bw, bw, CvuConfig(slice=SliceConfig(sw, sw)))
                 for signed in (False, True):
                     cases |= {(bw, sw, signed, bs.padded_bitwidth(bw, sw)), (bw, sw, signed, plan.bw_x)}
-        # with max_bw=12, a 5-bit operand pads to 12 bits: three 4-bit planes
-        twelve = plan_composition(5, 5, CvuConfig(slice=SliceConfig(4, 4, max_bw=12))).bw_x
-        assert twelve == 12
-        cases |= {(5, 4, False, twelve), (5, 4, True, twelve)}
+        # a 5-bit operand widened to 12 bits, wider than any plan pads to: three 4-bit planes
+        cases |= {(5, 4, False, 12), (5, 4, True, 12)}
         for bw, sw, signed, padded in sorted(cases):
             lo, hi = bs.value_bounds(bw, signed)
             values = tuple(range(lo, hi + 1))
@@ -301,9 +299,8 @@ class TestComposeDot:
         assert compose_dot(x, w, SliceConfig(2, 2)) == -10156
 
     def test_bitwidth_over_max(self):
-        x = QuantizedVector((1,), 8)
-        with pytest.raises(RangeError):
-            compose_dot(x, x, SliceConfig(2, 2, max_bw=4))
+        with pytest.raises(RangeError):  # no vector can be built wider than MAX_BITWIDTH either
+            plan_composition(9, 8, CvuConfig(lanes=1, slice=SliceConfig(2, 2)))
 
     def test_shift_amounts(self):
         # plane pair (j, k) is shifted by alpha*j + beta*k, and the shifted

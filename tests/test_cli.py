@@ -138,10 +138,19 @@ def test_usage_errors(argv, capsys):
         ["dse", "--out", "{missing}/report.csv"],
         ["simulate", "--network", "{huge-int-network}", "--style", "vector"],
         ["simulate", "--network", "{huge-repeat-network}", "--style", "vector"],
+        [*CUSTOM, "--bandwidth", "5e-324", "--pj-per-bit", "1"],
+        ["dse", "--lanes", "65537"],
     ],
 )
 def test_input_errors(argv, files, capsys):
     assert run([arg.format(**files) for arg in argv], capsys) == EXIT_INPUT
+
+
+def test_budget_past_the_staging_buffers_names_the_layer(capsys):
+    # 5 W of vector units: one column's input broadcast outgrows the fixed 64 KiB staging buffer
+    assert main(["simulate", "--network", "lstm", "--style", "vector", "--budget", "5e6"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == "input error: layers[0]: layer lstm1: input staging needs 95680 bytes, buffer holds 65536\n"
 
 
 @pytest.mark.parametrize(

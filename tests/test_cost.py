@@ -140,13 +140,18 @@ class TestCalibrate:
     ]
 
     def test_three_observed_points_fit_within_15pct(self):
-        params = calibrate(self.THREE_ANCHORS, max_rel_error=0.15)
+        params, residuals = calibrate(self.THREE_ANCHORS)
+        assert sorted(residuals) == [
+            "sw1x1_L16_area", "sw1x1_L16_power", "sw2x2_L16_area", "sw2x2_L16_power", "sw2x2_L1_area"
+        ]
+        assert max(residuals.values()) <= 0.15
         for anchor in self.THREE_ANCHORS:
             power, area = per_mac_normalized(anchor.cfg, params)
+            label = "sw{0}x{0}_L{1}".format(anchor.cfg.slice.alpha, anchor.cfg.lanes)
             if anchor.power_norm is not None:
-                assert abs(power / anchor.power_norm - 1) <= 0.15
+                assert abs(power / anchor.power_norm - 1) == residuals[f"{label}_power"]
             if anchor.area_norm is not None:
-                assert abs(area / anchor.area_norm - 1) <= 0.15
+                assert abs(area / anchor.area_norm - 1) == residuals[f"{label}_area"]
 
     def test_too_few_anchors(self):
         with pytest.raises(ConfigError):
@@ -157,7 +162,7 @@ class TestCalibrate:
         known = PARAMS
         probes = [cfg(2, 16), cfg(2, 1), cfg(1, 16), cfg(1, 1)]
         anchors = [CalibrationAnchor(c, *per_mac_normalized(c, known)) for c in probes]
-        fitted = calibrate(anchors)
+        fitted, _ = calibrate(anchors)
         for c in probes:
             want = per_mac_normalized(c, known)
             got = per_mac_normalized(c, fitted)
@@ -168,10 +173,9 @@ class TestCalibrate:
         # exact anchors at the four default configurations plus one whose slice widths differ
         probes = [a.cfg for a in DEFAULT_ANCHORS] + [CvuConfig(16, SliceConfig(2, 1))]
         anchors = [CalibrationAnchor(c, *per_mac_normalized(c, PARAMS)) for c in probes]
-        with pytest.raises(CalibrationError) as err:  # a bound of 0 makes calibrate report every residual
-            calibrate(anchors, max_rel_error=0.0)
-        assert len(err.value.residuals) == 10
-        assert max(err.value.residuals.values()) < 1e-6
+        _, residuals = calibrate(anchors)
+        assert len(residuals) == 10
+        assert max(residuals.values()) < 1e-6
 
     def test_infeasible_targets_raise_with_residuals(self):
         bad = [

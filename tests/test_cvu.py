@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import cvusim.cvu as cvu
 from cvusim.bitslice import QuantizedVector, SliceConfig, dot_exact, value_bounds
-from cvusim.cvu import CvuConfig, execute_cycle, plan_composition
+from cvusim.cvu import CompositionPlan, CvuConfig, execute_cycle, plan_composition
 from cvusim.errors import RangeError, ShapeError
 
 DEFAULT = CvuConfig(lanes=16)
@@ -45,8 +45,8 @@ class TestPlanComposition:
             plan_composition(0, 8, DEFAULT)
         with pytest.raises(RangeError):
             plan_composition(8, 9, DEFAULT)
-        with pytest.raises(RangeError):  # 8-bit operands on a CVU built for 4 bits
-            plan_composition(8, 8, CvuConfig(slice=SliceConfig(2, 2, max_bw=4)))
+        with pytest.raises(RangeError):  # wider than MAX_BITWIDTH
+            plan_composition(9, 8, DEFAULT)
 
     @pytest.mark.parametrize("bw_x", range(1, 9))
     @pytest.mark.parametrize("bw_w", range(1, 9))
@@ -296,10 +296,11 @@ class TestExecuteBatch:
             execute_cycle([QuantizedVector((1,), 8)], [QuantizedVector((1,), 4)], plan)
 
     def test_refuses_tiles_whose_sums_could_pass_int64(self):
-        # 1-bit slices on a 31-bit CVU pad 8-bit operands to 31 bits each:
+        # a hand-built plan of 1-bit slices pads 8-bit operands to 31 bits each:
         # one lane fits 2^62, two lanes could reach 2^63
-        plan = plan_composition(8, 8, CvuConfig(lanes=2, slice=SliceConfig(1, 1, max_bw=31)))
-        assert (plan.bw_x, plan.bw_w) == (31, 31)
+        shifts = tuple(j + k for j in range(31) for k in range(31))
+        plan = CompositionPlan(bw_x=31, bw_w=31, clusters=1, shifts=shifts, effective_length=2, slice=SliceConfig(1, 1))
+        assert plan.lanes == 2
         one = QuantizedVector((-128,), 8, signed=True)
         assert execute_cycle([one], [one], plan).scalars == (1 << 14,)
         two = QuantizedVector((-128, -128), 8, signed=True)

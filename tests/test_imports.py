@@ -28,8 +28,8 @@ for argv in commands:
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(cli.main(argv))
 loaded = sorted(m for m in sys.modules if m.startswith(("numpy", "scipy")))
-params = cost.calibrate(cost.DEFAULT_ANCHORS)
-print(json.dumps({"codes": codes, "loaded": loaded, "calibrated": type(params).__name__}))
+params, residuals = cost.calibrate(cost.DEFAULT_ANCHORS)
+print(json.dumps({"codes": codes, "loaded": loaded, "calibrated": type(params).__name__, "residuals": len(residuals)}))
 """
 
 
@@ -67,6 +67,7 @@ def test_cli_commands_load_neither_numpy_nor_scipy_and_calibrate_still_works():
     assert result["codes"] == [0, 0, 0]
     assert result["loaded"] == []
     assert result["calibrated"] == "CostParams"
+    assert result["residuals"] == 8  # power and area at each of the four default anchors
 
 
 def test_planning_loads_no_numpy_and_the_functional_path_no_scipy():
