@@ -233,18 +233,16 @@ def build_array(
         unit_mw = cvu.lanes * per_mac_normalized(cvu, params)[0] * params.conventional_mac_mw
     units = iso_power_array_size(budget_mw, unit_mw)
     if units < 1:
-        raise ConfigError(
-            f"power budget {budget_mw} mW fits no {style.value} unit ({unit_mw:.3f} mW each)"
-        )
+        raise ConfigError(f"power budget {budget_mw} mW fits no {style.value} unit ({unit_mw:.3f} mW each)")
     rows = math.isqrt(units)
     cols = units // rows
-    return AcceleratorConfig(
-        rows=rows,
-        cols=cols,
-        cvu=cvu,
-        weight_scratchpad_bytes=total_sram_bytes // (rows * cols),
-        style=style,
-    )
+    scratchpad = total_sram_bytes // (rows * cols)
+    if scratchpad < 1:
+        raise ConfigError(
+            f"power budget {budget_mw:g} mW sizes {rows * cols:.6g} {style.value} units, more than the "
+            f"{total_sram_bytes} bytes of weight SRAM (--sram-bytes) can give one byte each"
+        )
+    return AcceleratorConfig(rows=rows, cols=cols, cvu=cvu, weight_scratchpad_bytes=scratchpad, style=style)
 
 
 def _effective_bitwidths(layer: LayerSpec, style: Style) -> tuple[int, int, str | None]:
@@ -402,8 +400,11 @@ def simulate_network(net: NetworkSpec, acc: AcceleratorConfig, mem: MemorySpec, 
             reports.append(simulate_layer(layer, acc, mem, params, _prices=prices))
         except ConfigError as exc:
             raise ConfigError(f"layers[{i}]: {exc}") from exc
+    totals = Totals.of(reports)
+    if not math.isfinite(totals.energy_total_pj):
+        raise ConfigError(f"energy total overflows at {mem.access_energy_pj_per_bit:g} pJ per bit off chip")
     return SimReport(
-        **vars(Totals.of(reports)),
+        **vars(totals),
         network=net.name,
         style=acc.style.value,
         memory=mem.name,

@@ -14,12 +14,12 @@ those products is :func:`cvusim.cvu.execute_cycle`.  :func:`dot_exact` is
 the independent full-precision path, in Python integers, that every composed
 result must reproduce bit for bit.
 
-Planes are int64 and no plane dot product can wrap.  A slice is at most 4
-bits wide, so every plane value is at most 2**4 in magnitude and every lane
-product at most 2**8.  A plane of 2**40 int64 elements would take 8 TiB, so
-every addressable plane is shorter, and every partial sum of a plane dot
-product stays below 2**48.  The shift-add's bound is given in
-:mod:`cvusim.cvu`; only a hand-built composition plan wider than
+No plane dot product can lose a bit.  A slice is at most 4 bits wide, so
+every plane value is at most 2**4 in magnitude and every lane product at most
+2**8.  A plane of 2**40 int64 elements would take 8 TiB, so every addressable
+plane is shorter, and every partial sum of a plane dot product stays below
+2**48: exact in int64 and, in any summation order, in float64.  The shift-add's
+bound is in :mod:`cvusim.cvu`; only a hand-built composition plan wider than
 ``MAX_BITWIDTH`` reaches its int64 guard.
 
 Signedness convention: two's complement, with only the most-significant slice
@@ -30,10 +30,10 @@ zero-extended up to the next multiple before slicing.
 A :class:`QuantizedVector` is validated once, when it is built: its values
 are packed into a read-only int64 ``array``, and one min/max over that array
 checks the declared range.  The functional path computes from that array
-only: :func:`slice_vector` maps it through cached per-plane lookup tables of
-``2**bitwidth`` <= 256 entries, whatever the padded width (a negative value
-indexes from the end, which is its two's-complement encoding), and the
-conventional style's dot product is one int64 dot of two arrays.
+only.  :func:`slice_vector` shifts it right by a cached column ``0, s, 2s, ...``
+and masks every plane but the top one to ``s`` bits; the shift is arithmetic,
+so a signed top plane keeps its sign at any padded width.  The conventional
+style's dot product is one int64 dot of two arrays.
 :func:`dot_exact` adds the Python integers of ``values`` instead, so the
 oracle shares no arithmetic with the paths it checks.  numpy is imported
 only when a vector is built, so planning and the analytic model never load
@@ -127,23 +127,13 @@ class QuantizedVector:
 
 
 @functools.lru_cache(maxsize=None)
-def _plane_tables(bitwidth: int, padded: int, slice_width: int, signed: bool) -> np.ndarray:
-    """Read-only int64 lookup table: ``tables[j, v]`` is slice j of value v at ``padded`` bits.
-
-    Entry u holds the value encoded as u at ``bitwidth`` bits; ``>>`` is
-    arithmetic, so it sign-extends to any padded width."""
+def _shifts(padded: int, slice_width: int) -> np.ndarray:
+    """Read-only int64 column of the plane shifts ``0, s, 2s, ...`` below ``padded`` bits."""
     import numpy as np
 
-    lo, hi = value_bounds(bitwidth, signed)
-    encoded = [*range(hi + 1), *range(lo, 0)]
-    mask = (1 << slice_width) - 1
-    tables = [[(v >> shift) & mask for v in encoded] for shift in range(0, padded, slice_width)]
-    if signed:
-        half, full = 1 << (slice_width - 1), 1 << slice_width
-        tables[-1] = [s - full if s >= half else s for s in tables[-1]]
-    array = np.array(tables, np.int64)
-    array.flags.writeable = False  # one cached array is shared by every caller
-    return array
+    shifts = np.arange(0, padded, slice_width, dtype=np.int64)[:, None]
+    shifts.flags.writeable = False  # one cached array is shared by every caller
+    return shifts
 
 
 def slice_vector(vec: QuantizedVector, slice_width: int, *, bitwidth: int | None = None) -> np.ndarray:
@@ -161,16 +151,19 @@ def slice_vector(vec: QuantizedVector, slice_width: int, *, bitwidth: int | None
     if bw < vec.bitwidth:
         raise RangeError(f"cannot slice {vec.bitwidth}-bit vector at narrower width {bw}")
 
-    tables = _plane_tables(vec.bitwidth, padded_bitwidth(bw, slice_width), slice_width, vec.signed)
-    return tables.take(vec.array, axis=1)
+    planes = vec.array >> _shifts(padded_bitwidth(bw, slice_width), slice_width)
+    planes[:-1] &= (1 << slice_width) - 1  # the top plane keeps the arithmetic shift's sign
+    return planes
 
 
 def nbve_dot(x_planes: np.ndarray, w_planes: np.ndarray) -> np.ndarray:
-    """Every engine's plane dot product at once: one int64 matmul over the lane axis.
+    """Every engine's plane dot product at once: one matmul over the lane axis.
 
     ``x_planes`` has shape (..., a, lanes) and ``w_planes`` (..., b, lanes);
     entry [..., i, j] of the result is the dot product of x plane i with w
-    plane j, the scalar one engine reduces from its slice multipliers.
+    plane j, the scalar one engine reduces from its slice multipliers.  Over L
+    lanes it is an integer of at most ``L * 2**8`` in magnitude, exact in int64
+    and, while L < 2**45 (every addressable plane), in float64.
     """
     if x_planes.shape[-1] != w_planes.shape[-1]:
         raise ShapeError(f"lane count mismatch: {x_planes.shape[-1]} vs {w_planes.shape[-1]}")

@@ -118,6 +118,8 @@ def _memory_from_args(args) -> MemorySpec:
         return _MEMORIES[args.memory]
     if args.bandwidth is None or args.pj_per_bit is None:
         raise _UsageError("--memory custom requires --bandwidth and --pj-per-bit")
+    if not 1 <= args.bandwidth * 1e9 < math.inf:  # MemorySpec's bound, in the flag's unit
+        raise ConfigError(f"--bandwidth must be finite and at least 1e-9 GB/s, got {args.bandwidth!r} GB/s")
     return MemorySpec("custom", args.bandwidth * 1e9, args.pj_per_bit)
 
 

@@ -254,9 +254,10 @@ def iso_power_array_size(power_budget_mw: float, per_unit_power_mw: float) -> in
     """How many MAC-equivalents fit under a power budget."""
     if not 0 < per_unit_power_mw < math.inf:
         raise ConfigError(f"per-unit power must be positive and finite, got {per_unit_power_mw}")
-    if not 0 <= power_budget_mw < math.inf:
-        raise ConfigError(f"power budget must be non-negative and finite, got {power_budget_mw}")
-    return int(power_budget_mw / per_unit_power_mw)
+    units = power_budget_mw / per_unit_power_mw
+    if not 0 <= units < math.inf:
+        raise ConfigError(f"power budget must be non-negative and a finite number of units, got {power_budget_mw} mW")
+    return int(units)
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,13 @@ in parallel, so all engines stay busy at every bitwidth.
 :func:`execute_cycle` runs every (w, x) pair of a set of operands of one
 length: each pair's element stream is spread over the clusters, ``cycles *
 lanes`` elements each, and every cluster emits its share of the dot product.
+The plane dot products run in float64 and the shift-add in int64, both exact.
 Planning imports nothing beyond the standard library; execution imports numpy.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -84,8 +86,9 @@ def _plan_width(bitwidth: int, slice_width: int) -> int:
     return planes * slice_width
 
 
+@functools.lru_cache(maxsize=256, typed=True)  # a pure function of hashable, frozen arguments
 def plan_composition(bw_x: int, bw_w: int, cfg: CvuConfig) -> CompositionPlan:
-    """Cluster the engines of a CVU for one (bw_x, bw_w) pair."""
+    """Cluster the engines of a CVU for one (bw_x, bw_w) pair; repeat calls share one plan."""
     for name, bw in (("bw_x", bw_x), ("bw_w", bw_w)):
         if not 1 <= bw <= MAX_BITWIDTH:
             raise RangeError(f"{name} must be in 1..{MAX_BITWIDTH}, got {bw}")
@@ -113,13 +116,13 @@ _BLOCK_ELEMENTS = 1 << 16
 
 
 def _planes(operands, slice_width: int, bitwidth: int, clusters: int, lanes: int):
-    """Int64 planes [cluster, operand * plane, lane] of operands zero-padded to ``clusters * lanes`` elements.
+    """Float64 planes [cluster, operand * plane, lane] of operands zero-padded to ``clusters * lanes`` elements.
 
-    Each operand is sliced once, at the plan's padded ``bitwidth``."""
+    Each operand is sliced once, at the plan's padded ``bitwidth``; its int64 planes are cast on assignment."""
     import numpy as np
 
     planes = bitwidth // slice_width
-    out = np.zeros((len(operands), planes, clusters * lanes), np.int64)
+    out = np.zeros((len(operands), planes, clusters * lanes), np.float64)
     for i, vec in enumerate(operands):
         out[i, :, : len(vec)] = slice_vector(vec, slice_width, bitwidth=bitwidth)
     # [operand, plane, cluster, lane] -> [cluster, operand * plane, lane], as views
@@ -145,13 +148,13 @@ def execute_cycle(
     once.  The w operands run in blocks, so a call holds the x planes and one block's w
     planes and engine products, never an array of m * n * k elements.
 
-    The kernel is int64, and no partial sum can wrap.  Summed by magnitude, the planes of
-    an element padded to e bits weigh at most 2**e, so every engine product and every
-    partial sum of one cluster's shift-add over L lanes is at most ``L * 2**(bw_x + bw_w)``:
-    below 2**56 at 8-bit widths, as no addressable plane reaches 2**40 elements (see
-    :mod:`cvusim.bitslice`).  :func:`plan_composition` pads to at most ``MAX_BITWIDTH``
-    bits, so only a hand-built plan wider than that could pass 2**63, and such a call
-    raises :class:`RangeError`.
+    The engines' plane dot products are float64 matmuls (BLAS), exact while L < 2**45: over
+    L lanes each is an integer of at most ``L * 2**8``, and no addressable plane reaches
+    2**40 elements (see :mod:`cvusim.bitslice`).  The int64 shift-add cannot wrap: the planes
+    of an element padded to e bits weigh at most 2**e, so every partial sum of one cluster's
+    shift-add is at most ``L * 2**(bw_x + bw_w)``, below 2**56 at 8-bit widths.
+    :func:`plan_composition` pads to at most ``MAX_BITWIDTH`` bits, so only a hand-built plan
+    wider than that could pass 2**63, and such a call raises :class:`RangeError`.
     """
     if cycles < 1:
         raise ShapeError(f"cycles must be >= 1, got {cycles}")
@@ -178,6 +181,6 @@ def execute_cycle(
     for lo in range(0, len(w_ops), rows):
         block = w_ops[lo : lo + rows]
         w = _planes(block, plan.slice.beta, plan.bw_w, plan.clusters, lanes)
-        products = nbve_dot(x, w).reshape(plan.clusters, len(x_ops), px, len(block), pw)
+        products = nbve_dot(x, w).astype(np.int64).reshape(plan.clusters, len(x_ops), px, len(block), pw)
         scalars += (products * shifts).sum(axis=(2, 4)).transpose(2, 1, 0).ravel().tolist()  # [w, x, cluster]
     return CvuOutput(scalars=tuple(scalars), utilization=k / (cycles * plan.effective_length))

@@ -27,7 +27,7 @@ from cvusim.arch import (
     simulate_layer,
     simulate_network,
 )
-from cvusim.bitslice import QuantizedVector, dot_exact, value_bounds
+from cvusim.bitslice import QuantizedVector, SliceConfig, dot_exact, value_bounds
 from cvusim.cost import default_params, per_mac_normalized
 from cvusim.cvu import CvuConfig, plan_composition
 from cvusim.errors import AccumulatorOverflowError, ConfigError, RangeError, ShapeError
@@ -47,6 +47,28 @@ def small_array(**kwargs):
 
 def fc(m, k, bw_x=8, bw_w=8, **kw):
     return LayerSpec(kind=LayerKind.FC, m=m, k=k, bw_x=bw_x, bw_w=bw_w, **kw)
+
+
+def every_layer_of(*names):
+    """(net, layer index) of every layer of the named bundled nets."""
+    return [(name, i) for name in names for i in range(len(load_bundled(name).layers))]
+
+
+def check_layer_whole(name, index):
+    """Run one bundled layer whole through all three styles, against int64 W @ X.
+
+    Seeded signed m x k weights and unsigned k x n inputs, as after a ReLU.
+    ``slow/test_whole_layers.py`` runs this on the nets too big for Tier-1."""
+    layer = load_bundled(name).layers[index]
+    dims = lower_layer(layer)
+    rng = np.random.default_rng([*name.encode(), index])
+    w = rng.integers(-(1 << (layer.bw_w - 1)), 1 << (layer.bw_w - 1), size=(dims.m, dims.k), dtype=np.int16)
+    x = rng.integers(0, 1 << layer.bw_x, size=(dims.k, dims.n), dtype=np.int16)
+    expected = (w.astype(np.int64) @ x.astype(np.int64)).tolist()
+    weights = [QuantizedVector(row.tolist(), layer.bw_w, signed=True) for row in w]
+    inputs = [QuantizedVector(col.tolist(), layer.bw_x) for col in x.T]
+    for style in (Style.VECTOR, Style.SCALAR, Style.CONVENTIONAL):
+        assert functional_gemm(weights, inputs, build_array(style, PARAMS)) == expected, (name, index, style)
 
 
 class TestLowerLayer:
@@ -511,22 +533,9 @@ class TestFunctionalEquivalence:
             for acc in arrays:
                 assert functional_dot(x, w, acc) == expected, (name, i, acc.style)
 
-    @pytest.mark.parametrize(
-        "name,index", [(name, i) for name in ("convnet", "lstm", "gru") for i in range(len(load_bundled(name).layers))]
-    )
+    @pytest.mark.parametrize("name,index", every_layer_of("convnet", "lstm", "gru"))
     def test_every_layer_whole(self, name, index):
-        # the whole layer: seeded signed m x k weights and unsigned k x n
-        # inputs through all three styles, against int64 W @ X
-        layer = load_bundled(name).layers[index]
-        dims = lower_layer(layer)
-        rng = np.random.default_rng([*name.encode(), index])
-        w = rng.integers(-(1 << (layer.bw_w - 1)), 1 << (layer.bw_w - 1), size=(dims.m, dims.k), dtype=np.int16)
-        x = rng.integers(0, 1 << layer.bw_x, size=(dims.k, dims.n), dtype=np.int16)
-        expected = (w.astype(np.int64) @ x.astype(np.int64)).tolist()
-        weights = [QuantizedVector(row.tolist(), layer.bw_w, signed=True) for row in w]
-        inputs = [QuantizedVector(col.tolist(), layer.bw_x) for col in x.T]
-        for style in (Style.VECTOR, Style.SCALAR, Style.CONVENTIONAL):
-            assert functional_gemm(weights, inputs, build_array(style, PARAMS)) == expected, style
+        check_layer_whole(name, index)
 
     @pytest.mark.parametrize("style", list(Style))
     def test_gemm_length_mismatch(self, style):
@@ -563,6 +572,23 @@ class TestFunctionalEquivalence:
         assert functional_dot(Long((1 << 47) - 1), Long((1 << 47) - 1), acc) == 0
         with pytest.raises(RangeError):
             functional_dot(Long(1 << 47), Long(1 << 47), acc)
+
+    @pytest.mark.parametrize("w_value,signed", [(255, False), (-113, True)])
+    def test_plane_products_past_2_to_24(self, w_value, signed):
+        # 4-bit slices at their largest magnitudes (15, and -8 for a signed top slice) over
+        # 2**17 - 1 lanes of one cluster: the low planes' dot product is 225 * k, an odd
+        # integer between 2**24 and 2**25, which no float32 kernel can hold
+        k, cvu = (1 << 17) - 1, CvuConfig(lanes=16, slice=SliceConfig(4, 4))
+        x = QuantizedVector((255,) * k, 8)
+        w = QuantizedVector((w_value,) * k, 8, signed)
+        arrays = [
+            small_array(cvu=cvu),
+            small_array(cvu=replace(cvu, lanes=1), style=Style.SCALAR),
+            small_array(style=Style.CONVENTIONAL),
+        ]
+        assert plan_composition(8, 8, cvu).clusters == 1  # one cluster: all k elements on its lanes
+        for acc in arrays:
+            assert functional_dot(x, w, acc) == dot_exact(x, w), acc.style
 
     def test_within_64bit_bounds_no_overflow(self):
         n = 1 << 16

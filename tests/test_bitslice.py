@@ -190,9 +190,6 @@ class TestSliceVector:
             planes = slice_vector(QuantizedVector(values, bw, signed), sw, bitwidth=padded)
             expected = [slice_value(v, padded, sw, signed) for v in values]
             assert planes.tolist() == [list(plane) for plane in zip(*expected)], (bw, sw, signed, padded)
-            tables = bs._plane_tables(bw, padded, sw, signed)
-            assert len(tables) == padded // sw
-            assert all(len(table) == 1 << bw <= 256 for table in tables)
 
     @given(
         bw=st.integers(1, 8),

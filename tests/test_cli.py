@@ -140,10 +140,34 @@ def test_usage_errors(argv, capsys):
         ["simulate", "--network", "{huge-repeat-network}", "--style", "vector"],
         [*CUSTOM, "--bandwidth", "5e-324", "--pj-per-bit", "1"],
         ["dse", "--lanes", "65537"],
+        ["simulate", "--network", "convnet", "--style", "conventional", "--budget", "1e308"],
     ],
 )
 def test_input_errors(argv, files, capsys):
     assert run([arg.format(**files) for arg in argv], capsys) == EXIT_INPUT
+
+
+def test_infinite_energy_is_an_input_error(capsys):
+    argv = ["simulate", "--network", "vgg", "--style", "conventional", "--memory", "custom"]
+    with pytest.warns(UserWarning):  # vgg's heterogeneous layers are clamped to 8 bit
+        code = main([*argv, "--bandwidth", "1e-9", "--pj-per-bit", "1e300"])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == "input error: energy total overflows at 1e+300 pJ per bit off chip\n"
+
+
+def test_bad_bandwidth_is_named_in_gb_per_s(capsys):
+    assert main([*CUSTOM, "--bandwidth", "5e-324", "--pj-per-bit", "1"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == "input error: --bandwidth must be finite and at least 1e-9 GB/s, got 5e-324 GB/s\n"
+
+
+def test_budget_too_large_for_the_sram_names_budget_units_and_sram(capsys):
+    assert main([*SIM, "--budget", "1e308"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == (
+        "input error: power budget 1e+308 mW sizes 4.4721e+307 vector-composable units, "
+        "more than the 6291456 bytes of weight SRAM (--sram-bytes) can give one byte each\n"
+    )
 
 
 def test_budget_past_the_staging_buffers_names_the_layer(capsys):

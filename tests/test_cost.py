@@ -205,6 +205,10 @@ class TestIsoPower:
     def test_zero_budget(self):
         assert iso_power_array_size(0.0, 1.0) == 0
 
+    def test_uncountable_unit_count(self):
+        with pytest.raises(ConfigError, match="finite number of units"):  # 1e308 / 0.5 is inf
+            iso_power_array_size(1e308, 0.5)
+
     def test_invalid_unit_power(self):
         for unit in (0.0, math.nan, math.inf):
             with pytest.raises(ConfigError):

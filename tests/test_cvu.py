@@ -48,6 +48,16 @@ class TestPlanComposition:
         with pytest.raises(RangeError):  # wider than MAX_BITWIDTH
             plan_composition(9, 8, DEFAULT)
 
+    def test_repeat_calls_share_one_plan_and_errors_are_not_cached(self):
+        cfg = CvuConfig(lanes=4, slice=SliceConfig(2, 4))
+        plan = plan_composition(6, 3, cfg)
+        assert plan_composition(6, 3, cfg) is plan
+        assert plan_composition(6, 3, CvuConfig(lanes=4, slice=SliceConfig(2, 4))) is plan  # an equal config
+        for bw_x, bw_w in ((0, 8), (8, 9), (9, 8), (-1, 4)):
+            for _ in range(2):
+                with pytest.raises(RangeError):
+                    plan_composition(bw_x, bw_w, cfg)
+
     @pytest.mark.parametrize("bw_x", range(1, 9))
     @pytest.mark.parametrize("bw_w", range(1, 9))
     def test_full_utilization_everywhere(self, bw_x, bw_w):
