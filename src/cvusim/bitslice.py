@@ -27,17 +27,16 @@ of a signed operand carrying a negative weight.  All other slices are
 unsigned.  Bitwidths that are not multiples of the slice width are sign- or
 zero-extended up to the next multiple before slicing.
 
-A :class:`QuantizedVector` is validated once, when it is built: its values
-are packed into a read-only int64 ``array``, and one min/max over that array
-checks the declared range.  The functional path computes from that array
-only.  :func:`slice_vector` shifts it right by a cached column ``0, s, 2s, ...``
+A :class:`QuantizedVector` holds its operand once, as a read-only int64
+``array``: its values are packed into it when the vector is built, and one
+min/max over it checks the declared range.  Every path computes from that
+array.  :func:`slice_vector` shifts it right by a cached column ``0, s, 2s, ...``
 and masks every plane but the top one to ``s`` bits; the shift is arithmetic,
 so a signed top plane keeps its sign at any padded width.  The conventional
-style's dot product is one int64 dot of two arrays.
-:func:`dot_exact` adds the Python integers of ``values`` instead, so the
-oracle shares no arithmetic with the paths it checks.  numpy is imported
-only when a vector is built, so planning and the analytic model never load
-it.
+style's dot product is one int64 dot of two arrays.  :func:`dot_exact` adds
+the Python integers of ``array.tolist()`` instead, so the oracle shares no
+arithmetic with the paths it checks.  numpy is imported only when a vector is
+built, so planning and the analytic model never load it.
 """
 
 from __future__ import annotations
@@ -45,7 +44,8 @@ from __future__ import annotations
 import functools
 import operator
 import struct
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import InitVar, dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import RangeError, ShapeError
@@ -82,48 +82,46 @@ class SliceConfig:
 
     def __post_init__(self):
         for name, width in (("alpha", self.alpha), ("beta", self.beta)):
-            if width not in VALID_SLICE_WIDTHS:
-                raise RangeError(f"{name} must be one of {VALID_SLICE_WIDTHS}, got {width}")
+            if not isinstance(width, int) or width not in VALID_SLICE_WIDTHS:
+                raise RangeError(f"{name} must be one of {VALID_SLICE_WIDTHS}, got {width!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantizedVector:
-    """Integer vector with a declared bitwidth and signedness.
+    """Integer vector with a declared bitwidth and signedness, held once.
 
-    ``array`` holds ``values`` as a read-only int64 array, built once here and
-    read by every functional path; it takes no part in ``==``, ``hash`` or ``repr``.
+    ``values`` is read once, into ``array``: a read-only int64 array that every
+    path reads.  The vector keeps no other copy of its elements; like any
+    object, it equals and hashes only itself.
     """
 
-    values: tuple[int, ...]
+    values: InitVar[Iterable[int]]
     bitwidth: int
     signed: bool = False
-    array: np.ndarray = field(init=False, repr=False, compare=False)
+    array: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        if not 1 <= self.bitwidth <= MAX_BITWIDTH:
-            raise RangeError(f"bitwidth must be in 1..{MAX_BITWIDTH}, got {self.bitwidth}")
-        raw = tuple(self.values)  # read a one-shot iterable once; a tuple is not copied
-        try:
-            values = tuple(map(operator.index, raw))
-        except TypeError:
-            i, v = next((i, v) for i, v in enumerate(raw) if not hasattr(type(v), "__index__"))
-            raise RangeError(f"value {v!r} at index {i} is not an integer") from None
+    def __post_init__(self, values):
+        if not isinstance(self.bitwidth, int) or not 1 <= self.bitwidth <= MAX_BITWIDTH:
+            raise RangeError(f"bitwidth must be an integer in 1..{MAX_BITWIDTH}, got {self.bitwidth!r}")
+        raw = tuple(values)  # read a one-shot iterable once; a tuple is not copied
         import numpy as np
 
         lo, hi = value_bounds(self.bitwidth, self.signed)
-        try:  # packing is about twice as fast as np.fromiter; the buffer is immutable bytes
-            array = np.frombuffer(struct.pack(f"{len(values)}q", *values), np.int64)
-        except struct.error:  # a value outside int64 is outside every declared range
+        try:  # packing calls __index__, and is about twice as fast as np.fromiter; the buffer is immutable bytes
+            array = np.frombuffer(struct.pack(f"{len(raw)}q", *raw), np.int64)
+        except (struct.error, TypeError):  # a non-integer, or a value outside int64 and so every declared range
             array = None
         if array is None or (len(array) and not lo <= array.min() <= array.max() <= hi):
-            i, v = next((i, v) for i, v in enumerate(values) if not lo <= v <= hi)
+            bad = next((i for i, v in enumerate(raw) if not hasattr(type(v), "__index__")), None)
+            if bad is not None:  # a non-integer is named before any value out of range
+                raise RangeError(f"value {raw[bad]!r} at index {bad} is not an integer")
+            i, v = next((i, v) for i, v in enumerate(map(operator.index, raw)) if not lo <= v <= hi)
             kind = "signed" if self.signed else "unsigned"
             raise RangeError(f"value {v} at index {i} outside {kind} {self.bitwidth}-bit range [{lo}, {hi}]")
-        object.__setattr__(self, "values", values)
         object.__setattr__(self, "array", array)
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.array)
 
 
 @functools.lru_cache(maxsize=None)
@@ -174,4 +172,4 @@ def dot_exact(x: QuantizedVector, w: QuantizedVector) -> int:
     """Plain widening integer dot product; the oracle for composed paths."""
     if len(x) != len(w):
         raise ShapeError(f"vector length mismatch: {len(x)} vs {len(w)}")
-    return sum(map(operator.mul, x.values, w.values))
+    return sum(map(operator.mul, x.array.tolist(), w.array.tolist()))

@@ -39,11 +39,7 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
-_STYLES = {
-    "conventional": Style.CONVENTIONAL,
-    "scalar": Style.SCALAR,
-    "vector": Style.VECTOR,
-}
+_STYLES = {"conventional": Style.CONVENTIONAL, "scalar": Style.SCALAR, "vector": Style.VECTOR}
 _MEMORIES = {"ddr4": DDR4, "hbm2": HBM2}
 # `simulate` columns: LayerReport attributes; the TOTAL row reads the SimReport's or "-"
 _LAYER_COLUMNS = (
@@ -114,9 +110,12 @@ def _resolve_network(name_or_path: str) -> tuple[NetworkSpec, Path]:
 
 
 def _memory_from_args(args) -> MemorySpec:
+    given = [f for f, v in (("--bandwidth", args.bandwidth), ("--pj-per-bit", args.pj_per_bit)) if v is not None]
     if args.memory in _MEMORIES:
+        if given:  # a named memory fixes both figures
+            raise _UsageError(f"{given[0]} applies only to --memory custom, not --memory {args.memory}")
         return _MEMORIES[args.memory]
-    if args.bandwidth is None or args.pj_per_bit is None:
+    if len(given) < 2:
         raise _UsageError("--memory custom requires --bandwidth and --pj-per-bit")
     if not 1 <= args.bandwidth * 1e9 < math.inf:  # MemorySpec's bound, in the flag's unit
         raise ConfigError(f"--bandwidth must be finite and at least 1e-9 GB/s, got {args.bandwidth!r} GB/s")
@@ -125,9 +124,12 @@ def _memory_from_args(args) -> MemorySpec:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part]
+        values = [int(part) for part in text.split(",") if part]
     except ValueError:
+        values = []
+    if not values:  # an empty sweep would write a header-only report
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return values
 
 
 def cmd_dse(args) -> int:
@@ -169,9 +171,7 @@ def cmd_simulate(args) -> int:
     rows.append(["TOTAL", *(getattr(report, c, "-") for c in _LAYER_COLUMNS[1:])])
     _emit("simulate", parameters, digests, ["layer", *_LAYER_COLUMNS[1:]], rows, args.out)
 
-    bound_counts = {"compute": 0, "memory": 0}
-    for l in report.layers:
-        bound_counts[l.bound] += 1
+    compute_bound = sum(layer.bound == "compute" for layer in report.layers)
     summary = [
         f"network {net.name}: {args.style} + {mem.name}, array {acc.rows}x{acc.cols} "
         f"({acc.mac_capacity} MAC/cycle)",
@@ -181,7 +181,7 @@ def cmd_simulate(args) -> int:
         f"  energy {report.energy_total_pj:.6g} pJ "
         f"(compute {report.energy_compute_pj:.6g}, sram {report.energy_sram_pj:.6g}, "
         f"off-chip {report.energy_offchip_pj:.6g})",
-        f"  layers: {bound_counts['compute']} compute-bound, {bound_counts['memory']} memory-bound",
+        f"  layers: {compute_bound} compute-bound, {len(report.layers) - compute_bound} memory-bound",
     ]
     print("\n".join(summary), file=sys.stderr)
     return EXIT_OK

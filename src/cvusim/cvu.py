@@ -34,8 +34,8 @@ class CvuConfig:
     slice: SliceConfig = SliceConfig()
 
     def __post_init__(self):
-        if not 1 <= self.lanes <= MAX_LANES:
-            raise RangeError(f"lanes must be in 1..{MAX_LANES}, got {self.lanes}")
+        if not isinstance(self.lanes, int) or not 1 <= self.lanes <= MAX_LANES:
+            raise RangeError(f"lanes must be an integer in 1..{MAX_LANES}, got {self.lanes!r}")
 
     @property
     def nbve_count(self) -> int:
@@ -90,8 +90,8 @@ def _plan_width(bitwidth: int, slice_width: int) -> int:
 def plan_composition(bw_x: int, bw_w: int, cfg: CvuConfig) -> CompositionPlan:
     """Cluster the engines of a CVU for one (bw_x, bw_w) pair; repeat calls share one plan."""
     for name, bw in (("bw_x", bw_x), ("bw_w", bw_w)):
-        if not 1 <= bw <= MAX_BITWIDTH:
-            raise RangeError(f"{name} must be in 1..{MAX_BITWIDTH}, got {bw}")
+        if not isinstance(bw, int) or not 1 <= bw <= MAX_BITWIDTH:
+            raise RangeError(f"{name} must be an integer in 1..{MAX_BITWIDTH}, got {bw!r}")
     eff_x = _plan_width(bw_x, cfg.slice.alpha)
     eff_w = _plan_width(bw_w, cfg.slice.beta)
     planes_x = eff_x // cfg.slice.alpha

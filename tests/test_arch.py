@@ -499,7 +499,7 @@ class TestFunctionalEquivalence:
             lo_w, hi_w = value_bounds(bw_w, sw)
             x = QuantizedVector(tuple(rng.randint(lo_x, hi_x) for _ in range(n)), bw_x, sx)
             w = QuantizedVector(tuple(rng.randint(lo_w, hi_w) for _ in range(n)), bw_w, sw)
-            expected = sum(a * b for a, b in zip(x.values, w.values))
+            expected = sum(a * b for a, b in zip(x.array.tolist(), w.array.tolist()))
             assert functional_dot(x, w, acc) == expected
 
     def test_gemm_matches_across_styles(self):

@@ -134,8 +134,8 @@ class TestSliceVector:
     def test_integer_types_stored_as_int(self):
         for values in ((1, True, 0), np.array([1, 3, 0], dtype=np.int8), (np.uint8(3), np.int64(1), False)):
             vec = QuantizedVector(values, 2)
-            assert vec.values == (int(values[0]), int(values[1]), int(values[2]))
-            assert all(type(v) is int for v in vec.values)
+            assert vec.array.dtype == np.int64
+            assert vec.array.tolist() == [int(values[0]), int(values[1]), int(values[2])]
 
     @pytest.mark.parametrize("value", [1 << 63, -(1 << 63) - 1, 1 << 70])
     def test_values_outside_int64_raise_range_error(self, value):
@@ -153,7 +153,7 @@ class TestSliceVector:
 
     def test_array_is_read_only_and_outside_equality_hash_and_repr(self):
         vec = QuantizedVector((3, -2, 1), 4, signed=True)
-        assert vec.array.dtype == np.int64 and vec.array.tolist() == list(vec.values)
+        assert vec.array.dtype == np.int64 and vec.array.tolist() == [3, -2, 1]
         assert not vec.array.flags.writeable
         with pytest.raises(ValueError):
             vec.array[0] = 0
@@ -161,17 +161,32 @@ class TestSliceVector:
             vec.array = np.zeros(3, np.int64)
         with pytest.raises(TypeError):
             QuantizedVector((1,), 4, array=np.ones(1, np.int64))
-        other = QuantizedVector((3, -2, 1), 4, signed=True)
-        object.__setattr__(other, "array", np.zeros(3, np.int64))  # differs only in array
-        assert other == vec and hash(other) == hash(vec)
-        assert "array" not in repr(vec)
+        # the array is the only copy of the values, and value equality would compare
+        # whole arrays: a vector equals and hashes only itself
+        assert vec == vec and vec != QuantizedVector((3, -2, 1), 4, signed=True)
+        assert hash(vec) == object.__hash__(vec)
+        assert "array" not in repr(vec) and not hasattr(vec, "values")
+
+    def test_retains_one_int64_per_element(self):
+        import tracemalloc
+
+        values = tuple(i % 256 for i in range(100_000))
+        QuantizedVector(values[:8], 8)  # numpy's import and first-call set-up are not the vector's
+        tracemalloc.start()
+        try:
+            vec = QuantizedVector(values, 8)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(vec) == len(values)
+        assert retained / len(values) <= 9, f"{retained / len(values):.1f} B per element"
 
     @given(bw=st.integers(1, 8), signed=st.booleans(), data=st.data())
     def test_array_holds_the_values(self, bw, signed, data):
         values = data.draw(st.lists(st.integers(*bs.value_bounds(bw, signed)), max_size=32))
         vec = QuantizedVector(values, bw, signed)
         assert vec.array.dtype == np.int64
-        assert vec.array.tolist() == list(vec.values) == values
+        assert vec.array.tolist() == values
 
     def test_exhaustive_against_slice_value(self):
         # every declared width, slice width and signedness, over the whole value
@@ -271,8 +286,8 @@ class TestDotExact:
         # wide values through the same arithmetic
         class Wide(tuple):
             @property
-            def values(self):
-                return self
+            def array(self):
+                return np.array(self, dtype=object)  # tolist() gives the Python ints back
 
         result = dot_exact(Wide([1 << 62] * 4), Wide([3] * 4))
         assert result == 3 << 64

@@ -93,6 +93,9 @@ def test_repeated_config_keeps_its_own_geomean(capsys):
         ["frobnicate"],
         ["simulate", "--network", "convnet"],
         ["dse", "--slices", "two"],
+        ["dse", "--slices", ""],
+        ["dse", "--lanes", ""],
+        ["dse", "--lanes", ","],
         [*SIM, "--style", "systolic"],
         [*SIM, "--budget", "lots"],
         CUSTOM,
@@ -103,6 +106,16 @@ def test_repeated_config_keeps_its_own_geomean(capsys):
 )
 def test_usage_errors(argv, capsys):
     assert run(argv, capsys) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("memory", [[], ["--memory", "ddr4"], ["--memory", "hbm2"]])
+@pytest.mark.parametrize(
+    "flags", [["--bandwidth", "1000"], ["--pj-per-bit", "0.1"], ["--bandwidth", "1000", "--pj-per-bit", "0.1"]]
+)
+def test_custom_memory_flags_with_a_named_memory_are_usage_errors(memory, flags, capsys):
+    # a named memory fixes both figures, so the flags would be silently ignored
+    assert main([*SIM, *memory, *flags]) == EXIT_USAGE
+    assert f"usage error: {flags[0]} applies only to --memory custom" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -48,6 +48,26 @@ class TestPlanComposition:
         with pytest.raises(RangeError):  # wider than MAX_BITWIDTH
             plan_composition(9, 8, DEFAULT)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: SliceConfig(2.0, 2.0),
+            lambda: SliceConfig(2, 4.0),
+            lambda: CvuConfig(lanes=16.0),
+            lambda: QuantizedVector((1,), 2.5),
+            lambda: QuantizedVector((1,), 4.0),
+            lambda: plan_composition(7.5, 8, DEFAULT),
+            lambda: plan_composition(8, 8.0, DEFAULT),
+        ],
+        ids=["slice-floats", "slice-beta-float", "lanes-float", "bitwidth-fraction", "bitwidth-float",
+             "plan-bw-x-fraction", "plan-bw-w-float"],
+    )
+    def test_non_integer_arguments_rejected_at_construction(self, build):
+        # a float that equals a valid integer passes a range or membership test,
+        # then fails later with a TypeError; it must be named where it is given
+        with pytest.raises(RangeError, match="got [0-9.]+$"):
+            build()
+
     def test_repeat_calls_share_one_plan_and_errors_are_not_cached(self):
         cfg = CvuConfig(lanes=4, slice=SliceConfig(2, 4))
         plan = plan_composition(6, 3, cfg)
@@ -124,7 +144,7 @@ def cluster_dots(xs, ws, plan, cycles):
     chunk = cycles * plan.lanes
 
     def part(v, lo):
-        return QuantizedVector(v.values[lo : lo + chunk], v.bitwidth, v.signed)
+        return QuantizedVector(v.array[lo : lo + chunk].tolist(), v.bitwidth, v.signed)
 
     return tuple(
         dot_exact(part(x, lo), part(w, lo)) for w in ws for x in xs for lo in range(0, plan.clusters * chunk, chunk)
