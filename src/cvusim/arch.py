@@ -41,10 +41,10 @@ distinct bitwidth pair once; the price depends on nothing in a layer.
 Inputs are assumed to traverse the array combinationally (no pipeline fill
 cycles), which keeps compute_cycles exactly equal to the analytical count.
 
-Three styles share the model: ``conventional`` units are fixed 8-bit MACs
-(heterogeneous bitwidths are clamped to 8 with a warning), a
-``scalar-composable`` unit is a one-lane CVU, and ``vector-composable``
-units are full CVUs.
+Three styles share the model: ``conventional`` units are one-lane 8-bit MACs
+that compute every layer at 8 bit (a report's ``bw_x``/``bw_w`` show the
+widths that ran), a ``scalar-composable`` unit is a one-lane CVU, and
+``vector-composable`` units are full CVUs.
 
 One pass of a layer, a whole layer (:class:`LayerReport`) and a whole
 network (:class:`SimReport`) share :class:`Totals`: the summed MACs, cycle
@@ -56,8 +56,6 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
-import warnings
 from collections import namedtuple
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -115,8 +113,8 @@ class AcceleratorConfig:
             raise ConfigError(f"array geometry must be positive, got {self.rows}x{self.cols}")
         if self.weight_scratchpad_bytes < 1:
             raise ConfigError("weight scratchpad must be at least one byte")
-        if self.style is Style.SCALAR and self.cvu.lanes != 1:
-            raise ConfigError(f"scalar-composable style requires 1 lane, got {self.cvu.lanes}")
+        if self.style is not Style.VECTOR and self.cvu.lanes != 1:
+            raise ConfigError(f"{self.style.value} style requires 1 lane, got {self.cvu.lanes}")
 
     @property
     def unit_count(self) -> int:
@@ -125,8 +123,6 @@ class AcceleratorConfig:
     @property
     def mac_capacity(self) -> int:
         """8-bit MAC throughput of the whole array, per cycle."""
-        if self.style is Style.CONVENTIONAL:
-            return self.unit_count
         return self.unit_count * self.cvu.lanes
 
     @property
@@ -245,16 +241,6 @@ def build_array(
     return AcceleratorConfig(rows=rows, cols=cols, cvu=cvu, weight_scratchpad_bytes=scratchpad, style=style)
 
 
-def _effective_bitwidths(layer: LayerSpec, style: Style) -> tuple[int, int, str | None]:
-    if style is Style.CONVENTIONAL and (layer.bw_x, layer.bw_w) != (8, 8):
-        note = (
-            f"layer {layer.name or layer.kind.value}: conventional style ignores "
-            f"({layer.bw_x},{layer.bw_w})-bit quantization; computing at 8 bit"
-        )
-        return 8, 8, note
-    return layer.bw_x, layer.bw_w, None
-
-
 def _mem_cycles(nbytes: int, mem: MemorySpec) -> int:
     return max(1, math.ceil(nbytes * FREQUENCY_HZ / mem.bandwidth_bytes_per_s)) if nbytes else 0
 
@@ -350,12 +336,7 @@ def simulate_layer(
     and output streaming.  ``_prices`` is the price memo that
     :func:`simulate_network` shares across the layers of one call.
     """
-    bw_x, bw_w, note = _effective_bitwidths(layer, acc.style)
-    if note:  # warn at the caller's line: the first frame outside this module, also under simulate_network
-        frame, level = sys._getframe(1), 2
-        while frame.f_globals.get("__name__") == __name__ and frame.f_back is not None:
-            frame, level = frame.f_back, level + 1
-        warnings.warn(note, UserWarning, stacklevel=level)
+    bw_x, bw_w = (8, 8) if acc.style is Style.CONVENTIONAL else (layer.bw_x, layer.bw_w)
     unit_macs, mac_pj = _price(acc, params, bw_x, bw_w, {} if _prices is None else _prices)
     peak = unit_macs * acc.unit_count
     _check_staging(layer, acc, peak, bw_x)

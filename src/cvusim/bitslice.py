@@ -86,6 +86,14 @@ class SliceConfig:
                 raise RangeError(f"{name} must be one of {VALID_SLICE_WIDTHS}, got {width!r}")
 
 
+def _is_integer(value) -> bool:
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
+
+
 @dataclass(frozen=True, eq=False)
 class QuantizedVector:
     """Integer vector with a declared bitwidth and signedness, held once.
@@ -112,7 +120,7 @@ class QuantizedVector:
         except (struct.error, TypeError):  # a non-integer, or a value outside int64 and so every declared range
             array = None
         if array is None or (len(array) and not lo <= array.min() <= array.max() <= hi):
-            bad = next((i for i, v in enumerate(raw) if not hasattr(type(v), "__index__")), None)
+            bad = next((i for i, v in enumerate(raw) if not _is_integer(v)), None)
             if bad is not None:  # a non-integer is named before any value out of range
                 raise RangeError(f"value {raw[bad]!r} at index {bad} is not an integer")
             i, v = next((i, v) for i, v in enumerate(map(operator.index, raw)) if not lo <= v <= hi)

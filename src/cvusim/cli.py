@@ -140,7 +140,7 @@ def cmd_dse(args) -> int:
         "mult_power", "add_power", "shift_power", "register_power",
         "mult_area", "add_area", "shift_area", "register_area",
     ]
-    rows = [[p.slice_width, p.lanes, p.power_per_mac_norm, p.area_per_mac_norm, *astuple(p.breakdown)] for p in points]
+    rows = [[p.slice_width, p.lanes, p.breakdown.total_energy, p.breakdown.total_area, *astuple(p.breakdown)] for p in points]
     parameters = {"slices": sorted(set(args.slices)), "lanes": sorted(set(args.lanes))}
     _emit("dse", parameters, digests, header, rows, args.out)
     return EXIT_OK
@@ -172,6 +172,7 @@ def cmd_simulate(args) -> int:
     _emit("simulate", parameters, digests, ["layer", *_LAYER_COLUMNS[1:]], rows, args.out)
 
     compute_bound = sum(layer.bound == "compute" for layer in report.layers)
+    at_8_bit = sum((s.bw_x, s.bw_w) != (r.bw_x, r.bw_w) for s, r in zip(net.layers, report.layers))
     summary = [
         f"network {net.name}: {args.style} + {mem.name}, array {acc.rows}x{acc.cols} "
         f"({acc.mac_capacity} MAC/cycle)",
@@ -183,6 +184,8 @@ def cmd_simulate(args) -> int:
         f"off-chip {report.energy_offchip_pj:.6g})",
         f"  layers: {compute_bound} compute-bound, {len(report.layers) - compute_bound} memory-bound",
     ]
+    if at_8_bit:
+        summary.append(f"  {at_8_bit} of {len(report.layers)} layers run at 8 bit instead of their file bitwidths")
     print("\n".join(summary), file=sys.stderr)
     return EXIT_OK
 
@@ -253,7 +256,7 @@ def _build_parser() -> _Parser:
 
     sim = sub.add_parser("simulate", help="simulate one network on one platform")
     sim.add_argument("--network", required=True, help="network file or bundled benchmark name")
-    sim.add_argument("--style", choices=sorted(_STYLES), required=True)
+    sim.add_argument("--style", choices=sorted(_STYLES), required=True, help="conventional computes at 8 bit")
     sim.add_argument("--memory", choices=[*_MEMORIES, "custom"], default="ddr4")
     sim.add_argument("--bandwidth", type=float, default=None, help="custom memory bandwidth, GB/s")
     sim.add_argument("--pj-per-bit", type=float, default=None, help="custom memory access energy")

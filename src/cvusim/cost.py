@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .bitslice import MAX_BITWIDTH, SliceConfig
-from .cvu import CvuConfig
+from .cvu import CvuConfig, plan_composition
 from .errors import CalibrationError, ConfigError, RangeError
 
 if TYPE_CHECKING:
@@ -130,12 +130,10 @@ class CostBreakdown:
 
 @dataclass(frozen=True)
 class DsePoint:
-    """One design-space point: normalized per-MAC cost and its breakdown."""
+    """One design-space point and its per-MAC cost breakdown; the breakdown's totals are its power and area."""
 
     slice_width: int
     lanes: int
-    power_per_mac_norm: float
-    area_per_mac_norm: float
     breakdown: CostBreakdown
 
 
@@ -172,25 +170,20 @@ _CONVENTIONAL_MAC = {
 
 
 def _structure(cfg: CvuConfig) -> dict[str, int]:
-    """Bit-unit inventory of one CVU (constants not yet applied)."""
+    """Bit-unit inventory of one CVU (constants not yet applied).
+
+    Each engine's output is shifted as the full-width composition plan shifts it, and the
+    global tree adds the shifted outputs."""
     alpha, beta = cfg.slice.alpha, cfg.slice.beta
-    planes_x = MAX_BITWIDTH // alpha
-    planes_w = MAX_BITWIDTH // beta
     product_max = ((1 << alpha) - 1) * ((1 << beta) - 1)
-
     nbve_units, _, nbve_out_max = _tree_reduce([product_max] * cfg.lanes)
-    nbve_out_bits = nbve_out_max.bit_length()
-    max_shift = alpha * (planes_x - 1) + beta * (planes_w - 1)
-
-    shifted = [
-        nbve_out_max << (alpha * j + beta * k) for j in range(planes_x) for k in range(planes_w)
-    ]
-    global_units, _, _ = _tree_reduce(shifted)
+    shifts = plan_composition(MAX_BITWIDTH, MAX_BITWIDTH, cfg).shifts
+    global_units, _, _ = _tree_reduce([nbve_out_max << shift for shift in shifts])
 
     return {
         "mult_units": cfg.nbve_count * cfg.lanes * alpha * beta,
         "add_units": cfg.nbve_count * nbve_units + global_units + _adder_units(ACCUMULATOR_BITS),
-        "shift_units": cfg.nbve_count * (nbve_out_bits + max_shift),
+        "shift_units": cfg.nbve_count * (nbve_out_max.bit_length() + max(shifts)),
         "register_units": ACCUMULATOR_BITS,
     }
 
@@ -237,16 +230,7 @@ def dse_sweep(slice_widths, lanes_values, params: CostParams) -> list[DsePoint]:
     for sw in sorted(set(int(s) for s in slice_widths)):
         for lanes in sorted(set(int(l) for l in lanes_values)):
             cfg = CvuConfig(lanes=lanes, slice=SliceConfig(sw, sw))
-            breakdown = per_mac_breakdown(cfg, params)
-            points.append(
-                DsePoint(
-                    slice_width=sw,
-                    lanes=lanes,
-                    power_per_mac_norm=breakdown.total_energy,
-                    area_per_mac_norm=breakdown.total_area,
-                    breakdown=breakdown,
-                )
-            )
+            points.append(DsePoint(slice_width=sw, lanes=lanes, breakdown=per_mac_breakdown(cfg, params)))
     return points
 
 

@@ -2,7 +2,6 @@
 
 import math
 import random
-import warnings
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -161,31 +160,12 @@ class TestSimulateLayer:
         report = simulate_layer(fc(64, 60), small_array(), INFINITE, PARAMS)
         assert 0 < report.utilization <= 1
 
-    def test_conventional_clamps_heterogeneous_with_warning(self):
+    def test_conventional_computes_at_8_bit(self):
         acc = build_array(Style.CONVENTIONAL, PARAMS)
-        layer = fc(64, 64, bw_x=4, bw_w=2)
-        with pytest.warns(UserWarning, match="8 bit"):
-            report = simulate_layer(layer, acc, INFINITE, PARAMS)
+        report = simulate_layer(fc(64, 64, bw_x=4, bw_w=2), acc, INFINITE, PARAMS)
         assert (report.bw_x, report.bw_w) == (8, 8)
         baseline = simulate_layer(fc(64, 64), acc, INFINITE, PARAMS)
         assert report.compute_cycles == baseline.compute_cycles
-
-    def test_clamp_warning_points_at_the_caller(self):
-        # the note names the caller's line, not a line of arch, whichever entry point ran it
-        acc = build_array(Style.CONVENTIONAL, PARAMS)
-        layer = fc(64, 64, bw_x=4, bw_w=2, name="clamped")
-        net = NetworkSpec(name="one", layers=(layer,))
-        calls = {
-            "simulate_layer": lambda: simulate_layer(layer, acc, INFINITE, PARAMS),
-            "simulate_network": lambda: simulate_network(net, acc, INFINITE, PARAMS),
-            "compare": lambda: compare(net, [(acc, INFINITE), (acc, DDR4)], PARAMS),
-        }
-        for name, call in calls.items():
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                call()
-            assert caught and all("clamped" in str(w.message) for w in caught), name
-            assert {w.filename for w in caught} == {__file__}, name
 
 
 def recurrent_cells():
@@ -312,13 +292,11 @@ class TestClosedForm:
         acc = build_array(style, PARAMS, total_sram_bytes=total_sram_bytes)
         layer = LayerSpec(kind=LayerKind.GEMV, m=m, k=k, n=n, bw_x=bw_x, bw_w=bw_w, repeat=repeat)
         expected = reference_layer_totals(layer, acc, mem, PARAMS)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # conventional-style clamp notes
-            if expected is None:
-                with pytest.raises(ConfigError):
-                    simulate_layer(layer, acc, mem, PARAMS)
-                return
-            report = simulate_layer(layer, acc, mem, PARAMS)
+        if expected is None:
+            with pytest.raises(ConfigError):
+                simulate_layer(layer, acc, mem, PARAMS)
+            return
+        report = simulate_layer(layer, acc, mem, PARAMS)
         for f in fields(Totals):
             assert getattr(report, f.name) == getattr(expected, f.name), f.name
 
@@ -331,14 +309,12 @@ class TestSimulateNetwork:
         widths, pairs = (64, 128, 96, 64, 32, 16), ((8, 8), (4, 2), (8, 8), (4, 2), (8, 8))
         layers = tuple(fc(m, k, *pair) for k, m, pair in zip(widths, widths[1:], pairs))
         net = NetworkSpec(name="mixed", layers=layers)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # conventional-style clamp notes
-            by_layer = tuple(simulate_layer(layer, acc, DDR4, PARAMS) for layer in net.layers)
-            calls = Counter()
-            for name in ("plan_composition", "per_mac_normalized"):
-                real = getattr(arch, name)
-                monkeypatch.setattr(arch, name, lambda *args, name=name, real=real: calls.update([name]) or real(*args))
-            report = simulate_network(net, acc, DDR4, PARAMS)
+        by_layer = tuple(simulate_layer(layer, acc, DDR4, PARAMS) for layer in net.layers)
+        calls = Counter()
+        for name in ("plan_composition", "per_mac_normalized"):
+            real = getattr(arch, name)
+            monkeypatch.setattr(arch, name, lambda *args, name=name, real=real: calls.update([name]) or real(*args))
+        report = simulate_network(net, acc, DDR4, PARAMS)
         assert report.layers == by_layer
         expected = {} if style is Style.CONVENTIONAL else {"per_mac_normalized": 1, "plan_composition": 2}
         assert calls == expected
@@ -424,8 +400,7 @@ class TestMonotonicity:
 
     def test_conventional_unaffected_by_bitwidth(self):
         acc = build_array(Style.CONVENTIONAL, PARAMS)
-        with pytest.warns(UserWarning):
-            narrow = simulate_layer(fc(512, 512, bw_w=2), acc, DDR4, PARAMS)
+        narrow = simulate_layer(fc(512, 512, bw_w=2), acc, DDR4, PARAMS)
         wide = simulate_layer(fc(512, 512), acc, DDR4, PARAMS)
         assert narrow.total_cycles == wide.total_cycles
 
@@ -456,6 +431,13 @@ class TestIsoPowerSizing:
                 rows=2, cols=2, cvu=CvuConfig(lanes=16),
                 weight_scratchpad_bytes=1024, style=Style.SCALAR,
             )
+
+    def test_conventional_style_has_one_lane(self):
+        # an 8-bit MAC per unit: the array's capacity is its unit count, read from its lanes
+        with pytest.raises(ConfigError, match="^conventional style requires 1 lane, got 16$"):
+            small_array(style=Style.CONVENTIONAL)
+        acc = small_array(cvu=CvuConfig(lanes=1), style=Style.CONVENTIONAL)
+        assert acc.mac_capacity == acc.unit_count == 4
 
 
 class TestCompare:
@@ -584,7 +566,7 @@ class TestFunctionalEquivalence:
         arrays = [
             small_array(cvu=cvu),
             small_array(cvu=replace(cvu, lanes=1), style=Style.SCALAR),
-            small_array(style=Style.CONVENTIONAL),
+            small_array(cvu=CvuConfig(lanes=1), style=Style.CONVENTIONAL),
         ]
         assert plan_composition(8, 8, cvu).clusters == 1  # one cluster: all k elements on its lanes
         for acc in arrays:

@@ -123,7 +123,8 @@ class TestSliceVector:
             QuantizedVector((3, 99), 4, signed=False)
 
     @pytest.mark.parametrize(
-        "values", [(1.7, 2.9), (1, 2.0), np.array([0.5, 3.99]), (np.int64(1), np.float32(2))]
+        "values",
+        [(1.7, 2.9), (1, 2.0), np.array([0.5, 3.99]), (np.int64(1), np.float32(2)), np.zeros((2, 2), int)],
     )
     def test_non_integers_rejected(self, values):
         bad = next(i for i, v in enumerate(values) if not isinstance(v, (int, np.integer)))

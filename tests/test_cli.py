@@ -162,10 +162,27 @@ def test_input_errors(argv, files, capsys):
 
 def test_infinite_energy_is_an_input_error(capsys):
     argv = ["simulate", "--network", "vgg", "--style", "conventional", "--memory", "custom"]
-    with pytest.warns(UserWarning):  # vgg's heterogeneous layers are clamped to 8 bit
-        code = main([*argv, "--bandwidth", "1e-9", "--pj-per-bit", "1e300"])
+    code = main([*argv, "--bandwidth", "1e-9", "--pj-per-bit", "1e300"])
     assert code == EXIT_INPUT
     assert capsys.readouterr().err == "input error: energy total overflows at 1e+300 pJ per bit off chip\n"
+
+
+@pytest.mark.parametrize(
+    "style,bitwidths,line",
+    [
+        ("conventional", "file", "  6 of 8 layers run at 8 bit instead of their file bitwidths\n"),
+        ("conventional", "homogeneous", None),
+        ("vector", "file", None),
+    ],
+)
+def test_summary_counts_the_layers_run_at_8_bit(style, bitwidths, line, capsys):
+    # convnet has 6 layers below 8 bit; only a conventional run on the file's widths computes them at 8
+    assert main(["simulate", "--network", "convnet", "--style", style, "--bitwidths", bitwidths]) == EXIT_OK
+    err = capsys.readouterr().err
+    if line:
+        assert err.endswith(line)
+    else:
+        assert "layers run at 8 bit" not in err
 
 
 def test_bad_bandwidth_is_named_in_gb_per_s(capsys):

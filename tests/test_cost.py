@@ -108,24 +108,24 @@ class TestDseSweep:
 
     def test_lane_sweep_improvements(self):
         points = {(p.slice_width, p.lanes): p for p in dse_sweep({1, 2}, LANES, PARAMS)}
-        ratio_1bit = points[(1, 1)].power_per_mac_norm / points[(1, 16)].power_per_mac_norm
-        ratio_2bit = points[(2, 1)].power_per_mac_norm / points[(2, 16)].power_per_mac_norm
+        ratio_1bit = points[(1, 1)].breakdown.total_energy / points[(1, 16)].breakdown.total_energy
+        ratio_2bit = points[(2, 1)].breakdown.total_energy / points[(2, 16)].breakdown.total_energy
         assert ratio_1bit == pytest.approx(3.0, rel=0.2)
         assert ratio_2bit == pytest.approx(2.5, rel=0.2)
 
     def test_monotone_decreasing_with_saturation(self):
         points = {(p.slice_width, p.lanes): p for p in dse_sweep({1, 2}, LANES, PARAMS)}
         for sw in (1, 2):
-            for metric in ("power_per_mac_norm", "area_per_mac_norm"):
-                seq = [getattr(points[(sw, lanes)], metric) for lanes in LANES]
+            for metric in ("total_energy", "total_area"):
+                seq = [getattr(points[(sw, lanes)].breakdown, metric) for lanes in LANES]
                 assert all(a > b for a, b in zip(seq, seq[1:]))
                 assert seq[3] / seq[4] < seq[0] / seq[1]  # improvement saturates
 
     def test_2bit_dominates_1bit_everywhere(self):
         points = {(p.slice_width, p.lanes): p for p in dse_sweep({1, 2}, LANES, PARAMS)}
         for lanes in LANES:
-            assert points[(2, lanes)].power_per_mac_norm < points[(1, lanes)].power_per_mac_norm
-            assert points[(2, lanes)].area_per_mac_norm < points[(1, lanes)].area_per_mac_norm
+            assert points[(2, lanes)].breakdown.total_energy < points[(1, lanes)].breakdown.total_energy
+            assert points[(2, lanes)].breakdown.total_area < points[(1, lanes)].breakdown.total_area
 
     def test_4bit_included(self):
         points = dse_sweep({1, 2, 4}, {16}, PARAMS)

@@ -51,7 +51,7 @@ def model_table() -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(("network", "bitwidths", "style", "memory", *LAYER_FIELDS))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # conventional-style clamp notes
+        warnings.simplefilter("error")  # any warning fails the sweep
         arrays = {style: build_array(STYLES[style], params) for style in STYLES}
         for net_name in NETS:
             for mode in MODES:
@@ -70,7 +70,7 @@ def model_table() -> str:
 def cli_stdout(argv: list[str]) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("error")  # any warning fails the run
         code = cli.main(argv)
     assert code == 0, (argv, code)
     return out.getvalue()
