@@ -36,7 +36,8 @@ load.  The assumptions, each with its test in ``tests/test_arch.py``:
   (``TestSimulateLayer.test_staging_errors_name_the_layer``).
 
 :func:`simulate_network` prices the array once per call and plans each
-distinct bitwidth pair once; the price depends on nothing in a layer.
+distinct bitwidth pair once; the price depends on nothing in a layer, and
+the CVU inventory behind it is cached per ``CvuConfig``.
 
 Inputs are assumed to traverse the array combinationally (no pipeline fill
 cycles), which keeps compute_cycles exactly equal to the analytical count.
@@ -46,10 +47,12 @@ that compute every layer at 8 bit (a report's ``bw_x``/``bw_w`` show the
 widths that ran), a ``scalar-composable`` unit is a one-lane CVU, and
 ``vector-composable`` units are full CVUs.
 
-One pass of a layer, a whole layer (:class:`LayerReport`) and a whole
-network (:class:`SimReport`) share :class:`Totals`: the summed MACs, cycle
-counts, off-chip bytes and energy categories, which :meth:`Totals.of` adds
-up over the parts, together with the derived energy total and bound.
+A whole layer (:class:`LayerReport`) and a whole network (:class:`SimReport`)
+share :class:`Totals`: the summed MACs, cycle counts, off-chip bytes and energy
+categories, with the derived energy total and bound.  A pass returns those sums
+as a plain tuple in field order.  A layer's report is built once, from its
+passes' tuples added in the fixed left-to-right order, the order in which
+:meth:`Totals.of` adds up a network's layers.
 """
 
 from __future__ import annotations
@@ -256,11 +259,12 @@ _Traffic = namedtuple("_Traffic", "weight_fill input_stream output_write x_reads
 
 def _simulate_pass(
     dims: GemmDims, m_res: int, peak: int, mem: MemorySpec, mac_pj: float, bw_x: int, bw_w: int, weights_resident: bool
-) -> Totals:
+) -> tuple:
     """One invocation of a layer (one timestep for recurrent layers), priced from its traffic.
 
     The pass runs ``m // m_res`` identical full generations of ``m_res`` output rows, then
-    one generation of the rows left, if any.  Resident weights need no fill.
+    one generation of the rows left, if any.  Resident weights need no fill.  Returns the
+    pass's sums as a plain tuple in :class:`Totals` field order.
     """
     input_bytes = _ceil_bits_to_bytes(dims.k * dims.n, bw_x)
     compute = total = weight_fill = input_stream = output_write = next_load = 0
@@ -286,15 +290,15 @@ def _simulate_pass(
     operand_reads = _ceil_bits_to_bytes(macs, bw_x), _ceil_bits_to_bytes(macs, bw_w)
     traffic = _Traffic(weight_fill, input_stream, output_write, *operand_reads)
     offchip = traffic.weight_fill + traffic.input_stream + traffic.output_write
-    return Totals(
-        macs=macs,
-        compute_cycles=compute,
-        memory_cycles=_mem_cycles(offchip, mem),
-        total_cycles=total + next_load,  # after the walk, the first generation's load: exposed
-        offchip_bytes=offchip,
-        energy_compute_pj=macs * mac_pj,
-        energy_sram_pj=(offchip + traffic.x_reads + traffic.w_reads) * SRAM_PJ_PER_BYTE,
-        energy_offchip_pj=offchip * 8 * mem.access_energy_pj_per_bit,
+    return (
+        macs,
+        compute,
+        _mem_cycles(offchip, mem),
+        total + next_load,  # after the walk, the first generation's load: exposed
+        offchip,
+        macs * mac_pj,
+        (offchip + traffic.x_reads + traffic.w_reads) * SRAM_PJ_PER_BYTE,
+        offchip * 8 * mem.access_energy_pj_per_bit,
     )
 
 
@@ -358,18 +362,17 @@ def simulate_layer(
     if layer.repeat > 1 and _ceil_bits_to_bytes(dims.m * dims.k, bw_w) <= acc.total_scratchpad_bytes:
         steady = _simulate_pass(dims, m_res, peak, mem, mac_pj, bw_x, bw_w, weights_resident=True)
 
-    totals = Totals.of([first] + [steady] * (layer.repeat - 1))
+    # Integers as first + (repeat - 1) * steady, exactly; each energy float by Totals.of's left-to-right
+    # additions over [first, steady, ...], not by sum() (its rounding changed in 3.12) or a product.
+    extra = layer.repeat - 1
+    macs, compute, memory, total, offchip = (a + extra * b for a, b in zip(first[:5], steady[:5]))
+    e_compute, e_sram, e_offchip = first[5:]
+    for _ in range(extra):
+        e_compute, e_sram, e_offchip = e_compute + steady[5], e_sram + steady[6], e_offchip + steady[7]
     return LayerReport(
-        **vars(totals),
-        name=layer.name or layer.kind.value,
-        kind=layer.kind.value,
-        m=dims.m,
-        k=dims.k,
-        n=dims.n,
-        repeats=layer.repeat,
-        bw_x=bw_x,
-        bw_w=bw_w,
-        utilization=totals.macs / (peak * totals.compute_cycles),
+        macs, compute, memory, total, offchip, e_compute, e_sram, e_offchip,
+        layer.name or layer.kind.value, layer.kind.value, dims.m, dims.k, dims.n, layer.repeat,
+        bw_x, bw_w, macs / (peak * compute),
     )
 
 

@@ -23,10 +23,12 @@ from __future__ import annotations
 import json
 import math
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 from .bitslice import MAX_BITWIDTH, SliceConfig
@@ -169,8 +171,9 @@ _CONVENTIONAL_MAC = {
 }
 
 
-def _structure(cfg: CvuConfig) -> dict[str, int]:
-    """Bit-unit inventory of one CVU (constants not yet applied).
+@lru_cache(maxsize=256)  # a pure function of a hashable, frozen config
+def _structure(cfg: CvuConfig) -> Mapping[str, int]:
+    """Bit-unit inventory of one CVU (constants not yet applied), cached per config and read-only.
 
     Each engine's output is shifted as the full-width composition plan shifts it, and the
     global tree adds the shifted outputs."""
@@ -180,15 +183,15 @@ def _structure(cfg: CvuConfig) -> dict[str, int]:
     shifts = plan_composition(MAX_BITWIDTH, MAX_BITWIDTH, cfg).shifts
     global_units, _, _ = _tree_reduce([nbve_out_max << shift for shift in shifts])
 
-    return {
+    return MappingProxyType({
         "mult_units": cfg.nbve_count * cfg.lanes * alpha * beta,
         "add_units": cfg.nbve_count * nbve_units + global_units + _adder_units(ACCUMULATOR_BITS),
         "shift_units": cfg.nbve_count * (nbve_out_max.bit_length() + max(shifts)),
         "register_units": ACCUMULATOR_BITS,
-    }
+    })
 
 
-def _cost(units: dict[str, int], params: CostParams, macs: int, per: tuple[float, float]) -> CostBreakdown:
+def _cost(units: Mapping[str, int], params: CostParams, macs: int, per: tuple[float, float]) -> CostBreakdown:
     """Apply the constants to a bit-unit inventory, then divide by ``macs`` and ``per`` (energy, area)."""
     per_energy, per_area = per
     fields = {}
@@ -199,7 +202,7 @@ def _cost(units: dict[str, int], params: CostParams, macs: int, per: tuple[float
     return CostBreakdown(**fields)
 
 
-def _weighted(units: dict[str, int], coeffs) -> float:
+def _weighted(units: Mapping[str, int], coeffs) -> float:
     """Unit counts times one coefficient per category, added left to right in category order."""
     return reduce(operator.add, map(operator.mul, _unit_counts(units), coeffs))
 

@@ -286,9 +286,3 @@ def bundled_networks() -> dict[str, Path]:
         if p.name.endswith(".json")
     }
 
-
-def load_bundled(name: str) -> NetworkSpec:
-    paths = bundled_networks()
-    if name not in paths:
-        raise NetworkFormatError(f"unknown bundled network {name!r}; available: {sorted(paths)}")
-    return load_network(paths[name])

@@ -30,7 +30,7 @@ from cvusim.bitslice import QuantizedVector, SliceConfig, dot_exact, value_bound
 from cvusim.cost import default_params, per_mac_normalized
 from cvusim.cvu import CvuConfig, plan_composition
 from cvusim.errors import AccumulatorOverflowError, ConfigError, RangeError, ShapeError
-from cvusim.workloads import LayerKind, LayerSpec, NetworkSpec, load_bundled, to_homogeneous
+from cvusim.workloads import LayerKind, LayerSpec, NetworkSpec, bundled_networks, load_network, to_homogeneous
 
 PARAMS = default_params()
 INFINITE = MemorySpec("infinite", 1e18, 0.0)
@@ -50,7 +50,7 @@ def fc(m, k, bw_x=8, bw_w=8, **kw):
 
 def every_layer_of(*names):
     """(net, layer index) of every layer of the named bundled nets."""
-    return [(name, i) for name in names for i in range(len(load_bundled(name).layers))]
+    return [(name, i) for name in names for i in range(len(load_network(bundled_networks()[name]).layers))]
 
 
 def check_layer_whole(name, index):
@@ -58,7 +58,7 @@ def check_layer_whole(name, index):
 
     Seeded signed m x k weights and unsigned k x n inputs, as after a ReLU.
     ``slow/test_whole_layers.py`` runs this on the nets too big for Tier-1."""
-    layer = load_bundled(name).layers[index]
+    layer = load_network(bundled_networks()[name]).layers[index]
     dims = lower_layer(layer)
     rng = np.random.default_rng([*name.encode(), index])
     w = rng.integers(-(1 << (layer.bw_w - 1)), 1 << (layer.bw_w - 1), size=(dims.m, dims.k), dtype=np.int16)
@@ -122,7 +122,7 @@ class TestSimulateLayer:
 
     def test_bound_classification_iff(self):
         acc = build_array(Style.VECTOR, PARAMS)
-        net = to_homogeneous(load_bundled("alexnet"))
+        net = to_homogeneous(load_network(bundled_networks()["alexnet"]))
         for layer in simulate_network(net, acc, DDR4, PARAMS).layers:
             assert (layer.bound == "memory") == (layer.memory_cycles > layer.compute_cycles)
 
@@ -170,7 +170,8 @@ class TestSimulateLayer:
 
 def recurrent_cells():
     """Every gemv layer of the bundled recurrent networks, with its network name."""
-    return [(name, l) for name in ("lstm", "gru") for l in load_bundled(name).layers if l.kind is LayerKind.GEMV]
+    nets = {name: load_network(bundled_networks()[name]) for name in ("lstm", "gru")}
+    return [(name, l) for name, net in nets.items() for l in net.layers if l.kind is LayerKind.GEMV]
 
 
 def weight_set_bytes(layer):
@@ -300,6 +301,21 @@ class TestClosedForm:
         for f in fields(Totals):
             assert getattr(report, f.name) == getattr(expected, f.name), f.name
 
+    @pytest.mark.parametrize("resident", [True, False], ids=["resident", "streamed"])
+    @pytest.mark.parametrize("repeat", [25, 2**16])
+    @pytest.mark.parametrize("style", list(Style))
+    def test_repeat_sum_at_its_extremes(self, style, repeat, resident):
+        # 25 timesteps as in the bundled GRU and LSTM, and the schema's maximum of 2**16:
+        # every Totals field, floats included, exactly as the reference adds the passes
+        acc = build_array(style, PARAMS, total_sram_bytes=(6 << 20) if resident else (1 << 16))
+        layer = LayerSpec(kind=LayerKind.GEMV, m=1000, k=1000, bw_x=4, bw_w=4, repeat=repeat)
+        expected = reference_layer_totals(layer, acc, DDR4, PARAMS)
+        report = simulate_layer(layer, acc, DDR4, PARAMS)
+        one = simulate_layer(replace(layer, repeat=1), acc, DDR4, PARAMS)
+        assert (report.offchip_bytes < repeat * one.offchip_bytes) is resident
+        for f in fields(Totals):
+            assert getattr(report, f.name) == getattr(expected, f.name), f.name
+
 
 class TestSimulateNetwork:
     @pytest.mark.parametrize("style", list(Style))
@@ -347,7 +363,7 @@ class TestSimulateNetwork:
 
     def test_energy_accounting_closes(self):
         acc = build_array(Style.VECTOR, PARAMS)
-        report = simulate_network(to_homogeneous(load_bundled("convnet")), acc, DDR4, PARAMS)
+        report = simulate_network(to_homogeneous(load_network(bundled_networks()["convnet"])), acc, DDR4, PARAMS)
         assert report.energy_total_pj == pytest.approx(
             report.energy_compute_pj + report.energy_sram_pj + report.energy_offchip_pj
         )
@@ -358,7 +374,7 @@ class TestSimulateNetwork:
 
     def test_offchip_energy_linear_in_bytes_and_pj(self):
         acc = build_array(Style.VECTOR, PARAMS)
-        net = to_homogeneous(load_bundled("convnet"))
+        net = to_homogeneous(load_network(bundled_networks()["convnet"]))
         base = simulate_network(net, acc, DDR4, PARAMS)
         pricier = simulate_network(net, acc, MemorySpec("ddr4x3", DDR4.bandwidth_bytes_per_s, 45.0), PARAMS)
         assert pricier.energy_offchip_pj == pytest.approx(3 * base.energy_offchip_pj)
@@ -370,7 +386,7 @@ class TestMonotonicity:
     def test_bandwidth_never_hurts(self):
         acc = build_array(Style.VECTOR, PARAMS)
         for name in ("alexnet", "lstm"):
-            net = to_homogeneous(load_bundled(name))
+            net = to_homogeneous(load_network(bundled_networks()[name]))
             slow = simulate_network(net, acc, DDR4, PARAMS)
             fast = simulate_network(net, acc, HBM2, PARAMS)
             assert fast.total_cycles <= slow.total_cycles
@@ -443,7 +459,7 @@ class TestIsoPowerSizing:
 class TestCompare:
     def test_self_comparison_is_unity(self):
         acc = build_array(Style.VECTOR, PARAMS)
-        net = to_homogeneous(load_bundled("convnet"))
+        net = to_homogeneous(load_network(bundled_networks()["convnet"]))
         entries = compare(net, [(acc, DDR4), (acc, DDR4)], PARAMS)
         assert entries[1].speedup == pytest.approx(1.0)
         assert entries[1].energy_reduction == pytest.approx(1.0)
@@ -451,19 +467,19 @@ class TestCompare:
     def test_needs_two_configs(self):
         acc = build_array(Style.VECTOR, PARAMS)
         with pytest.raises(ConfigError, match="at least 2"):
-            compare(to_homogeneous(load_bundled("convnet")), [(acc, DDR4)], PARAMS)
+            compare(to_homogeneous(load_network(bundled_networks()["convnet"])), [(acc, DDR4)], PARAMS)
 
     def test_hbm2_speedup_at_least_ddr4_on_gemv_net(self):
         conv = build_array(Style.CONVENTIONAL, PARAMS)
         vect = build_array(Style.VECTOR, PARAMS)
-        net = to_homogeneous(load_bundled("gru"))
+        net = to_homogeneous(load_network(bundled_networks()["gru"]))
         entries = compare(net, [(conv, DDR4), (vect, DDR4), (vect, HBM2)], PARAMS)
         assert entries[2].speedup > entries[1].speedup
 
     def test_vector_beats_scalar_on_heterogeneous(self):
         scal = build_array(Style.SCALAR, PARAMS)
         vect = build_array(Style.VECTOR, PARAMS)
-        net = load_bundled("resnet")
+        net = load_network(bundled_networks()["resnet"])
         entries = compare(net, [(scal, DDR4), (vect, DDR4)], PARAMS)
         assert entries[1].speedup > 1.0
 
@@ -505,7 +521,7 @@ class TestFunctionalEquivalence:
         # one signed weight row and one unsigned input column per layer, as the
         # schema defaults, at its full depth k (25,088 for VGG fc6), every style
         arrays = [build_array(style, PARAMS) for style in Style]
-        for i, layer in enumerate(load_bundled(name).layers):
+        for i, layer in enumerate(load_network(bundled_networks()[name]).layers):
             rng = random.Random(f"{name}/{i}")
             k = lower_layer(layer).k
             lo_w, hi_w = value_bounds(layer.bw_w, True)
@@ -542,7 +558,7 @@ class TestFunctionalEquivalence:
     def test_conventional_dot_bound_checked_up_front(self):
         # a stand-in vector long enough that k * 2**(bw_x + bw_w) reaches 2**63
         class Long:
-            bitwidth, values, array = 8, (), np.zeros(0, np.int64)
+            bitwidth, array = 8, np.zeros(0, np.int64)
 
             def __init__(self, length):
                 self.length = length

@@ -5,6 +5,7 @@ from importlib import resources
 
 import pytest
 
+import cvusim.cost as cost
 from cvusim.bitslice import SliceConfig
 from cvusim.cost import (
     ACCUMULATOR_BITS,
@@ -186,6 +187,27 @@ class TestCalibrate:
         with pytest.raises(CalibrationError) as err:
             calibrate(bad)
         assert err.value.residuals
+
+
+class TestInventoryCache:
+    def test_structure_runs_once_per_config_and_is_read_only(self):
+        _structure.cache_clear()
+        first = per_mac_breakdown(cfg(2, 16), PARAMS)
+        again = per_mac_breakdown(cfg(2, 16), PARAMS)  # an equal config, not the same object
+        assert first == again
+        info = _structure.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        units = _structure(cfg(2, 16))
+        with pytest.raises(TypeError):
+            units["add_units"] = 0
+        with pytest.raises(TypeError):
+            del units["mult_units"]
+        assert _structure(cfg(2, 16)) == dict(units)
+
+    def test_calibration_matches_the_uncached_inventory(self, monkeypatch):
+        cached = calibrate(DEFAULT_ANCHORS)
+        monkeypatch.setattr(cost, "_structure", cost._structure.__wrapped__)
+        assert calibrate(DEFAULT_ANCHORS) == cached
 
 
 class TestIsoPower:

@@ -25,7 +25,7 @@ from pathlib import Path
 from cvusim import cli
 from cvusim.arch import DDR4, HBM2, Style, build_array, simulate_network
 from cvusim.cost import default_params
-from cvusim.workloads import bundled_networks, load_bundled, to_homogeneous
+from cvusim.workloads import bundled_networks, load_network, to_homogeneous
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 NETS = tuple(sorted(bundled_networks()))
@@ -55,7 +55,7 @@ def model_table() -> str:
         arrays = {style: build_array(STYLES[style], params) for style in STYLES}
         for net_name in NETS:
             for mode in MODES:
-                net = load_bundled(net_name)
+                net = load_network(bundled_networks()[net_name])
                 if mode == "homogeneous":
                     net = to_homogeneous(net)
                 for style in STYLES:

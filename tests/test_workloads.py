@@ -12,7 +12,7 @@ from cvusim.workloads import (
     LayerSpec,
     NetworkSpec,
     bundled_networks,
-    load_bundled,
+    load_network,
     parse_network,
     serialize_network,
     to_homogeneous,
@@ -181,7 +181,7 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("name", sorted(bundled_networks()))
     def test_bundled_round_trip(self, name):
-        net = load_bundled(name)
+        net = load_network(bundled_networks()[name])
         assert parse_network(serialize_network(net)) == net
 
 
@@ -225,12 +225,12 @@ class TestSchemaProperties:
 
 class TestToHomogeneous:
     def test_all_bitwidths_become_8(self):
-        net = to_homogeneous(load_bundled("resnet"))
+        net = to_homogeneous(load_network(bundled_networks()["resnet"]))
         assert net.bitwidth_mode is BitwidthMode.HOMOGENEOUS
         assert all(l.bw_x == 8 and l.bw_w == 8 for l in net.layers)
 
     def test_dims_unchanged_mac_invariant(self):
-        het = load_bundled("vgg")
+        het = load_network(bundled_networks()["vgg"])
         hom = to_homogeneous(het)
         assert total_macs(hom) == total_macs(het)
         assert [(l.kind, l.out_features) for l in hom.layers] == [
@@ -238,7 +238,7 @@ class TestToHomogeneous:
         ]
 
     def test_idempotent(self):
-        once = to_homogeneous(load_bundled("gru"))
+        once = to_homogeneous(load_network(bundled_networks()["gru"]))
         assert to_homogeneous(once) == once
 
 
@@ -248,14 +248,14 @@ class TestBundledSuite:
 
     @pytest.mark.parametrize("name", sorted(bundled_networks()))
     def test_all_validate(self, name):
-        net = load_bundled(name)
+        net = load_network(bundled_networks()[name])
         assert net.layers
         assert net.bitwidth_mode is BitwidthMode.HETEROGENEOUS
 
     def test_lstm_weight_bytes_closed_form(self):
         # stacked cells, hidden = input = 1024: weights per cell 4*h*(h+i);
         # the bytes the simulator fetches are checked in test_arch.TestRepeats
-        net = load_bundled("lstm")
+        net = load_network(bundled_networks()["lstm"])
         h = i = 1024
         cells = [l for l in net.layers if l.kind is LayerKind.GEMV]
         assert len(cells) == 2
@@ -264,14 +264,14 @@ class TestBundledSuite:
             assert dims.m * dims.k == 4 * h * (h + i)
 
     def test_gru_weight_elements_closed_form(self):
-        net = load_bundled("gru")
+        net = load_network(bundled_networks()["gru"])
         h = i = 1280
         cells = [l for l in net.layers if l.kind is LayerKind.GEMV]
         assert all(lower_layer(c).m * lower_layer(c).k == 3 * h * (h + i) for c in cells)
 
     def test_alexnet_counts_closed_form(self):
         # independent per-layer recomputation from the published shapes
-        net = load_bundled("alexnet")
+        net = load_network(bundled_networks()["alexnet"])
         conv_shapes = [
             (64, 3, 11, 11, 56 * 56),
             (192, 64, 5, 5, 28 * 28),
@@ -287,11 +287,7 @@ class TestBundledSuite:
 
     def test_vgg_parameter_count_magnitude(self):
         # VGG-16 class: ~138M parameters
-        assert weight_elements(load_bundled("vgg")) == 138_344_128
-
-    def test_unknown_bundled_name(self):
-        with pytest.raises(NetworkFormatError, match="unknown bundled network"):
-            load_bundled("nope")
+        assert weight_elements(load_network(bundled_networks()["vgg"])) == 138_344_128
 
 
 class TestLayerSpecGeometry:
