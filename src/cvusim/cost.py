@@ -11,7 +11,9 @@ Free per-bit constants absorb technology detail and are pinned by
 :func:`calibrate` against observed normalized design points.  The shipped
 defaults live in ``data/default_cost_params.json``.  Only :func:`calibrate`
 needs numpy and scipy; it imports them on its first call, so evaluating the
-model never loads either.
+model never loads either.  The fit prices only the inventories its objective
+reads, from integer unit rows built once, and computes on Python floats in a
+fixed order after one ``np.exp`` per evaluation (see :func:`_fit_metric`).
 
 The normalization baseline is a conventional 8-bit MAC costed with the same
 component model: one 8x8 multiplier, an accumulate adder, and an accumulator
@@ -25,18 +27,14 @@ import math
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
-from typing import TYPE_CHECKING
 
 from .bitslice import MAX_BITWIDTH, SliceConfig
 from .cvu import CvuConfig, plan_composition
 from .errors import CalibrationError, ConfigError, RangeError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 ACCUMULATOR_BITS = 64
 # Fixed per-adder overhead in bit equivalents (carry logic, cell granularity).
@@ -161,14 +159,9 @@ def _tree_reduce(maxima: list[int]) -> tuple[int, int, int]:
     return units, count, level[0] if level else 0
 
 
-# The conventional 8-bit MAC baseline: one 8x8 multiplier and a 64-bit
-# accumulate adder and register.
-_CONVENTIONAL_MAC = {
-    "mult_units": 64,
-    "add_units": _adder_units(ACCUMULATOR_BITS),
-    "shift_units": 0,
-    "register_units": ACCUMULATOR_BITS,
-}
+# The conventional 8-bit MAC baseline, as unit counts in category order: one
+# 8x8 multiplier and a 64-bit accumulate adder and register.
+_CONVENTIONAL_UNITS = (64, _adder_units(ACCUMULATOR_BITS), 0, ACCUMULATOR_BITS)
 
 
 @lru_cache(maxsize=256)  # a pure function of a hashable, frozen config
@@ -202,15 +195,16 @@ def _cost(units: Mapping[str, int], params: CostParams, macs: int, per: tuple[fl
     return CostBreakdown(**fields)
 
 
-def _weighted(units: Mapping[str, int], coeffs) -> float:
+def _weighted(counts: tuple[int, ...], coeffs) -> float:
     """Unit counts times one coefficient per category, added left to right in category order."""
-    return reduce(operator.add, map(operator.mul, _unit_counts(units), coeffs))
+    (mult, add, shift, register), (c_mult, c_add, c_shift, c_register) = counts, coeffs
+    return mult * c_mult + add * c_add + shift * c_shift + register * c_register
 
 
 def conventional_mac_cost(params: CostParams) -> tuple[float, float]:
     """(energy, area) of the conventional 8-bit MAC normalization baseline."""
-    energy = _weighted(_CONVENTIONAL_MAC, _energy_constants(params))
-    return energy, _weighted(_CONVENTIONAL_MAC, _area_constants(params))
+    energy = _weighted(_CONVENTIONAL_UNITS, _energy_constants(params))
+    return energy, _weighted(_CONVENTIONAL_UNITS, _area_constants(params))
 
 
 def per_mac_breakdown(cfg: CvuConfig, params: CostParams) -> CostBreakdown:
@@ -255,6 +249,12 @@ class CalibrationAnchor:
     power_norm: float | None = None
     area_norm: float | None = None
 
+    def __post_init__(self):
+        for name in ("power_norm", "area_norm"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise RangeError(f"{name} must be strictly positive and finite, got {value}")
+
 
 # Design points the shipped defaults reproduce.  Chosen inside the feasible
 # envelope of the observed ratios (2.0x/1.7x power/area improvement at
@@ -270,76 +270,80 @@ DEFAULT_ANCHORS = (
 )
 
 _SWEEP_LANES = (1, 2, 4, 8, 16)
-
-
-def _norms_for(table: dict[tuple[int, int, int], dict], coeffs: np.ndarray) -> dict[tuple[int, int, int], float]:
-    """Per-MAC metric of every inventory in ``table``, normalized to the conventional MAC."""
-    conv = _weighted(_CONVENTIONAL_MAC, coeffs)
-    return {key: _weighted(s, coeffs) / conv / s["macs"] for key, s in table.items()}
+_FIT_STARTS = ((0.28, 0.16, 2.76), (0.1, 0.05, 1.0), (1.0, 0.5, 5.0))  # adder, shifter, register
+# the keys the qualitative penalty reads: each lane sweep, and 2-bit beside 1-bit per lane count
+_LANE_SERIES = tuple(tuple((sw, sw, lanes) for lanes in _SWEEP_LANES) for sw in (1, 2))
+_SLICE_PAIRS = tuple(((2, 2, lanes), (1, 1, lanes)) for lanes in _SWEEP_LANES)
 
 
 def _key(cfg: CvuConfig) -> tuple[int, int, int]:
     return cfg.slice.alpha, cfg.slice.beta, cfg.lanes
 
 
-def _inventories(cfgs) -> dict[tuple[int, int, int], dict]:
-    """Per-CVU inventory and its MACs per cycle, keyed by (alpha, beta, lanes)."""
-    return {_key(cfg): dict(_structure(cfg), macs=cfg.lanes) for cfg in cfgs}
+def _norms_for(rows, coeffs: list[float]) -> dict[tuple[int, int, int], float]:
+    """Per-MAC metric of every (key, unit counts, MACs per cycle) row, normalized to the conventional MAC."""
+    conv = _weighted(_CONVENTIONAL_UNITS, coeffs)
+    return {key: _weighted(counts, coeffs) / conv / macs for key, counts, macs in rows}
 
 
-def _qualitative_penalty(table: dict, norm: dict, coeffs: np.ndarray) -> float:
+def _qualitative_penalty(norm: dict, coeffs: list[float], adder_first: tuple[int, ...]) -> float:
     """Soft constraints keeping the model's qualitative shape during fits.
 
     Violations of: per-MAC cost strictly decreasing in lanes, saturation of
     the lane improvement, 2-bit dominating 1-bit, 1-bit never beating the
-    conventional unit, and the adder category ranking first at the
-    (2-bit, 16-lane) point.
+    conventional unit, and the adder category ranking first among the unit
+    counts ``adder_first`` of the (2-bit, 16-lane) point.
     """
+    terms = []
+    for keys in _LANE_SERIES:
+        series = [norm[key] for key in keys]
+        terms += [(b - a) / a + 1e-4 for a, b in zip(series, series[1:])]  # must decrease with lanes
+        terms.append(series[-2] / series[-1] - series[0] / series[1])  # diminishing returns
+    for two_bit, one_bit in _SLICE_PAIRS:
+        two, one = norm[two_bit], norm[one_bit]
+        terms += [(two - one) / one + 1e-4, 1.0 - one]  # 2-bit beats 1-bit, which never beats conventional
+    mult, add, shift, register = map(operator.mul, adder_first, coeffs)
+    terms += [(other - add) / add for other in (mult, shift, register)]
     penalty = 0.0
-    for sw in (1, 2):
-        series = [norm[(sw, sw, l)] for l in _SWEEP_LANES]
-        for a, b in zip(series, series[1:]):
-            penalty += max(0.0, (b - a) / a + 1e-4)  # must decrease with lanes
-        first = series[0] / series[1]
-        last = series[-2] / series[-1]
-        penalty += max(0.0, last - first)  # diminishing returns
-    for lanes in _SWEEP_LANES:
-        penalty += max(0.0, (norm[(2, 2, lanes)] - norm[(1, 1, lanes)]) / norm[(1, 1, lanes)] + 1e-4)
-        penalty += max(0.0, 1.0 - norm[(1, 1, lanes)])  # 1-bit never beats conventional
-    s216 = table[(2, 2, 16)]
-    mult, adder, shifter, register = coeffs
-    add_cost = s216["add_units"] * adder
-    for other in (s216["mult_units"] * mult, s216["shift_units"] * shifter, s216["register_units"] * register):
-        penalty += max(0.0, (other - add_cost) / add_cost)
+    for term in terms:
+        if term > 0.0:  # the same sum as adding max(0.0, term) for every term, in order
+            penalty += term
     return penalty
 
 
-def _fit_metric(targets: list[tuple[CvuConfig, float]]) -> np.ndarray:
+def _fit_objective(targets: list[tuple[CvuConfig, float]]):
+    """Worst relative error over ``targets`` plus 10x the penalty, of the log adder/shifter/register coefficients."""
+    import numpy as np
+
+    sweep = (CvuConfig(lanes=lanes, slice=SliceConfig(sw, sw)) for sw in (1, 2) for lanes in _SWEEP_LANES)
+    cfgs = {_key(cfg): cfg for cfg in (*sweep, *(cfg for cfg, _ in targets))}
+    rows = tuple((key, _unit_counts(_structure(cfg)), cfg.lanes) for key, cfg in cfgs.items())
+    keyed = [(_key(cfg), observed) for cfg, observed in targets]
+    adder_first = _unit_counts(_structure(cfgs[(2, 2, 16)]))
+
+    def objective(x: np.ndarray) -> float:
+        coeffs = [1.0, *np.exp(x).tolist()]
+        norm = _norms_for(rows, coeffs)
+        err = max(abs(norm[key] / obs - 1.0) for key, obs in keyed)
+        return err + 10.0 * _qualitative_penalty(norm, coeffs, adder_first)
+
+    return objective
+
+
+def _fit_metric(targets: list[tuple[CvuConfig, float]]) -> list[float]:
+    """The four category coefficients, as Python floats, that minimize :func:`_fit_objective`.
+
+    The objective's integer unit rows are built once, only for what it reads: the 1- and 2-bit lane
+    sweeps and the anchors.  Each evaluation turns its coefficients into Python floats with one
+    ``np.exp`` (``math.exp`` can differ in the last bit, which moves the Nelder-Mead path) and
+    does every later sum, ratio and penalty term on Python floats in a fixed left-to-right order.
+    """
     import numpy as np
     from scipy.optimize import minimize
 
-    # the symmetric sweep that the qualitative penalty reads, then the anchors
-    sweep = (CvuConfig(lanes=lanes, slice=SliceConfig(sw, sw)) for sw in (1, 2, 4) for lanes in _SWEEP_LANES)
-    table = _inventories((*sweep, *(cfg for cfg, _ in targets)))
-    keyed = [(_key(cfg), observed) for cfg, observed in targets]
-
-    def objective(x: np.ndarray) -> float:
-        coeffs = np.concatenate(([1.0], np.exp(x)))
-        norm = _norms_for(table, coeffs)
-        err = max(abs(norm[key] / obs - 1.0) for key, obs in keyed)
-        return err + 10.0 * _qualitative_penalty(table, norm, coeffs)
-
-    best = None
-    for start in ((0.28, 0.16, 2.76), (0.1, 0.05, 1.0), (1.0, 0.5, 5.0)):
-        res = minimize(
-            objective,
-            np.log(start),
-            method="Nelder-Mead",
-            options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 4000},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-    return np.concatenate(([1.0], np.exp(best.x)))
+    objective, options = _fit_objective(targets), {"xatol": 1e-8, "fatol": 1e-10, "maxiter": 4000}
+    fits = [minimize(objective, np.log(start), method="Nelder-Mead", options=options) for start in _FIT_STARTS]
+    return [1.0, *np.exp(min(fits, key=lambda res: res.fun).x).tolist()]  # the first best fit
 
 
 def calibrate(anchors) -> tuple[CostParams, dict[str, float]]:

@@ -1,9 +1,15 @@
 """Power/area model: breakdowns, sweep shape, calibration, iso-power sizing."""
 
+import functools
 import math
+import operator
+import warnings
 from importlib import resources
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cvusim.cost as cost
 from cvusim.bitslice import SliceConfig
@@ -32,6 +38,54 @@ LANES = (1, 2, 4, 8, 16)
 
 def cfg(sw, lanes):
     return CvuConfig(lanes=lanes, slice=SliceConfig(sw, sw))
+
+
+def reference_objective(targets):
+    """The fit objective as first written, kept as the reference for the fast one: np.float64
+    coefficients over the inventory dicts, with the unread 4-bit sweep priced too."""
+    unit_keys = ("mult_units", "add_units", "shift_units", "register_units")
+    conventional = dict(zip(unit_keys, (64, _adder_units(ACCUMULATOR_BITS), 0, ACCUMULATOR_BITS)))
+
+    def key(c):
+        return c.slice.alpha, c.slice.beta, c.lanes
+
+    def weighted(units, coeffs):
+        return functools.reduce(operator.add, map(operator.mul, (units[k] for k in unit_keys), coeffs))
+
+    sweep = (cfg(sw, lanes) for sw in (1, 2, 4) for lanes in LANES)
+    table = {key(c): dict(_structure(c), macs=c.lanes) for c in (*sweep, *(c for c, _ in targets))}
+    keyed = [(key(c), observed) for c, observed in targets]
+
+    def objective(x):
+        coeffs = np.concatenate(([1.0], np.exp(x)))
+        conv = weighted(conventional, coeffs)
+        norm = {k: weighted(s, coeffs) / conv / s["macs"] for k, s in table.items()}
+        err = max(abs(norm[k] / obs - 1.0) for k, obs in keyed)
+        penalty = 0.0
+        for sw in (1, 2):
+            series = [norm[(sw, sw, lanes)] for lanes in LANES]
+            for a, b in zip(series, series[1:]):
+                penalty += max(0.0, (b - a) / a + 1e-4)
+            penalty += max(0.0, series[-2] / series[-1] - series[0] / series[1])
+        for lanes in LANES:
+            penalty += max(0.0, (norm[(2, 2, lanes)] - norm[(1, 1, lanes)]) / norm[(1, 1, lanes)] + 1e-4)
+            penalty += max(0.0, 1.0 - norm[(1, 1, lanes)])
+        s216 = table[(2, 2, 16)]
+        mult, adder, shifter, register = coeffs
+        add_cost = s216["add_units"] * adder
+        for other in (s216["mult_units"] * mult, s216["shift_units"] * shifter, s216["register_units"] * register):
+            penalty += max(0.0, (other - add_cost) / add_cost)
+        return err + 10.0 * penalty
+
+    return objective
+
+
+def fit_targets(anchors):
+    """The power targets and the area targets of ``anchors``, as ``calibrate`` passes them to the fit."""
+    return (
+        [(a.cfg, a.power_norm) for a in anchors if a.power_norm is not None],
+        [(a.cfg, a.area_norm) for a in anchors if a.area_norm is not None],
+    )
 
 
 class TestCvuCost:
@@ -187,6 +241,82 @@ class TestCalibrate:
         with pytest.raises(CalibrationError) as err:
             calibrate(bad)
         assert err.value.residuals
+        assert all(type(v) is float for v in err.value.residuals.values())
+
+    @pytest.mark.parametrize("metric", ["power_norm", "area_norm"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_anchor_values_must_be_positive_and_finite(self, metric, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError, match=metric):
+                CalibrationAnchor(cfg(2, 16), **{metric: value})
+
+    def test_results_are_plain_floats(self):
+        params, residuals = calibrate(DEFAULT_ANCHORS)
+        assert all(type(v) is float for v in (*vars(params).values(), *residuals.values()))
+
+    def test_default_anchors_recover_the_shipped_parameters(self):
+        params, _ = calibrate(DEFAULT_ANCHORS)
+        for name, shipped in vars(PARAMS).items():
+            assert getattr(params, name) == pytest.approx(shipped, rel=1e-6), name
+
+    def test_shipped_parameters_have_zero_qualitative_penalty(self):
+        sweep = [cfg(sw, lanes) for sw in (1, 2) for lanes in LANES]
+        rows = [(cost._key(c), cost._unit_counts(_structure(c)), c.lanes) for c in sweep]
+        adder_first = cost._unit_counts(_structure(cfg(2, 16)))
+        for constants in (cost._energy_constants(PARAMS), cost._area_constants(PARAMS)):
+            coeffs = list(constants)
+            assert cost._qualitative_penalty(cost._norms_for(rows, coeffs), coeffs, adder_first) == 0.0
+
+
+# the fit targets the objective is checked on: the default anchors, the three observed points,
+# and anchors off the penalty's sweep (unequal slice widths, 4-bit slices)
+OFF_SWEEP = [CvuConfig(16, SliceConfig(2, 1)), cfg(4, 8), cfg(2, 16)]
+TARGET_SETS = (
+    *fit_targets(DEFAULT_ANCHORS),
+    *fit_targets(TestCalibrate.THREE_ANCHORS),
+    *fit_targets([CalibrationAnchor(c, *per_mac_normalized(c, PARAMS)) for c in OFF_SWEEP]),
+)
+
+
+class TestFitObjective:
+    # the fast objective must equal the reference bit for bit, so Nelder-Mead takes the same path
+
+    def test_equal_at_the_starts(self):
+        for targets in TARGET_SETS:
+            fast, reference = cost._fit_objective(targets), reference_objective(targets)
+            for start in cost._FIT_STARTS:
+                x = np.log(start)
+                assert type(fast(x)) is float
+                assert fast(x) == reference(x), (targets, start)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        targets=st.sampled_from(TARGET_SETS),
+        x=st.tuples(*[st.floats(-8.0, 4.0)] * 3).map(np.array),
+    )
+    def test_equal_at_random_points(self, targets, x):
+        assert cost._fit_objective(targets)(x) == reference_objective(targets)(x)
+
+    def test_equal_along_the_default_fit(self, monkeypatch):
+        # every point Nelder-Mead visits while fitting DEFAULT_ANCHORS
+        fast_objective, visited = cost._fit_objective, []
+
+        def checked(targets):
+            fast, reference = fast_objective(targets), reference_objective(targets)
+
+            def objective(x):
+                visited.append(x)
+                value = fast(x)
+                assert value == reference(x), x
+                return value
+
+            return objective
+
+        expected = calibrate(DEFAULT_ANCHORS)
+        monkeypatch.setattr(cost, "_fit_objective", checked)
+        assert calibrate(DEFAULT_ANCHORS) == expected
+        assert len(visited) > 1000
 
 
 class TestInventoryCache:

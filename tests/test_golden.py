@@ -7,6 +7,11 @@ of ``compare`` over all six networks and four configs in each bitwidth mode,
 and of ``simulate`` for every network, style, memory and mode.
 ``sensitivity.txt`` holds the file-mode ``compare`` geomeans at several SRAM
 budgets, so a change in how the model moves weights shows in every diff.
+``calibration.txt`` holds the relative error of every ``DEFAULT_ANCHORS``
+metric after ``calibrate`` fits all four anchors, and of each anchor's
+metrics when the other three are fitted (leave one out).  It prints 4
+significant digits to absorb last-bit differences between hosts; a value
+within about 1e-8 of a rounding boundary can still flip.
 
 A change that moves the model on purpose regenerates the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and explains the diff.  The
@@ -24,7 +29,7 @@ from pathlib import Path
 
 from cvusim import cli
 from cvusim.arch import DDR4, HBM2, Style, build_array, simulate_network
-from cvusim.cost import default_params
+from cvusim.cost import DEFAULT_ANCHORS, calibrate, default_params, per_mac_normalized
 from cvusim.workloads import bundled_networks, load_network, to_homogeneous
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -105,6 +110,23 @@ def sensitivity_table() -> str:
     return "\n".join(lines) + "\n"
 
 
+def calibration_table() -> str:
+    lines = ["fit,anchor,metric,relative_error"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # any warning fails the fits
+        _, residuals = calibrate(DEFAULT_ANCHORS)
+        for label, error in residuals.items():
+            anchor, metric = label.rsplit("_", 1)
+            lines.append(f"all,{anchor},{metric},{error:.4g}")
+        for i, held_out in enumerate(DEFAULT_ANCHORS):
+            params, _ = calibrate(DEFAULT_ANCHORS[:i] + DEFAULT_ANCHORS[i + 1:])
+            power, area = per_mac_normalized(held_out.cfg, params)
+            anchor = "sw{}x{}_L{}".format(held_out.cfg.slice.alpha, held_out.cfg.slice.beta, held_out.cfg.lanes)
+            lines.append(f"held-out,{anchor},power,{abs(power / held_out.power_norm - 1.0):.4g}")
+            lines.append(f"held-out,{anchor},area,{abs(area / held_out.area_norm - 1.0):.4g}")
+    return "\n".join(lines) + "\n"
+
+
 FILES = {
     "model.csv": model_table,
     "dse.txt": lambda: cli_stdout(["dse"]),
@@ -112,6 +134,7 @@ FILES = {
     "compare-homogeneous.txt": lambda: compare_report("homogeneous"),
     "simulate.txt": simulate_reports,
     "sensitivity.txt": sensitivity_table,
+    "calibration.txt": calibration_table,
 }
 
 
@@ -142,6 +165,10 @@ def test_simulate_reports():
 
 def test_sensitivity_table():
     _check("sensitivity.txt")
+
+
+def test_calibration_table():
+    _check("calibration.txt")
 
 
 def _model_rows() -> list[dict[str, str]]:
