@@ -8,7 +8,7 @@ planes, and recombining the plane results with shift-adds:
 
 where ``xs[j]`` is the j-th slice plane of x (``alpha`` bits per slice) and
 ``ws[k]`` the k-th plane of w (``beta`` bits).  :func:`slice_vector` turns
-an operand into its int64 plane array, of shape (planes, length), and
+an operand into its plane array, of shape (planes, length), and
 :func:`nbve_dot` takes the engines' plane dot products; the shift-add over
 those products is :func:`cvusim.cvu.execute_cycle`.  :func:`dot_exact` is
 the independent full-precision path, in Python integers, that every composed
@@ -30,13 +30,15 @@ zero-extended up to the next multiple before slicing.
 A :class:`QuantizedVector` holds its operand once, as a read-only int64
 ``array``: its values are packed into it when the vector is built, and one
 min/max over it checks the declared range.  Every path computes from that
-array.  :func:`slice_vector` shifts it right by a cached column ``0, s, 2s, ...``
-and masks every plane but the top one to ``s`` bits; the shift is arithmetic,
-so a signed top plane keeps its sign at any padded width.  The conventional
-style's dot product is one int64 dot of two arrays.  :func:`dot_exact` adds
-the Python integers of ``array.tolist()`` instead, so the oracle shares no
-arithmetic with the paths it checks.  numpy is imported only when a vector is
-built, so planning and the analytic model never load it.
+array.  :func:`slice_vector` slices it in int16, which holds every value of at most
+``MAX_BITWIDTH`` bits ([-128, 255]) and every plane of it: one AND of the operand shifted
+right by a cached column ``0, s, 2s, ...`` with a cached mask column, ``2**s - 1`` except
+for ``-1`` (all ones) on the top plane, which keeps the arithmetic shift's sign at any
+padded width.  Planes come back as int64, or through ``out`` into an int16 staging array.
+The conventional style's dot product is one int64 dot of two arrays.  :func:`dot_exact`
+adds the Python integers of ``array.tolist()`` instead, so the oracle shares no arithmetic
+with the paths it checks.  numpy is imported only when a vector is built, so planning and
+the analytic model never load it.
 """
 
 from __future__ import annotations
@@ -133,33 +135,37 @@ class QuantizedVector:
 
 
 @functools.lru_cache(maxsize=None)
-def _shifts(padded: int, slice_width: int) -> np.ndarray:
-    """Read-only int64 column of the plane shifts ``0, s, 2s, ...`` below ``padded`` bits."""
+def _shift_mask(padded: int, slice_width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only int16 columns of the plane shifts ``0, s, 2s, ...`` below ``padded`` bits, and of their masks."""
     import numpy as np
 
-    shifts = np.arange(0, padded, slice_width, dtype=np.int64)[:, None]
-    shifts.flags.writeable = False  # one cached array is shared by every caller
-    return shifts
+    shifts = np.arange(0, padded, slice_width, dtype=np.int16)[:, None]
+    masks = np.full_like(shifts, (1 << slice_width) - 1)
+    masks[-1] = -1  # all ones: the top plane keeps the arithmetic shift's sign
+    shifts.flags.writeable = masks.flags.writeable = False  # shared by every caller
+    return shifts, masks
 
 
-def slice_vector(vec: QuantizedVector, slice_width: int, *, bitwidth: int | None = None) -> np.ndarray:
-    """Slice every element of a vector: an int64 array of shape (planes, length).
+def slice_vector(vec: QuantizedVector, slice_width: int, *, bitwidth: int | None = None, out=None) -> np.ndarray:
+    """Slice every element of a vector: an int64 array of shape (planes, length), or ``out`` filled.
 
     Entry [j, i] is slice j (LSB-first) of element i; the last plane of a
     signed vector holds signed slice values, every other plane is unsigned.
     ``bitwidth`` optionally widens the declared bitwidth before slicing
     (used when a composition plan pads operands); it must not be narrower
-    than the vector's own width.
+    than the vector's own width.  ``out``, of shape (planes, length), takes the planes instead.
     """
     if slice_width not in VALID_SLICE_WIDTHS:
         raise RangeError(f"slice_width must be one of {VALID_SLICE_WIDTHS}, got {slice_width}")
     bw = vec.bitwidth if bitwidth is None else bitwidth
     if bw < vec.bitwidth:
         raise RangeError(f"cannot slice {vec.bitwidth}-bit vector at narrower width {bw}")
+    import numpy as np
 
-    planes = vec.array >> _shifts(padded_bitwidth(bw, slice_width), slice_width)
-    planes[:-1] &= (1 << slice_width) - 1  # the top plane keeps the arithmetic shift's sign
-    return planes
+    shifts, masks = _shift_mask(padded_bitwidth(bw, slice_width), slice_width)
+    if out is None:
+        out = np.empty((len(shifts), len(vec)), np.int64)
+    return np.bitwise_and(vec.array.astype(np.int16) >> shifts, masks, out=out)
 
 
 def nbve_dot(x_planes: np.ndarray, w_planes: np.ndarray) -> np.ndarray:
@@ -167,9 +173,7 @@ def nbve_dot(x_planes: np.ndarray, w_planes: np.ndarray) -> np.ndarray:
 
     ``x_planes`` has shape (..., a, lanes) and ``w_planes`` (..., b, lanes);
     entry [..., i, j] of the result is the dot product of x plane i with w
-    plane j, the scalar one engine reduces from its slice multipliers.  Over L
-    lanes it is an integer of at most ``L * 2**8`` in magnitude, exact in int64
-    and, while L < 2**45 (every addressable plane), in float64.
+    plane j, the scalar one engine reduces from its slice multipliers.
     """
     if x_planes.shape[-1] != w_planes.shape[-1]:
         raise ShapeError(f"lane count mismatch: {x_planes.shape[-1]} vs {w_planes.shape[-1]}")

@@ -10,7 +10,8 @@ in parallel, so all engines stay busy at every bitwidth.
 :func:`execute_cycle` runs every (w, x) pair of a set of operands of one
 length: each pair's element stream is spread over the clusters, ``cycles *
 lanes`` elements each, and every cluster emits its share of the dot product.
-The plane dot products run in float64 and the shift-add in int64, both exact.
+Each side's operands are sliced into one int16 staging array, cast once to float64 for the
+engines' matmuls; the shift-add is two int64 contractions against weights cached per plan.
 Planning imports nothing beyond the standard library; execution imports numpy.
 """
 
@@ -118,17 +119,29 @@ _BLOCK_ELEMENTS = 1 << 16
 def _planes(operands, slice_width: int, bitwidth: int, clusters: int, lanes: int):
     """Float64 planes [cluster, operand * plane, lane] of operands zero-padded to ``clusters * lanes`` elements.
 
-    Each operand is sliced once, at the plan's padded ``bitwidth``; its int64 planes are cast on assignment."""
+    Each operand is sliced once, at the plan's padded ``bitwidth``, into its slot of an int16 staging
+    array [operand, plane, cluster * lane]; one C-ordered transposing cast gives the float64 planes."""
     import numpy as np
 
     planes = bitwidth // slice_width
-    out = np.zeros((len(operands), planes, clusters * lanes), np.float64)
+    stage = np.zeros((len(operands), planes, clusters * lanes), np.int16)
     for i, vec in enumerate(operands):
-        out[i, :, : len(vec)] = slice_vector(vec, slice_width, bitwidth=bitwidth)
-    # [operand, plane, cluster, lane] -> [cluster, operand * plane, lane], as views
-    return out.reshape(len(operands), planes, clusters, lanes).transpose(2, 0, 1, 3).reshape(
-        clusters, len(operands) * planes, lanes
-    )
+        slice_vector(vec, slice_width, bitwidth=bitwidth, out=stage[i, :, : len(vec)])
+    stage = stage.reshape(len(operands), planes, clusters, lanes).transpose(2, 0, 1, 3)
+    return stage.astype(np.float64, order="C").reshape(clusters, len(operands) * planes, lanes)
+
+
+@functools.lru_cache(maxsize=256)
+def _shift_weights(plan: CompositionPlan):
+    """Read-only int64 shift-add weights ``2**(alpha * j)`` and ``2**(beta * k)``, read off ``plan.shifts``."""
+    import numpy as np
+
+    pw = plan.bw_w // plan.slice.beta
+    x, w = (np.array([1 << s for s in shifts], np.int64) for shifts in (plan.shifts[::pw], plan.shifts[:pw]))
+    if np.outer(x, w).ravel().tolist() != [1 << s for s in plan.shifts]:  # the plan stays the shifts' source
+        raise RangeError(f"plan shifts {plan.shifts} are not a {len(x)} x {pw} grid of alpha * j + beta * k")
+    x.flags.writeable = w.flags.writeable = False  # shared by every call with this plan
+    return x, w
 
 
 def execute_cycle(
@@ -148,13 +161,11 @@ def execute_cycle(
     once.  The w operands run in blocks, so a call holds the x planes and one block's w
     planes and engine products, never an array of m * n * k elements.
 
-    The engines' plane dot products are float64 matmuls (BLAS), exact while L < 2**45: over
-    L lanes each is an integer of at most ``L * 2**8``, and no addressable plane reaches
-    2**40 elements (see :mod:`cvusim.bitslice`).  The int64 shift-add cannot wrap: the planes
-    of an element padded to e bits weigh at most 2**e, so every partial sum of one cluster's
-    shift-add is at most ``L * 2**(bw_x + bw_w)``, below 2**56 at 8-bit widths.
-    :func:`plan_composition` pads to at most ``MAX_BITWIDTH`` bits, so only a hand-built plan
-    wider than that could pass 2**63, and such a call raises :class:`RangeError`.
+    The float64 plane dot products are exact (see :mod:`cvusim.bitslice`).  The int64
+    shift-add cannot wrap: the planes of an element padded to e bits weigh at most 2**e, so
+    every partial sum of one cluster's shift-add over L lanes is at most ``L * 2**(bw_x + bw_w)``,
+    below 2**56 at 8-bit widths.  Only a hand-built plan wider than ``MAX_BITWIDTH`` bits could
+    pass 2**63, and such a call raises :class:`RangeError`.
     """
     if cycles < 1:
         raise ShapeError(f"cycles must be >= 1, got {cycles}")
@@ -173,14 +184,15 @@ def execute_cycle(
 
     import numpy as np
 
+    x_weights, w_weights = _shift_weights(plan)
     x = _planes(x_ops, plan.slice.alpha, plan.bw_x, plan.clusters, lanes)
-    px, pw = plan.bw_x // plan.slice.alpha, plan.bw_w // plan.slice.beta
-    shifts = np.array([1 << s for s in plan.shifts], np.int64).reshape(px, 1, pw)
     rows = max(1, _BLOCK_ELEMENTS // (plan.clusters * lanes + len(x_ops)))
     scalars = []
     for lo in range(0, len(w_ops), rows):
         block = w_ops[lo : lo + rows]
         w = _planes(block, plan.slice.beta, plan.bw_w, plan.clusters, lanes)
-        products = nbve_dot(x, w).astype(np.int64).reshape(plan.clusters, len(x_ops), px, len(block), pw)
-        scalars += (products * shifts).sum(axis=(2, 4)).transpose(2, 1, 0).ravel().tolist()  # [w, x, cluster]
+        # [cluster, x, x plane, w * w plane]: contract the x planes, then the w planes
+        products = nbve_dot(x, w).astype(np.int64).reshape(plan.clusters, len(x_ops), len(x_weights), w.shape[1])
+        per_w_plane = (x_weights @ products).reshape(plan.clusters, len(x_ops), len(block), len(w_weights))
+        scalars += (per_w_plane @ w_weights).transpose(2, 1, 0).ravel().tolist()  # [w, x, cluster]
     return CvuOutput(scalars=tuple(scalars), utilization=k / (cycles * plan.effective_length))

@@ -23,7 +23,3 @@ class CalibrationError(RuntimeError):
 
 class NetworkFormatError(ValueError):
     """A network description file violates the schema."""
-
-
-class AccumulatorOverflowError(OverflowError):
-    """A value exceeded the 64-bit accumulator range."""

@@ -29,7 +29,7 @@ from cvusim.arch import (
 from cvusim.bitslice import QuantizedVector, SliceConfig, dot_exact, value_bounds
 from cvusim.cost import default_params, per_mac_normalized
 from cvusim.cvu import CvuConfig, plan_composition
-from cvusim.errors import AccumulatorOverflowError, ConfigError, RangeError, ShapeError
+from cvusim.errors import ConfigError, RangeError, ShapeError
 from cvusim.workloads import LayerKind, LayerSpec, NetworkSpec, bundled_networks, load_network, to_homogeneous
 
 PARAMS = default_params()
@@ -548,12 +548,16 @@ class TestFunctionalEquivalence:
         assert functional_gemm([], [col], acc) == []
         assert functional_gemm([col, col], [], acc) == [[], []]
 
-    def test_accumulator_range_is_int64(self):
-        lo, hi = -(1 << 63), (1 << 63) - 1
-        assert arch._check_accumulator(lo) == lo and arch._check_accumulator(hi) == hi
-        for value in (hi + 1, lo - 1):  # 2**63 and -2**63 - 1
-            with pytest.raises(AccumulatorOverflowError):
-                arch._check_accumulator(value)
+    @pytest.mark.parametrize("style", list(Style))
+    def test_extreme_operands_stay_within_the_output_bound(self, style):
+        # every output is an exact dot product of at most k * 2**16 in magnitude, far
+        # inside int64: the largest-magnitude product, 255 * -128, at every element
+        k = 4096
+        x = QuantizedVector((255,) * k, 8)
+        w = QuantizedVector((-128,) * k, 8, signed=True)
+        expected = dot_exact(x, w)
+        assert expected == -255 * 128 * k and abs(expected) <= k << 16
+        assert functional_gemm([w, w], [x, x], build_array(style, PARAMS)) == [[expected] * 2] * 2
 
     def test_conventional_dot_bound_checked_up_front(self):
         # a stand-in vector long enough that k * 2**(bw_x + bw_w) reaches 2**63

@@ -207,6 +207,29 @@ class TestSliceVector:
             expected = [slice_value(v, padded, sw, signed) for v in values]
             assert planes.tolist() == [list(plane) for plane in zip(*expected)], (bw, sw, signed, padded)
 
+    def test_exhaustive_shift_and_mask(self):
+        # every value in [-128, 255], sliced at every width from its own up to 8 and at 31,
+        # against Python-int shifts and masks; the top plane is the arithmetic shift alone
+        for bw in range(1, 9):
+            for signed in (False, True):
+                lo, hi = bs.value_bounds(bw, signed)
+                values = range(lo, hi + 1)
+                vec = QuantizedVector(values, bw, signed)
+                for sw in (1, 2, 4):
+                    for width in (*range(bw, 9), 31):
+                        planes = bs.padded_bitwidth(width, sw) // sw
+                        expected = [
+                            [v >> sw * j if j == planes - 1 else (v >> sw * j) & ((1 << sw) - 1) for v in values]
+                            for j in range(planes)
+                        ]
+                        sliced = slice_vector(vec, sw, bitwidth=width)
+                        assert sliced.dtype == np.int64 and sliced.tolist() == expected, (bw, signed, sw, width)
+                        # through out=, into a slot of a wider int16 buffer, whose other columns stay
+                        stage = np.full((planes, len(vec) + 2), 7, np.int16)
+                        slot = stage[:, 1:-1]
+                        assert slice_vector(vec, sw, bitwidth=width, out=slot) is slot
+                        assert slot.tolist() == sliced.tolist() and (stage[:, [0, -1]] == 7).all()
+
     @given(
         bw=st.integers(1, 8),
         sw=st.sampled_from([1, 2, 4]),

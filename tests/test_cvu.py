@@ -1,5 +1,6 @@
 """Composition planning, cycle execution, and throughput laws."""
 
+import dataclasses
 import math
 import random
 
@@ -324,6 +325,33 @@ class TestExecuteBatch:
         plan = plan_composition(4, 4, DEFAULT)
         with pytest.raises(RangeError):
             execute_cycle([QuantizedVector((1,), 8)], [QuantizedVector((1,), 4)], plan)
+
+    def test_refuses_plans_whose_shifts_are_not_the_plane_grid(self):
+        # the shift-add weights are read off plan.shifts, which must be alpha * j + beta * k
+        plan = plan_composition(4, 4, CvuConfig(lanes=2))
+        x = QuantizedVector((3, 1), 4)
+        assert execute_cycle([x], [x], plan).scalars[0] == 10
+        bad = dataclasses.replace(plan, shifts=(*plan.shifts[:-1], plan.shifts[-1] + 1))
+        with pytest.raises(RangeError, match="not a 2 x 2 grid"):
+            execute_cycle([x], [x], bad)
+
+    @pytest.mark.parametrize("lanes", [1, 16])
+    @pytest.mark.parametrize("bw_x,bw_w", [(8, 8), (8, 4), (4, 2), (6, 3)])
+    def test_extreme_operands_at_every_plan(self, lanes, bw_x, bw_w):
+        # the largest unsigned x against the most negative signed w, at every slicing, at a
+        # stream that fills every cluster's lane slots and at one that leaves a slot padded
+        cycles = 3
+        for alpha in (1, 2, 4):
+            for beta in (1, 2, 4):
+                plan = plan_composition(bw_x, bw_w, CvuConfig(lanes=lanes, slice=SliceConfig(alpha, beta)))
+                full = plan.clusters * cycles * lanes
+                for k in (full, full - 1):
+                    x = QuantizedVector(((1 << bw_x) - 1,) * k, bw_x)
+                    w = QuantizedVector((-(1 << (bw_w - 1)),) * k, bw_w, signed=True)
+                    out = execute_cycle([x, x], [w], plan, cycles)
+                    c = plan.clusters
+                    sums = [sum(out.scalars[i : i + c]) for i in range(0, len(out.scalars), c)]
+                    assert sums == [dot_exact(x, w)] * 2, (alpha, beta, k)
 
     def test_refuses_tiles_whose_sums_could_pass_int64(self):
         # a hand-built plan of 1-bit slices pads 8-bit operands to 31 bits each:
