@@ -35,9 +35,13 @@ load.  The assumptions, each with its test in ``tests/test_arch.py``:
   and each staging buffer holds ``STAGING_BUFFER_BYTES``
   (``TestSimulateLayer.test_staging_errors_name_the_layer``).
 
-:func:`simulate_network` prices the array once per call and plans each
-distinct bitwidth pair once; the price depends on nothing in a layer, and
-the CVU inventory behind it is cached per ``CvuConfig``.
+Per call, :func:`simulate_network` builds one record per bitwidth pair, the
+first time the pair appears: a unit's MACs per cycle, the pJ per MAC, the
+array's peak MACs per cycle, the combined scratchpad bytes, and the pair's
+staging or weight-vector fit failure, if any.  It prices the array once, and
+the CVU inventory behind the price is cached per ``CvuConfig``.  A layer run
+does only per-layer arithmetic: it lowers the layer, sizes its generations,
+walks one or two passes and adds up its repeats.
 
 Inputs are assumed to traverse the array combinationally (no pipeline fill
 cycles), which keeps compute_cycles exactly equal to the analytical count.
@@ -62,7 +66,7 @@ import operator
 from collections import namedtuple
 from dataclasses import dataclass, fields
 from enum import Enum
-from functools import reduce
+from typing import NamedTuple
 
 from .bitslice import QuantizedVector
 from .cost import CostParams, iso_power_array_size, per_mac_normalized
@@ -132,8 +136,7 @@ class AcceleratorConfig:
         return self.unit_count * self.weight_scratchpad_bytes
 
 
-@dataclass(frozen=True)
-class GemmDims:
+class GemmDims(NamedTuple):
     """Lowered layer: output rows m, reduction depth k, output columns n."""
 
     m: int
@@ -149,11 +152,9 @@ def lower_layer(layer: LayerSpec) -> GemmDims:
     """
     if layer.kind is LayerKind.CONV:
         return GemmDims(
-            m=layer.out_channels,
-            k=layer.in_channels * layer.kernel_h * layer.kernel_w,
-            n=layer.out_height * layer.out_width,
+            layer.out_channels, layer.in_channels * layer.kernel_h * layer.kernel_w, layer.out_height * layer.out_width
         )
-    return GemmDims(m=layer.m, k=layer.k, n=layer.n)
+    return GemmDims(layer.m, layer.k, layer.n)
 
 
 @dataclass(frozen=True)
@@ -172,7 +173,7 @@ class Totals:
     @classmethod
     def of(cls, parts) -> Totals:
         """Field-by-field sums over ``parts``, added left to right on every Python version."""
-        return cls(*(reduce(operator.add, column) for column in zip(*map(_totals_of, parts))))
+        return cls(*_sums(parts))
 
     @property
     def energy_total_pj(self) -> float:
@@ -184,6 +185,17 @@ class Totals:
 
 
 _totals_of = operator.attrgetter(*(f.name for f in fields(Totals)))
+
+
+def _sums(parts) -> tuple:
+    """The :class:`Totals` fields of ``parts``, each summed left to right in one pass."""
+    parts = iter(parts)
+    macs, compute, memory, total, offchip, e_compute, e_sram, e_offchip = _totals_of(next(parts))
+    for part in parts:
+        a, b, c, d, e, f, g, h = _totals_of(part)
+        macs, compute, memory, total, offchip = macs + a, compute + b, memory + c, total + d, offchip + e
+        e_compute, e_sram, e_offchip = e_compute + f, e_sram + g, e_offchip + h
+    return macs, compute, memory, total, offchip, e_compute, e_sram, e_offchip
 
 
 @dataclass(frozen=True)
@@ -243,41 +255,66 @@ def build_array(
     return AcceleratorConfig(rows=rows, cols=cols, cvu=cvu, weight_scratchpad_bytes=scratchpad, style=style)
 
 
-def _mem_cycles(nbytes: int, mem: MemorySpec) -> int:
-    return max(1, math.ceil(nbytes * FREQUENCY_HZ / mem.bandwidth_bytes_per_s)) if nbytes else 0
+_Pair = namedtuple("_Pair", "unit_macs mac_pj peak spad_bytes error")
 
 
-def _ceil_bits_to_bytes(elements: int, bits: int) -> int:
-    return -(-elements * bits // 8)
-
-
-# Bytes one pass moves, by purpose.  Off chip: the weight fill, the input stream and the
-# output write-back, each also written to or read from SRAM once.  On chip: the operand reads.
-_Traffic = namedtuple("_Traffic", "weight_fill input_stream output_write x_reads w_reads")
+def _pair(acc: AcceleratorConfig, params: CostParams, bw_x: int, bw_w: int, memo: dict) -> _Pair:
+    """The facts of ``(bw_x, bw_w)`` on ``acc`` that no layer changes, built once into ``memo``."""
+    key = (bw_x, bw_w)
+    if key not in memo:
+        # mW -> pJ per cycle: P[mW] * 1e9 / f[Hz]
+        conventional_pj = params.conventional_mac_mw * 1e9 / FREQUENCY_HZ
+        if acc.style is Style.CONVENTIONAL:
+            unit_macs, mac_pj = 1, conventional_pj
+        else:
+            unit_macs = plan_composition(bw_x, bw_w, acc.cvu).effective_length
+            if "array" not in memo:
+                memo["array"] = acc.cvu.lanes * per_mac_normalized(acc.cvu, params)[0] * conventional_pj
+            mac_pj = memo["array"] / unit_macs
+        peak = unit_macs * acc.unit_count
+        # Double-buffered staging of one cycle's input broadcast and one column of 64-bit output
+        # partials; then every unit must hold one weight vector of the plan's width.  ``error`` is
+        # the first of these to fail, without the layer name, or None.
+        needs = (("input", 2 * -(-max(1, peak // acc.cols) * bw_x // 8)), ("output", 2 * acc.cols * 8))
+        errors = [
+            f"{side} staging needs {need} bytes, buffer holds {STAGING_BUFFER_BYTES}"
+            for side, need in needs
+            if need > STAGING_BUFFER_BYTES
+        ]
+        if unit_macs * bw_w > acc.weight_scratchpad_bytes * 8:
+            errors.append(
+                f"one {unit_macs}-element weight vector at {bw_w} bit "
+                f"does not fit the {acc.weight_scratchpad_bytes}-byte scratchpad"
+            )
+        memo[key] = _Pair(unit_macs, mac_pj, peak, acc.total_scratchpad_bytes, errors[0] if errors else None)
+    return memo[key]
 
 
 def _simulate_pass(
-    dims: GemmDims, m_res: int, peak: int, mem: MemorySpec, mac_pj: float, bw_x: int, bw_w: int, weights_resident: bool
+    m: int, k: int, n: int, m_res: int, peak: int, mem: MemorySpec, mac_pj: float, bw_x: int, bw_w: int,
+    weights_resident: bool,
 ) -> tuple:
     """One invocation of a layer (one timestep for recurrent layers), priced from its traffic.
 
     The pass runs ``m // m_res`` identical full generations of ``m_res`` output rows, then
-    one generation of the rows left, if any.  Resident weights need no fill.  Returns the
-    pass's sums as a plain tuple in :class:`Totals` field order.
+    one generation of the rows left, if any.  Resident weights need no fill.  Bytes round up
+    from bits, and a transfer of b bytes takes ceil(b * FREQUENCY_HZ / bandwidth) cycles.
+    Returns the pass's sums as a plain tuple in :class:`Totals` field order.
     """
-    input_bytes = _ceil_bits_to_bytes(dims.k * dims.n, bw_x)
+    bandwidth = mem.bandwidth_bytes_per_s
+    input_bytes = -(-k * n * bw_x // 8)
     compute = total = weight_fill = input_stream = output_write = next_load = 0
     # Double buffering: generation i+1 loads while generation i computes and streams; the
     # first load and the last compute are exposed.  The groups are walked last to first, so
     # the load after a group's last generation is the one of the group walked before it.
-    full, rest = divmod(dims.m, m_res)
+    full, rest = divmod(m, m_res)
     for count, rows in ((1, rest), (full, m_res)):
         if count * rows:
-            cycles = math.ceil(rows * dims.k * dims.n / peak)
-            weight = 0 if weights_resident else _ceil_bits_to_bytes(rows * dims.k, bw_w)
-            output = _ceil_bits_to_bytes(rows * dims.n, OUTPUT_BITS)
-            load = _mem_cycles(weight, mem)
-            busy = max(cycles, _mem_cycles(input_bytes + output, mem))
+            cycles = math.ceil(rows * k * n / peak)
+            weight = 0 if weights_resident else -(-rows * k * bw_w // 8)
+            output = -(-rows * n * OUTPUT_BITS // 8)
+            load = math.ceil(weight * FREQUENCY_HZ / bandwidth)
+            busy = max(cycles, math.ceil((input_bytes + output) * FREQUENCY_HZ / bandwidth))
             total += (count - 1) * max(busy, load) + max(busy, next_load)
             compute += count * cycles
             weight_fill += count * weight
@@ -285,48 +322,20 @@ def _simulate_pass(
             output_write += count * output
             next_load = load
 
-    macs = dims.m * dims.k * dims.n
-    operand_reads = _ceil_bits_to_bytes(macs, bw_x), _ceil_bits_to_bytes(macs, bw_w)
-    traffic = _Traffic(weight_fill, input_stream, output_write, *operand_reads)
-    offchip = traffic.weight_fill + traffic.input_stream + traffic.output_write
+    # Off chip: the weight fill, the input stream and the output write-back, each also written
+    # to or read from SRAM once.  On chip: one SRAM read of each operand per MAC.
+    macs = m * k * n
+    offchip = weight_fill + input_stream + output_write
     return (
         macs,
         compute,
-        _mem_cycles(offchip, mem),
+        math.ceil(offchip * FREQUENCY_HZ / bandwidth),
         total + next_load,  # after the walk, the first generation's load: exposed
         offchip,
         macs * mac_pj,
-        (offchip + traffic.x_reads + traffic.w_reads) * SRAM_PJ_PER_BYTE,
+        (offchip + -(-macs * bw_x // 8) + -(-macs * bw_w // 8)) * SRAM_PJ_PER_BYTE,
         offchip * 8 * mem.access_energy_pj_per_bit,
     )
-
-
-def _check_staging(layer: LayerSpec, acc: AcceleratorConfig, peak: int, bw_x: int) -> None:
-    # Double-buffered staging of one cycle's input broadcast and one column
-    # of 64-bit output partials.
-    for side, need in (
-        ("input", 2 * _ceil_bits_to_bytes(max(1, peak // acc.cols), bw_x)),
-        ("output", 2 * acc.cols * 8),
-    ):
-        if need > STAGING_BUFFER_BYTES:
-            name = layer.name or layer.kind.value
-            raise ConfigError(f"layer {name}: {side} staging needs {need} bytes, buffer holds {STAGING_BUFFER_BYTES}")
-
-
-def _price(acc: AcceleratorConfig, params: CostParams, bw_x: int, bw_w: int, memo: dict) -> tuple[int, float]:
-    """One unit's MACs per cycle and pJ per MAC at a bitwidth pair, kept in ``memo``."""
-    key = (bw_x, bw_w)
-    if key not in memo:
-        # mW -> pJ per cycle: P[mW] * 1e9 / f[Hz]
-        conventional_pj = params.conventional_mac_mw * 1e9 / FREQUENCY_HZ
-        if acc.style is Style.CONVENTIONAL:
-            memo[key] = 1, conventional_pj
-        else:
-            unit_macs = plan_composition(bw_x, bw_w, acc.cvu).effective_length
-            if "array" not in memo:
-                memo["array"] = acc.cvu.lanes * per_mac_normalized(acc.cvu, params)[0] * conventional_pj
-            memo[key] = unit_macs, memo["array"] / unit_macs
-    return memo[key]
 
 
 def simulate_layer(
@@ -336,42 +345,37 @@ def simulate_layer(
 
     When a gemv layer's full weight set fits in the combined scratchpads,
     repeats after the first reuse the pinned weights and pay only for input
-    and output streaming.  ``_prices`` is the price memo that
+    and output streaming.  ``_prices`` holds the per-pair records that
     :func:`simulate_network` shares across the layers of one call.
     """
     bw_x, bw_w = (8, 8) if acc.style is Style.CONVENTIONAL else (layer.bw_x, layer.bw_w)
-    unit_macs, mac_pj = _price(acc, params, bw_x, bw_w, {} if _prices is None else _prices)
-    peak = unit_macs * acc.unit_count
-    _check_staging(layer, acc, peak, bw_x)
-    dims = lower_layer(layer)
-    # Every unit must hold at least one weight vector of the plan's width.
-    if unit_macs * bw_w > acc.weight_scratchpad_bytes * 8:
-        raise ConfigError(
-            f"layer {layer.name or layer.kind.value}: one {unit_macs}-element weight vector "
-            f"at {bw_w} bit does not fit the {acc.weight_scratchpad_bytes}-byte scratchpad"
-        )
-    m_res = acc.total_scratchpad_bytes * 8 // bw_w // dims.k
+    _, mac_pj, peak, spad_bytes, error = _pair(acc, params, bw_x, bw_w, {} if _prices is None else _prices)
+    name = layer.name or layer.kind.value
+    if error:
+        raise ConfigError(f"layer {name}: {error}")
+    m, k, n = lower_layer(layer)
+    m_res = spad_bytes * 8 // bw_w // k
     if m_res < 1:
         raise ConfigError(
-            f"layer {layer.name or layer.kind.value}: one weight row (k={dims.k}, {bw_w} bit) "
-            f"exceeds the combined scratchpad capacity of {acc.total_scratchpad_bytes} bytes"
+            f"layer {name}: one weight row (k={k}, {bw_w} bit) "
+            f"exceeds the combined scratchpad capacity of {spad_bytes} bytes"
         )
 
-    first = steady = _simulate_pass(dims, m_res, peak, mem, mac_pj, bw_x, bw_w, weights_resident=False)
-    if layer.repeat > 1 and _ceil_bits_to_bytes(dims.m * dims.k, bw_w) <= acc.total_scratchpad_bytes:
-        steady = _simulate_pass(dims, m_res, peak, mem, mac_pj, bw_x, bw_w, weights_resident=True)
+    first = steady = _simulate_pass(m, k, n, m_res, peak, mem, mac_pj, bw_x, bw_w, False)
+    if layer.repeat > 1 and -(-m * k * bw_w // 8) <= spad_bytes:
+        steady = _simulate_pass(m, k, n, m_res, peak, mem, mac_pj, bw_x, bw_w, True)
 
     # Integers as first + (repeat - 1) * steady, exactly; each energy float by Totals.of's left-to-right
     # additions over [first, steady, ...], not by sum() (its rounding changed in 3.12) or a product.
+    macs, compute, memory, total, offchip, e_compute, e_sram, e_offchip = first
     extra = layer.repeat - 1
-    macs, compute, memory, total, offchip = (a + extra * b for a, b in zip(first[:5], steady[:5]))
-    e_compute, e_sram, e_offchip = first[5:]
-    for _ in range(extra):
-        e_compute, e_sram, e_offchip = e_compute + steady[5], e_sram + steady[6], e_offchip + steady[7]
+    if extra:
+        macs, compute, memory, total, offchip = (a + extra * b for a, b in zip(first, steady[:5]))
+        for _ in range(extra):
+            e_compute, e_sram, e_offchip = e_compute + steady[5], e_sram + steady[6], e_offchip + steady[7]
     return LayerReport(
         macs, compute, memory, total, offchip, e_compute, e_sram, e_offchip,
-        layer.name or layer.kind.value, layer.kind.value, dims.m, dims.k, dims.n, layer.repeat,
-        bw_x, bw_w, macs / (peak * compute),
+        name, layer.kind.value, m, k, n, layer.repeat, bw_x, bw_w, macs / (peak * compute),
     )
 
 
@@ -383,16 +387,10 @@ def simulate_network(net: NetworkSpec, acc: AcceleratorConfig, mem: MemorySpec, 
             reports.append(simulate_layer(layer, acc, mem, params, _prices=prices))
         except ConfigError as exc:
             raise ConfigError(f"layers[{i}]: {exc}") from exc
-    totals = Totals.of(reports)
-    if not math.isfinite(totals.energy_total_pj):
+    report = SimReport(*_sums(reports), net.name, acc.style.value, mem.name, tuple(reports))
+    if not math.isfinite(report.energy_total_pj):
         raise ConfigError(f"energy total overflows at {mem.access_energy_pj_per_bit:g} pJ per bit off chip")
-    return SimReport(
-        **vars(totals),
-        network=net.name,
-        style=acc.style.value,
-        memory=mem.name,
-        layers=tuple(reports),
-    )
+    return report
 
 
 @dataclass(frozen=True)

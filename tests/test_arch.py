@@ -1,9 +1,11 @@
 """Array simulation: lowering, cycle model, energy accounting, comparisons."""
 
 import math
+import operator
 import random
 from collections import Counter
 from dataclasses import fields, replace
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -380,6 +382,89 @@ class TestSimulateNetwork:
         assert pricier.energy_offchip_pj == pytest.approx(3 * base.energy_offchip_pj)
         bits = sum(l.offchip_bytes for l in base.layers) * 8
         assert base.energy_offchip_pj == pytest.approx(bits * 15.0)
+
+
+class TestPairRecord:
+    """A pair's staging and fit verdict is built once per call and names no layer; each layer names itself."""
+
+    def test_each_error_names_its_own_layer(self):
+        # 2049 x 1 units of 16 lanes: the (8, 8) pair fails input staging whichever layer runs
+        acc, prices = small_array(rows=2049, cols=1), {}
+        for name in ("a", "b"):
+            message = rf"^layer {name}: input staging needs 65568 bytes, buffer holds 65536$"
+            with pytest.raises(ConfigError, match=message):
+                simulate_layer(fc(64, 64, name=name), acc, INFINITE, PARAMS, _prices=prices)
+        assert (8, 8) in prices
+
+    def test_network_error_names_the_first_failing_layer(self):
+        # a 32-byte scratchpad holds one 16-element 8-bit weight vector, not one 256-element 2-bit one
+        acc = small_array(weight_scratchpad_bytes=32)
+        pairs = ((8, 8), (8, 8), (2, 2), (8, 8))
+        net = NetworkSpec(name="x", layers=tuple(fc(16, 16, *pair, name=f"c{i}") for i, pair in enumerate(pairs)))
+        message = r"^layers\[2\]: layer c2: one 256-element weight vector at 2 bit does not fit the 32-byte scratchpad$"
+        with pytest.raises(ConfigError, match=message):
+            simulate_network(net, acc, INFINITE, PARAMS)
+
+    @pytest.mark.parametrize(
+        "geometry, message",
+        [
+            ((2049, 1), "input staging needs 65568 bytes, buffer holds 65536"),
+            ((1, 4097), "output staging needs 65552 bytes, buffer holds 65536"),
+        ],
+    )
+    def test_staging_reported_before_fit(self, geometry, message):
+        # an 8-byte scratchpad cannot hold the 16-element 8-bit weight vector either
+        acc = small_array(rows=geometry[0], cols=geometry[1], weight_scratchpad_bytes=8)
+        with pytest.raises(ConfigError, match=rf"^layer fc_a: {message}$"):
+            simulate_layer(fc(64, 64, name="fc_a"), acc, INFINITE, PARAMS)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        style=st.sampled_from(list(Style)),
+        # log-uniform: 10 mW to 1 MW makes up to some 4e9 units, enough to fail staging, and SRAM is drawn
+        # per mW, so that a unit gets from less than a byte to more than any weight vector needs
+        budget_mw=st.integers(10, 90).map(lambda e: 10 ** (e / 10)),
+        sram_bytes_per_mw=st.integers(-20, 160).map(lambda e: 2 ** (e / 10)),
+        pairs=st.lists(st.tuples(st.integers(1, 8), st.integers(1, 8)), min_size=1, max_size=2),
+        # (m, k, n, repeat, whether the layer takes the second pair)
+        shapes=st.lists(
+            st.tuples(
+                st.integers(1, 4096), st.integers(1, 1 << 16), st.integers(1, 4), st.integers(1, 3), st.booleans()
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        mem=st.sampled_from([DDR4, HBM2]),
+    )
+    def test_network_is_its_layers(self, style, budget_mw, sram_bytes_per_mw, pairs, shapes, mem):
+        # the network's layers are the stand-alone layer runs, or it fails with the first one's error;
+        # its totals are the layers' fields added left to right
+        total_sram_bytes = max(1, int(budget_mw * sram_bytes_per_mw))
+        try:
+            acc = build_array(style, PARAMS, budget_mw=budget_mw, total_sram_bytes=total_sram_bytes)
+        except ConfigError:
+            return
+        layers = tuple(
+            LayerSpec(kind=LayerKind.GEMV, m=m, k=k, n=n, repeat=repeat, bw_x=bw_x, bw_w=bw_w, name=f"g{i}")
+            for i, (m, k, n, repeat, second) in enumerate(shapes)
+            for bw_x, bw_w in [pairs[second % len(pairs)]]
+        )
+        net = NetworkSpec(name="chain", layers=layers)
+        expected = []
+        for i, layer in enumerate(layers):
+            try:
+                expected.append(simulate_layer(layer, acc, mem, PARAMS))
+            except ConfigError as exc:
+                with pytest.raises(ConfigError) as err:
+                    simulate_network(net, acc, mem, PARAMS)
+                assert str(err.value) == f"layers[{i}]: {exc}"
+                return
+        report = simulate_network(net, acc, mem, PARAMS)
+        assert report.layers == tuple(expected)
+        totals = Totals.of(report.layers)
+        for f in fields(Totals):
+            folded = reduce(operator.add, (getattr(layer, f.name) for layer in report.layers))
+            assert getattr(report, f.name) == getattr(totals, f.name) == folded, f.name
 
 
 class TestMonotonicity:
