@@ -47,8 +47,8 @@ def test_committed_file_matches_the_schema(path):
     check_schema(json.loads(path.read_text()))
 
 
-def write_run(path, workload, seed, value, failed=0, trace=0):
-    environment = {"commit": "unknown", "nproc": 2, "numpy": "2", "python": "3", "scipy": "1", "seconds": 30.0,
+def write_run(path, workload, seed, value, failed=0, trace=0, commit="abc"):
+    environment = {"commit": commit, "nproc": 2, "numpy": "2", "python": "3", "scipy": "1", "seconds": 30.0,
                    "seed": seed, "trace": trace, "workload": workload}
     metrics = {name: {"unit": metric["unit"], "value": value} for name, metric in METRICS.items()}
     path.write_text(json.dumps({"environment": environment, "attempted": 100, "failed": failed, "metrics": metrics}))
@@ -59,13 +59,12 @@ def test_recorder_pairs_runs_by_workload_and_seed(tmp_path):
     parent, change = [], []
     for seed, before, after in ((9, 3.0, 4.0), (7, 1.0, 2.0), (8, 2.0, 1.5)):
         parent.append(write_run(tmp_path / f"p{seed}.json", "model-sweep", seed, before))
-        change.append(write_run(tmp_path / f"c{seed}.json", "model-sweep", seed, after, failed=1))
+        change.append(write_run(tmp_path / f"c{seed}.json", "model-sweep", seed, after, failed=1, commit="def"))
     out = tmp_path / "BENCH_0.json"
-    argv = ["--parent", *parent, "--change", *change, "--out", str(out), "--change-commit", "abc"]
-    assert load_recorder().main(argv) == 0
+    assert load_recorder().main(["--parent", *parent, "--change", *change, "--out", str(out)]) == 0
     bench = json.loads(out.read_text())
     check_schema(bench)
-    assert bench["environment"]["commits"] == {"parent": "unknown", "change": "abc"}
+    assert bench["environment"]["commits"] == {"parent": "abc", "change": "def"}
     entry = bench["workloads"]["model-sweep"]
     assert entry["seeds"] == [7, 8, 9]
     # parent 1, 2, 3 and change 2, 1.5, 4: inclusive quartiles 1.5..2.5 and 1.75..3
@@ -80,17 +79,18 @@ def test_recorder_pairs_runs_by_workload_and_seed(tmp_path):
 @pytest.mark.parametrize(
     "change_runs, message",
     [
-        ([("cli-cold", 1, 0)], "not the same"),
-        ([("cli-cold", 1, 0), ("cli-cold", 2, 0), ("cli-cold", 2, 0)], "repeats workload cli-cold seed 2"),
-        ([("cli-cold", 1, 0), ("cli-cold", 2, 1)], "traced run"),
+        ([(1, 0, "abc")], "not the same"),
+        ([(1, 0, "abc"), (2, 0, "abc"), (2, 0, "abc")], "repeats workload cli-cold seed 2"),
+        ([(1, 0, "abc"), (2, 1, "abc")], "traced run"),
+        ([(1, 0, "abc"), (2, 0, "def")], "several commits"),
     ],
-    ids=["unpaired", "repeated", "traced"],
+    ids=["unpaired", "repeated", "traced", "two-commits"],
 )
 def test_recorder_refuses_runs_it_cannot_pair(tmp_path, capsys, change_runs, message):
     parent = [write_run(tmp_path / f"p{seed}.json", "cli-cold", seed, 1.0) for seed in (1, 2)]
     change = [
-        write_run(tmp_path / f"c{i}.json", workload, seed, 1.0, trace=trace)
-        for i, (workload, seed, trace) in enumerate(change_runs)
+        write_run(tmp_path / f"c{i}.json", "cli-cold", seed, 1.0, trace=trace, commit=commit)
+        for i, (seed, trace, commit) in enumerate(change_runs)
     ]
     out = tmp_path / "BENCH_0.json"
     assert load_recorder().main(["--parent", *parent, "--change", *change, "--out", str(out)]) == 1

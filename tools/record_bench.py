@@ -2,12 +2,13 @@
 
 Usage, from the root of a source checkout:
 
-    python tools/record_bench.py --out BENCH_19.json \\
+    python tools/record_bench.py --out BENCH_<n>.json \\
         --parent PARENT/bench/out/*-trace0.json --change CHANGE/bench/out/*-trace0.json
 
 Each named file is one ``bench/run.py`` result, as written under ``bench/out/``.
 Runs are paired by workload and seed, so both sides must hold the same
 (workload, seed) runs, each once; run them alternating which side goes first.
+Run each side from a git checkout of its commit, so that its runs record it.
 The output holds the environment, then per workload and end-to-end metric of
 ``BENCHMARK.json``: the parent and change median and interquartile range, the
 change/parent ratio of the medians and the pairs the change won.  It also holds
@@ -51,7 +52,8 @@ def _runs(paths: list[Path]) -> dict[tuple[str, int], dict]:
     return runs
 
 
-def record(parent: list[Path], change: list[Path], benchmark: dict, commits: dict) -> dict:
+def record(parent: list[Path], change: list[Path], benchmark: dict) -> dict:
+    """The ``BENCH_<n>.json`` content of the paired runs, for the metrics ``benchmark`` declares."""
     sides = {"parent": _runs(parent), "change": _runs(change)}
     if sides["parent"].keys() != sides["change"].keys():
         raise ValueError("the parent and change runs are not the same (workload, seed) pairs")
@@ -60,9 +62,12 @@ def record(parent: list[Path], change: list[Path], benchmark: dict, commits: dic
     for run in every:
         if {k: v for k, v in run["environment"].items() if k not in PER_RUN} != host:
             raise ValueError(f"runs differ in environment: {run['environment']} against {host}")
+    commits = {}
     for side, runs in sides.items():
         recorded = {run["environment"]["commit"] for run in runs.values()}
-        commits.setdefault(side, recorded.pop() if len(recorded) == 1 else "mixed")
+        if len(recorded) > 1:
+            raise ValueError(f"the {side} runs come from several commits: {sorted(recorded)}")
+        commits[side] = recorded.pop()
 
     metrics = benchmark["end_to_end"]
     workloads = {}
@@ -100,14 +105,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", type=Path, nargs="+", required=True, help="the parent's bench/out/*.json runs")
     parser.add_argument("--change", type=Path, nargs="+", required=True, help="the change's bench/out/*.json runs")
     parser.add_argument("--out", type=Path, required=True, help="the BENCH_<n>.json to write")
-    # a run outside a git checkout records its commit as "unknown"
-    parser.add_argument("--parent-commit", help="the parent's commit, instead of the one its runs recorded")
-    parser.add_argument("--change-commit", help="the change's commit, instead of the one its runs recorded")
     args = parser.parse_args(argv)
-    commits = {side: commit for side, commit in zip(SIDES, (args.parent_commit, args.change_commit)) if commit}
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     try:
-        result = record(args.parent, args.change, benchmark, commits)
+        result = record(args.parent, args.change, benchmark)
     except (OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
