@@ -2,13 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .bitslice import (
-    QuantizedVector,
-    SliceConfig,
-    dot_exact,
-    nbve_dot,
-    slice_vector,
-)
+from .bitslice import QuantizedVector, dot_exact, nbve_dot, slice_vector
 from .cvu import CompositionPlan, CvuConfig, CvuOutput, execute_cycle, plan_composition
 from .cost import (
     CalibrationAnchor,

@@ -56,7 +56,7 @@ share :class:`Totals`: the summed MACs, cycle counts, off-chip bytes and energy
 categories, with the derived energy total and bound.  A pass returns those sums
 as a plain tuple in field order.  A layer's report is built once, from its
 passes' tuples added in the fixed left-to-right order, the order in which
-:meth:`Totals.of` adds up a network's layers.
+:func:`simulate_network` adds up its layers.
 """
 
 from __future__ import annotations
@@ -170,11 +170,6 @@ class Totals:
     energy_sram_pj: float
     energy_offchip_pj: float
 
-    @classmethod
-    def of(cls, parts) -> Totals:
-        """Field-by-field sums over ``parts``, added left to right on every Python version."""
-        return cls(*_sums(parts))
-
     @property
     def energy_total_pj(self) -> float:
         return self.energy_compute_pj + self.energy_sram_pj + self.energy_offchip_pj
@@ -188,7 +183,7 @@ _totals_of = operator.attrgetter(*(f.name for f in fields(Totals)))
 
 
 def _sums(parts) -> tuple:
-    """The :class:`Totals` fields of ``parts``, each summed left to right in one pass."""
+    """The :class:`Totals` fields of ``parts``, each summed left to right in one pass on every Python version."""
     parts = iter(parts)
     macs, compute, memory, total, offchip, e_compute, e_sram, e_offchip = _totals_of(next(parts))
     for part in parts:
@@ -365,7 +360,7 @@ def simulate_layer(
     if layer.repeat > 1 and -(-m * k * bw_w // 8) <= spad_bytes:
         steady = _simulate_pass(m, k, n, m_res, peak, mem, mac_pj, bw_x, bw_w, True)
 
-    # Integers as first + (repeat - 1) * steady, exactly; each energy float by Totals.of's left-to-right
+    # Integers as first + (repeat - 1) * steady, exactly; each energy float by _sums' left-to-right
     # additions over [first, steady, ...], not by sum() (its rounding changed in 3.12) or a product.
     macs, compute, memory, total, offchip, e_compute, e_sram, e_offchip = first
     extra = layer.repeat - 1
@@ -443,18 +438,17 @@ def functional_gemm(
 
     Conventional units run :func:`functional_dot` per output.  Composable styles plan the
     CVU at the widest operand widths and dispatch every output's whole dot product at once
-    over ``cycles`` cycles, the same count as a cycle-major schedule: the whole m x n tile
-    is one :func:`execute_cycle` call.  Each output sums its cluster scalars: an exact dot product
-    of k products of magnitude at most 2**16 (operands lie in [-128, 255]), which passes the
-    64-bit column register range only at k >= 2**47, a 1 PiB operand.
+    over the fewest cycles that hold it, the same count as a cycle-major schedule: the whole
+    m x n tile is one :func:`execute_cycle` call.  Each output sums its cluster scalars: an
+    exact dot product of k products of magnitude at most 2**16 (operands lie in [-128, 255]),
+    which passes the 64-bit column register range only at k >= 2**47, a 1 PiB operand.
     """
     if acc.style is Style.CONVENTIONAL:
         return [[functional_dot(col, row, acc) for col in inputs] for row in weights]
     if not weights or not inputs:
         return [[] for _ in weights]
     plan = plan_composition(max(v.bitwidth for v in inputs), max(v.bitwidth for v in weights), acc.cvu)
-    cycles = max(1, -(-len(inputs[0]) // plan.effective_length))
-    scalars = execute_cycle(inputs, weights, plan, cycles).scalars
+    scalars = execute_cycle(inputs, weights, plan).scalars
     c, n = plan.clusters, len(inputs)
     sums = [sum(scalars[i : i + c]) for i in range(0, len(scalars), c)]
     return [sums[j : j + n] for j in range(0, len(sums), n)]

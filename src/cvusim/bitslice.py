@@ -4,10 +4,10 @@ A dot product of two integer vectors can be evaluated by cutting every
 operand into narrow slices, taking one small dot product per pair of slice
 planes, and recombining the plane results with shift-adds:
 
-    sum_i x_i*w_i  ==  sum_{j,k} 2**(alpha*j + beta*k) * sum_i xs[j][i]*ws[k][i]
+    sum_i x_i*w_i  ==  sum_{j,k} 2**(s*(j+k)) * sum_i xs[j][i]*ws[k][i]
 
-where ``xs[j]`` is the j-th slice plane of x (``alpha`` bits per slice) and
-``ws[k]`` the k-th plane of w (``beta`` bits).  :func:`slice_vector` turns
+where ``xs[j]`` is the j-th slice plane of x and ``ws[k]`` the k-th plane of
+w, both cut at one slice width of ``s`` bits.  :func:`slice_vector` turns
 an operand into its plane array, of shape (planes, length), and
 :func:`nbve_dot` takes the engines' plane dot products; the shift-add over
 those products is :func:`cvusim.cvu.execute_cycle`.  :func:`dot_exact` is
@@ -69,23 +69,6 @@ def value_bounds(bitwidth: int, signed: bool) -> tuple[int, int]:
 def padded_bitwidth(bitwidth: int, slice_width: int) -> int:
     """Bitwidth rounded up to the next multiple of the slice width."""
     return -(-bitwidth // slice_width) * slice_width
-
-
-@dataclass(frozen=True)
-class SliceConfig:
-    """Slice widths for the two dot-product operands.
-
-    ``alpha`` applies to the x (activation) operand, ``beta`` to the w
-    (weight) operand.  Every valid slice width divides ``MAX_BITWIDTH``.
-    """
-
-    alpha: int = 2
-    beta: int = 2
-
-    def __post_init__(self):
-        for name, width in (("alpha", self.alpha), ("beta", self.beta)):
-            if not isinstance(width, int) or width not in VALID_SLICE_WIDTHS:
-                raise RangeError(f"{name} must be one of {VALID_SLICE_WIDTHS}, got {width!r}")
 
 
 def _is_integer(value) -> bool:

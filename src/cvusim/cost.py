@@ -1,11 +1,11 @@
 """Parameterized power/area model for composable vector units.
 
-Every hardware category is costed from first-order gate counts: multipliers
-scale with the product of the operand slice widths, adders and shifters and
-registers scale with their operand widths, and adder widths come from exact
-value-range analysis of the tree they sit in.  Each adder also carries a
-fixed overhead (carry chain, cell granularity) expressed in bit equivalents;
-this is what makes a 64-engine 1-bit design pay for its global tree.
+Every hardware category is costed from first-order gate counts: a multiplier
+of slice width s takes s bits of each operand and scales with s*s, adders and
+shifters and registers scale with their operand widths, and adder widths come
+from exact value-range analysis of the tree they sit in.  Each adder also
+carries a fixed overhead (carry chain, cell granularity) expressed in bit
+equivalents; this is what makes a 64-engine 1-bit design pay for its global tree.
 
 Free per-bit constants absorb technology detail and are pinned by
 :func:`calibrate` against observed normalized design points.  The shipped
@@ -32,7 +32,7 @@ from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
 
-from .bitslice import MAX_BITWIDTH, SliceConfig
+from .bitslice import MAX_BITWIDTH
 from .cvu import CvuConfig, plan_composition
 from .errors import CalibrationError, ConfigError, RangeError
 
@@ -59,7 +59,7 @@ _area_constants = operator.attrgetter(*(area for _, _, _, _, area in _CATEGORIES
 class CostParams:
     """Per-component energy/area constants plus the absolute power scale.
 
-    ``mult_*_coeff`` multiplies alpha*beta per multiplier; the remaining
+    ``mult_*_coeff`` multiplies s*s per multiplier of slice width s; the remaining
     constants are per bit.  ``conventional_mac_mw`` anchors the model to an
     absolute scale (mW per conventional 8-bit MAC at the array frequency)
     and is only used for iso-power sizing and energy accounting.
@@ -170,14 +170,14 @@ def _structure(cfg: CvuConfig) -> Mapping[str, int]:
 
     Each engine's output is shifted as the full-width composition plan shifts it, and the
     global tree adds the shifted outputs."""
-    alpha, beta = cfg.slice.alpha, cfg.slice.beta
-    product_max = ((1 << alpha) - 1) * ((1 << beta) - 1)
+    s = cfg.slice_width
+    product_max = ((1 << s) - 1) ** 2
     nbve_units, _, nbve_out_max = _tree_reduce([product_max] * cfg.lanes)
     shifts = plan_composition(MAX_BITWIDTH, MAX_BITWIDTH, cfg).shifts
     global_units, _, _ = _tree_reduce([nbve_out_max << shift for shift in shifts])
 
     return MappingProxyType({
-        "mult_units": cfg.nbve_count * cfg.lanes * alpha * beta,
+        "mult_units": cfg.nbve_count * cfg.lanes * s * s,
         "add_units": cfg.nbve_count * nbve_units + global_units + _adder_units(ACCUMULATOR_BITS),
         "shift_units": cfg.nbve_count * (nbve_out_max.bit_length() + max(shifts)),
         "register_units": ACCUMULATOR_BITS,
@@ -226,7 +226,7 @@ def dse_sweep(slice_widths, lanes_values, params: CostParams) -> list[DsePoint]:
     points = []
     for sw in sorted(set(int(s) for s in slice_widths)):
         for lanes in sorted(set(int(l) for l in lanes_values)):
-            cfg = CvuConfig(lanes=lanes, slice=SliceConfig(sw, sw))
+            cfg = CvuConfig(lanes=lanes, slice_width=sw)
             points.append(DsePoint(slice_width=sw, lanes=lanes, breakdown=per_mac_breakdown(cfg, params)))
     return points
 
@@ -263,24 +263,24 @@ class CalibrationAnchor:
 # that every quoted figure is met with margin; rerunning
 # ``calibrate(DEFAULT_ANCHORS)`` recovers the shipped constants.
 DEFAULT_ANCHORS = (
-    CalibrationAnchor(CvuConfig(16, SliceConfig(2, 2)), power_norm=0.559, area_norm=0.540),
-    CalibrationAnchor(CvuConfig(1, SliceConfig(2, 2)), power_norm=1.503, area_norm=1.515),
-    CalibrationAnchor(CvuConfig(16, SliceConfig(1, 1)), power_norm=1.146, area_norm=1.117),
-    CalibrationAnchor(CvuConfig(1, SliceConfig(1, 1)), power_norm=2.859, area_norm=2.907),
+    CalibrationAnchor(CvuConfig(16, 2), power_norm=0.559, area_norm=0.540),
+    CalibrationAnchor(CvuConfig(1, 2), power_norm=1.503, area_norm=1.515),
+    CalibrationAnchor(CvuConfig(16, 1), power_norm=1.146, area_norm=1.117),
+    CalibrationAnchor(CvuConfig(1, 1), power_norm=2.859, area_norm=2.907),
 )
 
 _SWEEP_LANES = (1, 2, 4, 8, 16)
 _FIT_STARTS = ((0.28, 0.16, 2.76), (0.1, 0.05, 1.0), (1.0, 0.5, 5.0))  # adder, shifter, register
 # the keys the qualitative penalty reads: each lane sweep, and 2-bit beside 1-bit per lane count
-_LANE_SERIES = tuple(tuple((sw, sw, lanes) for lanes in _SWEEP_LANES) for sw in (1, 2))
-_SLICE_PAIRS = tuple(((2, 2, lanes), (1, 1, lanes)) for lanes in _SWEEP_LANES)
+_LANE_SERIES = tuple(tuple((sw, lanes) for lanes in _SWEEP_LANES) for sw in (1, 2))
+_SLICE_PAIRS = tuple(((2, lanes), (1, lanes)) for lanes in _SWEEP_LANES)
 
 
-def _key(cfg: CvuConfig) -> tuple[int, int, int]:
-    return cfg.slice.alpha, cfg.slice.beta, cfg.lanes
+def _key(cfg: CvuConfig) -> tuple[int, int]:
+    return cfg.slice_width, cfg.lanes
 
 
-def _norms_for(rows, coeffs: list[float]) -> dict[tuple[int, int, int], float]:
+def _norms_for(rows, coeffs: list[float]) -> dict[tuple[int, int], float]:
     """Per-MAC metric of every (key, unit counts, MACs per cycle) row, normalized to the conventional MAC."""
     conv = _weighted(_CONVENTIONAL_UNITS, coeffs)
     return {key: _weighted(counts, coeffs) / conv / macs for key, counts, macs in rows}
@@ -315,11 +315,11 @@ def _fit_objective(targets: list[tuple[CvuConfig, float]]):
     """Worst relative error over ``targets`` plus 10x the penalty, of the log adder/shifter/register coefficients."""
     import numpy as np
 
-    sweep = (CvuConfig(lanes=lanes, slice=SliceConfig(sw, sw)) for sw in (1, 2) for lanes in _SWEEP_LANES)
+    sweep = (CvuConfig(lanes, sw) for sw in (1, 2) for lanes in _SWEEP_LANES)
     cfgs = {_key(cfg): cfg for cfg in (*sweep, *(cfg for cfg, _ in targets))}
     rows = tuple((key, _unit_counts(_structure(cfg)), cfg.lanes) for key, cfg in cfgs.items())
     keyed = [(_key(cfg), observed) for cfg, observed in targets]
-    adder_first = _unit_counts(_structure(cfgs[(2, 2, 16)]))
+    adder_first = _unit_counts(_structure(cfgs[(2, 16)]))
 
     def objective(x: np.ndarray) -> float:
         coeffs = [1.0, *np.exp(x).tolist()]
@@ -354,7 +354,7 @@ def calibrate(anchors) -> tuple[CostParams, dict[str, float]]:
     reference and fixed at 1; only normalized predictions are identifiable.
 
     Returns the parameters and the residuals: each observed metric's relative error, keyed
-    ``sw{alpha}x{beta}_L{lanes}_{power|area}``.  A worst residual above
+    ``sw{s}x{s}_L{lanes}_{power|area}`` for slice width s.  A worst residual above
     ``MAX_CALIBRATION_ERROR`` raises :class:`CalibrationError` with the same residuals.
     """
     anchors = list(anchors)
@@ -375,7 +375,7 @@ def calibrate(anchors) -> tuple[CostParams, dict[str, float]]:
     residuals = {}
     for anchor in anchors:
         power, area = per_mac_normalized(anchor.cfg, params)
-        label = "sw{}x{}_L{}".format(*_key(anchor.cfg))
+        label = "sw{0}x{0}_L{1}".format(*_key(anchor.cfg))
         if anchor.power_norm is not None:
             residuals[f"{label}_power"] = abs(power / anchor.power_norm - 1.0)
         if anchor.area_norm is not None:

@@ -1,15 +1,18 @@
 """One Composable Vector Unit: planning, functional execution, throughput.
 
-A CVU is a grid of narrow-bitwidth vector engines (NBVEs).  Each engine
-holds ``lanes`` slice multipliers feeding a private adder tree and emits one
-slice-plane dot-product scalar per cycle.  For a given operand bitwidth pair
-the engines are clustered at runtime: every cluster covers the full plane
-grid of one dot product, and independent clusters run disjoint dot products
-in parallel, so all engines stay busy at every bitwidth.
+A CVU is a square grid of narrow-bitwidth vector engines (NBVEs), one per
+pair of ``slice_width``-bit planes of two ``MAX_BITWIDTH``-bit operands.  Each
+engine holds ``lanes`` multipliers, ``slice_width`` bits wide on both operands,
+feeding a private adder tree, and emits one slice-plane dot-product scalar per
+cycle.  For a given operand bitwidth pair the engines are clustered at runtime:
+every cluster covers the full plane grid of one dot product, and independent
+clusters run disjoint dot products in parallel, so all engines stay busy at
+every bitwidth.
 
 :func:`execute_cycle` runs every (w, x) pair of a set of operands of one
-length: each pair's element stream is spread over the clusters, ``cycles *
-lanes`` elements each, and every cluster emits its share of the dot product.
+length over the fewest cycles that hold it: each pair's element stream is
+spread over the clusters, ``cycles * lanes`` elements each, and every cluster
+emits its share of the dot product.
 Each side's operands are sliced into one int16 staging array, cast once to float64 for the
 engines' matmuls; the shift-add is two int64 contractions against weights cached per plan.
 Planning imports nothing beyond the standard library; execution imports numpy.
@@ -21,7 +24,7 @@ import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .bitslice import MAX_BITWIDTH, QuantizedVector, SliceConfig, nbve_dot, padded_bitwidth, slice_vector
+from .bitslice import MAX_BITWIDTH, VALID_SLICE_WIDTHS, QuantizedVector, nbve_dot, padded_bitwidth, slice_vector
 from .errors import RangeError, ShapeError
 
 MAX_LANES = 2**16  # the cost model builds each engine's adder tree as a Python list of one leaf per lane
@@ -29,18 +32,23 @@ MAX_LANES = 2**16  # the cost model builds each engine's adder tree as a Python 
 
 @dataclass(frozen=True)
 class CvuConfig:
-    """Geometry of one CVU: lanes per engine plus the slice widths."""
+    """Geometry of one CVU: lanes per engine, and the slice width of both operands.
+
+    Every valid slice width divides ``MAX_BITWIDTH``.
+    """
 
     lanes: int = 16
-    slice: SliceConfig = SliceConfig()
+    slice_width: int = 2
 
     def __post_init__(self):
         if not isinstance(self.lanes, int) or not 1 <= self.lanes <= MAX_LANES:
             raise RangeError(f"lanes must be an integer in 1..{MAX_LANES}, got {self.lanes!r}")
+        if not isinstance(self.slice_width, int) or self.slice_width not in VALID_SLICE_WIDTHS:
+            raise RangeError(f"slice_width must be one of {VALID_SLICE_WIDTHS}, got {self.slice_width!r}")
 
     @property
     def nbve_count(self) -> int:
-        return (MAX_BITWIDTH // self.slice.alpha) * (MAX_BITWIDTH // self.slice.beta)
+        return (MAX_BITWIDTH // self.slice_width) ** 2
 
 
 @dataclass(frozen=True)
@@ -58,7 +66,7 @@ class CompositionPlan:
     clusters: int
     shifts: tuple[int, ...]
     effective_length: int
-    slice: SliceConfig
+    slice_width: int
 
     @property
     def lanes(self) -> int:
@@ -93,21 +101,17 @@ def plan_composition(bw_x: int, bw_w: int, cfg: CvuConfig) -> CompositionPlan:
     for name, bw in (("bw_x", bw_x), ("bw_w", bw_w)):
         if not isinstance(bw, int) or not 1 <= bw <= MAX_BITWIDTH:
             raise RangeError(f"{name} must be an integer in 1..{MAX_BITWIDTH}, got {bw!r}")
-    eff_x = _plan_width(bw_x, cfg.slice.alpha)
-    eff_w = _plan_width(bw_w, cfg.slice.beta)
-    planes_x = eff_x // cfg.slice.alpha
-    planes_w = eff_w // cfg.slice.beta
+    s = cfg.slice_width
+    planes_x, planes_w = _plan_width(bw_x, s) // s, _plan_width(bw_w, s) // s
     clusters = cfg.nbve_count // (planes_x * planes_w)
-    shifts = tuple(
-        cfg.slice.alpha * j + cfg.slice.beta * k for j in range(planes_x) for k in range(planes_w)
-    )
+    shifts = tuple(s * j + s * k for j in range(planes_x) for k in range(planes_w))
     return CompositionPlan(
-        bw_x=eff_x,
-        bw_w=eff_w,
+        bw_x=planes_x * s,
+        bw_w=planes_w * s,
         clusters=clusters,
         shifts=shifts,
         effective_length=clusters * cfg.lanes,
-        slice=cfg.slice,
+        slice_width=s,
     )
 
 
@@ -133,28 +137,28 @@ def _planes(operands, slice_width: int, bitwidth: int, clusters: int, lanes: int
 
 @functools.lru_cache(maxsize=256)
 def _shift_weights(plan: CompositionPlan):
-    """Read-only int64 shift-add weights ``2**(alpha * j)`` and ``2**(beta * k)``, read off ``plan.shifts``."""
+    """Read-only int64 shift-add weights ``2**(s * j)`` and ``2**(s * k)``, read off ``plan.shifts``."""
     import numpy as np
 
-    pw = plan.bw_w // plan.slice.beta
+    pw = plan.bw_w // plan.slice_width
     x, w = (np.array([1 << s for s in shifts], np.int64) for shifts in (plan.shifts[::pw], plan.shifts[:pw]))
     if np.outer(x, w).ravel().tolist() != [1 << s for s in plan.shifts]:  # the plan stays the shifts' source
-        raise RangeError(f"plan shifts {plan.shifts} are not a {len(x)} x {pw} grid of alpha * j + beta * k")
+        raise RangeError(f"plan shifts {plan.shifts} are not a {len(x)} x {pw} grid of s * j + s * k")
     x.flags.writeable = w.flags.writeable = False  # shared by every call with this plan
     return x, w
 
 
 def execute_cycle(
-    x_ops: Sequence[QuantizedVector], w_ops: Sequence[QuantizedVector], plan: CompositionPlan, cycles: int = 1
+    x_ops: Sequence[QuantizedVector], w_ops: Sequence[QuantizedVector], plan: CompositionPlan
 ) -> CvuOutput:
-    """Functionally execute every (w, x) pair of n x and m w operands over ``cycles`` cycles.
+    """Functionally execute every (w, x) pair of n x and m w operands over the fewest cycles that hold them.
 
-    The operands share one length k <= ``clusters * cycles * lanes``.  Each pair's stream
-    is reshaped to [clusters, cycles, lanes], zero-padded, so cluster c reduces elements
-    ``[c * cycles * lanes, (c + 1) * cycles * lanes)``.  ``scalars`` holds m * n * clusters
-    values, in the order w, then x, then cluster; a pair's dot product is the sum of its
-    cluster scalars.  Utilization is the share of one pair's ``cycles * effective_length``
-    lane slots that held an element.
+    The operands share one length k, which takes ``cycles = max(1, ceil(k / effective_length))``
+    cycles.  Each pair's stream is reshaped to [clusters, cycles, lanes], zero-padded, so
+    cluster c reduces elements ``[c * cycles * lanes, (c + 1) * cycles * lanes)``.  ``scalars``
+    holds m * n * clusters values, in the order w, then x, then cluster; a pair's dot product
+    is the sum of its cluster scalars.  Utilization is the share of one pair's
+    ``cycles * effective_length`` lane slots that held an element.
 
     Every scalar comes from the engines' plane dot products (:func:`nbve_dot`) and the
     plan's shift-add tree, never from the full-precision oracle.  Each operand is sliced
@@ -167,14 +171,11 @@ def execute_cycle(
     below 2**56 at 8-bit widths.  Only a hand-built plan wider than ``MAX_BITWIDTH`` bits could
     pass 2**63, and such a call raises :class:`RangeError`.
     """
-    if cycles < 1:
-        raise ShapeError(f"cycles must be >= 1, got {cycles}")
     lengths = {len(v) for v in (*x_ops, *w_ops)}
     if len(lengths) > 1:
         raise ShapeError(f"operands differ in length: {sorted(lengths)}")
     k = max(lengths, default=0)
-    if k > plan.clusters * cycles * plan.lanes:
-        raise ShapeError(f"operand length {k} exceeds {plan.clusters} clusters x {cycles} x {plan.lanes} lanes")
+    cycles = max(1, -(-k // plan.effective_length))
     for side, ops, width in (("x", x_ops, plan.bw_x), ("w", w_ops, plan.bw_w)):
         if any(v.bitwidth > width for v in ops):
             raise RangeError(f"{side} operand bitwidths exceed the plan's padded width {width}")
@@ -185,12 +186,12 @@ def execute_cycle(
     import numpy as np
 
     x_weights, w_weights = _shift_weights(plan)
-    x = _planes(x_ops, plan.slice.alpha, plan.bw_x, plan.clusters, lanes)
+    x = _planes(x_ops, plan.slice_width, plan.bw_x, plan.clusters, lanes)
     rows = max(1, _BLOCK_ELEMENTS // (plan.clusters * lanes + len(x_ops)))
     scalars = []
     for lo in range(0, len(w_ops), rows):
         block = w_ops[lo : lo + rows]
-        w = _planes(block, plan.slice.beta, plan.bw_w, plan.clusters, lanes)
+        w = _planes(block, plan.slice_width, plan.bw_w, plan.clusters, lanes)
         # [cluster, x, x plane, w * w plane]: contract the x planes, then the w planes
         products = nbve_dot(x, w).astype(np.int64).reshape(plan.clusters, len(x_ops), len(x_weights), w.shape[1])
         per_w_plane = (x_weights @ products).reshape(plan.clusters, len(x_ops), len(block), len(w_weights))

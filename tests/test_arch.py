@@ -28,7 +28,7 @@ from cvusim.arch import (
     simulate_layer,
     simulate_network,
 )
-from cvusim.bitslice import QuantizedVector, SliceConfig, dot_exact, value_bounds
+from cvusim.bitslice import QuantizedVector, dot_exact, value_bounds
 from cvusim.cost import default_params, per_mac_normalized
 from cvusim.cvu import CvuConfig, plan_composition
 from cvusim.errors import ConfigError, RangeError, ShapeError
@@ -273,7 +273,8 @@ def reference_layer_totals(layer, acc, mem, params):
     first = steady = one_pass(phases)
     if layer.repeat > 1 and to_bytes(dims.m * dims.k, bw_w) <= acc.total_scratchpad_bytes:
         steady = one_pass([(macs, compute, 0, stream) for macs, compute, _, stream in phases])
-    return Totals.of([first] + [steady] * (layer.repeat - 1))
+    parts = [first] + [steady] * (layer.repeat - 1)
+    return Totals(*(reduce(operator.add, (getattr(part, f.name) for part in parts)) for f in fields(Totals)))
 
 
 class TestClosedForm:
@@ -461,10 +462,9 @@ class TestPairRecord:
                 return
         report = simulate_network(net, acc, mem, PARAMS)
         assert report.layers == tuple(expected)
-        totals = Totals.of(report.layers)
         for f in fields(Totals):
             folded = reduce(operator.add, (getattr(layer, f.name) for layer in report.layers))
-            assert getattr(report, f.name) == getattr(totals, f.name) == folded, f.name
+            assert getattr(report, f.name) == folded, f.name
 
 
 class TestMonotonicity:
@@ -665,7 +665,7 @@ class TestFunctionalEquivalence:
         # 4-bit slices at their largest magnitudes (15, and -8 for a signed top slice) over
         # 2**17 - 1 lanes of one cluster: the low planes' dot product is 225 * k, an odd
         # integer between 2**24 and 2**25, which no float32 kernel can hold
-        k, cvu = (1 << 17) - 1, CvuConfig(lanes=16, slice=SliceConfig(4, 4))
+        k, cvu = (1 << 17) - 1, CvuConfig(lanes=16, slice_width=4)
         x = QuantizedVector((255,) * k, 8)
         w = QuantizedVector((w_value,) * k, 8, signed)
         arrays = [

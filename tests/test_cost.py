@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cvusim.cost as cost
-from cvusim.bitslice import SliceConfig
 from cvusim.cost import (
     ACCUMULATOR_BITS,
     DEFAULT_ANCHORS,
@@ -37,7 +36,7 @@ LANES = (1, 2, 4, 8, 16)
 
 
 def cfg(sw, lanes):
-    return CvuConfig(lanes=lanes, slice=SliceConfig(sw, sw))
+    return CvuConfig(lanes=lanes, slice_width=sw)
 
 
 def reference_objective(targets):
@@ -47,7 +46,7 @@ def reference_objective(targets):
     conventional = dict(zip(unit_keys, (64, _adder_units(ACCUMULATOR_BITS), 0, ACCUMULATOR_BITS)))
 
     def key(c):
-        return c.slice.alpha, c.slice.beta, c.lanes
+        return c.slice_width, c.lanes
 
     def weighted(units, coeffs):
         return functools.reduce(operator.add, map(operator.mul, (units[k] for k in unit_keys), coeffs))
@@ -63,14 +62,14 @@ def reference_objective(targets):
         err = max(abs(norm[k] / obs - 1.0) for k, obs in keyed)
         penalty = 0.0
         for sw in (1, 2):
-            series = [norm[(sw, sw, lanes)] for lanes in LANES]
+            series = [norm[(sw, lanes)] for lanes in LANES]
             for a, b in zip(series, series[1:]):
                 penalty += max(0.0, (b - a) / a + 1e-4)
             penalty += max(0.0, series[-2] / series[-1] - series[0] / series[1])
         for lanes in LANES:
-            penalty += max(0.0, (norm[(2, 2, lanes)] - norm[(1, 1, lanes)]) / norm[(1, 1, lanes)] + 1e-4)
-            penalty += max(0.0, 1.0 - norm[(1, 1, lanes)])
-        s216 = table[(2, 2, 16)]
+            penalty += max(0.0, (norm[(2, lanes)] - norm[(1, lanes)]) / norm[(1, lanes)] + 1e-4)
+            penalty += max(0.0, 1.0 - norm[(1, lanes)])
+        s216 = table[(2, 16)]
         mult, adder, shifter, register = coeffs
         add_cost = s216["add_units"] * adder
         for other in (s216["mult_units"] * mult, s216["shift_units"] * shifter, s216["register_units"] * register):
@@ -202,7 +201,7 @@ class TestCalibrate:
         assert max(residuals.values()) <= 0.15
         for anchor in self.THREE_ANCHORS:
             power, area = per_mac_normalized(anchor.cfg, params)
-            label = "sw{0}x{0}_L{1}".format(anchor.cfg.slice.alpha, anchor.cfg.lanes)
+            label = "sw{0}x{0}_L{1}".format(anchor.cfg.slice_width, anchor.cfg.lanes)
             if anchor.power_norm is not None:
                 assert abs(power / anchor.power_norm - 1) == residuals[f"{label}_power"]
             if anchor.area_norm is not None:
@@ -224,9 +223,9 @@ class TestCalibrate:
             assert got[0] == pytest.approx(want[0], rel=0.01)
             assert got[1] == pytest.approx(want[1], rel=0.01)
 
-    def test_anchors_with_unequal_slice_widths_keep_their_own_entries(self):
-        # exact anchors at the four default configurations plus one whose slice widths differ
-        probes = [a.cfg for a in DEFAULT_ANCHORS] + [CvuConfig(16, SliceConfig(2, 1))]
+    def test_anchors_off_the_sweep_keep_their_own_entries(self):
+        # exact anchors at the four default configurations plus one at 4-bit slices, off the lane sweeps
+        probes = [a.cfg for a in DEFAULT_ANCHORS] + [cfg(4, 16)]
         anchors = [CalibrationAnchor(c, *per_mac_normalized(c, PARAMS)) for c in probes]
         _, residuals = calibrate(anchors)
         assert len(residuals) == 10
@@ -270,8 +269,8 @@ class TestCalibrate:
 
 
 # the fit targets the objective is checked on: the default anchors, the three observed points,
-# and anchors off the penalty's sweep (unequal slice widths, 4-bit slices)
-OFF_SWEEP = [CvuConfig(16, SliceConfig(2, 1)), cfg(4, 8), cfg(2, 16)]
+# and anchors off the penalty's sweep (4-bit slices)
+OFF_SWEEP = [cfg(4, 16), cfg(4, 8), cfg(2, 16)]
 TARGET_SETS = (
     *fit_targets(DEFAULT_ANCHORS),
     *fit_targets(TestCalibrate.THREE_ANCHORS),

@@ -121,7 +121,7 @@ def calibration_table() -> str:
         for i, held_out in enumerate(DEFAULT_ANCHORS):
             params, _ = calibrate(DEFAULT_ANCHORS[:i] + DEFAULT_ANCHORS[i + 1:])
             power, area = per_mac_normalized(held_out.cfg, params)
-            anchor = "sw{}x{}_L{}".format(held_out.cfg.slice.alpha, held_out.cfg.slice.beta, held_out.cfg.lanes)
+            anchor = "sw{0}x{0}_L{1}".format(held_out.cfg.slice_width, held_out.cfg.lanes)
             lines.append(f"held-out,{anchor},power,{abs(power / held_out.power_norm - 1.0):.4g}")
             lines.append(f"held-out,{anchor},area,{abs(area / held_out.area_norm - 1.0):.4g}")
     return "\n".join(lines) + "\n"
