@@ -322,8 +322,9 @@ class TestExecuteBatch:
     @pytest.mark.parametrize("lanes", [1, 16])
     @pytest.mark.parametrize("bw_x,bw_w", [(8, 8), (8, 4), (4, 2), (6, 3)])
     def test_extreme_operands_at_every_plan(self, lanes, bw_x, bw_w):
-        # the largest unsigned x against the most negative signed w, at every slicing, at a
-        # stream that fills every cluster's lane slots and at one that leaves a slot padded
+        # the largest unsigned x against the most negative signed w, at every slice width, at a
+        # stream that fills 3 cycles of every cluster's lane slots and at one element less,
+        # which leaves a slot padded wherever a cycle has more than one lane slot
         cycles = 3
         for slice_width in (1, 2, 4):
             plan = plan_composition(bw_x, bw_w, CvuConfig(lanes=lanes, slice_width=slice_width))
