@@ -15,7 +15,7 @@ from .cost import (
     iso_power_array_size,
     per_mac_normalized,
 )
-from .workloads import LayerKind, LayerSpec, NetworkSpec, parse_network, serialize_network, to_homogeneous
+from .workloads import LayerKind, LayerSpec, NetworkSpec, parse_network, to_homogeneous
 from .arch import (
     DDR4,
     HBM2,

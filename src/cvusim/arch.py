@@ -51,12 +51,13 @@ that compute every layer at 8 bit (a report's ``bw_x``/``bw_w`` show the
 widths that ran), a ``scalar-composable`` unit is a one-lane CVU, and
 ``vector-composable`` units are full CVUs.
 
-A whole layer (:class:`LayerReport`) and a whole network (:class:`SimReport`)
-share :class:`Totals`: the summed MACs, cycle counts, off-chip bytes and energy
-categories, with the derived energy total and bound.  A pass returns those sums
-as a plain tuple in field order.  A layer's report is built once, from its
-passes' tuples added in the fixed left-to-right order, the order in which
-:func:`simulate_network` adds up its layers.
+A pass, a whole layer (:class:`LayerReport`) and a whole network
+(:class:`SimReport`) are tuples that share their first eight fields, in the
+order of ``_TOTALS``: the summed MACs, cycle counts, off-chip bytes and energy
+categories.  A pass is a plain tuple; the reports are named tuples, which derive
+the energy total and the bound from those fields.  A layer's report is built
+once, from its passes' tuples added in the fixed left-to-right order, the order
+in which :func:`simulate_network` adds up its layers.
 """
 
 from __future__ import annotations
@@ -64,8 +65,9 @@ from __future__ import annotations
 import math
 import operator
 from collections import namedtuple
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from typing import NamedTuple
 
 from .bitslice import QuantizedVector
@@ -157,18 +159,16 @@ def lower_layer(layer: LayerSpec) -> GemmDims:
     return GemmDims(layer.m, layer.k, layer.n)
 
 
-@dataclass(frozen=True)
-class Totals:
-    """Figures that add up over the parts of a run: passes, layers, networks."""
+# The figures that add up over the parts of a run (passes, layers, networks), in field order.
+_TOTALS = (
+    "macs compute_cycles memory_cycles total_cycles offchip_bytes energy_compute_pj energy_sram_pj energy_offchip_pj"
+)
 
-    macs: int
-    compute_cycles: int
-    memory_cycles: int
-    total_cycles: int
-    offchip_bytes: int
-    energy_compute_pj: float
-    energy_sram_pj: float
-    energy_offchip_pj: float
+
+class _Totals:
+    """The figures a report derives from its first eight fields, the ``_TOTALS``."""
+
+    __slots__ = ()
 
     @property
     def energy_total_pj(self) -> float:
@@ -179,39 +179,17 @@ class Totals:
         return "memory" if self.memory_cycles > self.compute_cycles else "compute"
 
 
-_totals_of = operator.attrgetter(*(f.name for f in fields(Totals)))
-
-
 def _sums(parts) -> tuple:
-    """The :class:`Totals` fields of ``parts``, each summed left to right in one pass on every Python version."""
-    parts = iter(parts)
-    macs, compute, memory, total, offchip, e_compute, e_sram, e_offchip = _totals_of(next(parts))
-    for part in parts:
-        a, b, c, d, e, f, g, h = _totals_of(part)
-        macs, compute, memory, total, offchip = macs + a, compute + b, memory + c, total + d, offchip + e
-        e_compute, e_sram, e_offchip = e_compute + f, e_sram + g, e_offchip + h
-    return macs, compute, memory, total, offchip, e_compute, e_sram, e_offchip
+    """The ``_TOTALS`` of ``parts``, each added left to right (``sum()``'s float rounding changed in 3.12)."""
+    return tuple(reduce(operator.add, column) for column in zip(*(part[:8] for part in parts)))
 
 
-@dataclass(frozen=True)
-class LayerReport(Totals):
-    name: str
-    kind: str
-    m: int
-    k: int
-    n: int
-    repeats: int
-    bw_x: int
-    bw_w: int
-    utilization: float
+class LayerReport(_Totals, namedtuple("LayerReport", f"{_TOTALS} name kind m k n repeats bw_x bw_w utilization")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SimReport(Totals):
-    network: str
-    style: str
-    memory: str
-    layers: tuple[LayerReport, ...]
+class SimReport(_Totals, namedtuple("SimReport", f"{_TOTALS} network style memory layers")):
+    __slots__ = ()
 
     @property
     def runtime_s(self) -> float:
@@ -294,7 +272,7 @@ def _simulate_pass(
     The pass runs ``m // m_res`` identical full generations of ``m_res`` output rows, then
     one generation of the rows left, if any.  Resident weights need no fill.  Bytes round up
     from bits, and a transfer of b bytes takes ceil(b * FREQUENCY_HZ / bandwidth) cycles.
-    Returns the pass's sums as a plain tuple in :class:`Totals` field order.
+    Returns the pass's sums as a plain tuple in ``_TOTALS`` order.
     """
     bandwidth = mem.bandwidth_bytes_per_s
     input_bytes = -(-k * n * bw_x // 8)
@@ -388,12 +366,7 @@ def simulate_network(net: NetworkSpec, acc: AcceleratorConfig, mem: MemorySpec, 
     return report
 
 
-@dataclass(frozen=True)
-class ComparisonEntry:
-    runtime_s: float
-    energy_pj: float
-    speedup: float
-    energy_reduction: float
+ComparisonEntry = namedtuple("ComparisonEntry", "runtime_s energy_pj speedup energy_reduction")
 
 
 def compare(

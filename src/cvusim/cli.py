@@ -208,7 +208,9 @@ def cmd_compare(args) -> int:
     nets = []
     for name in args.network:
         net, path = _resolve_network(name)
-        digests[f"network:{net.name}"] = _digest_file(path)
+        digest = _digest_file(path)
+        if digests.setdefault(f"network:{net.name}", digest) != digest:  # the manifest keys digests by name
+            raise ConfigError(f"two different network files are both named {net.name!r}")
         if args.bitwidths == "homogeneous":
             net = to_homogeneous(net)
         nets.append(net)

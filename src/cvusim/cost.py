@@ -6,6 +6,9 @@ shifters and registers scale with their operand widths, and adder widths come
 from exact value-range analysis of the tree they sit in.  Each adder also
 carries a fixed overhead (carry chain, cell granularity) expressed in bit
 equivalents; this is what makes a 64-engine 1-bit design pay for its global tree.
+A CVU's inventory is one tuple of unit counts in ``_CATEGORIES`` order
+(multiplier, adder, shifter, register), the order of :class:`CostBreakdown`'s
+energy and area fields and of the fit's coefficients.
 
 Free per-bit constants absorb technology detail and are pinned by
 :func:`calibrate` against observed normalized design points.  The shipped
@@ -25,12 +28,10 @@ from __future__ import annotations
 import json
 import math
 import operator
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from types import MappingProxyType
 
 from .bitslice import MAX_BITWIDTH
 from .cvu import CvuConfig, plan_composition
@@ -42,17 +43,16 @@ ADDER_OVERHEAD_BITS = 8
 PARAMS_SCHEMA_VERSION = 1
 MAX_CALIBRATION_ERROR = 0.25  # the worst relative anchor residual a calibration may leave
 
-# The four hardware categories: params-file key, CostBreakdown field prefix,
-# inventory key, and the CostParams energy and area constants.
+# The four hardware categories, in the order of every unit inventory and CostBreakdown:
+# params-file key, and the CostParams energy and area constants.
 _CATEGORIES = (
-    ("mult", "multiply", "mult_units", "mult_energy_coeff", "mult_area_coeff"),
-    ("adder", "add", "add_units", "adder_energy_per_bit", "adder_area_per_bit"),
-    ("shifter", "shift", "shift_units", "shifter_energy_per_bit", "shifter_area_per_bit"),
-    ("register", "register", "register_units", "register_energy_per_bit", "register_area_per_bit"),
+    ("mult", "mult_energy_coeff", "mult_area_coeff"),
+    ("adder", "adder_energy_per_bit", "adder_area_per_bit"),
+    ("shifter", "shifter_energy_per_bit", "shifter_area_per_bit"),
+    ("register", "register_energy_per_bit", "register_area_per_bit"),
 )
-_unit_counts = operator.itemgetter(*(unit_key for _, _, unit_key, _, _ in _CATEGORIES))
-_energy_constants = operator.attrgetter(*(energy for _, _, _, energy, _ in _CATEGORIES))
-_area_constants = operator.attrgetter(*(area for _, _, _, _, area in _CATEGORIES))
+_energy_constants = operator.attrgetter(*(energy for _, energy, _ in _CATEGORIES))
+_area_constants = operator.attrgetter(*(area for _, _, area in _CATEGORIES))
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,8 @@ class CostParams:
     def to_json(self) -> str:
         doc = {
             "version": PARAMS_SCHEMA_VERSION,
-            "energy": {key: getattr(self, energy) for key, _, _, energy, _ in _CATEGORIES},
-            "area": {key: getattr(self, area) for key, _, _, _, area in _CATEGORIES},
+            "energy": {key: getattr(self, energy) for key, energy, _ in _CATEGORIES},
+            "area": {key: getattr(self, area) for key, _, area in _CATEGORIES},
             "conventional_mac_mw": self.conventional_mac_mw,
         }
         return json.dumps(doc, indent=2) + "\n"
@@ -98,8 +98,8 @@ class CostParams:
             if doc.get("version") != PARAMS_SCHEMA_VERSION:
                 raise ConfigError(f"unsupported cost params version {doc.get('version')!r}")
             return cls(
-                **{energy: doc["energy"][key] for key, _, _, energy, _ in _CATEGORIES},
-                **{area: doc["area"][key] for key, _, _, _, area in _CATEGORIES},
+                **{energy: doc["energy"][key] for key, energy, _ in _CATEGORIES},
+                **{area: doc["area"][key] for key, _, area in _CATEGORIES},
                 conventional_mac_mw=doc.get("conventional_mac_mw", 0.25),
             )
         except (KeyError, TypeError, json.JSONDecodeError) as exc:
@@ -165,34 +165,24 @@ _CONVENTIONAL_UNITS = (64, _adder_units(ACCUMULATOR_BITS), 0, ACCUMULATOR_BITS)
 
 
 @lru_cache(maxsize=256)  # a pure function of a hashable, frozen config
-def _structure(cfg: CvuConfig) -> Mapping[str, int]:
-    """Bit-unit inventory of one CVU (constants not yet applied), cached per config and read-only.
+def _structure(cfg: CvuConfig) -> tuple[int, int, int, int]:
+    """Bit-unit inventory of one CVU (constants not yet applied), cached per config.
 
-    Each engine's output is shifted as the full-width composition plan shifts it, and the
-    global tree adds the shifted outputs."""
+    Returns the multiplier, adder, shifter and register unit counts, in ``_CATEGORIES``
+    order.  Each engine's output is shifted as the full-width composition plan shifts it,
+    and the global tree adds the shifted outputs."""
     s = cfg.slice_width
     product_max = ((1 << s) - 1) ** 2
     nbve_units, _, nbve_out_max = _tree_reduce([product_max] * cfg.lanes)
     shifts = plan_composition(MAX_BITWIDTH, MAX_BITWIDTH, cfg).shifts
     global_units, _, _ = _tree_reduce([nbve_out_max << shift for shift in shifts])
 
-    return MappingProxyType({
-        "mult_units": cfg.nbve_count * cfg.lanes * s * s,
-        "add_units": cfg.nbve_count * nbve_units + global_units + _adder_units(ACCUMULATOR_BITS),
-        "shift_units": cfg.nbve_count * (nbve_out_max.bit_length() + max(shifts)),
-        "register_units": ACCUMULATOR_BITS,
-    })
-
-
-def _cost(units: Mapping[str, int], params: CostParams, macs: int, per: tuple[float, float]) -> CostBreakdown:
-    """Apply the constants to a bit-unit inventory, then divide by ``macs`` and ``per`` (energy, area)."""
-    per_energy, per_area = per
-    fields = {}
-    rows = zip(_CATEGORIES, _unit_counts(units), _energy_constants(params), _area_constants(params))
-    for (_, prefix, _, _, _), n, energy, area in rows:
-        fields[prefix + "_energy"] = n * energy / macs / per_energy
-        fields[prefix + "_area"] = n * area / macs / per_area
-    return CostBreakdown(**fields)
+    return (
+        cfg.nbve_count * cfg.lanes * s * s,
+        cfg.nbve_count * nbve_units + global_units + _adder_units(ACCUMULATOR_BITS),
+        cfg.nbve_count * (nbve_out_max.bit_length() + max(shifts)),
+        ACCUMULATOR_BITS,
+    )
 
 
 def _weighted(counts: tuple[int, ...], coeffs) -> float:
@@ -212,7 +202,12 @@ def per_mac_breakdown(cfg: CvuConfig, params: CostParams) -> CostBreakdown:
 
     At full width the engines form one cluster, so a CVU cycle is ``lanes`` MACs.
     """
-    return _cost(_structure(cfg), params, cfg.lanes, conventional_mac_cost(params))
+    units, lanes = _structure(cfg), cfg.lanes
+    conventional_energy, conventional_area = conventional_mac_cost(params)
+    return CostBreakdown(
+        *(n * c / lanes / conventional_energy for n, c in zip(units, _energy_constants(params))),
+        *(n * c / lanes / conventional_area for n, c in zip(units, _area_constants(params))),
+    )
 
 
 def per_mac_normalized(cfg: CvuConfig, params: CostParams) -> tuple[float, float]:
@@ -317,9 +312,9 @@ def _fit_objective(targets: list[tuple[CvuConfig, float]]):
 
     sweep = (CvuConfig(lanes, sw) for sw in (1, 2) for lanes in _SWEEP_LANES)
     cfgs = {_key(cfg): cfg for cfg in (*sweep, *(cfg for cfg, _ in targets))}
-    rows = tuple((key, _unit_counts(_structure(cfg)), cfg.lanes) for key, cfg in cfgs.items())
+    rows = tuple((key, _structure(cfg), cfg.lanes) for key, cfg in cfgs.items())
     keyed = [(_key(cfg), observed) for cfg, observed in targets]
-    adder_first = _unit_counts(_structure(cfgs[(2, 16)]))
+    adder_first = _structure(cfgs[(2, 16)])
 
     def objective(x: np.ndarray) -> float:
         coeffs = [1.0, *np.exp(x).tolist()]
@@ -368,8 +363,8 @@ def calibrate(anchors) -> tuple[CostParams, dict[str, float]]:
     e = _fit_metric(power_targets)
     a = _fit_metric(area_targets)
     params = CostParams(
-        **{energy: e[i] for i, (_, _, _, energy, _) in enumerate(_CATEGORIES)},
-        **{area: a[i] for i, (_, _, _, _, area) in enumerate(_CATEGORIES)},
+        **{energy: e[i] for i, (_, energy, _) in enumerate(_CATEGORIES)},
+        **{area: a[i] for i, (_, _, area) in enumerate(_CATEGORIES)},
     )
 
     residuals = {}

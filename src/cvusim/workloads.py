@@ -1,8 +1,9 @@
 """Network descriptions: schema, parsing, validation, bundled benchmarks.
 
-Networks are stored as versioned JSON (``schema_version`` 1).  A network
-holds a layer list plus a bitwidth mode; layers are convolutions (conv),
-fully connected layers (fc), or recurrent matrix-vector products (gemv).
+Networks are stored as versioned JSON (``schema_version`` 1), which the
+package reads but never writes.  A network holds a layer list plus a bitwidth
+mode; layers are convolutions (conv), fully connected layers (fc), or
+recurrent matrix-vector products (gemv).
 
 ``_LAYER_FIELDS`` is the layer schema: each kind's integer fields in file
 order, each with its default (None: required) and its bounds (1 up to a
@@ -13,8 +14,6 @@ maximum).  The file's ``kernel`` is the pair ``[kernel_h, kernel_w]``.
 * :class:`LayerSpec` checks the values: its kind's fields within bounds and
   every other kind's field at its dataclass default.  :class:`NetworkSpec`
   checks the bitwidth mode and the chain rule below.
-* ``_layer_to_dict`` (under :func:`serialize_network`) writes the kind's
-  fields, leaving out those at their defaults.
 * conv ``height``/``width`` are the layer's input spatial dims; outputs are
   ``ceil(dim/stride)`` (same-style padding) and an optional ``pool`` factor
   downsamples the output fed to the next layer (pooling arithmetic itself is
@@ -241,30 +240,6 @@ def parse_network(text: str) -> NetworkSpec:
         raise NetworkFormatError("layers: expected a list")
     layers = tuple(_layer_from_dict(i, raw) for i, raw in enumerate(layers_raw))
     return NetworkSpec(name=name, layers=layers, bitwidth_mode=mode)
-
-
-def _layer_to_dict(layer: LayerSpec) -> dict:
-    """The layer's fields that are not at their defaults, required ones always."""
-    out: dict = {"kind": layer.kind.value}
-    if layer.name:
-        out["name"] = layer.name
-    for field, (default, _) in _LAYER_FIELDS[layer.kind].items():
-        value = getattr(layer, field)
-        if field in _KERNEL:
-            out.setdefault("kernel", []).append(value)
-        elif value != default:
-            out[field] = value
-    return out
-
-
-def serialize_network(net: NetworkSpec) -> str:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "name": net.name,
-        "bitwidth_mode": net.bitwidth_mode.value,
-        "layers": [_layer_to_dict(l) for l in net.layers],
-    }
-    return json.dumps(doc, indent=2) + "\n"
 
 
 def load_network(path: str | Path) -> NetworkSpec:

@@ -4,7 +4,7 @@ import math
 import operator
 import random
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
@@ -19,7 +19,6 @@ from cvusim.arch import (
     AcceleratorConfig,
     MemorySpec,
     Style,
-    Totals,
     build_array,
     compare,
     functional_dot,
@@ -36,6 +35,9 @@ from cvusim.workloads import LayerKind, LayerSpec, NetworkSpec, bundled_networks
 
 PARAMS = default_params()
 INFINITE = MemorySpec("infinite", 1e18, 0.0)
+# the fields that add up over passes, layers and networks: the first eight of every report
+TOTALS = ("macs", "compute_cycles", "memory_cycles", "total_cycles", "offchip_bytes",
+          "energy_compute_pj", "energy_sram_pj", "energy_offchip_pj")
 
 
 def small_array(**kwargs):
@@ -265,7 +267,7 @@ def reference_layer_totals(layer, acc, mem, params):
         macs, compute, weight_bytes, stream_bytes = (sum(column) for column in zip(*phases))
         offchip = weight_bytes + stream_bytes
         sram = weight_bytes + stream_bytes + to_bytes(macs, bw_x) + to_bytes(macs, bw_w)
-        return Totals(
+        return (
             macs, compute, mem_cycles(offchip), total, offchip,
             macs * mac_pj, sram * arch.SRAM_PJ_PER_BYTE, offchip * 8 * mem.access_energy_pj_per_bit,
         )
@@ -274,7 +276,7 @@ def reference_layer_totals(layer, acc, mem, params):
     if layer.repeat > 1 and to_bytes(dims.m * dims.k, bw_w) <= acc.total_scratchpad_bytes:
         steady = one_pass([(macs, compute, 0, stream) for macs, compute, _, stream in phases])
     parts = [first] + [steady] * (layer.repeat - 1)
-    return Totals(*(reduce(operator.add, (getattr(part, f.name) for part in parts)) for f in fields(Totals)))
+    return tuple(reduce(operator.add, column) for column in zip(*parts))
 
 
 class TestClosedForm:
@@ -292,7 +294,7 @@ class TestClosedForm:
         repeat=st.integers(1, 6),
     )
     def test_matches_per_generation_loop(self, style, m, k, n, bw_x, bw_w, total_sram_bytes, mem, repeat):
-        # every Totals field, floats included, exactly as the per-generation loop sums it
+        # every TOTALS field, floats included, exactly as the per-generation loop sums it
         acc = build_array(style, PARAMS, total_sram_bytes=total_sram_bytes)
         layer = LayerSpec(kind=LayerKind.GEMV, m=m, k=k, n=n, bw_x=bw_x, bw_w=bw_w, repeat=repeat)
         expected = reference_layer_totals(layer, acc, mem, PARAMS)
@@ -301,23 +303,23 @@ class TestClosedForm:
                 simulate_layer(layer, acc, mem, PARAMS)
             return
         report = simulate_layer(layer, acc, mem, PARAMS)
-        for f in fields(Totals):
-            assert getattr(report, f.name) == getattr(expected, f.name), f.name
+        for name, want in zip(TOTALS, expected, strict=True):
+            assert getattr(report, name) == want, name
 
     @pytest.mark.parametrize("resident", [True, False], ids=["resident", "streamed"])
     @pytest.mark.parametrize("repeat", [25, 2**16])
     @pytest.mark.parametrize("style", list(Style))
     def test_repeat_sum_at_its_extremes(self, style, repeat, resident):
         # 25 timesteps as in the bundled GRU and LSTM, and the schema's maximum of 2**16:
-        # every Totals field, floats included, exactly as the reference adds the passes
+        # every TOTALS field, floats included, exactly as the reference adds the passes
         acc = build_array(style, PARAMS, total_sram_bytes=(6 << 20) if resident else (1 << 16))
         layer = LayerSpec(kind=LayerKind.GEMV, m=1000, k=1000, bw_x=4, bw_w=4, repeat=repeat)
         expected = reference_layer_totals(layer, acc, DDR4, PARAMS)
         report = simulate_layer(layer, acc, DDR4, PARAMS)
         one = simulate_layer(replace(layer, repeat=1), acc, DDR4, PARAMS)
         assert (report.offchip_bytes < repeat * one.offchip_bytes) is resident
-        for f in fields(Totals):
-            assert getattr(report, f.name) == getattr(expected, f.name), f.name
+        for name, want in zip(TOTALS, expected, strict=True):
+            assert getattr(report, name) == want, name
 
 
 class TestSimulateNetwork:
@@ -337,6 +339,23 @@ class TestSimulateNetwork:
         assert report.layers == by_layer
         expected = {} if style is Style.CONVENTIONAL else {"per_mac_normalized": 1, "plan_composition": 2}
         assert calls == expected
+
+    def test_reports_are_tuples_that_lead_with_the_totals(self):
+        acc = build_array(Style.VECTOR, PARAMS)
+        net = load_network(bundled_networks()["convnet"])
+        report = simulate_network(net, acc, DDR4, PARAMS)
+        layer, entry = report.layers[0], compare(net, [(acc, DDR4), (acc, HBM2)], PARAMS)[1]
+        for record, size in ((layer, 17), (report, 12), (entry, 4)):
+            assert isinstance(record, tuple) and len(record) == size
+        assert arch.LayerReport._fields[:8] == arch.SimReport._fields[:8] == TOTALS
+        assert report[:8] == tuple(getattr(report, name) for name in TOTALS)
+        assert entry == (entry.runtime_s, entry.energy_pj, entry.speedup, entry.energy_reduction)
+        assert report._replace(network="other").network == "other"
+        for record in (layer, report):
+            with pytest.raises(AttributeError):
+                record.macs = 0
+            with pytest.raises(AttributeError):  # slotted all the way down: no instance dict
+                record.extra = 0
 
     def test_single_layer_matches_simulate_layer(self):
         layer = fc(256, 256)
@@ -462,9 +481,9 @@ class TestPairRecord:
                 return
         report = simulate_network(net, acc, mem, PARAMS)
         assert report.layers == tuple(expected)
-        for f in fields(Totals):
-            folded = reduce(operator.add, (getattr(layer, f.name) for layer in report.layers))
-            assert getattr(report, f.name) == folded, f.name
+        for name in TOTALS:
+            folded = reduce(operator.add, (getattr(layer, name) for layer in report.layers))
+            assert getattr(report, name) == folded, name
 
 
 class TestMonotonicity:

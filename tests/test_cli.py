@@ -4,9 +4,15 @@ Exit 3 ("internal error") is reserved for defects in cvusim itself; no
 input a user can give may produce it.
 """
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvusim.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
 from cvusim.cost import default_params
@@ -84,6 +90,24 @@ def test_repeated_config_keeps_its_own_geomean(capsys):
     single = geomeans(base)
     repeated = geomeans([*base, "--config", "vector:ddr4"])
     assert repeated == [single[0], single[1], single[1]]
+
+
+def test_two_different_networks_of_one_name_are_an_input_error(tmp_path, capsys):
+    # the manifest keys input digests by network name, so one name must mean one file content
+    def network(m):
+        layer = {"kind": "fc", "m": m, "k": 4, "bw_x": 8, "bw_w": 8}
+        return json.dumps({"schema_version": 1, "name": "x", "layers": [layer]})
+
+    paths = {}
+    for label, content in (("a", network(4)), ("b", network(8)), ("a-copy", network(4))):
+        paths[label] = tmp_path / f"{label}.json"
+        paths[label].write_text(content)
+    configs = ["--config", "conventional:ddr4", "--config", "vector:ddr4"]
+    assert main(["compare", "--network", str(paths["a"]), "--network", str(paths["b"]), *configs]) == EXIT_INPUT
+    assert capsys.readouterr().err == "input error: two different network files are both named 'x'\n"
+    for first, second in (("a", "a"), ("a", "a-copy")):  # the same content twice is one input
+        argv = ["compare", "--network", str(paths[first]), "--network", str(paths[second]), *configs]
+        assert run(argv, capsys) == EXIT_OK
 
 
 @pytest.mark.parametrize(
@@ -221,3 +245,88 @@ def test_out_files_are_byte_identical(argv, tmp_path, capsys):
     assert run([*argv, "--out", str(second)], capsys) == EXIT_OK
     assert first.read_bytes() == second.read_bytes()
     assert first.read_bytes().startswith(f"# cvusim {argv[0]} report\n".encode())
+
+
+# Random inputs: one well-formed layer per kind, which a draw then breaks with wrong types,
+# out-of-range or unlisted fields, unknown kinds and missing fields; stacked layers rarely chain.
+GOOD_LAYERS = {
+    "conv": {"in_channels": 3, "out_channels": 8, "height": 8, "width": 8, "kernel": [3, 3], "bw_x": 8, "bw_w": 4},
+    "fc": {"m": 16, "k": 32, "bw_x": 8, "bw_w": 8},
+    "gemv": {"m": 16, "k": 16, "n": 2, "repeat": 4, "bw_x": 4, "bw_w": 2},
+}
+FIELDS = sorted({field for layer in GOOD_LAYERS.values() for field in layer} | {"name", "stride", "pool", "bogus"})
+VALUES = st.one_of(
+    st.integers(1, 64),
+    st.sampled_from([0, -1, 9, 2**16 + 1, 2**31, 10**30, 2.0, "8", True, None, [3, 3], [3], {}, "p,q"]),
+)
+
+
+@st.composite
+def layer_docs(draw):
+    kind = draw(st.sampled_from([*GOOD_LAYERS, *GOOD_LAYERS, "pool", 3]))
+    layer = {"kind": kind, **GOOD_LAYERS.get(kind, {})}
+    if draw(st.booleans()):
+        layer.update(draw(st.dictionaries(st.sampled_from(FIELDS), VALUES, max_size=2)))
+    if draw(st.booleans()):
+        del layer[draw(st.sampled_from(sorted(layer)))]
+    return layer
+
+
+@st.composite
+def network_texts(draw):
+    doc = {
+        "schema_version": draw(st.sampled_from([1] * 6 + [2, "1"])),
+        "name": draw(st.sampled_from(["x"] * 6 + ["", "a,b", 3])),
+        "bitwidth_mode": draw(st.sampled_from(["heterogeneous"] * 6 + ["homogeneous-8bit", "mixed"])),
+        "layers": draw(st.lists(layer_docs(), max_size=3)),
+    }
+    if draw(st.booleans()):
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    return draw(st.sampled_from([json.dumps(doc)] * 8 + ["[]", "{", '{"layers": 1}']))
+
+
+BUDGETS = st.sampled_from(["250", "100", "1", "1e-300", "5e6", "1e308", "0", "-1", "nan", "inf", "lots"])
+SRAM_BYTES = st.sampled_from(["6291456", "4096", "1", "0", "-5", str(2**63), str(10**30), "1.5"])
+NETWORKS = st.sampled_from(["{file}"] * 4 + ["convnet", "gru", "nope"])
+CONFIGS = st.sampled_from(["conventional:ddr4", "vector:hbm2", "scalar:ddr4", "vector:ddr4"] * 2 + ["vector:ddr5"])
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(["simulate", "compare"]))
+    if command == "simulate":
+        style = draw(st.sampled_from(["vector", "scalar", "conventional"] * 3 + ["systolic"]))
+        argv = ["simulate", "--network", draw(NETWORKS), "--style", style]
+        memory = draw(st.sampled_from(["ddr4", "hbm2", "custom"]))
+        argv += ["--memory", memory]
+        if memory == "custom" or not draw(st.integers(0, 9)):
+            argv += ["--bandwidth", draw(st.sampled_from(["16", "1e-9", "0"]))]
+            argv += ["--pj-per-bit", draw(st.sampled_from(["5", "1e300"]))]
+    else:
+        argv = ["compare"]
+        for network in draw(st.lists(NETWORKS, min_size=1, max_size=2)):
+            argv += ["--network", network]
+        for config in draw(st.lists(CONFIGS, min_size=2, max_size=3)):
+            argv += ["--config", config]
+    bitwidths = st.sampled_from(["file", "homogeneous", "mixed"])
+    for flag, values in (("--budget", BUDGETS), ("--sram-bytes", SRAM_BYTES), ("--bitwidths", bitwidths)):
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(argv=argvs(), text=network_texts())
+def test_random_inputs_exit_0_1_or_2_and_rerun_byte_identically(argv, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.json"
+        path.write_text(text)
+        argv = [arg.format(file=path) for arg in argv]
+        runs = []
+        for _ in range(2):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            runs.append((code, out.getvalue(), err.getvalue()))
+    assert runs[0][0] in (EXIT_OK, EXIT_USAGE, EXIT_INPUT), runs[0][2]
+    assert runs[0] == runs[1]

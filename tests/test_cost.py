@@ -52,7 +52,7 @@ def reference_objective(targets):
         return functools.reduce(operator.add, map(operator.mul, (units[k] for k in unit_keys), coeffs))
 
     sweep = (cfg(sw, lanes) for sw in (1, 2, 4) for lanes in LANES)
-    table = {key(c): dict(_structure(c), macs=c.lanes) for c in (*sweep, *(c for c, _ in targets))}
+    table = {key(c): dict(zip(unit_keys, _structure(c)), macs=c.lanes) for c in (*sweep, *(c for c, _ in targets))}
     keyed = [(key(c), observed) for c, observed in targets]
 
     def objective(x):
@@ -103,7 +103,7 @@ class TestCvuCost:
         global_units, global_adders, _ = _tree_reduce(shifted)
         assert global_adders == 15
         # the adder inventory is the global tree plus the accumulate adder only
-        assert _structure(cfg(2, 1))["add_units"] == global_units + _adder_units(ACCUMULATOR_BITS)
+        assert _structure(cfg(2, 1))[1] == global_units + _adder_units(ACCUMULATOR_BITS)
 
     def test_doubling_lanes_less_than_doubles_add(self):
         # add16 < 2 * add8 per CVU cycle, divided by the 16 MACs of that cycle
@@ -261,8 +261,8 @@ class TestCalibrate:
 
     def test_shipped_parameters_have_zero_qualitative_penalty(self):
         sweep = [cfg(sw, lanes) for sw in (1, 2) for lanes in LANES]
-        rows = [(cost._key(c), cost._unit_counts(_structure(c)), c.lanes) for c in sweep]
-        adder_first = cost._unit_counts(_structure(cfg(2, 16)))
+        rows = [(cost._key(c), _structure(c), c.lanes) for c in sweep]
+        adder_first = _structure(cfg(2, 16))
         for constants in (cost._energy_constants(PARAMS), cost._area_constants(PARAMS)):
             coeffs = list(constants)
             assert cost._qualitative_penalty(cost._norms_for(rows, coeffs), coeffs, adder_first) == 0.0
@@ -327,11 +327,10 @@ class TestInventoryCache:
         info = _structure.cache_info()
         assert (info.misses, info.hits) == (1, 1)
         units = _structure(cfg(2, 16))
+        assert type(units) is tuple and len(units) == len(cost._CATEGORIES)
         with pytest.raises(TypeError):
-            units["add_units"] = 0
-        with pytest.raises(TypeError):
-            del units["mult_units"]
-        assert _structure(cfg(2, 16)) == dict(units)
+            units[1] = 0
+        assert _structure(cfg(2, 16)) is units
 
     def test_calibration_matches_the_uncached_inventory(self, monkeypatch):
         cached = calibrate(DEFAULT_ANCHORS)

@@ -7,6 +7,11 @@ of ``compare`` over all six networks and four configs in each bitwidth mode,
 and of ``simulate`` for every network, style, memory and mode.
 ``sensitivity.txt`` holds the file-mode ``compare`` geomeans at several SRAM
 budgets, so a change in how the model moves weights shows in every diff.
+``design-points.txt`` holds the paper's four design points: vector against
+conventional on the same memory, on DDR4 and on HBM2, with the file's and with
+homogeneous 8-bit widths.  Per net it splits each speedup into three factors,
+speedup = compute_ratio * conventional_total_per_compute / vector_total_per_compute,
+where compute_ratio is conventional compute cycles over vector compute cycles.
 ``calibration.txt`` holds the relative error of every ``DEFAULT_ANCHORS``
 metric after ``calibrate`` fits all four anchors, and of each anchor's
 metrics when the other three are fitted (leave one out).  It prints 4
@@ -81,13 +86,18 @@ def cli_stdout(argv: list[str]) -> str:
     return out.getvalue()
 
 
-def compare_report(mode: str, *options: str) -> str:
+def compare_report(mode: str, *options: str, configs: tuple[str, ...] = COMPARE_CONFIGS) -> str:
     argv = ["compare", "--bitwidths", mode, *options]
     for net in NETS:
         argv += ["--network", net]
-    for config in COMPARE_CONFIGS:
+    for config in configs:
         argv += ["--config", config]
     return cli_stdout(argv)
+
+
+def _compare_rows(report: str) -> list[list[str]]:
+    """The CSV rows of a ``compare`` report: network, config, runtime, energy, speedup, energy reduction."""
+    return [line.split(",") for line in report.splitlines()[4:]]
 
 
 def simulate_reports() -> str:
@@ -103,10 +113,38 @@ def simulate_reports() -> str:
 def sensitivity_table() -> str:
     lines = ["sram_bytes,config,speedup,energy_reduction"]
     for mib in SENSITIVITY_SRAM_MIB:
-        for row in compare_report("file", "--sram-bytes", str(mib << 20)).splitlines():
-            if row.startswith("geomean,"):
-                _, config, _, _, speedup, energy = row.split(",")
+        report = compare_report("file", "--sram-bytes", str(mib << 20))
+        for network, config, _, _, speedup, energy in _compare_rows(report):
+            if network == "geomean":
                 lines.append(f"{mib << 20},{config},{speedup},{energy}")
+    return "\n".join(lines) + "\n"
+
+
+def design_points_table() -> str:
+    lines = [
+        "bitwidths,memory,network,speedup,energy_reduction,"
+        "compute_ratio,conventional_total_per_compute,vector_total_per_compute"
+    ]
+    params = default_params()
+    conventional, vector = build_array(Style.CONVENTIONAL, params), build_array(Style.VECTOR, params)
+    for mode in MODES:
+        for memory in MEMORIES:
+            report = compare_report(mode, configs=(f"conventional:{memory}", f"vector:{memory}"))
+            for network, config, _, _, speedup, energy in _compare_rows(report):
+                if config != f"vector:{memory}":
+                    continue
+                factors = ("-", "-", "-")
+                if network != "geomean":
+                    net = load_network(bundled_networks()[network])
+                    net = to_homogeneous(net) if mode == "homogeneous" else net
+                    base = simulate_network(net, conventional, MEMORIES[memory], params)
+                    ours = simulate_network(net, vector, MEMORIES[memory], params)
+                    factors = (
+                        f"{base.compute_cycles / ours.compute_cycles:.10g}",
+                        f"{base.total_cycles / base.compute_cycles:.10g}",
+                        f"{ours.total_cycles / ours.compute_cycles:.10g}",
+                    )
+                lines.append(",".join((mode, memory, network, speedup, energy, *factors)))
     return "\n".join(lines) + "\n"
 
 
@@ -135,6 +173,7 @@ FILES = {
     "simulate.txt": simulate_reports,
     "sensitivity.txt": sensitivity_table,
     "calibration.txt": calibration_table,
+    "design-points.txt": design_points_table,
 }
 
 
@@ -169,6 +208,10 @@ def test_sensitivity_table():
 
 def test_calibration_table():
     _check("calibration.txt")
+
+
+def test_design_points_table():
+    _check("design-points.txt")
 
 
 def _model_rows() -> list[dict[str, str]]:
