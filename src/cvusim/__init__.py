@@ -1,4 +1,9 @@
-"""Bit-sliced composable vector units: arithmetic, cost model, simulator."""
+"""Bit-sliced composable vector units: arithmetic, cost model, simulator.
+
+Importing the package loads only the standard library, and not its dataclass
+module or ``inspect``: the records are named tuples.  numpy loads when the first
+``QuantizedVector`` is built, scipy when ``calibrate`` first runs.
+"""
 
 __version__ = "0.1.0"
 

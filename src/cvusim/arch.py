@@ -65,15 +65,13 @@ from __future__ import annotations
 import math
 import operator
 from collections import namedtuple
-from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
-from typing import NamedTuple
 
 from .bitslice import QuantizedVector
 from .cost import CostParams, iso_power_array_size, per_mac_normalized
 from .cvu import CvuConfig, execute_cycle, plan_composition
-from .errors import ConfigError, RangeError, ShapeError
+from .errors import Checked, ConfigError, RangeError, ShapeError
 from .workloads import LayerKind, LayerSpec, NetworkSpec
 
 # Completed outputs are written back requantized to 8 bits.
@@ -91,15 +89,12 @@ class Style(str, Enum):
     VECTOR = "vector-composable"
 
 
-@dataclass(frozen=True)
-class MemorySpec:
+class MemorySpec(Checked, namedtuple("MemorySpec", "name bandwidth_bytes_per_s access_energy_pj_per_bit")):
     """Off-chip memory: sustained bandwidth and energy per bit moved."""
 
-    name: str
-    bandwidth_bytes_per_s: float
-    access_energy_pj_per_bit: float
+    __slots__ = ()
 
-    def __post_init__(self):  # at >= 1 byte/s, every transfer's cycle count stays finite
+    def _check(self):  # at >= 1 byte/s, every transfer's cycle count stays finite
         if not 1 <= self.bandwidth_bytes_per_s < math.inf or not 0 <= self.access_energy_pj_per_bit < math.inf:
             raise ConfigError(f"invalid memory spec {self}: needs finite bandwidth >= 1 byte/s and energy >= 0")
 
@@ -108,15 +103,10 @@ DDR4 = MemorySpec("ddr4", 16e9, 15.0)
 HBM2 = MemorySpec("hbm2", 256e9, 1.2)
 
 
-@dataclass(frozen=True)
-class AcceleratorConfig:
-    rows: int
-    cols: int
-    cvu: CvuConfig
-    weight_scratchpad_bytes: int
-    style: Style
+class AcceleratorConfig(Checked, namedtuple("AcceleratorConfig", "rows cols cvu weight_scratchpad_bytes style")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.rows < 1 or self.cols < 1:
             raise ConfigError(f"array geometry must be positive, got {self.rows}x{self.cols}")
         if self.weight_scratchpad_bytes < 1:
@@ -138,12 +128,10 @@ class AcceleratorConfig:
         return self.unit_count * self.weight_scratchpad_bytes
 
 
-class GemmDims(NamedTuple):
+class GemmDims(namedtuple("GemmDims", "m k n")):
     """Lowered layer: output rows m, reduction depth k, output columns n."""
 
-    m: int
-    k: int
-    n: int
+    __slots__ = ()
 
 
 def lower_layer(layer: LayerSpec) -> GemmDims:

@@ -47,7 +47,6 @@ import functools
 import operator
 import struct
 from collections.abc import Iterable
-from dataclasses import InitVar, dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import RangeError, ShapeError
@@ -79,27 +78,23 @@ def _is_integer(value) -> bool:
     return True
 
 
-@dataclass(frozen=True, eq=False)
 class QuantizedVector:
     """Integer vector with a declared bitwidth and signedness, held once.
 
     ``values`` is read once, into ``array``: a read-only int64 array that every
-    path reads.  The vector keeps no other copy of its elements; like any
-    object, it equals and hashes only itself.
+    path reads.  The vector keeps no other copy of its elements, refuses any
+    assignment to its attributes and, like any object, equals and hashes only itself.
     """
 
-    values: InitVar[Iterable[int]]
-    bitwidth: int
-    signed: bool = False
-    array: np.ndarray = field(init=False, repr=False)
+    __slots__ = ("bitwidth", "signed", "array")
 
-    def __post_init__(self, values):
-        if not isinstance(self.bitwidth, int) or not 1 <= self.bitwidth <= MAX_BITWIDTH:
-            raise RangeError(f"bitwidth must be an integer in 1..{MAX_BITWIDTH}, got {self.bitwidth!r}")
+    def __init__(self, values: Iterable[int], bitwidth: int, signed: bool = False):
+        if not isinstance(bitwidth, int) or not 1 <= bitwidth <= MAX_BITWIDTH:
+            raise RangeError(f"bitwidth must be an integer in 1..{MAX_BITWIDTH}, got {bitwidth!r}")
         raw = tuple(values)  # read a one-shot iterable once; a tuple is not copied
         import numpy as np
 
-        lo, hi = value_bounds(self.bitwidth, self.signed)
+        lo, hi = value_bounds(bitwidth, signed)
         try:  # packing calls __index__, and is about twice as fast as np.fromiter; the buffer is immutable bytes
             array = np.frombuffer(struct.pack(f"{len(raw)}q", *raw), np.int64)
         except (struct.error, TypeError):  # a non-integer, or a value outside int64 and so every declared range
@@ -109,9 +104,18 @@ class QuantizedVector:
             if bad is not None:  # a non-integer is named before any value out of range
                 raise RangeError(f"value {raw[bad]!r} at index {bad} is not an integer")
             i, v = next((i, v) for i, v in enumerate(map(operator.index, raw)) if not lo <= v <= hi)
-            kind = "signed" if self.signed else "unsigned"
-            raise RangeError(f"value {v} at index {i} outside {kind} {self.bitwidth}-bit range [{lo}, {hi}]")
-        object.__setattr__(self, "array", array)
+            kind = "signed" if signed else "unsigned"
+            raise RangeError(f"value {v} at index {i} outside {kind} {bitwidth}-bit range [{lo}, {hi}]")
+        for name, value in (("bitwidth", bitwidth), ("signed", signed), ("array", array)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *_):  # also __delattr__'s refusal
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"QuantizedVector(bitwidth={self.bitwidth!r}, signed={self.signed!r})"
 
     def __len__(self) -> int:
         return len(self.array)

@@ -15,7 +15,6 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import astuple
 from pathlib import Path
 
 from . import __version__
@@ -140,7 +139,7 @@ def cmd_dse(args) -> int:
         "mult_power", "add_power", "shift_power", "register_power",
         "mult_area", "add_area", "shift_area", "register_area",
     ]
-    rows = [[p.slice_width, p.lanes, p.breakdown.total_energy, p.breakdown.total_area, *astuple(p.breakdown)] for p in points]
+    rows = [[p.slice_width, p.lanes, p.breakdown.total_energy, p.breakdown.total_area, *p.breakdown] for p in points]
     parameters = {"slices": sorted(set(args.slices)), "lanes": sorted(set(args.lanes))}
     _emit("dse", parameters, digests, header, rows, args.out)
     return EXIT_OK
@@ -211,6 +210,8 @@ def cmd_compare(args) -> int:
         digest = _digest_file(path)
         if digests.setdefault(f"network:{net.name}", digest) != digest:  # the manifest keys digests by name
             raise ConfigError(f"two different network files are both named {net.name!r}")
+        if any(seen.name == net.name for seen in nets):  # a repeat would weigh the network twice in the geomean
+            raise _UsageError(f"--network names network {net.name!r} more than once")
         if args.bitwidths == "homogeneous":
             net = to_homogeneous(net)
         nets.append(net)

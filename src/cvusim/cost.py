@@ -28,14 +28,13 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
-from importlib import resources
 from pathlib import Path
 
 from .bitslice import MAX_BITWIDTH
 from .cvu import CvuConfig, plan_composition
-from .errors import CalibrationError, ConfigError, RangeError
+from .errors import CalibrationError, Checked, ConfigError, RangeError
 
 ACCUMULATOR_BITS = 64
 # Fixed per-adder overhead in bit equivalents (carry logic, cell granularity).
@@ -55,8 +54,12 @@ _energy_constants = operator.attrgetter(*(energy for _, energy, _ in _CATEGORIES
 _area_constants = operator.attrgetter(*(area for _, _, area in _CATEGORIES))
 
 
-@dataclass(frozen=True)
-class CostParams:
+class CostParams(Checked, namedtuple(
+    "CostParams",
+    "mult_energy_coeff adder_energy_per_bit shifter_energy_per_bit register_energy_per_bit"
+    " mult_area_coeff adder_area_per_bit shifter_area_per_bit register_area_per_bit conventional_mac_mw",
+    defaults=(0.25,),
+)):
     """Per-component energy/area constants plus the absolute power scale.
 
     ``mult_*_coeff`` multiplies s*s per multiplier of slice width s; the remaining
@@ -65,18 +68,10 @@ class CostParams:
     and is only used for iso-power sizing and energy accounting.
     """
 
-    mult_energy_coeff: float
-    adder_energy_per_bit: float
-    shifter_energy_per_bit: float
-    register_energy_per_bit: float
-    mult_area_coeff: float
-    adder_area_per_bit: float
-    shifter_area_per_bit: float
-    register_area_per_bit: float
-    conventional_mac_mw: float = 0.25
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name, value in self.__dict__.items():
+    def _check(self):
+        for name, value in zip(self._fields, self):
             if not 0 < value < math.inf:
                 raise RangeError(f"{name} must be strictly positive and finite, got {value}")
 
@@ -106,18 +101,13 @@ class CostParams:
             raise ConfigError(f"malformed cost params file: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class CostBreakdown:
+class CostBreakdown(namedtuple(
+    "CostBreakdown",
+    "multiply_energy add_energy shift_energy register_energy multiply_area add_area shift_area register_area",
+)):
     """Energy (per cycle) and area per hardware category."""
 
-    multiply_energy: float
-    add_energy: float
-    shift_energy: float
-    register_energy: float
-    multiply_area: float
-    add_area: float
-    shift_area: float
-    register_area: float
+    __slots__ = ()
 
     @property
     def total_energy(self) -> float:
@@ -128,13 +118,8 @@ class CostBreakdown:
         return self.multiply_area + self.add_area + self.shift_area + self.register_area
 
 
-@dataclass(frozen=True)
-class DsePoint:
-    """One design-space point and its per-MAC cost breakdown; the breakdown's totals are its power and area."""
-
-    slice_width: int
-    lanes: int
-    breakdown: CostBreakdown
+# One design-space point and its per-MAC cost breakdown; the breakdown's totals are its power and area.
+DsePoint = namedtuple("DsePoint", "slice_width lanes breakdown")
 
 
 def _adder_units(width_bits: int) -> int:
@@ -236,15 +221,12 @@ def iso_power_array_size(power_budget_mw: float, per_unit_power_mw: float) -> in
     return int(units)
 
 
-@dataclass(frozen=True)
-class CalibrationAnchor:
+class CalibrationAnchor(Checked, namedtuple("CalibrationAnchor", "cfg power_norm area_norm", defaults=(None, None))):
     """Observed normalized design point; either metric may be absent."""
 
-    cfg: CvuConfig
-    power_norm: float | None = None
-    area_norm: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         for name in ("power_norm", "area_norm"):
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:
@@ -387,5 +369,4 @@ def load_params(path: str | Path) -> CostParams:
 
 def default_params() -> CostParams:
     """The shipped calibrated parameter set."""
-    text = resources.files("cvusim").joinpath("data/default_cost_params.json").read_text()
-    return CostParams.from_json(text)
+    return load_params(Path(__file__).with_name("data") / "default_cost_params.json")

@@ -21,26 +21,24 @@ Planning imports nothing beyond the standard library; execution imports numpy.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .bitslice import MAX_BITWIDTH, VALID_SLICE_WIDTHS, QuantizedVector, nbve_dot, padded_bitwidth, slice_vector
-from .errors import RangeError, ShapeError
+from .errors import Checked, RangeError, ShapeError
 
 MAX_LANES = 2**16  # the cost model builds each engine's adder tree as a Python list of one leaf per lane
 
 
-@dataclass(frozen=True)
-class CvuConfig:
+class CvuConfig(Checked, namedtuple("CvuConfig", "lanes slice_width", defaults=(16, 2))):
     """Geometry of one CVU: lanes per engine, and the slice width of both operands.
 
     Every valid slice width divides ``MAX_BITWIDTH``.
     """
 
-    lanes: int = 16
-    slice_width: int = 2
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if not isinstance(self.lanes, int) or not 1 <= self.lanes <= MAX_LANES:
             raise RangeError(f"lanes must be an integer in 1..{MAX_LANES}, got {self.lanes!r}")
         if not isinstance(self.slice_width, int) or self.slice_width not in VALID_SLICE_WIDTHS:
@@ -51,8 +49,7 @@ class CvuConfig:
         return (MAX_BITWIDTH // self.slice_width) ** 2
 
 
-@dataclass(frozen=True)
-class CompositionPlan:
+class CompositionPlan(namedtuple("CompositionPlan", "bw_x bw_w clusters shifts effective_length slice_width")):
     """Runtime clustering of the engines for one bitwidth pair.
 
     ``bw_x``/``bw_w`` are the plan-effective (padded) bitwidths.  ``shifts``
@@ -61,24 +58,15 @@ class CompositionPlan:
     product elements the whole CVU completes per cycle: its MACs per cycle.
     """
 
-    bw_x: int
-    bw_w: int
-    clusters: int
-    shifts: tuple[int, ...]
-    effective_length: int
-    slice_width: int
+    __slots__ = ()
 
     @property
     def lanes(self) -> int:
         return self.effective_length // self.clusters
 
 
-@dataclass(frozen=True)
-class CvuOutput:
-    """Cluster scalars of every (w, x) pair of one call, plus the lane utilization."""
-
-    scalars: tuple[int, ...]
-    utilization: float
+# Cluster scalars of every (w, x) pair of one call, plus the lane utilization.
+CvuOutput = namedtuple("CvuOutput", "scalars utilization")
 
 
 def _plan_width(bitwidth: int, slice_width: int) -> int:

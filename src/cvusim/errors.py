@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the base of the records that raise them."""
 
 
 class RangeError(ValueError):
@@ -23,3 +23,21 @@ class CalibrationError(RuntimeError):
 
 class NetworkFormatError(ValueError):
     """A network description file violates the schema."""
+
+
+class Checked:
+    """Base of a named-tuple record that checks its values: ``__new__`` runs the record's ``_check``.
+
+    ``_make``, and so ``_replace``, builds through ``__new__`` too, so no record is built unchecked.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, values):
+        return cls(*values)

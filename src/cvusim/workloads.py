@@ -12,7 +12,7 @@ maximum).  The file's ``kernel`` is the pair ``[kernel_h, kernel_w]``.
 * ``_layer_from_dict`` (under :func:`parse_network`) checks the JSON shape
   only: a known kind, no unknown or missing fields, integers, plain names.
 * :class:`LayerSpec` checks the values: its kind's fields within bounds and
-  every other kind's field at its dataclass default.  :class:`NetworkSpec`
+  every other kind's field at its default, in ``_field_defaults``.  :class:`NetworkSpec`
   checks the bitwidth mode and the chain rule below.
 * conv ``height``/``width`` are the layer's input spatial dims; outputs are
   ``ceil(dim/stride)`` (same-style padding) and an optional ``pool`` factor
@@ -33,13 +33,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from enum import Enum
-from importlib import resources
 from pathlib import Path
 
 from .bitslice import MAX_BITWIDTH
-from .errors import NetworkFormatError
+from .errors import Checked, NetworkFormatError
 
 SCHEMA_VERSION = 1
 
@@ -70,30 +69,18 @@ _FILE_KEY = dict.fromkeys(_KERNEL, "kernel")
 _ANY_KIND = dict.fromkeys(field for fields in _LAYER_FIELDS.values() for field in fields)
 
 
-@dataclass(frozen=True)
-class LayerSpec:
+class LayerSpec(Checked, namedtuple(
+    "LayerSpec",
+    "kind bw_x bw_w name"
+    " in_channels out_channels height width kernel_h kernel_w stride pool"  # conv fields
+    " m k n repeat",  # fc / gemv fields
+    defaults=("", 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 1, 1),
+)):
     """One network layer with its quantized bitwidths."""
 
-    kind: LayerKind
-    bw_x: int
-    bw_w: int
-    name: str = ""
-    # conv fields
-    in_channels: int = 0
-    out_channels: int = 0
-    height: int = 0
-    width: int = 0
-    kernel_h: int = 0
-    kernel_w: int = 0
-    stride: int = 1
-    pool: int = 1
-    # fc / gemv fields
-    m: int = 0
-    k: int = 0
-    n: int = 1
-    repeat: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         own = _LAYER_FIELDS[self.kind]
         label = f"layer {self.name or self.kind.value}"
         for field, (_, maximum) in own.items():
@@ -101,7 +88,7 @@ class LayerSpec:
             if not 1 <= value <= maximum:
                 raise NetworkFormatError(f"{label}: {field}={value} outside 1..{maximum}")
         for field in _ANY_KIND:
-            if field not in own and getattr(self, field) != getattr(LayerSpec, field):  # the dataclass default
+            if field not in own and getattr(self, field) != self._field_defaults[field]:
                 raise NetworkFormatError(f"{label}: {field} does not apply to {self.kind.value} layers")
 
     # conv output geometry (same-style padding, then pooling)
@@ -129,13 +116,12 @@ class LayerSpec:
         return self.m
 
 
-@dataclass(frozen=True)
-class NetworkSpec:
-    name: str
-    layers: tuple[LayerSpec, ...]
-    bitwidth_mode: BitwidthMode = BitwidthMode.HETEROGENEOUS
+class NetworkSpec(
+    Checked, namedtuple("NetworkSpec", "name layers bitwidth_mode", defaults=(BitwidthMode.HETEROGENEOUS,))
+):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if not self.layers:
             raise NetworkFormatError(f"network {self.name!r} has no layers")
         if self.bitwidth_mode is BitwidthMode.HOMOGENEOUS:
@@ -248,16 +234,12 @@ def load_network(path: str | Path) -> NetworkSpec:
 
 def to_homogeneous(net: NetworkSpec) -> NetworkSpec:
     """The same network with every bitwidth forced to 8."""
-    layers = tuple(replace(l, bw_x=8, bw_w=8) for l in net.layers)
+    layers = tuple(l._replace(bw_x=8, bw_w=8) for l in net.layers)
     return NetworkSpec(name=net.name, layers=layers, bitwidth_mode=BitwidthMode.HOMOGENEOUS)
 
 
 def bundled_networks() -> dict[str, Path]:
     """Name -> path of the benchmark files shipped with the package."""
-    root = resources.files("cvusim").joinpath("data/benchmarks")
-    return {
-        p.name.removesuffix(".json"): Path(str(p))
-        for p in sorted(root.iterdir(), key=lambda p: p.name)
-        if p.name.endswith(".json")
-    }
+    root = Path(__file__).with_name("data") / "benchmarks"
+    return {path.stem: path for path in sorted(root.glob("*.json"))}
 

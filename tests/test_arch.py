@@ -4,7 +4,6 @@ import math
 import operator
 import random
 from collections import Counter
-from dataclasses import replace
 from functools import reduce
 
 import numpy as np
@@ -191,9 +190,9 @@ class TestRepeats:
         for name, layer in recurrent_cells():
             weight_bytes = weight_set_bytes(layer)
             assert weight_bytes <= acc.total_scratchpad_bytes
-            one = simulate_layer(replace(layer, repeat=1), acc, DDR4, PARAMS)
+            one = simulate_layer(layer._replace(repeat=1), acc, DDR4, PARAMS)
             for r in sorted({2, layer.repeat}):
-                rep = simulate_layer(replace(layer, repeat=r), acc, DDR4, PARAMS)
+                rep = simulate_layer(layer._replace(repeat=r), acc, DDR4, PARAMS)
                 assert rep.offchip_bytes == one.offchip_bytes + (r - 1) * (one.offchip_bytes - weight_bytes)
                 assert rep.compute_cycles == r * one.compute_cycles
                 if name == "lstm":
@@ -206,9 +205,9 @@ class TestRepeats:
         acc = build_array(Style.VECTOR, PARAMS, total_sram_bytes=1 << 16)
         for _, layer in recurrent_cells():
             assert weight_set_bytes(layer) > acc.total_scratchpad_bytes
-            one = simulate_layer(replace(layer, repeat=1), acc, DDR4, PARAMS)
+            one = simulate_layer(layer._replace(repeat=1), acc, DDR4, PARAMS)
             for r in sorted({2, layer.repeat}):
-                rep = simulate_layer(replace(layer, repeat=r), acc, DDR4, PARAMS)
+                rep = simulate_layer(layer._replace(repeat=r), acc, DDR4, PARAMS)
                 assert rep.offchip_bytes == r * one.offchip_bytes
                 assert rep.compute_cycles == r * one.compute_cycles
 
@@ -316,7 +315,7 @@ class TestClosedForm:
         layer = LayerSpec(kind=LayerKind.GEMV, m=1000, k=1000, bw_x=4, bw_w=4, repeat=repeat)
         expected = reference_layer_totals(layer, acc, DDR4, PARAMS)
         report = simulate_layer(layer, acc, DDR4, PARAMS)
-        one = simulate_layer(replace(layer, repeat=1), acc, DDR4, PARAMS)
+        one = simulate_layer(layer._replace(repeat=1), acc, DDR4, PARAMS)
         assert (report.offchip_bytes < repeat * one.offchip_bytes) is resident
         for name, want in zip(TOTALS, expected, strict=True):
             assert getattr(report, name) == want, name
@@ -689,7 +688,7 @@ class TestFunctionalEquivalence:
         w = QuantizedVector((w_value,) * k, 8, signed)
         arrays = [
             small_array(cvu=cvu),
-            small_array(cvu=replace(cvu, lanes=1), style=Style.SCALAR),
+            small_array(cvu=cvu._replace(lanes=1), style=Style.SCALAR),
             small_array(cvu=CvuConfig(lanes=1), style=Style.CONVENTIONAL),
         ]
         assert plan_composition(8, 8, cvu).clusters == 1  # one cluster: all k elements on its lanes

@@ -5,8 +5,6 @@ The shift-add recomposition itself is :func:`cvusim.cvu.execute_cycle`;
 clusters and operand sets, and ``test_arch.py`` reaches it through ``functional_dot``.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -159,7 +157,7 @@ class TestSliceVector:
         assert not vec.array.flags.writeable
         with pytest.raises(ValueError):
             vec.array[0] = 0
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             vec.array = np.zeros(3, np.int64)
         with pytest.raises(TypeError):
             QuantizedVector((1,), 4, array=np.ones(1, np.int64))

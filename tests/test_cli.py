@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from cvusim.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
 from cvusim.cost import default_params
+from cvusim.workloads import bundled_networks
 
 SIM = ["simulate", "--network", "convnet", "--style", "vector"]
 CUSTOM = [*SIM, "--memory", "custom"]
@@ -105,9 +106,20 @@ def test_two_different_networks_of_one_name_are_an_input_error(tmp_path, capsys)
     configs = ["--config", "conventional:ddr4", "--config", "vector:ddr4"]
     assert main(["compare", "--network", str(paths["a"]), "--network", str(paths["b"]), *configs]) == EXIT_INPUT
     assert capsys.readouterr().err == "input error: two different network files are both named 'x'\n"
-    for first, second in (("a", "a"), ("a", "a-copy")):  # the same content twice is one input
+    for first, second in (("a", "a"), ("a", "a-copy")):  # the same content twice is one network, repeated
         argv = ["compare", "--network", str(paths[first]), "--network", str(paths[second]), *configs]
-        assert run(argv, capsys) == EXIT_OK
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == "usage error: --network names network 'x' more than once\n"
+
+
+def test_repeated_network_is_a_usage_error_that_names_it(capsys):
+    # a repeat would count the network twice in the geomean: convnet, convnet, gru read 6.808 for 10.02
+    configs = ["--config", "conventional:ddr4", "--config", "vector:ddr4"]
+    convnet_file = str(bundled_networks()["convnet"])
+    for repeat in ("convnet", convnet_file):
+        assert main(["compare", "--network", "convnet", "--network", repeat, "--network", "gru", *configs]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "usage error: --network names network 'convnet' more than once\n")
+    assert run(["compare", "--network", "convnet", "--network", "gru", *configs], capsys) == EXIT_OK
 
 
 @pytest.mark.parametrize(

@@ -252,11 +252,11 @@ class TestCalibrate:
 
     def test_results_are_plain_floats(self):
         params, residuals = calibrate(DEFAULT_ANCHORS)
-        assert all(type(v) is float for v in (*vars(params).values(), *residuals.values()))
+        assert all(type(v) is float for v in (*params._asdict().values(), *residuals.values()))
 
     def test_default_anchors_recover_the_shipped_parameters(self):
         params, _ = calibrate(DEFAULT_ANCHORS)
-        for name, shipped in vars(PARAMS).items():
+        for name, shipped in PARAMS._asdict().items():
             assert getattr(params, name) == pytest.approx(shipped, rel=1e-6), name
 
     def test_shipped_parameters_have_zero_qualitative_penalty(self):

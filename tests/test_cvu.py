@@ -1,6 +1,5 @@
 """Composition planning, cycle execution, and throughput laws."""
 
-import dataclasses
 import math
 import random
 
@@ -315,7 +314,7 @@ class TestExecuteBatch:
         plan = plan_composition(4, 4, CvuConfig(lanes=2))
         x = QuantizedVector((3, 1), 4)
         assert execute_cycle([x], [x], plan).scalars[0] == 10
-        bad = dataclasses.replace(plan, shifts=(*plan.shifts[:-1], plan.shifts[-1] + 1))
+        bad = plan._replace(shifts=(*plan.shifts[:-1], plan.shifts[-1] + 1))
         with pytest.raises(RangeError, match="not a 2 x 2 grid"):
             execute_cycle([x], [x], bad)
 

@@ -1,7 +1,9 @@
 """Import hygiene: only `calibrate` may load scipy, and only it and the
 bit-exact functional path, from building its first `QuantizedVector` on, may
-load numpy."""
+load numpy.  Neither importing the package nor a CLI command loads
+`dataclasses` or `inspect`, which would add to every cold start."""
 
+import functools
 import json
 import os
 import subprocess
@@ -15,7 +17,11 @@ SRC = Path(cvusim.__file__).resolve().parent.parent
 _CHILD = """
 import contextlib, io, json, sys
 
+SLOW = {"dataclasses", "inspect"}
+started = set(sys.modules)
 import cvusim
+
+package = sorted(SLOW & (set(sys.modules) - started))
 from cvusim import cli, cost
 
 commands = (
@@ -28,8 +34,10 @@ for argv in commands:
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(cli.main(argv))
 loaded = sorted(m for m in sys.modules if m.startswith(("numpy", "scipy")))
+by_commands = sorted(SLOW & (set(sys.modules) - started))
 params, residuals = cost.calibrate(cost.DEFAULT_ANCHORS)
-print(json.dumps({"codes": codes, "loaded": loaded, "calibrated": type(params).__name__, "residuals": len(residuals)}))
+print(json.dumps({"codes": codes, "loaded": loaded, "package": package, "commands": by_commands,
+                  "calibrated": type(params).__name__, "residuals": len(residuals)}))
 """
 
 
@@ -53,6 +61,7 @@ print(json.dumps({"planned": planned, "constructed": constructed, "computed": lo
 """
 
 
+@functools.lru_cache(maxsize=None)  # each child runs once; its result is only read
 def _child(code: str) -> dict:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
@@ -68,6 +77,12 @@ def test_cli_commands_load_neither_numpy_nor_scipy_and_calibrate_still_works():
     assert result["loaded"] == []
     assert result["calibrated"] == "CostParams"
     assert result["residuals"] == 8  # power and area at each of the four default anchors
+
+
+def test_package_and_cli_commands_load_neither_dataclasses_nor_inspect():
+    result = _child(_CHILD)
+    assert result["codes"] == [0, 0, 0]
+    assert result["package"] == result["commands"] == []
 
 
 def test_planning_loads_no_numpy_and_the_functional_path_no_scipy():
