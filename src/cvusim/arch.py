@@ -138,13 +138,15 @@ def lower_layer(layer: LayerSpec) -> GemmDims:
     """Lower a layer to GEMM dimensions.
 
     Convolutions use im2col: m = output channels, k = C*R*S, n = output
-    pixels.
+    pixels, ``out_height * out_width``.
     """
-    if layer.kind is LayerKind.CONV:
-        return GemmDims(
-            layer.out_channels, layer.in_channels * layer.kernel_h * layer.kernel_w, layer.out_height * layer.out_width
-        )
-    return GemmDims(layer.m, layer.k, layer.n)
+    # One unpack in LayerSpec field order: every layer run lowers its layer, and a named-tuple
+    # field read or property call costs several times a local read.
+    kind, _, _, _, in_channels, out_channels, height, width, kernel_h, kernel_w, stride, _, m, k, n, _ = layer
+    if kind is LayerKind.CONV:
+        pixels = math.ceil(height / stride) * math.ceil(width / stride)
+        return GemmDims(out_channels, in_channels * kernel_h * kernel_w, pixels)
+    return GemmDims(m, k, n)
 
 
 # The figures that add up over the parts of a run (passes, layers, networks), in field order.

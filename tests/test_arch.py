@@ -81,6 +81,8 @@ class TestLowerLayer:
         )
         dims = lower_layer(layer)
         assert (dims.m, dims.k, dims.n) == (64, 27, 1024)
+        strided = layer._replace(height=31, width=20, kernel_w=5, stride=2, pool=3)
+        assert lower_layer(strided) == (64, 45, 16 * 10) == (64, 45, strided.out_height * strided.out_width)
 
     def test_fc(self):
         dims = lower_layer(fc(1024, 1024))

@@ -157,15 +157,22 @@ class TestSliceVector:
         assert not vec.array.flags.writeable
         with pytest.raises(ValueError):
             vec.array[0] = 0
+        for name, value in (("array", np.zeros(3, np.int64)), ("bitwidth", 8), ("signed", False), ("values", (1,))):
+            with pytest.raises(AttributeError):
+                setattr(vec, name, value)
         with pytest.raises(AttributeError):
-            vec.array = np.zeros(3, np.int64)
+            del vec.array
+        assert (vec.bitwidth, vec.signed, vec.array.tolist()) == (4, True, [3, -2, 1])
+        assert not hasattr(vec, "__dict__")
+        assert QuantizedVector((3, -2, 1), 4, True).signed  # positional, as the benchmark builds it
         with pytest.raises(TypeError):
             QuantizedVector((1,), 4, array=np.ones(1, np.int64))
         # the array is the only copy of the values, and value equality would compare
         # whole arrays: a vector equals and hashes only itself
-        assert vec == vec and vec != QuantizedVector((3, -2, 1), 4, signed=True)
+        twin = QuantizedVector((3, -2, 1), 4, signed=True)
+        assert vec == vec and vec != twin and len({vec, twin}) == 2
         assert hash(vec) == object.__hash__(vec)
-        assert "array" not in repr(vec) and not hasattr(vec, "values")
+        assert repr(vec) == "QuantizedVector(bitwidth=4, signed=True)" and not hasattr(vec, "values")
 
     def test_retains_one_int64_per_element(self):
         import tracemalloc

@@ -117,7 +117,8 @@ def test_repeated_network_is_a_usage_error_that_names_it(capsys):
     configs = ["--config", "conventional:ddr4", "--config", "vector:ddr4"]
     convnet_file = str(bundled_networks()["convnet"])
     for repeat in ("convnet", convnet_file):
-        assert main(["compare", "--network", "convnet", "--network", repeat, "--network", "gru", *configs]) == EXIT_USAGE
+        argv = ["compare", "--network", "convnet", "--network", repeat, "--network", "gru", *configs]
+        assert main(argv) == EXIT_USAGE
         assert capsys.readouterr() == ("", "usage error: --network names network 'convnet' more than once\n")
     assert run(["compare", "--network", "convnet", "--network", "gru", *configs], capsys) == EXIT_OK
 

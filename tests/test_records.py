@@ -1,14 +1,13 @@
-"""The package's records: named tuples that check their values on every construction path,
-and the one vector class that holds its array once and equals only itself."""
+"""The package's records: named tuples that check their values on every construction path.
+
+``QuantizedVector``, the one record that is not a tuple, is covered in ``test_bitslice.py``."""
 
 import math
 import re
 
-import numpy as np
 import pytest
 
 from cvusim.arch import DDR4, AcceleratorConfig, Style
-from cvusim.bitslice import QuantizedVector
 from cvusim.cost import DEFAULT_ANCHORS, CalibrationAnchor, CostParams, default_params
 from cvusim.cvu import CvuConfig
 from cvusim.errors import ConfigError, NetworkFormatError, RangeError
@@ -79,18 +78,3 @@ def test_defaults_are_the_named_tuples_field_defaults():
     assert NetworkSpec("x", (FC,)).bitwidth_mode is BitwidthMode.HETEROGENEOUS
     assert FC == (LayerKind.FC, 8, 8, "", 0, 0, 0, 0, 0, 0, 1, 1, 4, 4, 1, 1)
 
-
-def test_quantized_vector_refuses_assignment_and_equals_and_hashes_only_itself():
-    vec = QuantizedVector((3, -2, 1), 4, True)  # positional, as the benchmark builds it
-    assert (vec.bitwidth, vec.signed, vec.array.tolist()) == (4, True, [3, -2, 1])
-    for name, value in (("array", np.zeros(3, np.int64)), ("bitwidth", 8), ("signed", False), ("values", (1,))):
-        with pytest.raises(AttributeError):
-            setattr(vec, name, value)
-    with pytest.raises(AttributeError):
-        del vec.array
-    assert (vec.bitwidth, vec.signed, vec.array.tolist()) == (4, True, [3, -2, 1])
-    assert not hasattr(vec, "__dict__")
-    twin = QuantizedVector((3, -2, 1), 4, signed=True)
-    assert vec == vec and vec != twin and len({vec, twin}) == 2
-    assert hash(vec) == object.__hash__(vec) and hash(twin) == object.__hash__(twin)
-    assert repr(vec) == "QuantizedVector(bitwidth=4, signed=True)"
