@@ -12,8 +12,8 @@ maximum).  The file's ``kernel`` is the pair ``[kernel_h, kernel_w]``.
 * ``_layer_from_dict`` (under :func:`parse_network`) checks the JSON shape
   only: a known kind, no unknown or missing fields, integers, plain names.
 * :class:`LayerSpec` checks the values: its kind's fields within bounds and
-  every other kind's field at its default, in ``_field_defaults``.  :class:`NetworkSpec`
-  checks the bitwidth mode and the chain rule below.
+  every other kind's field at its default (``_field_defaults``).
+  :class:`NetworkSpec` checks the bitwidth mode and the chain rule below.
 * conv ``height``/``width`` are the layer's input spatial dims; outputs are
   ``ceil(dim/stride)`` (same-style padding) and an optional ``pool`` factor
   downsamples the output fed to the next layer (pooling arithmetic itself is
