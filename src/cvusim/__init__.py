@@ -2,7 +2,7 @@
 
 Importing the package loads only the standard library, and not its dataclass
 module or ``inspect``: the records are named tuples.  numpy loads when the first
-``QuantizedVector`` is built, scipy when ``calibrate`` first runs.
+``QuantizedVector`` is built or ``calibrate`` first runs; nothing loads scipy.
 """
 
 __version__ = "0.1.0"

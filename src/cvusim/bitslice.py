@@ -47,10 +47,10 @@ import functools
 import operator
 import struct
 from collections.abc import Iterable
-from typing import TYPE_CHECKING
 
 from .errors import RangeError, ShapeError
 
+TYPE_CHECKING = False  # true only to a type checker; importing typing would add to every cold start
 if TYPE_CHECKING:
     import numpy as np
 

@@ -13,10 +13,10 @@ energy and area fields and of the fit's coefficients.
 Free per-bit constants absorb technology detail and are pinned by
 :func:`calibrate` against observed normalized design points.  The shipped
 defaults live in ``data/default_cost_params.json``.  Only :func:`calibrate`
-needs numpy and scipy; it imports them on its first call, so evaluating the
-model never loads either.  The fit prices only the inventories its objective
-reads, from integer unit rows built once, and computes on Python floats in a
-fixed order after one ``np.exp`` per evaluation (see :func:`_fit_metric`).
+needs numpy, which it imports on its first call, and nothing needs scipy.  The
+fit prices only the inventories its objective reads, from integer unit rows built
+once, and walks its Nelder-Mead simplex on Python floats in a fixed order; its
+only host-dependent steps are numpy's ``exp`` and ``log`` (see :func:`_fit_metric`).
 
 The normalization baseline is a conventional 8-bit MAC costed with the same
 component model: one 8x8 multiplier, an accumulate adder, and an accumulator
@@ -29,7 +29,7 @@ import json
 import math
 import operator
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, reduce
 from pathlib import Path
 
 from .bitslice import MAX_BITWIDTH
@@ -307,20 +307,61 @@ def _fit_objective(targets: list[tuple[CvuConfig, float]]):
     return objective
 
 
+def _by_value(vertex: tuple[float, list[float]]) -> tuple[bool, float]:
+    return vertex[0] != vertex[0], vertex[0]  # NaN last
+
+
+def _nelder_mead(objective, x0: list[float], maxiter=4000):
+    """SciPy's ``minimize(objective, x0, method="Nelder-Mead")`` with ``xatol=1e-8``, ``fatol=1e-10`` and ``maxiter``,
+    step for step, on Python floats in SciPy's order; return (x, f, iterations).  Each step sorts the vertices
+    by value, NaN last, stably: NumPy's SIMD ``argsort`` may reorder ties, making SciPy's path depend on the CPU."""
+    n, iterations = len(x0), 1
+    simplex = [list(x0)] + [[(1.05 * v if v != 0 else 0.00025) if i == k else v for i, v in enumerate(x0)]
+                            for k in range(n)]
+    simplex = sorted(((objective(x), x) for x in simplex), key=_by_value)
+    while iterations < maxiter:
+        (f_best, best), *rest = simplex
+        if all(abs(f_best - f) <= 1e-10 and all(abs(a - b) <= 1e-8 for a, b in zip(x, best)) for f, x in rest):
+            break
+        centroid = [reduce(operator.add, column) / n for column in zip(*(x for _, x in simplex[:-1]))]
+        f_worst, worst = simplex[-1]
+        xr = [2 * c - w for c, w in zip(centroid, worst)]
+        fxr = objective(xr)
+        if fxr < f_best:  # expand
+            xe = [3 * c - 2 * w for c, w in zip(centroid, worst)]
+            fxe = objective(xe)
+            simplex[-1] = (fxe, xe) if fxe < fxr else (fxr, xr)
+        elif fxr < simplex[-2][0]:
+            simplex[-1] = (fxr, xr)
+        else:  # contract outside, towards the reflection, or inside, towards the worst vertex
+            outside = fxr < f_worst
+            x = [1.5 * c - 0.5 * w if outside else 0.5 * c + 0.5 * w for c, w in zip(centroid, worst)]
+            fx = objective(x)
+            if fx <= fxr if outside else fx < f_worst:
+                simplex[-1] = (fx, x)
+            else:  # shrink every other vertex halfway to the best
+                shrunk = ([b + 0.5 * (v - b) for b, v in zip(best, x)] for _, x in rest)
+                simplex[1:] = [(objective(x), x) for x in shrunk]
+        iterations += 1
+        simplex.sort(key=_by_value)
+    f_best, f_last = simplex[0][0], simplex[-1][0]
+    return simplex[0][1], f_last if f_last != f_last else f_best, iterations  # np.min's value: a NaN wins
+
+
 def _fit_metric(targets: list[tuple[CvuConfig, float]]) -> list[float]:
     """The four category coefficients, as Python floats, that minimize :func:`_fit_objective`.
 
     The objective's integer unit rows are built once, only for what it reads: the 1- and 2-bit lane
     sweeps and the anchors.  Each evaluation turns its coefficients into Python floats with one
-    ``np.exp`` (``math.exp`` can differ in the last bit, which moves the Nelder-Mead path) and
-    does every later sum, ratio and penalty term on Python floats in a fixed left-to-right order.
+    ``np.exp``; every later term, and every :func:`_nelder_mead` step, is on Python floats in a fixed
+    order.  So ``np.exp``, with ``np.log`` of the starts, is the only host-dependent step: ``math.exp``
+    or another libm can differ in the last bit, which moves the simplex path.
     """
     import numpy as np
-    from scipy.optimize import minimize
 
-    objective, options = _fit_objective(targets), {"xatol": 1e-8, "fatol": 1e-10, "maxiter": 4000}
-    fits = [minimize(objective, np.log(start), method="Nelder-Mead", options=options) for start in _FIT_STARTS]
-    return [1.0, *np.exp(min(fits, key=lambda res: res.fun).x).tolist()]  # the first best fit
+    objective = _fit_objective(targets)
+    fits = [_nelder_mead(objective, np.log(start).tolist()) for start in _FIT_STARTS]
+    return [1.0, *np.exp(min(fits, key=lambda fit: fit[1])[0]).tolist()]  # the first best fit
 
 
 def calibrate(anchors) -> tuple[CostParams, dict[str, float]]:

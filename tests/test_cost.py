@@ -5,10 +5,11 @@ import math
 import operator
 import warnings
 from importlib import resources
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cvusim.cost as cost
@@ -316,6 +317,86 @@ class TestFitObjective:
         monkeypatch.setattr(cost, "_fit_objective", checked)
         assert calibrate(DEFAULT_ANCHORS) == expected
         assert len(visited) > 1000
+
+
+# the fits calibrate runs: the target sets above and those of the four leave-one-out anchor sets
+LEAVE_ONE_OUT = tuple(DEFAULT_ANCHORS[:i] + DEFAULT_ANCHORS[i + 1:] for i in range(len(DEFAULT_ANCHORS)))
+PARITY_SETS = (*TARGET_SETS, *(targets for anchors in LEAVE_ONE_OUT for targets in fit_targets(anchors)))
+
+
+def scipy_nelder_mead(objective, x0, maxiter=4000):
+    """SciPy's Nelder-Mead with the fit's options, as (x, f, iterations) in Python floats."""
+    minimize = pytest.importorskip("scipy.optimize").minimize
+    res = minimize(objective, x0, method="Nelder-Mead", options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": maxiter})
+    return res.x.tolist(), float(res.fun), res.nit
+
+
+STABLE_ARGSORT = functools.partial(np.argsort, kind="stable")
+
+
+def bits(values):
+    return [float(v).hex() for v in values]  # tells -0.0 from 0.0, and a NaN equals a NaN
+
+
+class TestNelderMead:
+    # the in-package simplex walk must take SciPy's path exactly, so every fit ends on the same bits
+
+    @pytest.mark.parametrize("targets", PARITY_SETS)
+    def test_equal_to_scipy_on_every_fit(self, targets):
+        objective = cost._fit_objective(targets)
+        for start in cost._FIT_STARTS:
+            x0 = np.log(start).tolist()
+            x, fun, nit = cost._nelder_mead(objective, x0)
+            ref_x, ref_fun, ref_nit = scipy_nelder_mead(objective, x0)
+            assert (bits(x), bits([fun]), nit) == (bits(ref_x), bits([ref_fun]), ref_nit), start
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        x0=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+        center=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+        weights=st.lists(st.floats(0.5, 4.0), min_size=3, max_size=3),
+        k=st.integers(0, 2),
+        bad=st.sampled_from([math.nan, math.inf]),
+    )
+    # x0[1] is lost in (x - center), so vertices that differ only there tie, and the SIMD argsort
+    # of NumPy on AVX2 and AVX-512 hosts puts them in another order than a stable sort does
+    @example(
+        x0=[0.5033329799474151, 2.303667073953543e-41, -0.1602456117906046],
+        center=[2.2507793590611893, 1.0, 2.1615953146006], weights=[2.84375, 1.0, 2.765625], k=1, bad=math.nan,
+    )
+    def test_equal_to_scipy_where_the_objective_is_not_finite(self, x0, center, weights, k, bad):
+        # A quadratic that gives ``bad`` past x0[k], on the side the first simplex moves it to, so that
+        # one first vertex is bad and NaN must sort last, as inf does.  SciPy sorts the simplex with
+        # np.argsort, whose order of tied values is the CPU's, so the reference sorts stably.
+        side = 1.0 if x0[k] >= 0 else -1.0
+
+        def objective(x):
+            x = [float(v) for v in x]
+            if side * (x[k] - x0[k]) > 0:
+                return bad
+            return sum(w * (v - c) * (v - c) for w, v, c in zip(weights, x, center))
+
+        x, fun, nit = cost._nelder_mead(objective, x0)
+        with mock.patch.object(np, "argsort", STABLE_ARGSORT):
+            ref_x, ref_fun, ref_nit = scipy_nelder_mead(objective, np.array(x0))
+        assert (bits(x), bits([fun]), nit) == (bits(ref_x), bits([ref_fun]), ref_nit)
+
+    def test_a_nan_vertex_at_the_iteration_limit_makes_the_value_nan(self):
+        # SciPy's value is np.min over the simplex, which a NaN wins; every point but x0 gives NaN
+        x0 = [0.5, -1.0, 2.0]
+
+        def objective(x):
+            return 1.0 if [float(v) for v in x] == x0 else math.nan
+
+        x, fun, nit = cost._nelder_mead(objective, x0, maxiter=2)
+        assert (x, math.isnan(fun), nit) == (x0, True, 2)
+        ref_x, ref_fun, ref_nit = scipy_nelder_mead(objective, x0, maxiter=2)
+        assert (bits(x), bits([fun]), nit) == (bits(ref_x), bits([ref_fun]), ref_nit)
+
+    def test_nan_sorts_last(self):
+        # NaN compares false both ways, so only the key keeps it after inf and every finite value
+        vertices = [(math.nan, [0.0]), (math.inf, [1.0]), (2.0, [2.0]), (-math.inf, [3.0])]
+        assert [x for _, x in sorted(vertices, key=cost._by_value)] == [[3.0], [2.0], [1.0], [0.0]]
 
 
 class TestInventoryCache:
