@@ -14,31 +14,30 @@ those products is :func:`cvusim.cvu.execute_cycle`.  :func:`dot_exact` is
 the independent full-precision path, in Python integers, that every composed
 result must reproduce bit for bit.
 
-No plane dot product can lose a bit.  A slice is at most 4 bits wide, so
-every plane value is at most 2**4 in magnitude and every lane product at most
-2**8.  A plane of 2**40 int64 elements would take 8 TiB, so every addressable
-plane is shorter, and every partial sum of a plane dot product stays below
-2**48: exact in int64 and, in any summation order, in float64.  The shift-add's
-bound is in :mod:`cvusim.cvu`; only a hand-built composition plan wider than
-``MAX_BITWIDTH`` reaches its int64 guard.
+No plane dot product can lose a bit.  A slice is s <= 4 bits wide, so every plane value is below
+2**s in magnitude, every lane product below 2**(2s) <= 2**8, and every partial sum of a plane dot
+product over L lanes below L * 2**(2s).  A plane of 2**40 int64 elements would take 8 TiB, so every
+addressable plane is shorter and every such sum stays below 2**48: exact in int64 and, in any
+summation order, in float64, and in float32 while L * 2**(2s) <= 2**24, the bound on which
+:mod:`cvusim.cvu` casts planes to float32.  The shift-add's bound is in :mod:`cvusim.cvu`; only a
+hand-built composition plan wider than ``MAX_BITWIDTH`` reaches its int64 guard.
 
 Signedness convention: two's complement, with only the most-significant slice
 of a signed operand carrying a negative weight.  All other slices are
 unsigned.  Bitwidths that are not multiples of the slice width are sign- or
 zero-extended up to the next multiple before slicing.
 
-A :class:`QuantizedVector` holds its operand once, as a read-only int64
-``array``: its values are packed into it when the vector is built, and one
-min/max over it checks the declared range.  Every path computes from that
-array.  :func:`slice_vector` slices it in int16, which holds every value of at most
-``MAX_BITWIDTH`` bits ([-128, 255]) and every plane of it: one AND of the operand shifted
-right by a cached column ``0, s, 2s, ...`` with a cached mask column, ``2**s - 1`` except
-for ``-1`` (all ones) on the top plane, which keeps the arithmetic shift's sign at any
-padded width.  Planes come back as int64, or through ``out`` into an int16 staging array.
-The conventional style's dot product is one int64 dot of two arrays.  :func:`dot_exact`
-adds the Python integers of ``array.tolist()`` instead, so the oracle shares no arithmetic
-with the paths it checks.  numpy is imported only when a vector is built, so planning and
-the analytic model never load it.
+A :class:`QuantizedVector` holds its operand once, as a read-only int64 ``array``: its values are
+packed into it when the vector is built, and one min/max over it checks the declared range.  Every
+path computes from that array.  :func:`slice_planes` is the one shift-and-mask that slices: one AND
+of the values shifted right by a cached column ``0, s, 2s, ...`` with a cached mask column,
+``2**s - 1`` except for ``-1`` (all ones) on the top plane, which keeps the arithmetic shift's sign
+at any padded width.  It runs in int16, which holds every value of at most ``MAX_BITWIDTH`` bits
+([-128, 255]) and every plane of it.  :func:`slice_vector` runs it on one vector, into int64 planes
+or ``out``; :mod:`cvusim.cvu` runs it once per block of operands staged in int16.  The conventional
+style's dot product is one int64 dot of two arrays.  :func:`dot_exact` adds the Python integers of
+``array.tolist()`` instead, so the oracle shares no arithmetic with the paths it checks.  numpy is
+imported only when a vector is built, so planning and the analytic model never load it.
 """
 
 from __future__ import annotations
@@ -149,10 +148,16 @@ def slice_vector(vec: QuantizedVector, slice_width: int, *, bitwidth: int | None
         raise RangeError(f"cannot slice {vec.bitwidth}-bit vector at narrower width {bw}")
     import numpy as np
 
-    shifts, masks = _shift_mask(padded_bitwidth(bw, slice_width), slice_width)
-    if out is None:
-        out = np.empty((len(shifts), len(vec)), np.int64)
-    return np.bitwise_and(vec.array.astype(np.int16) >> shifts, masks, out=out)
+    planes = slice_planes(vec.array.astype(np.int16), slice_width, bw, out=out)
+    return planes if out is not None else planes.astype(np.int64)
+
+
+def slice_planes(values: np.ndarray, slice_width: int, bitwidth: int, out=None) -> np.ndarray:
+    """Slice int16 ``values`` of shape (length,) or (..., 1, length) at ``bitwidth``, padded, to (..., planes, length)."""
+    import numpy as np
+
+    shifts, masks = _shift_mask(padded_bitwidth(bitwidth, slice_width), slice_width)
+    return np.bitwise_and(values >> shifts, masks, out=out)
 
 
 def nbve_dot(x_planes: np.ndarray, w_planes: np.ndarray) -> np.ndarray:

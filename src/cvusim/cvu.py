@@ -1,21 +1,17 @@
 """One Composable Vector Unit: planning, functional execution, throughput.
 
-A CVU is a square grid of narrow-bitwidth vector engines (NBVEs), one per
-pair of ``slice_width``-bit planes of two ``MAX_BITWIDTH``-bit operands.  Each
-engine holds ``lanes`` multipliers, ``slice_width`` bits wide on both operands,
-feeding a private adder tree, and emits one slice-plane dot-product scalar per
-cycle.  For a given operand bitwidth pair the engines are clustered at runtime:
-every cluster covers the full plane grid of one dot product, and independent
-clusters run disjoint dot products in parallel, so all engines stay busy at
-every bitwidth.
+A CVU is a square grid of narrow-bitwidth vector engines (NBVEs), one per pair of ``slice_width``-bit
+planes of two ``MAX_BITWIDTH``-bit operands.  Each engine holds ``lanes`` multipliers, ``slice_width``
+bits wide on both operands, feeding a private adder tree, and emits one slice-plane dot-product scalar
+per cycle.  For a given operand bitwidth pair the engines are clustered at runtime: every cluster
+covers the full plane grid of one dot product, and independent clusters run disjoint dot products in
+parallel, so all engines stay busy at every bitwidth.
 
-:func:`execute_cycle` runs every (w, x) pair of a set of operands of one
-length over the fewest cycles that hold it: each pair's element stream is
-spread over the clusters, ``cycles * lanes`` elements each, and every cluster
-emits its share of the dot product.
-Each side's operands are sliced into one int16 staging array, cast once to float64 for the
-engines' matmuls; the shift-add is two int64 contractions against weights cached per plan.
-Planning imports nothing beyond the standard library; execution imports numpy.
+:func:`execute_cycle` runs every (w, x) pair of a set of operands of one length over the fewest
+cycles that hold it: each pair's element stream is spread over the clusters, ``cycles * lanes``
+elements each, and every cluster emits its share of the dot product.  Each block of operands is
+sliced by one shift-and-mask and cast once to float for the engines' matmuls; the shift-add is one
+int64 contraction against weights cached per plan.  Execution imports numpy; planning does not.
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ import functools
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .bitslice import MAX_BITWIDTH, VALID_SLICE_WIDTHS, QuantizedVector, nbve_dot, padded_bitwidth, slice_vector
+from .bitslice import MAX_BITWIDTH, VALID_SLICE_WIDTHS, QuantizedVector, nbve_dot, padded_bitwidth, slice_planes, slice_vector
 from .errors import Checked, RangeError, ShapeError
 
 MAX_LANES = 2**16  # the cost model builds each engine's adder tree as a Python list of one leaf per lane
@@ -103,37 +99,36 @@ def plan_composition(bw_x: int, bw_w: int, cfg: CvuConfig) -> CompositionPlan:
     )
 
 
-# The w operands run in blocks of rows with rows * (clusters * lanes + n) near
-# this many elements, which bounds one block's w planes and engine products.
-_BLOCK_ELEMENTS = 1 << 16
+_BLOCK_ELEMENTS = 1 << 16  # operand elements per x block; per w block, elements plus (w, x) pairs
 
 
-def _planes(operands, slice_width: int, bitwidth: int, clusters: int, lanes: int):
-    """Float64 planes [cluster, operand * plane, lane] of operands zero-padded to ``clusters * lanes`` elements.
+def _planes(operands, slice_width: int, bitwidth: int, clusters: int, lanes: int, plane_major: bool):
+    """Float planes [cluster, operand * plane (or plane * operand), lane], zero-padded to ``clusters * lanes``.
 
-    Each operand is sliced once, at the plan's padded ``bitwidth``, into its slot of an int16 staging
-    array [operand, plane, cluster * lane]; one C-ordered transposing cast gives the float64 planes."""
+    One call slices the block: :func:`slice_vector` a lone operand, :func:`slice_planes` the int16 staging
+    array one assignment fills.  One cast, to float32 where exact (see :mod:`cvusim.bitslice`), gives BLAS a view."""
     import numpy as np
 
-    planes = bitwidth // slice_width
-    stage = np.zeros((len(operands), planes, clusters * lanes), np.int16)
-    for i, vec in enumerate(operands):
-        slice_vector(vec, slice_width, bitwidth=bitwidth, out=stage[i, :, : len(vec)])
-    stage = stage.reshape(len(operands), planes, clusters, lanes).transpose(2, 0, 1, 3)
-    return stage.astype(np.float64, order="C").reshape(clusters, len(operands) * planes, lanes)
+    if len(operands) == 1:  # nothing to stage: slice the operand's own array into its planes
+        planes = np.zeros((bitwidth // slice_width, clusters * lanes), np.int16)
+        slice_vector(operands[0], slice_width, bitwidth=bitwidth, out=planes[:, : len(operands[0])])
+    else:
+        stage = np.zeros((len(operands), 1, clusters * lanes), np.int16)
+        stage[:, 0, : len(operands[0])] = [v.array for v in operands]
+        planes = slice_planes(stage.reshape(-1) if plane_major else stage, slice_width, bitwidth)
+    dtype = np.float32 if lanes << 2 * slice_width <= 1 << 24 else np.float64
+    return planes.astype(dtype).reshape(-1, clusters, lanes).transpose(1, 0, 2)
 
 
 @functools.lru_cache(maxsize=256)
 def _shift_weights(plan: CompositionPlan):
-    """Read-only int64 shift-add weights ``2**(s * j)`` and ``2**(s * k)``, read off ``plan.shifts``."""
+    """Int64 shift-add weights ``2**s`` of ``plan.shifts``, which must be the plane grid; read-only, as every call shares them."""
     import numpy as np
 
-    pw = plan.bw_w // plan.slice_width
-    x, w = (np.array([1 << s for s in shifts], np.int64) for shifts in (plan.shifts[::pw], plan.shifts[:pw]))
-    if np.outer(x, w).ravel().tolist() != [1 << s for s in plan.shifts]:  # the plan stays the shifts' source
-        raise RangeError(f"plan shifts {plan.shifts} are not a {len(x)} x {pw} grid of s * j + s * k")
-    x.flags.writeable = w.flags.writeable = False  # shared by every call with this plan
-    return x, w
+    s, pw = plan.slice_width, plan.bw_w // plan.slice_width
+    if plan.shifts != tuple(s * j + s * k for j in range(plan.bw_x // s) for k in range(pw)):
+        raise RangeError(f"plan shifts {plan.shifts} are not a {plan.bw_x // s} x {pw} grid of s * j + s * k")
+    return np.frombuffer(np.array([1 << shift for shift in plan.shifts], np.int64).tobytes(), np.int64)
 
 
 def execute_cycle(
@@ -141,23 +136,21 @@ def execute_cycle(
 ) -> CvuOutput:
     """Functionally execute every (w, x) pair of n x and m w operands over the fewest cycles that hold them.
 
-    The operands share one length k, which takes ``cycles = max(1, ceil(k / effective_length))``
-    cycles.  Each pair's stream is reshaped to [clusters, cycles, lanes], zero-padded, so
-    cluster c reduces elements ``[c * cycles * lanes, (c + 1) * cycles * lanes)``.  ``scalars``
-    holds m * n * clusters values, in the order w, then x, then cluster; a pair's dot product
-    is the sum of its cluster scalars.  Utilization is the share of one pair's
-    ``cycles * effective_length`` lane slots that held an element.
+    The operands share one length k, which takes ``cycles = max(1, ceil(k / effective_length))`` cycles.
+    Each pair's stream is reshaped to [clusters, cycles, lanes], zero-padded, so cluster c reduces
+    elements ``[c * cycles * lanes, (c + 1) * cycles * lanes)``.  ``scalars`` holds m * n * clusters
+    values, in the order w, then x, then cluster; a pair's dot product is the sum of its cluster
+    scalars.  Utilization is the share of a pair's ``cycles * effective_length`` lane slots in use.
 
-    Every scalar comes from the engines' plane dot products (:func:`nbve_dot`) and the
-    plan's shift-add tree, never from the full-precision oracle.  Each operand is sliced
-    once.  The w operands run in blocks, so a call holds the x planes and one block's w
-    planes and engine products, never an array of m * n * k elements.
+    Every scalar comes from the engines' plane dot products (:func:`nbve_dot`) and the plan's shift-add
+    tree, never from the full-precision oracle.  Both sides run in blocks of about ``_BLOCK_ELEMENTS``
+    elements (or one longer operand), each sliced in one call: whatever n and m are, a call holds one x
+    block's planes, one w block's planes and their engine products, and the m * n * clusters scalars.
 
-    The float64 plane dot products are exact (see :mod:`cvusim.bitslice`).  The int64
-    shift-add cannot wrap: the planes of an element padded to e bits weigh at most 2**e, so
-    every partial sum of one cluster's shift-add over L lanes is at most ``L * 2**(bw_x + bw_w)``,
-    below 2**56 at 8-bit widths.  Only a hand-built plan wider than ``MAX_BITWIDTH`` bits could
-    pass 2**63, and such a call raises :class:`RangeError`.
+    The float plane dot products are exact (see :mod:`cvusim.bitslice`).  The int64 shift-add cannot
+    wrap: the planes of an element padded to e bits weigh at most 2**e, so every partial sum of one
+    cluster's shift-add over L lanes is at most ``L * 2**(bw_x + bw_w)``, below 2**56 at 8-bit widths.
+    Only a hand-built plan wider than ``MAX_BITWIDTH`` bits could pass 2**63, and raises :class:`RangeError`.
     """
     lengths = {len(v) for v in (*x_ops, *w_ops)}
     if len(lengths) > 1:
@@ -173,15 +166,16 @@ def execute_cycle(
 
     import numpy as np
 
-    x_weights, w_weights = _shift_weights(plan)
-    x = _planes(x_ops, plan.slice_width, plan.bw_x, plan.clusters, lanes)
-    rows = max(1, _BLOCK_ELEMENTS // (plan.clusters * lanes + len(x_ops)))
-    scalars = []
-    for lo in range(0, len(w_ops), rows):
-        block = w_ops[lo : lo + rows]
-        w = _planes(block, plan.slice_width, plan.bw_w, plan.clusters, lanes)
-        # [cluster, x, x plane, w * w plane]: contract the x planes, then the w planes
-        products = nbve_dot(x, w).astype(np.int64).reshape(plan.clusters, len(x_ops), len(x_weights), w.shape[1])
-        per_w_plane = (x_weights @ products).reshape(plan.clusters, len(x_ops), len(block), len(w_weights))
-        scalars += (per_w_plane @ w_weights).transpose(2, 1, 0).ravel().tolist()  # [w, x, cluster]
-    return CvuOutput(scalars=tuple(scalars), utilization=k / (cycles * plan.effective_length))
+    weights, c, s = _shift_weights(plan), plan.clusters, plan.slice_width
+    scalars = np.empty((len(w_ops), len(x_ops), c), np.int64)
+    cols = max(1, _BLOCK_ELEMENTS // (c * lanes))
+    for x_lo in range(0, len(x_ops), cols):
+        x_block = x_ops[x_lo : x_lo + cols]
+        x = _planes(x_block, s, plan.bw_x, c, lanes, plane_major=False)
+        rows = max(1, _BLOCK_ELEMENTS // (c * lanes + len(x_block)))
+        for w_lo in range(0, len(w_ops), rows):
+            w = _planes(w_ops[w_lo : w_lo + rows], s, plan.bw_w, c, lanes, plane_major=True)
+            # operand-major x rows, plane-major w rows: one contraction of [cluster, x, x plane * w plane, w]
+            products = nbve_dot(x, w).astype(np.int64).reshape(c, len(x_block), len(weights), -1)
+            np.matmul(weights, products, out=scalars[w_lo : w_lo + rows, x_lo : x_lo + cols].transpose(2, 1, 0))
+    return CvuOutput(scalars=tuple(scalars.ravel().tolist()), utilization=k / (cycles * plan.effective_length))

@@ -277,15 +277,42 @@ class TestExecuteBatch:
         assert execute_cycle(xs, ws, plan) == whole
         assert whole.scalars == cluster_dots(xs, ws, plan, 4)  # 30 elements at 8 per cycle
 
-    def test_each_operand_sliced_once(self, monkeypatch):
+    @pytest.mark.parametrize("slice_width", [1, 2, 4])
+    @pytest.mark.parametrize("bw_x,bw_w", [(6, 3), (5, 3), (4, 2), (8, 2)])
+    def test_single_operand_blocks_on_both_sides(self, monkeypatch, bw_x, bw_w, slice_width):
+        # one operand per block on each side gives the same scalars as the default blocks, at
+        # padded widths, with several clusters, several cycles and a short last cluster
+        rng = random.Random(bw_x * 100 + bw_w * 10 + slice_width)
+        plan = plan_composition(bw_x, bw_w, CvuConfig(lanes=4, slice_width=slice_width))
+        k = 2 * plan.effective_length + 3
+        xs = [rand_vector(rng, k, bw_x, signed=i % 2 == 1) for i in range(3)]
+        ws = [rand_vector(rng, k, bw_w, signed=True) for _ in range(4)]
+        whole = execute_cycle(xs, ws, plan)
+        monkeypatch.setattr(cvu, "_BLOCK_ELEMENTS", 1)
+        assert execute_cycle(xs, ws, plan) == whole
+        assert plan.clusters > 1 and whole.scalars == cluster_dots(xs, ws, plan, 3)
+
+    def test_each_side_of_each_block_sliced_in_one_call(self, monkeypatch):
+        # a block of several operands is staged and cut by one slice_planes call, a lone
+        # operand by one slice_vector call; each w block is sliced again for each x block
+        plan = plan_composition(8, 4, DEFAULT)
+        width = plan.clusters * 3  # three elements in one cycle: each cluster's three lanes, zero-padded
         calls = []
-        real = cvu.slice_vector
-        monkeypatch.setattr(cvu, "slice_vector", lambda v, *a, **kw: calls.append(v) or real(v, *a, **kw))
-        plan = plan_composition(8, 8, DEFAULT)
+        for name, count in (("slice_planes", lambda v: v.size // width), ("slice_vector", lambda v: 1)):
+            real = getattr(cvu, name)
+            spy = lambda v, *a, real=real, name=name, count=count, **kw: calls.append((name, count(v))) or real(v, *a, **kw)
+            monkeypatch.setattr(cvu, name, spy)
         xs = [QuantizedVector((i, 1, 2), 8) for i in range(5)]
-        ws = [QuantizedVector((1, i, 3), 8) for i in range(4)]
-        execute_cycle(xs, ws, plan)
-        assert len(calls) == len(xs) + len(ws)
+        ws = [QuantizedVector((1, i, 3), 4) for i in range(4)]
+        out = execute_cycle(xs, ws, plan)
+        assert calls == [("slice_planes", 5), ("slice_planes", 4)]  # one x block, then one w block
+        calls.clear()
+        assert execute_cycle(xs[:1], ws, plan).scalars == cluster_dots(xs[:1], ws, plan, 1)  # a GEMV
+        assert calls == [("slice_vector", 1), ("slice_planes", 4)]
+        calls.clear()
+        monkeypatch.setattr(cvu, "_BLOCK_ELEMENTS", 1)
+        assert execute_cycle(xs, ws, plan) == out
+        assert calls == [("slice_vector", 1)] * (len(xs) * (1 + len(ws)))
 
     def test_empty_operands(self):
         plan = plan_composition(8, 8, DEFAULT)
@@ -335,6 +362,19 @@ class TestExecuteBatch:
                 c = plan.clusters
                 sums = [sum(out.scalars[i : i + c]) for i in range(0, len(out.scalars), c)]
                 assert sums == [dot_exact(x, w)] * 2, (slice_width, k)
+
+    @pytest.mark.parametrize("k", [1 << 16, (1 << 16) + 1, 80_001])
+    def test_float32_planes_only_while_every_plane_dot_product_fits_its_significand(self, monkeypatch, k):
+        # at 4-bit slices a lane product is below 2**8, so one cluster of k lanes stays exact in float32
+        # up to k = 2**16; 80,001 lanes of 255 x 255 reach an odd 15 * 15 * 80,001 > 2**24 in one plane product
+        dtypes = []
+        real = cvu.nbve_dot
+        monkeypatch.setattr(cvu, "nbve_dot", lambda x, w: dtypes.append((x.dtype.name, w.dtype.name)) or real(x, w))
+        plan = plan_composition(8, 8, CvuConfig(lanes=16, slice_width=4))
+        x = QuantizedVector((255,) * k, 8)
+        for w in (x, QuantizedVector((-128,) * k, 8, signed=True)):
+            assert execute_cycle([x], [w], plan).scalars == (dot_exact(x, w),)
+        assert dtypes == [("float32", "float32") if k <= 1 << 16 else ("float64", "float64")] * 2
 
     def test_refuses_tiles_whose_sums_could_pass_int64(self):
         # a hand-built plan of 1-bit slices pads 8-bit operands to 31 bits each:
