@@ -7,8 +7,8 @@ pytest's ``testpaths``, so Tier-1 does not collect it; CI runs it as a job of it
     python -m pytest -q slow
 
 VGG's largest layer, ``conv1_2``, is 64 x 576 x 50,176.  ``execute_cycle`` blocks over
-the x operands as well as the w operands, so one call holds the float64 planes of one
-block per side, not the 0.46 GB of every x plane.  The layer's cluster scalars and the
+the x operands as well as the w operands, so one call holds the planes of one block
+per side, not the 0.46 GB of every float64 x plane.  The layer's cluster scalars and the
 int64 reference still take most of the job's peak RSS.
 """
 
