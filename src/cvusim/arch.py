@@ -404,15 +404,13 @@ def functional_gemm(
     4x2, k = 4096), and a float64 one no faster.  Composable styles plan the CVU at the widest operand
     widths and dispatch every output's whole dot product at once over the fewest cycles that hold it,
     the same count as a cycle-major schedule: the whole m x n tile is one :func:`execute_cycle` call.
-    Each output sums its cluster scalars: an exact dot product of k products of magnitude at most 2**16
-    (operands lie in [-128, 255]), which passes the 64-bit column register range only at k >= 2**47.
+    Each output sums its cluster scalars in int64, and only the m x n sums become Python ints.  The sum
+    is an exact dot product of k products of magnitude at most 2**16 (operands lie in [-128, 255]),
+    which passes the 64-bit column register range only at k >= 2**47.
     """
     if acc.style is Style.CONVENTIONAL:
         return [[functional_dot(col, row, acc) for col in inputs] for row in weights]
     if not weights or not inputs:
         return [[] for _ in weights]
     plan = plan_composition(max(v.bitwidth for v in inputs), max(v.bitwidth for v in weights), acc.cvu)
-    scalars = execute_cycle(inputs, weights, plan).scalars
-    c, n = plan.clusters, len(inputs)
-    sums = [sum(scalars[i : i + c]) for i in range(0, len(scalars), c)]
-    return [sums[j : j + n] for j in range(0, len(sums), n)]
+    return execute_cycle(inputs, weights, plan).scalars.sum(axis=2).tolist()

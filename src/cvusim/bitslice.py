@@ -29,12 +29,12 @@ zero-extended up to the next multiple before slicing.
 
 A :class:`QuantizedVector` holds its operand once, as a read-only int64 ``array``: its values are
 packed into it when the vector is built, and one min/max over it checks the declared range.  Every
-path computes from that array.  :func:`slice_planes` is the one shift-and-mask that slices: one AND
+path computes from that array.  :func:`slice_vector` is the one shift-and-mask that slices: one AND
 of the values shifted right by a cached column ``0, s, 2s, ...`` with a cached mask column,
 ``2**s - 1`` except for ``-1`` (all ones) on the top plane, which keeps the arithmetic shift's sign
 at any padded width.  It runs in int16, which holds every value of at most ``MAX_BITWIDTH`` bits
-([-128, 255]) and every plane of it.  :func:`slice_vector` runs it on one vector, into int64 planes
-or ``out``; :mod:`cvusim.cvu` runs it once per block of operands staged in int16.  The conventional
+([-128, 255]) and every plane of it.  Given one vector it returns int64 planes; :mod:`cvusim.cvu`
+gives it the int16 values of a block's operands instead, once per side of the block.  The conventional
 style's dot product is one int64 dot of two arrays.  :func:`dot_exact` adds the Python integers of
 ``array.tolist()`` instead, so the oracle shares no arithmetic with the paths it checks.  numpy is
 imported only when a vector is built, so planning and the analytic model never load it.
@@ -121,43 +121,41 @@ class QuantizedVector:
 
 
 @functools.lru_cache(maxsize=None)
-def _shift_mask(padded: int, slice_width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only int16 columns of the plane shifts ``0, s, 2s, ...`` below ``padded`` bits, and of their masks."""
+def _shift_mask(bitwidth: int, slice_width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only int16 columns of the plane shifts ``0, s, 2s, ...`` below ``bitwidth`` padded, and of their masks."""
     import numpy as np
 
-    shifts = np.arange(0, padded, slice_width, dtype=np.int16)[:, None]
+    shifts = np.arange(0, padded_bitwidth(bitwidth, slice_width), slice_width, dtype=np.int16)[:, None]
     masks = np.full_like(shifts, (1 << slice_width) - 1)
     masks[-1] = -1  # all ones: the top plane keeps the arithmetic shift's sign
     shifts.flags.writeable = masks.flags.writeable = False  # shared by every caller
     return shifts, masks
 
 
-def slice_vector(vec: QuantizedVector, slice_width: int, *, bitwidth: int | None = None, out=None) -> np.ndarray:
-    """Slice every element of a vector: an int64 array of shape (planes, length), or ``out`` filled.
+def slice_vector(vec: QuantizedVector | np.ndarray, slice_width: int, *, bitwidth: int | None = None) -> np.ndarray:
+    """Slice every element of a vector: an int64 array of shape (planes, length).
 
     Entry [j, i] is slice j (LSB-first) of element i; the last plane of a
     signed vector holds signed slice values, every other plane is unsigned.
     ``bitwidth`` optionally widens the declared bitwidth before slicing
     (used when a composition plan pads operands); it must not be narrower
-    than the vector's own width.  ``out``, of shape (planes, length), takes the planes instead.
+    than the vector's own width.  ``vec`` may instead be int16 values of shape (length,) or
+    (..., 1, length), as :mod:`cvusim.cvu` stages operands, sliced unchecked at ``bitwidth``:
+    their planes, of shape (..., planes, length), come back in int16.
     """
     if slice_width not in VALID_SLICE_WIDTHS:
         raise RangeError(f"slice_width must be one of {VALID_SLICE_WIDTHS}, got {slice_width}")
+    if not isinstance(vec, QuantizedVector):
+        shifts, masks = _shift_mask(bitwidth, slice_width)
+        planes = vec >> shifts
+        planes &= masks
+        return planes
     bw = vec.bitwidth if bitwidth is None else bitwidth
     if bw < vec.bitwidth:
         raise RangeError(f"cannot slice {vec.bitwidth}-bit vector at narrower width {bw}")
     import numpy as np
 
-    planes = slice_planes(vec.array.astype(np.int16), slice_width, bw, out=out)
-    return planes if out is not None else planes.astype(np.int64)
-
-
-def slice_planes(values: np.ndarray, slice_width: int, bitwidth: int, out=None) -> np.ndarray:
-    """Slice int16 ``values`` of shape (length,) or (..., 1, length) at ``bitwidth``, padded, to (..., planes, length)."""
-    import numpy as np
-
-    shifts, masks = _shift_mask(padded_bitwidth(bitwidth, slice_width), slice_width)
-    return np.bitwise_and(values >> shifts, masks, out=out)
+    return slice_vector(vec.array.astype(np.int16), slice_width, bitwidth=bw).astype(np.int64)
 
 
 def nbve_dot(x_planes: np.ndarray, w_planes: np.ndarray) -> np.ndarray:

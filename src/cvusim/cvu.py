@@ -9,9 +9,10 @@ parallel, so all engines stay busy at every bitwidth.
 
 :func:`execute_cycle` runs every (w, x) pair of a set of operands of one length over the fewest
 cycles that hold it: each pair's element stream is spread over the clusters, ``cycles * lanes``
-elements each, and every cluster emits its share of the dot product.  Each block of operands is
-sliced by one shift-and-mask and cast once to float for the engines' matmuls; the shift-add is one
-int64 contraction against weights cached per plan.  Execution imports numpy; planning does not.
+elements each, and every cluster emits its share of the dot product.  An x block is staged in int16
+beside its first w block, each side is sliced by one :func:`slice_vector` call and cast once to float
+for the engines' matmuls, and the shift-add is one int64 contraction against weights cached per plan.
+The cluster scalars come back as one read-only int64 array.  Execution imports numpy; planning does not.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import functools
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .bitslice import MAX_BITWIDTH, VALID_SLICE_WIDTHS, QuantizedVector, nbve_dot, padded_bitwidth, slice_planes, slice_vector
+from .bitslice import MAX_BITWIDTH, VALID_SLICE_WIDTHS, QuantizedVector, nbve_dot, padded_bitwidth, slice_vector
 from .errors import Checked, RangeError, ShapeError
 
 MAX_LANES = 2**16  # the cost model builds each engine's adder tree as a Python list of one leaf per lane
@@ -99,25 +100,16 @@ def plan_composition(bw_x: int, bw_w: int, cfg: CvuConfig) -> CompositionPlan:
     )
 
 
-_BLOCK_ELEMENTS = 1 << 16  # operand elements per x block; per w block, elements plus (w, x) pairs
+_BLOCK_ELEMENTS = 1 << 16  # staged elements per x block, and per w block plus its (w, x) pairs
 
 
-def _planes(operands, slice_width: int, bitwidth: int, clusters: int, lanes: int, plane_major: bool):
-    """Float planes [cluster, operand * plane (or plane * operand), lane], zero-padded to ``clusters * lanes``.
+def _planes(stage, slice_width: int, bitwidth: int, dtype, clusters: int, lanes: int):
+    """Float planes [cluster, row, lane] of int16 operands staged [operand, 1, clusters * lanes], zero-padded.
 
-    One call slices the block: :func:`slice_vector` a lone operand, :func:`slice_planes` the int16 staging
-    array one assignment fills.  One cast, to float32 where exact (see :mod:`cvusim.bitslice`), gives BLAS a view."""
-    import numpy as np
-
-    if len(operands) == 1:  # nothing to stage: slice the operand's own array into its planes
-        planes = np.zeros((bitwidth // slice_width, clusters * lanes), np.int16)
-        slice_vector(operands[0], slice_width, bitwidth=bitwidth, out=planes[:, : len(operands[0])])
-    else:
-        stage = np.zeros((len(operands), 1, clusters * lanes), np.int16)
-        stage[:, 0, : len(operands[0])] = [v.array for v in operands]
-        planes = slice_planes(stage.reshape(-1) if plane_major else stage, slice_width, bitwidth)
-    dtype = np.float32 if lanes << 2 * slice_width <= 1 << 24 else np.float64
-    return planes.astype(dtype).reshape(-1, clusters, lanes).transpose(1, 0, 2)
+    One :func:`slice_vector` call cuts the side: operand-major rows from the staged shape, plane-major
+    rows from its flattening.  One cast, to float32 where exact (see :mod:`cvusim.bitslice`) and float64
+    otherwise, gives BLAS a view."""
+    return slice_vector(stage, slice_width, bitwidth=bitwidth).astype(dtype).reshape(-1, clusters, lanes).transpose(1, 0, 2)
 
 
 @functools.lru_cache(maxsize=256)
@@ -138,21 +130,23 @@ def execute_cycle(
 
     The operands share one length k, which takes ``cycles = max(1, ceil(k / effective_length))`` cycles.
     Each pair's stream is reshaped to [clusters, cycles, lanes], zero-padded, so cluster c reduces
-    elements ``[c * cycles * lanes, (c + 1) * cycles * lanes)``.  ``scalars`` holds m * n * clusters
-    values, in the order w, then x, then cluster; a pair's dot product is the sum of its cluster
-    scalars.  Utilization is the share of a pair's ``cycles * effective_length`` lane slots in use.
+    elements ``[c * cycles * lanes, (c + 1) * cycles * lanes)``.  ``scalars`` is one read-only int64
+    array of shape (m, n, clusters), indexed [w, x, cluster]; a pair's dot product is the sum of its
+    cluster scalars.  Utilization is the share of a pair's ``cycles * effective_length`` lane slots in use.
 
     Every scalar comes from the engines' plane dot products (:func:`nbve_dot`) and the plan's shift-add
     tree, never from the full-precision oracle.  Both sides run in blocks of about ``_BLOCK_ELEMENTS``
-    elements (or one longer operand), each sliced in one call: whatever n and m are, a call holds one x
-    block's planes, one w block's planes and their engine products, and the m * n * clusters scalars.
+    elements (or one longer operand).  An x block is staged once, beside its first w block, and sliced
+    once; its planes serve every w block, and each side of a block is sliced in one call.  Whatever n
+    and m are, a call holds one x block's planes, one w block's planes and their engine products, and
+    the m * n * clusters scalars, which each block pair writes into one [cluster, x, w] array.
 
     The float plane dot products are exact (see :mod:`cvusim.bitslice`).  The int64 shift-add cannot
     wrap: the planes of an element padded to e bits weigh at most 2**e, so every partial sum of one
     cluster's shift-add over L lanes is at most ``L * 2**(bw_x + bw_w)``, below 2**56 at 8-bit widths.
     Only a hand-built plan wider than ``MAX_BITWIDTH`` bits could pass 2**63, and raises :class:`RangeError`.
     """
-    lengths = {len(v) for v in (*x_ops, *w_ops)}
+    lengths = {len(v.array) for v in (*x_ops, *w_ops)}
     if len(lengths) > 1:
         raise ShapeError(f"operands differ in length: {sorted(lengths)}")
     k = max(lengths, default=0)
@@ -166,16 +160,25 @@ def execute_cycle(
 
     import numpy as np
 
-    weights, c, s = _shift_weights(plan), plan.clusters, plan.slice_width
-    scalars = np.empty((len(w_ops), len(x_ops), c), np.int64)
-    cols = max(1, _BLOCK_ELEMENTS // (c * lanes))
-    for x_lo in range(0, len(x_ops), cols):
+    weights, c, s, n, m = _shift_weights(plan), plan.clusters, plan.slice_width, len(x_ops), len(w_ops)
+    width, dtype = c * lanes, np.float32 if lanes << 2 * s <= 1 << 24 else np.float64  # float32 where exact
+    scalars = np.empty((c, n, m), np.int64)
+    cols = max(1, _BLOCK_ELEMENTS // width)
+    rows = max(1, _BLOCK_ELEMENTS // (width + min(cols, n)))
+    for x_lo in range(0, n, cols):
         x_block = x_ops[x_lo : x_lo + cols]
-        x = _planes(x_block, s, plan.bw_x, c, lanes, plane_major=False)
-        rows = max(1, _BLOCK_ELEMENTS // (c * lanes + len(x_block)))
-        for w_lo in range(0, len(w_ops), rows):
-            w = _planes(w_ops[w_lo : w_lo + rows], s, plan.bw_w, c, lanes, plane_major=True)
+        nx = len(x_block)
+        for w_lo in range(0, m, rows):
+            w_block = w_ops[w_lo : w_lo + rows]
+            staged = w_block if w_lo else [*x_block, *w_block]  # the x block once, beside its first w block
+            stage = np.zeros((len(staged), 1, width), np.int16)
+            stage[:, 0, :k] = [v.array for v in staged]
+            if not w_lo:  # its planes serve every w block
+                x = _planes(stage[:nx], s, plan.bw_x, dtype, c, lanes)
+            w = _planes(stage[len(staged) - len(w_block) :].reshape(-1), s, plan.bw_w, dtype, c, lanes)
             # operand-major x rows, plane-major w rows: one contraction of [cluster, x, x plane * w plane, w]
-            products = nbve_dot(x, w).astype(np.int64).reshape(c, len(x_block), len(weights), -1)
-            np.matmul(weights, products, out=scalars[w_lo : w_lo + rows, x_lo : x_lo + cols].transpose(2, 1, 0))
-    return CvuOutput(scalars=tuple(scalars.ravel().tolist()), utilization=k / (cycles * plan.effective_length))
+            products = nbve_dot(x, w).astype(np.int64).reshape(c, nx, len(weights), -1)
+            np.matmul(weights, products, out=scalars[:, x_lo : x_lo + nx, w_lo : w_lo + rows])
+    scalars = scalars.transpose(2, 1, 0)
+    scalars.flags.writeable = False
+    return CvuOutput(scalars=scalars, utilization=k / (cycles * plan.effective_length))

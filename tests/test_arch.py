@@ -56,17 +56,33 @@ def every_layer_of(*names):
     return [(name, i) for name in names for i in range(len(load_network(bundled_networks()[name]).layers))]
 
 
-def check_layer_whole(name, index):
-    """Run one bundled layer whole through all three styles, against int64 W @ X.
-
-    Seeded signed m x k weights and unsigned k x n inputs, as after a ReLU.
-    ``slow/test_whole_layers.py`` runs this on the nets too big for Tier-1."""
+def layer_operands(name, index):
+    """One bundled layer and its seeded operands: signed m x k weights and unsigned k x n inputs, as after a ReLU."""
     layer = load_network(bundled_networks()[name]).layers[index]
     dims = lower_layer(layer)
     rng = np.random.default_rng([*name.encode(), index])
     w = rng.integers(-(1 << (layer.bw_w - 1)), 1 << (layer.bw_w - 1), size=(dims.m, dims.k), dtype=np.int16)
     x = rng.integers(0, 1 << layer.bw_x, size=(dims.k, dims.n), dtype=np.int16)
-    expected = (w.astype(np.int64) @ x.astype(np.int64)).tolist()
+    return layer, w, x
+
+
+def float_oracle(w, x):
+    """W @ X in float64, through BLAS, with no slicing and no shift-add: exact, since every
+    partial sum is an integer of magnitude below k * 2**15 (|w| <= 2**7, x < 2**8) < 2**53.
+
+    W is cast a block of rows at a time, so that no float64 copy of a whole fc layer's weights is held."""
+    k = w.shape[1]
+    assert k << 15 < 1 << 53
+    xf, rows = x.astype(np.float64), max(1, (1 << 22) // k)  # 32 MiB of float64 weights per block
+    return np.concatenate([w[i : i + rows].astype(np.float64) @ xf for i in range(0, len(w), rows)]).astype(np.int64)
+
+
+def check_layer_whole(name, index):
+    """Run one bundled layer whole through all three styles, against :func:`float_oracle`.
+
+    ``slow/test_whole_layers.py`` runs this on the nets too big for Tier-1."""
+    layer, w, x = layer_operands(name, index)
+    expected = float_oracle(w, x).tolist()
     weights = [QuantizedVector(row.tolist(), layer.bw_w, signed=True) for row in w]
     inputs = [QuantizedVector(col.tolist(), layer.bw_x) for col in x.T]
     for style in (Style.VECTOR, Style.SCALAR, Style.CONVENTIONAL):
@@ -639,6 +655,13 @@ class TestFunctionalEquivalence:
     @pytest.mark.parametrize("name,index", every_layer_of("convnet", "lstm", "gru"))
     def test_every_layer_whole(self, name, index):
         check_layer_whole(name, index)
+
+    def test_float_oracle_equals_the_int64_product(self):
+        # the whole-layer reference against int64 W @ X, on convnet's 64 x 576 x 1024 conv2, and on
+        # operands of that shape at their extremes, whose every sum is 576 * -128 * 255
+        _, w, x = layer_operands("convnet", 1)
+        for w, x in ((w, x), (np.full_like(w, -128), np.full_like(x, 255))):
+            assert np.array_equal(float_oracle(w, x), w.astype(np.int64) @ x.astype(np.int64))
 
     @pytest.mark.parametrize("style", list(Style))
     def test_gemm_length_mismatch(self, style):

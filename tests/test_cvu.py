@@ -2,13 +2,17 @@
 
 import math
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cvusim.cvu as cvu
+from cvusim.arch import Style, build_array, functional_gemm
 from cvusim.bitslice import QuantizedVector, dot_exact, value_bounds
+from cvusim.cost import default_params
 from cvusim.cvu import CompositionPlan, CvuConfig, execute_cycle, plan_composition
 from cvusim.errors import RangeError, ShapeError
 
@@ -143,6 +147,11 @@ class TestMacsPerCycle:
         assert plan_composition(8, 8, CvuConfig(lanes=1)).effective_length == 1
 
 
+def flat(out):
+    """A call's scalars in ravel order, w, then x, then cluster, as Python ints."""
+    return tuple(out.scalars.ravel().tolist())
+
+
 def cluster_dots(xs, ws, plan, cycles):
     """Oracle scalars in execute_cycle's order: cluster c of pair (w, x) reduces
     elements [c * cycles * lanes, (c + 1) * cycles * lanes)."""
@@ -169,7 +178,7 @@ class TestExecuteCycle:
             assert dot_exact(x, w) == expected
             plan = plan_composition(x.bitwidth, w.bitwidth, CvuConfig(lanes=2))
             out = execute_cycle([x], [w], plan)
-            assert out.scalars == (expected,) + (0,) * (plan.clusters - 1)
+            assert flat(out) == (expected,) + (0,) * (plan.clusters - 1)
             assert out.utilization == len(x) / plan.effective_length
 
     def test_plane_count(self, monkeypatch):
@@ -188,7 +197,7 @@ class TestExecuteCycle:
         assert (plan.clusters, len(plan.shifts)) == (2, 8)
         x = QuantizedVector((5, 2), 5)
         w = QuantizedVector((1, 3), 3)
-        assert execute_cycle([x], [w], plan).scalars == (11, 0)
+        assert flat(execute_cycle([x], [w], plan)) == (11, 0)
         assert len(shapes) == 1 and math.prod(shapes[0]) == plan.clusters * len(plan.shifts)
         shapes.clear()
         execute_cycle([x] * 2, [w] * 3, plan)
@@ -198,21 +207,21 @@ class TestExecuteCycle:
         # sixteen one-lane clusters, one element each
         plan = plan_composition(2, 2, CvuConfig(lanes=1))
         ones = QuantizedVector((1,) * 16, 2)
-        assert execute_cycle([ones], [ones], plan).scalars == (1,) * 16
+        assert flat(execute_cycle([ones], [ones], plan)) == (1,) * 16
 
     def test_8x2_clusters_match_oracle(self):
         rng = random.Random(99)
         plan = plan_composition(8, 2, DEFAULT)
         assert plan.clusters == 4
         x, w = rand_vector(rng, 50, 8, True), rand_vector(rng, 50, 2, False)  # the last cluster is short
-        assert execute_cycle([x], [w], plan).scalars == cluster_dots([x], [w], plan, 1)
+        assert flat(execute_cycle([x], [w], plan)) == cluster_dots([x], [w], plan, 1)
 
     def test_short_tiles_zero_padded(self):
         plan = plan_composition(8, 8, DEFAULT)
         x = QuantizedVector((3, 4), 8)
         w = QuantizedVector((5, 6), 8)
         out = execute_cycle([x], [w], plan)
-        assert out.scalars == (39,)
+        assert flat(out) == (39,)
         assert out.utilization == pytest.approx(2 / 16)
 
     def test_multi_cycle_dispatch(self):
@@ -221,7 +230,7 @@ class TestExecuteCycle:
         x = QuantizedVector((13, 5, 7), 8)
         w = QuantizedVector((9, 6, 2), 8)
         out = execute_cycle([x], [w], plan)
-        assert out.scalars == (13 * 9 + 5 * 6 + 7 * 2,)
+        assert flat(out) == (13 * 9 + 5 * 6 + 7 * 2,)
         assert out.utilization == 3 / 4
 
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -245,12 +254,11 @@ class TestExecuteCycle:
         xs = [rand_vector(rng, k, bw_x, signed_x) for _ in range(n)]
         ws = [rand_vector(rng, k, bw_w, signed_w) for _ in range(m)]
         out = execute_cycle(xs, ws, plan)
-        c = plan.clusters
-        assert [sum(out.scalars[i : i + c]) for i in range(0, len(out.scalars), c)] == [
-            dot_exact(x, w) for w in ws for x in xs
-        ]
-        assert out.scalars == cluster_dots(xs, ws, plan, cycles)
-        assert out.utilization == k / (cycles * plan.effective_length)
+        with mock.patch.object(cvu, "_BLOCK_ELEMENTS", 1):  # one operand per block on each side
+            blocked = execute_cycle(xs, ws, plan)
+        assert out.scalars.sum(axis=2).ravel().tolist() == [dot_exact(x, w) for w in ws for x in xs]
+        assert flat(out) == flat(blocked) == cluster_dots(xs, ws, plan, cycles)
+        assert out.utilization == blocked.utilization == k / (cycles * plan.effective_length)
 
 
 class TestExecuteBatch:
@@ -263,8 +271,24 @@ class TestExecuteBatch:
         xs = [rand_vector(rng, k, 4, False) for _ in range(3)]
         ws = [rand_vector(rng, k, 4, True) for _ in range(2)]
         out = execute_cycle(xs, ws, plan)
-        assert out.scalars == cluster_dots(xs, ws, plan, cycles)
+        assert flat(out) == cluster_dots(xs, ws, plan, cycles)
         assert out.utilization == k / (cycles * plan.effective_length)
+
+    def test_scalars_are_one_read_only_int64_array(self):
+        # [w, x, cluster], in the order the scalars always had; functional_gemm sums them into Python ints
+        rng = random.Random(7)
+        plan = plan_composition(8, 2, CvuConfig(lanes=1))
+        xs = [rand_vector(rng, 9, 8, False) for _ in range(3)]
+        ws = [rand_vector(rng, 9, 2, True) for _ in range(2)]
+        scalars = execute_cycle(xs, ws, plan).scalars
+        assert isinstance(scalars, np.ndarray) and scalars.dtype == np.int64 and scalars.shape == (2, 3, plan.clusters)
+        assert not scalars.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            scalars[0, 0, 0] = 1
+        assert tuple(scalars.ravel().tolist()) == cluster_dots(xs, ws, plan, 3)  # 9 elements at 4 per cycle
+        out = functional_gemm(ws, xs, build_array(Style.SCALAR, default_params()))
+        assert out == [[dot_exact(x, w) for x in xs] for w in ws]
+        assert all(type(value) is int for row in out for value in row)
 
     def test_blocks_of_w_operands(self, monkeypatch):
         # one w operand per block gives the same scalars as one block for all
@@ -274,8 +298,8 @@ class TestExecuteBatch:
         ws = [rand_vector(rng, 30, 4, True) for _ in range(5)]
         whole = execute_cycle(xs, ws, plan)
         monkeypatch.setattr(cvu, "_BLOCK_ELEMENTS", 1)
-        assert execute_cycle(xs, ws, plan) == whole
-        assert whole.scalars == cluster_dots(xs, ws, plan, 4)  # 30 elements at 8 per cycle
+        assert flat(execute_cycle(xs, ws, plan)) == flat(whole)
+        assert flat(whole) == cluster_dots(xs, ws, plan, 4)  # 30 elements at 8 per cycle
 
     @pytest.mark.parametrize("slice_width", [1, 2, 4])
     @pytest.mark.parametrize("bw_x,bw_w", [(6, 3), (5, 3), (4, 2), (8, 2)])
@@ -289,36 +313,41 @@ class TestExecuteBatch:
         ws = [rand_vector(rng, k, bw_w, signed=True) for _ in range(4)]
         whole = execute_cycle(xs, ws, plan)
         monkeypatch.setattr(cvu, "_BLOCK_ELEMENTS", 1)
-        assert execute_cycle(xs, ws, plan) == whole
-        assert plan.clusters > 1 and whole.scalars == cluster_dots(xs, ws, plan, 3)
+        assert flat(execute_cycle(xs, ws, plan)) == flat(whole)
+        assert plan.clusters > 1 and flat(whole) == cluster_dots(xs, ws, plan, 3)
 
     def test_each_side_of_each_block_sliced_in_one_call(self, monkeypatch):
-        # a block of several operands is staged and cut by one slice_planes call, a lone
-        # operand by one slice_vector call; each w block is sliced again for each x block
+        # one slice_vector call per side per block holds all that block's operands; an x block is
+        # staged beside its first w block and sliced once, and its planes serve every w block
         plan = plan_composition(8, 4, DEFAULT)
         width = plan.clusters * 3  # three elements in one cycle: each cluster's three lanes, zero-padded
-        calls = []
-        for name, count in (("slice_planes", lambda v: v.size // width), ("slice_vector", lambda v: 1)):
-            real = getattr(cvu, name)
-            spy = lambda v, *a, real=real, name=name, count=count, **kw: calls.append((name, count(v))) or real(v, *a, **kw)
-            monkeypatch.setattr(cvu, name, spy)
+        calls = []  # (side, the first element of each operand sliced)
+        real = cvu.slice_vector
+
+        def spy(values, slice_width, *, bitwidth):
+            calls.append(("x" if bitwidth == plan.bw_x else "w", values.reshape(-1, width)[:, 0].tolist()))
+            return real(values, slice_width, bitwidth=bitwidth)
+
+        monkeypatch.setattr(cvu, "slice_vector", spy)
         xs = [QuantizedVector((i, 1, 2), 8) for i in range(5)]
-        ws = [QuantizedVector((1, i, 3), 4) for i in range(4)]
+        ws = [QuantizedVector((i, 2, 3), 4) for i in range(4)]
         out = execute_cycle(xs, ws, plan)
-        assert calls == [("slice_planes", 5), ("slice_planes", 4)]  # one x block, then one w block
+        assert calls == [("x", [0, 1, 2, 3, 4]), ("w", [0, 1, 2, 3])]  # one block per side
         calls.clear()
-        assert execute_cycle(xs[:1], ws, plan).scalars == cluster_dots(xs[:1], ws, plan, 1)  # a GEMV
-        assert calls == [("slice_vector", 1), ("slice_planes", 4)]
+        assert flat(execute_cycle(xs[:1], ws, plan)) == cluster_dots(xs[:1], ws, plan, 1)  # a GEMV
+        assert calls == [("x", [0]), ("w", [0, 1, 2, 3])]
         calls.clear()
         monkeypatch.setattr(cvu, "_BLOCK_ELEMENTS", 1)
-        assert execute_cycle(xs, ws, plan) == out
-        assert calls == [("slice_vector", 1)] * (len(xs) * (1 + len(ws)))
+        assert flat(execute_cycle(xs, ws, plan)) == flat(out)
+        # each x operand sliced once, then the four w blocks it meets
+        assert calls == [call for i in range(5) for call in (("x", [i]), *(("w", [j]) for j in range(4)))]
 
     def test_empty_operands(self):
         plan = plan_composition(8, 8, DEFAULT)
-        assert execute_cycle([QuantizedVector((), 8)], [QuantizedVector((), 8)], plan).scalars == (0,)
-        assert execute_cycle([], [QuantizedVector((1,), 8)], plan).scalars == ()
-        assert execute_cycle([], [QuantizedVector((), 8)], plan).scalars == ()  # no x operand and k = 0
+        assert flat(execute_cycle([QuantizedVector((), 8)], [QuantizedVector((), 8)], plan)) == (0,)
+        assert execute_cycle([], [QuantizedVector((1,), 8)], plan).scalars.shape == (1, 0, 1)
+        assert execute_cycle([], [QuantizedVector((), 8)], plan).scalars.shape == (1, 0, 1)  # no x operand and k = 0
+        assert execute_cycle([QuantizedVector((1,), 8)], [], plan).scalars.shape == (0, 1, 1)
 
     def test_length_mismatch(self):
         plan = plan_composition(8, 8, DEFAULT)
@@ -329,7 +358,7 @@ class TestExecuteBatch:
         # a stream longer than one cycle's lane slots runs over as many cycles as it needs
         plan = plan_composition(8, 8, CvuConfig(lanes=2))
         x = QuantizedVector((1, 2, 3), 8)
-        assert execute_cycle([x], [x], plan).scalars == (14,)
+        assert flat(execute_cycle([x], [x], plan)) == (14,)
 
     def test_bitwidth_over_plan(self):
         plan = plan_composition(4, 4, DEFAULT)
@@ -340,7 +369,7 @@ class TestExecuteBatch:
         # the shift-add weights are read off plan.shifts, which must be s * j + s * k
         plan = plan_composition(4, 4, CvuConfig(lanes=2))
         x = QuantizedVector((3, 1), 4)
-        assert execute_cycle([x], [x], plan).scalars[0] == 10
+        assert flat(execute_cycle([x], [x], plan))[0] == 10
         bad = plan._replace(shifts=(*plan.shifts[:-1], plan.shifts[-1] + 1))
         with pytest.raises(RangeError, match="not a 2 x 2 grid"):
             execute_cycle([x], [x], bad)
@@ -359,9 +388,7 @@ class TestExecuteBatch:
                 x = QuantizedVector(((1 << bw_x) - 1,) * k, bw_x)
                 w = QuantizedVector((-(1 << (bw_w - 1)),) * k, bw_w, signed=True)
                 out = execute_cycle([x, x], [w], plan)
-                c = plan.clusters
-                sums = [sum(out.scalars[i : i + c]) for i in range(0, len(out.scalars), c)]
-                assert sums == [dot_exact(x, w)] * 2, (slice_width, k)
+                assert out.scalars.sum(axis=2).tolist() == [[dot_exact(x, w)] * 2], (slice_width, k)
 
     @pytest.mark.parametrize("k", [1 << 16, (1 << 16) + 1, 80_001])
     def test_float32_planes_only_while_every_plane_dot_product_fits_its_significand(self, monkeypatch, k):
@@ -373,7 +400,7 @@ class TestExecuteBatch:
         plan = plan_composition(8, 8, CvuConfig(lanes=16, slice_width=4))
         x = QuantizedVector((255,) * k, 8)
         for w in (x, QuantizedVector((-128,) * k, 8, signed=True)):
-            assert execute_cycle([x], [w], plan).scalars == (dot_exact(x, w),)
+            assert flat(execute_cycle([x], [w], plan)) == (dot_exact(x, w),)
         assert dtypes == [("float32", "float32") if k <= 1 << 16 else ("float64", "float64")] * 2
 
     def test_refuses_tiles_whose_sums_could_pass_int64(self):
@@ -383,7 +410,7 @@ class TestExecuteBatch:
         plan = CompositionPlan(bw_x=31, bw_w=31, clusters=1, shifts=shifts, effective_length=2, slice_width=1)
         assert plan.lanes == 2
         one = QuantizedVector((-128,), 8, signed=True)
-        assert execute_cycle([one], [one], plan).scalars == (1 << 14,)
+        assert flat(execute_cycle([one], [one], plan)) == (1 << 14,)
         two = QuantizedVector((-128, -128), 8, signed=True)
         with pytest.raises(RangeError, match="overflow int64"):
             execute_cycle([two], [two], plan)
