@@ -298,7 +298,8 @@ class TestExecuteBatch:
         ws = [rand_vector(rng, 30, 4, True) for _ in range(5)]
         whole = execute_cycle(xs, ws, plan)
         monkeypatch.setattr(cvu, "_BLOCK_ELEMENTS", 1)
-        assert flat(execute_cycle(xs, ws, plan)) == flat(whole)
+        blocked = execute_cycle(xs, ws, plan)
+        assert (flat(blocked), blocked.utilization) == (flat(whole), whole.utilization)
         assert flat(whole) == cluster_dots(xs, ws, plan, 4)  # 30 elements at 8 per cycle
 
     @pytest.mark.parametrize("slice_width", [1, 2, 4])
@@ -313,7 +314,8 @@ class TestExecuteBatch:
         ws = [rand_vector(rng, k, bw_w, signed=True) for _ in range(4)]
         whole = execute_cycle(xs, ws, plan)
         monkeypatch.setattr(cvu, "_BLOCK_ELEMENTS", 1)
-        assert flat(execute_cycle(xs, ws, plan)) == flat(whole)
+        blocked = execute_cycle(xs, ws, plan)
+        assert (flat(blocked), blocked.utilization) == (flat(whole), whole.utilization)
         assert plan.clusters > 1 and flat(whole) == cluster_dots(xs, ws, plan, 3)
 
     def test_each_side_of_each_block_sliced_in_one_call(self, monkeypatch):
@@ -338,7 +340,8 @@ class TestExecuteBatch:
         assert calls == [("x", [0]), ("w", [0, 1, 2, 3])]
         calls.clear()
         monkeypatch.setattr(cvu, "_BLOCK_ELEMENTS", 1)
-        assert flat(execute_cycle(xs, ws, plan)) == flat(out)
+        blocked = execute_cycle(xs, ws, plan)
+        assert (flat(blocked), blocked.utilization) == (flat(out), out.utilization)
         # each x operand sliced once, then the four w blocks it meets
         assert calls == [call for i in range(5) for call in (("x", [i]), *(("w", [j]) for j in range(4)))]
 
