@@ -6,7 +6,7 @@ pytest's ``testpaths``, so Tier-1 does not collect it; CI runs it as a job of it
 
     python -m pytest -q slow
 
-VGG's widest layer, ``conv1_2``, is 64 x 576 x 50,176.  ``execute_cycle`` blocks over
+VGG's ``conv1_2`` is 64 x 576 x 50,176.  ``execute_cycle`` blocks over
 the x operands as well as the w operands, so one call holds the planes of one block
 per side, and returns the layer's 12.8 M cluster scalars as one 103 MB int64 array; the
 reference is a float64 ``W @ X`` through BLAS.  The job's peak RSS is now set by ``fc6``

@@ -175,7 +175,7 @@ def execute_cycle(
             stage[:, 0, :k] = [v.array for v in staged]
             if not w_lo:  # its planes serve every w block
                 x = _planes(stage[:nx], s, plan.bw_x, dtype, c, lanes)
-            w = _planes(stage[len(staged) - len(w_block) :].reshape(-1), s, plan.bw_w, dtype, c, lanes)
+            w = _planes(stage[-len(w_block) :].reshape(-1), s, plan.bw_w, dtype, c, lanes)
             # operand-major x rows, plane-major w rows: one contraction of [cluster, x, x plane * w plane, w]
             products = nbve_dot(x, w).astype(np.int64).reshape(c, nx, len(weights), -1)
             np.matmul(weights, products, out=scalars[:, x_lo : x_lo + nx, w_lo : w_lo + rows])
