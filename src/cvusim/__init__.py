@@ -2,7 +2,7 @@
 
 Importing the package loads only the standard library, and not its dataclass
 module or ``inspect``: the records are named tuples.  numpy loads when the first
-``QuantizedVector`` is built or ``calibrate`` first runs; nothing loads scipy.
+``QuantizedVector`` is built; nothing loads scipy.
 """
 
 __version__ = "0.1.0"

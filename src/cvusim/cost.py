@@ -12,11 +12,10 @@ energy and area fields and of the fit's coefficients.
 
 Free per-bit constants absorb technology detail and are pinned by
 :func:`calibrate` against observed normalized design points.  The shipped
-defaults live in ``data/default_cost_params.json``.  Only :func:`calibrate`
-needs numpy, which it imports on its first call, and nothing needs scipy.  The
-fit prices only the inventories its objective reads, from integer unit rows built
-once, and walks its Nelder-Mead simplex on Python floats in a fixed order; its
-only host-dependent steps are numpy's ``exp`` and ``log`` (see :func:`_fit_metric`).
+defaults live in ``data/default_cost_params.json``.  Each metric is linear in
+the constants, so the fit is a closed-form least squares on Python floats (see
+:func:`_fit_metric`): it needs neither numpy nor scipy, and gives the same bits
+on every host.
 
 The normalization baseline is a conventional 8-bit MAC costed with the same
 component model: one 8x8 multiplier, an accumulate adder, and an accumulator
@@ -29,7 +28,7 @@ import json
 import math
 import operator
 from collections import namedtuple
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from pathlib import Path
 
 from .bitslice import MAX_BITWIDTH
@@ -233,12 +232,12 @@ class CalibrationAnchor(Checked, namedtuple("CalibrationAnchor", "cfg power_norm
                 raise RangeError(f"{name} must be strictly positive and finite, got {value}")
 
 
-# Design points the shipped defaults reproduce.  Chosen inside the feasible
-# envelope of the observed ratios (2.0x/1.7x power/area improvement at
-# 2-bit/16 lanes, 1.4x area overhead at 2-bit/1 lane, >=2.4x lane-sweep
-# power gap, no 1-bit benefit, ~3x and ~2.5x lane-sweep improvements) so
-# that every quoted figure is met with margin; rerunning
-# ``calibrate(DEFAULT_ANCHORS)`` recovers the shipped constants.
+# Design points the shipped defaults reproduce, chosen inside the envelope of
+# the observed ratios (2.0x/1.7x power/area improvement at 2-bit/16 lanes,
+# 1.4x area overhead at 2-bit/1 lane, >=2.4x lane-sweep power gap, no 1-bit
+# benefit, ~3x and ~2.5x lane-sweep improvements) so that every quoted figure
+# is met with margin.  ``calibrate(DEFAULT_ANCHORS)`` recovers the shipped
+# constants, and every fit also adds these rows at ``_TIE_BREAK_WEIGHT``.
 DEFAULT_ANCHORS = (
     CalibrationAnchor(CvuConfig(16, 2), power_norm=0.559, area_norm=0.540),
     CalibrationAnchor(CvuConfig(1, 2), power_norm=1.503, area_norm=1.515),
@@ -246,158 +245,88 @@ DEFAULT_ANCHORS = (
     CalibrationAnchor(CvuConfig(1, 1), power_norm=2.859, area_norm=2.907),
 )
 
-_SWEEP_LANES = (1, 2, 4, 8, 16)
-_FIT_STARTS = ((0.28, 0.16, 2.76), (0.1, 0.05, 1.0), (1.0, 0.5, 5.0))  # adder, shifter, register
-# the keys the qualitative penalty reads: each lane sweep, and 2-bit beside 1-bit per lane count
-_LANE_SERIES = tuple(tuple((sw, lanes) for lanes in _SWEEP_LANES) for sw in (1, 2))
-_SLICE_PAIRS = tuple(((2, lanes), (1, lanes)) for lanes in _SWEEP_LANES)
+# Small enough that a fit's own anchors decide every constant they determine; two power
+# targets, for one, leave one of the three free constants to the default anchors.
+_TIE_BREAK_WEIGHT = 1e-9
 
 
-def _key(cfg: CvuConfig) -> tuple[int, int]:
-    return cfg.slice_width, cfg.lanes
+def _fit_metric(anchors: list[CalibrationAnchor], metric: str) -> list[float]:
+    """The category coefficients c that fit the anchors' ``metric`` ("power_norm" or "area_norm") in least squares.
 
-
-def _norms_for(rows, coeffs: list[float]) -> dict[tuple[int, int], float]:
-    """Per-MAC metric of every (key, unit counts, MACs per cycle) row, normalized to the conventional MAC."""
-    conv = _weighted(_CONVENTIONAL_UNITS, coeffs)
-    return {key: _weighted(counts, coeffs) / conv / macs for key, counts, macs in rows}
-
-
-def _qualitative_penalty(norm: dict, coeffs: list[float], adder_first: tuple[int, ...]) -> float:
-    """Soft constraints keeping the model's qualitative shape during fits.
-
-    Violations of: per-MAC cost strictly decreasing in lanes, saturation of
-    the lane improvement, 2-bit dominating 1-bit, 1-bit never beating the
-    conventional unit, and the adder category ranking first among the unit
-    counts ``adder_first`` of the (2-bit, 16-lane) point.
+    An observed t at unit counts u is the linear equation ``(u / (t * lanes) - conv) . c = 0``, whose left side
+    is the anchor's relative error once ``conv . c = 1``.  The sum of their squares, plus the ``DEFAULT_ANCHORS``
+    rows at ``_TIE_BREAK_WEIGHT``, is minimized under that constraint by solving its 5 x 5 KKT system with
+    Gaussian elimination and partial pivoting.  Every sum adds Python floats left to right (not ``sum``, which
+    Python 3.12 made compensated), so the fit is the same bits on every host and Python version.  Returns c
+    with ``conv . c = 1``, not yet scaled, or NaNs where the system is singular after an overflow.
     """
-    terms = []
-    for keys in _LANE_SERIES:
-        series = [norm[key] for key in keys]
-        terms += [(b - a) / a + 1e-4 for a, b in zip(series, series[1:])]  # must decrease with lanes
-        terms.append(series[-2] / series[-1] - series[0] / series[1])  # diminishing returns
-    for two_bit, one_bit in _SLICE_PAIRS:
-        two, one = norm[two_bit], norm[one_bit]
-        terms += [(two - one) / one + 1e-4, 1.0 - one]  # 2-bit beats 1-bit, which never beats conventional
-    mult, add, shift, register = map(operator.mul, adder_first, coeffs)
-    terms += [(other - add) / add for other in (mult, shift, register)]
-    penalty = 0.0
-    for term in terms:
-        if term > 0.0:  # the same sum as adding max(0.0, term) for every term, in order
-            penalty += term
-    return penalty
-
-
-def _fit_objective(targets: list[tuple[CvuConfig, float]]):
-    """Worst relative error over ``targets`` plus 10x the penalty, of the log adder/shifter/register coefficients."""
-    import numpy as np
-
-    sweep = (CvuConfig(lanes, sw) for sw in (1, 2) for lanes in _SWEEP_LANES)
-    cfgs = {_key(cfg): cfg for cfg in (*sweep, *(cfg for cfg, _ in targets))}
-    rows = tuple((key, _structure(cfg), cfg.lanes) for key, cfg in cfgs.items())
-    keyed = [(_key(cfg), observed) for cfg, observed in targets]
-    adder_first = _structure(cfgs[(2, 16)])
-
-    def objective(x: np.ndarray) -> float:
-        coeffs = [1.0, *np.exp(x).tolist()]
-        norm = _norms_for(rows, coeffs)
-        err = max(abs(norm[key] / obs - 1.0) for key, obs in keyed)
-        return err + 10.0 * _qualitative_penalty(norm, coeffs, adder_first)
-
-    return objective
-
-
-def _by_value(vertex: tuple[float, list[float]]) -> tuple[bool, float]:
-    return vertex[0] != vertex[0], vertex[0]  # NaN last
-
-
-def _nelder_mead(objective, x0: list[float], maxiter=4000):
-    """SciPy's ``minimize(objective, x0, method="Nelder-Mead")`` with ``xatol=1e-8``, ``fatol=1e-10`` and ``maxiter``,
-    step for step, on Python floats in SciPy's order; return (x, f, iterations).  Each step sorts the vertices
-    by value, NaN last, stably: NumPy's SIMD ``argsort`` may reorder ties, making SciPy's path depend on the CPU."""
-    n, iterations = len(x0), 1
-    simplex = [list(x0)] + [[(1.05 * v if v != 0 else 0.00025) if i == k else v for i, v in enumerate(x0)]
-                            for k in range(n)]
-    simplex = sorted(((objective(x), x) for x in simplex), key=_by_value)
-    while iterations < maxiter:
-        (f_best, best), *rest = simplex
-        if all(abs(f_best - f) <= 1e-10 and all(abs(a - b) <= 1e-8 for a, b in zip(x, best)) for f, x in rest):
-            break
-        centroid = [reduce(operator.add, column) / n for column in zip(*(x for _, x in simplex[:-1]))]
-        f_worst, worst = simplex[-1]
-        xr = [2 * c - w for c, w in zip(centroid, worst)]
-        fxr = objective(xr)
-        if fxr < f_best:  # expand
-            xe = [3 * c - 2 * w for c, w in zip(centroid, worst)]
-            fxe = objective(xe)
-            simplex[-1] = (fxe, xe) if fxe < fxr else (fxr, xr)
-        elif fxr < simplex[-2][0]:
-            simplex[-1] = (fxr, xr)
-        else:  # contract outside, towards the reflection, or inside, towards the worst vertex
-            outside = fxr < f_worst
-            x = [1.5 * c - 0.5 * w if outside else 0.5 * c + 0.5 * w for c, w in zip(centroid, worst)]
-            fx = objective(x)
-            if fx <= fxr if outside else fx < f_worst:
-                simplex[-1] = (fx, x)
-            else:  # shrink every other vertex halfway to the best
-                shrunk = ([b + 0.5 * (v - b) for b, v in zip(best, x)] for _, x in rest)
-                simplex[1:] = [(objective(x), x) for x in shrunk]
-        iterations += 1
-        simplex.sort(key=_by_value)
-    f_best, f_last = simplex[0][0], simplex[-1][0]
-    return simplex[0][1], f_last if f_last != f_last else f_best, iterations  # np.min's value: a NaN wins
-
-
-def _fit_metric(targets: list[tuple[CvuConfig, float]]) -> list[float]:
-    """The four category coefficients, as Python floats, that minimize :func:`_fit_objective`.
-
-    The objective's integer unit rows are built once, only for what it reads: the 1- and 2-bit lane
-    sweeps and the anchors.  Each evaluation turns its coefficients into Python floats with one
-    ``np.exp``; every later term, and every :func:`_nelder_mead` step, is on Python floats in a fixed
-    order.  So ``np.exp``, with ``np.log`` of the starts, is the only host-dependent step: ``math.exp``
-    or another libm can differ in the last bit, which moves the simplex path.
-    """
-    import numpy as np
-
-    objective = _fit_objective(targets)
-    fits = [_nelder_mead(objective, np.log(start).tolist()) for start in _FIT_STARTS]
-    return [1.0, *np.exp(min(fits, key=lambda fit: fit[1])[0]).tolist()]  # the first best fit
+    rows = [
+        (weight, [n / (t * x.cfg.lanes) - m for n, m in zip(_structure(x.cfg), _CONVENTIONAL_UNITS)])
+        for weight, group in ((1.0, anchors), (_TIE_BREAK_WEIGHT, DEFAULT_ANCHORS))
+        for x in group
+        if (t := getattr(x, metric)) is not None
+    ]
+    size = len(_CATEGORIES) + 1
+    system = [  # the augmented matrix [[M, conv | 0], [conv, 0 | 1]], M the weighted normal matrix
+        [*(reduce(operator.add, (w * a[i] * a[j] for w, a in rows), 0.0) for j in range(size - 1)), conv, 0.0]
+        for i, conv in enumerate(map(float, _CONVENTIONAL_UNITS))
+    ]
+    system.append([*map(float, _CONVENTIONAL_UNITS), 0.0, 1.0])
+    for col in range(size):
+        pivot = max(range(col, size), key=lambda r: abs(system[r][col]))
+        system[col], system[pivot] = system[pivot], system[col]
+        if not abs(system[col][col]) > 0.0:
+            return [math.nan] * len(_CATEGORIES)
+        for r in range(col + 1, size):
+            factor = system[r][col] / system[col][col]
+            system[r] = [x - factor * y for x, y in zip(system[r], system[col])]
+    solution = [0.0] * size
+    for r in reversed(range(size)):
+        tail = reduce(operator.add, (system[r][j] * solution[j] for j in range(r + 1, size)), 0.0)
+        solution[r] = (system[r][size] - tail) / system[r][r]
+    return solution[:-1]
 
 
 def calibrate(anchors) -> tuple[CostParams, dict[str, float]]:
     """Fit the free constants to observed (power, area) anchor points.
 
-    Minimizes the maximum relative error over the anchors, subject to the
-    model's qualitative invariants.  The multiplier coefficient is the scale
-    reference and fixed at 1; only normalized predictions are identifiable.
+    Per metric, minimizes the sum of the squared relative errors over the anchors (see
+    :func:`_fit_metric`), then scales the coefficients so that the multiplier's, the scale
+    reference, is 1; only normalized predictions are identifiable.
 
     Returns the parameters and the residuals: each observed metric's relative error, keyed
-    ``sw{s}x{s}_L{lanes}_{power|area}`` for slice width s.  A worst residual above
-    ``MAX_CALIBRATION_ERROR`` raises :class:`CalibrationError` with the same residuals.
+    ``sw{s}x{s}_L{lanes}_{power|area}`` for slice width s.  A coefficient that is not positive and finite,
+    or a worst residual above ``MAX_CALIBRATION_ERROR``, raises :class:`CalibrationError` with the residuals.
     """
     anchors = list(anchors)
     if len(anchors) < 3:
         raise ConfigError(f"calibration needs at least 3 anchors, got {len(anchors)}")
-    power_targets = [(a.cfg, a.power_norm) for a in anchors if a.power_norm is not None]
-    area_targets = [(a.cfg, a.area_norm) for a in anchors if a.area_norm is not None]
-    if not power_targets or not area_targets:
+    metrics = ("power_norm", "area_norm")
+    if any(all(getattr(anchor, metric) is None for anchor in anchors) for metric in metrics):
         raise ConfigError("anchors must cover both power and area")
 
-    e = _fit_metric(power_targets)
-    a = _fit_metric(area_targets)
-    params = CostParams(
-        **{energy: e[i] for i, (_, energy, _) in enumerate(_CATEGORIES)},
-        **{area: a[i] for i, (_, _, area) in enumerate(_CATEGORIES)},
-    )
+    e, a = (_fit_metric(anchors, metric) for metric in metrics)
+    positive = all(0 < c < math.inf for c in (*e, *a))
+    if positive:
+        params = CostParams(
+            **{energy: e[i] / e[0] for i, (_, energy, _) in enumerate(_CATEGORIES)},
+            **{area: a[i] / a[0] for i, (_, _, area) in enumerate(_CATEGORIES)},
+        )
+        norms = partial(per_mac_normalized, params=params)
+    else:  # CostParams refuses the coefficients, so price the anchors with them directly, at conv . c = 1
+        def norms(cfg):
+            return [_weighted(_structure(cfg), c) / cfg.lanes for c in (e, a)]
 
     residuals = {}
     for anchor in anchors:
-        power, area = per_mac_normalized(anchor.cfg, params)
-        label = "sw{0}x{0}_L{1}".format(*_key(anchor.cfg))
+        power, area = norms(anchor.cfg)
+        label = "sw{0}x{0}_L{1}".format(anchor.cfg.slice_width, anchor.cfg.lanes)
         if anchor.power_norm is not None:
             residuals[f"{label}_power"] = abs(power / anchor.power_norm - 1.0)
         if anchor.area_norm is not None:
             residuals[f"{label}_area"] = abs(area / anchor.area_norm - 1.0)
+    if not positive:
+        raise CalibrationError("calibration finds no strictly positive, finite coefficients", residuals)
     worst = max(residuals.values())
     if worst > MAX_CALIBRATION_ERROR:
         raise CalibrationError(f"calibration residual {worst:.1%} exceeds {MAX_CALIBRATION_ERROR:.0%}", residuals)

@@ -232,7 +232,7 @@ def test_budget_too_large_for_the_sram_names_budget_units_and_sram(capsys):
     assert main([*SIM, "--budget", "1e308"]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err == (
-        "input error: power budget 1e+308 mW sizes 4.4721e+307 vector-composable units, "
+        "input error: power budget 1e+308 mW sizes 4.47227e+307 vector-composable units, "
         "more than the 6291456 bytes of weight SRAM (--sram-bytes) can give one byte each\n"
     )
 

@@ -1,16 +1,11 @@
 """Power/area model: breakdowns, sweep shape, calibration, iso-power sizing."""
 
-import functools
 import math
-import operator
 import warnings
 from importlib import resources
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import cvusim.cost as cost
 from cvusim.cost import (
@@ -40,52 +35,23 @@ def cfg(sw, lanes):
     return CvuConfig(lanes=lanes, slice_width=sw)
 
 
-def reference_objective(targets):
-    """The fit objective as first written, kept as the reference for the fast one: np.float64
-    coefficients over the inventory dicts, with the unread 4-bit sweep priced too."""
-    unit_keys = ("mult_units", "add_units", "shift_units", "register_units")
-    conventional = dict(zip(unit_keys, (64, _adder_units(ACCUMULATOR_BITS), 0, ACCUMULATOR_BITS)))
-
-    def key(c):
-        return c.slice_width, c.lanes
-
-    def weighted(units, coeffs):
-        return functools.reduce(operator.add, map(operator.mul, (units[k] for k in unit_keys), coeffs))
-
-    sweep = (cfg(sw, lanes) for sw in (1, 2, 4) for lanes in LANES)
-    table = {key(c): dict(zip(unit_keys, _structure(c)), macs=c.lanes) for c in (*sweep, *(c for c, _ in targets))}
-    keyed = [(key(c), observed) for c, observed in targets]
-
-    def objective(x):
-        coeffs = np.concatenate(([1.0], np.exp(x)))
-        conv = weighted(conventional, coeffs)
-        norm = {k: weighted(s, coeffs) / conv / s["macs"] for k, s in table.items()}
-        err = max(abs(norm[k] / obs - 1.0) for k, obs in keyed)
-        penalty = 0.0
-        for sw in (1, 2):
-            series = [norm[(sw, lanes)] for lanes in LANES]
-            for a, b in zip(series, series[1:]):
-                penalty += max(0.0, (b - a) / a + 1e-4)
-            penalty += max(0.0, series[-2] / series[-1] - series[0] / series[1])
-        for lanes in LANES:
-            penalty += max(0.0, (norm[(2, lanes)] - norm[(1, lanes)]) / norm[(1, lanes)] + 1e-4)
-            penalty += max(0.0, 1.0 - norm[(1, lanes)])
-        s216 = table[(2, 16)]
-        mult, adder, shifter, register = coeffs
-        add_cost = s216["add_units"] * adder
-        for other in (s216["mult_units"] * mult, s216["shift_units"] * shifter, s216["register_units"] * register):
-            penalty += max(0.0, (other - add_cost) / add_cost)
-        return err + 10.0 * penalty
-
-    return objective
-
-
-def fit_targets(anchors):
-    """The power targets and the area targets of ``anchors``, as ``calibrate`` passes them to the fit."""
-    return (
-        [(a.cfg, a.power_norm) for a in anchors if a.power_norm is not None],
-        [(a.cfg, a.area_norm) for a in anchors if a.area_norm is not None],
-    )
+def lstsq_fit(anchors, metric):
+    """The category coefficients that ``calibrate`` fits to ``metric`` ("power_norm" or "area_norm"), solved
+    independently in numpy: ``conv . c = 1`` eliminates the multiplier coefficient, ``np.linalg.lstsq`` fits
+    the other three to the anchors' rows and, at the fit's tie-break weight, the default anchors' rows."""
+    conv = np.array(cost._CONVENTIONAL_UNITS, dtype=float)
+    rows, weights = [], []
+    for weight, group in ((1.0, anchors), (cost._TIE_BREAK_WEIGHT, DEFAULT_ANCHORS)):
+        for anchor in group:
+            if getattr(anchor, metric) is not None:
+                rows.append(np.array(_structure(anchor.cfg)) / (getattr(anchor, metric) * anchor.cfg.lanes) - conv)
+                weights.append(math.sqrt(weight))
+    a = np.array(rows) * np.array(weights)[:, None]
+    # with c[0] = (1 - conv[1:] . c[1:]) / conv[0],
+    # a . c = a[:, 0] / conv[0] + (a[:, 1:] - a[:, :1] conv[1:] / conv[0]) . c[1:]
+    rest = np.linalg.lstsq(a[:, 1:] - np.outer(a[:, 0], conv[1:] / conv[0]), -a[:, 0] / conv[0], rcond=None)[0]
+    c = np.concatenate((((1.0 - conv[1:] @ rest) / conv[0],), rest))
+    return (c / c[0]).tolist()
 
 
 class TestCvuCost:
@@ -243,6 +209,18 @@ class TestCalibrate:
         assert err.value.residuals
         assert all(type(v) is float for v in err.value.residuals.values())
 
+    def test_targets_that_overflow_the_fit_raise_with_residuals(self):
+        # the 1e-150 target's row, about 1e152, swamps the others, and elimination meets a zero pivot
+        tiny = [
+            CalibrationAnchor(cfg(2, 16), power_norm=1.0, area_norm=1.0),
+            CalibrationAnchor(cfg(4, 8), power_norm=1.0, area_norm=1.0),
+            CalibrationAnchor(cfg(4, 4), power_norm=1e-150, area_norm=1e-150),
+        ]
+        with pytest.raises(CalibrationError) as err:
+            calibrate(tiny)
+        assert len(err.value.residuals) == 6
+        assert all(type(v) is float for v in err.value.residuals.values())
+
     @pytest.mark.parametrize("metric", ["power_norm", "area_norm"])
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
     def test_anchor_values_must_be_positive_and_finite(self, metric, value):
@@ -260,143 +238,20 @@ class TestCalibrate:
         for name, shipped in PARAMS._asdict().items():
             assert getattr(params, name) == pytest.approx(shipped, rel=1e-6), name
 
-    def test_shipped_parameters_have_zero_qualitative_penalty(self):
-        sweep = [cfg(sw, lanes) for sw in (1, 2) for lanes in LANES]
-        rows = [(cost._key(c), _structure(c), c.lanes) for c in sweep]
-        adder_first = _structure(cfg(2, 16))
-        for constants in (cost._energy_constants(PARAMS), cost._area_constants(PARAMS)):
-            coeffs = list(constants)
-            assert cost._qualitative_penalty(cost._norms_for(rows, coeffs), coeffs, adder_first) == 0.0
+    @pytest.mark.parametrize("left_out", [None, *range(len(DEFAULT_ANCHORS))])
+    def test_equal_to_a_numpy_least_squares(self, left_out):
+        anchors = [a for i, a in enumerate(DEFAULT_ANCHORS) if i != left_out]
+        params, _ = calibrate(anchors)
+        assert list(cost._energy_constants(params)) == pytest.approx(lstsq_fit(anchors, "power_norm"), rel=1e-9)
+        assert list(cost._area_constants(params)) == pytest.approx(lstsq_fit(anchors, "area_norm"), rel=1e-9)
 
-
-# the fit targets the objective is checked on: the default anchors, the three observed points,
-# and anchors off the penalty's sweep (4-bit slices)
-OFF_SWEEP = [cfg(4, 16), cfg(4, 8), cfg(2, 16)]
-TARGET_SETS = (
-    *fit_targets(DEFAULT_ANCHORS),
-    *fit_targets(TestCalibrate.THREE_ANCHORS),
-    *fit_targets([CalibrationAnchor(c, *per_mac_normalized(c, PARAMS)) for c in OFF_SWEEP]),
-)
-
-
-class TestFitObjective:
-    # the fast objective must equal the reference bit for bit, so Nelder-Mead takes the same path
-
-    def test_equal_at_the_starts(self):
-        for targets in TARGET_SETS:
-            fast, reference = cost._fit_objective(targets), reference_objective(targets)
-            for start in cost._FIT_STARTS:
-                x = np.log(start)
-                assert type(fast(x)) is float
-                assert fast(x) == reference(x), (targets, start)
-
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(
-        targets=st.sampled_from(TARGET_SETS),
-        x=st.tuples(*[st.floats(-8.0, 4.0)] * 3).map(np.array),
-    )
-    def test_equal_at_random_points(self, targets, x):
-        assert cost._fit_objective(targets)(x) == reference_objective(targets)(x)
-
-    def test_equal_along_the_default_fit(self, monkeypatch):
-        # every point Nelder-Mead visits while fitting DEFAULT_ANCHORS
-        fast_objective, visited = cost._fit_objective, []
-
-        def checked(targets):
-            fast, reference = fast_objective(targets), reference_objective(targets)
-
-            def objective(x):
-                visited.append(x)
-                value = fast(x)
-                assert value == reference(x), x
-                return value
-
-            return objective
-
-        expected = calibrate(DEFAULT_ANCHORS)
-        monkeypatch.setattr(cost, "_fit_objective", checked)
-        assert calibrate(DEFAULT_ANCHORS) == expected
-        assert len(visited) > 1000
-
-
-# the fits calibrate runs: the target sets above and those of the four leave-one-out anchor sets
-LEAVE_ONE_OUT = tuple(DEFAULT_ANCHORS[:i] + DEFAULT_ANCHORS[i + 1:] for i in range(len(DEFAULT_ANCHORS)))
-PARITY_SETS = (*TARGET_SETS, *(targets for anchors in LEAVE_ONE_OUT for targets in fit_targets(anchors)))
-
-
-def scipy_nelder_mead(objective, x0, maxiter=4000):
-    """SciPy's Nelder-Mead with the fit's options, as (x, f, iterations) in Python floats."""
-    minimize = pytest.importorskip("scipy.optimize").minimize
-    res = minimize(objective, x0, method="Nelder-Mead", options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": maxiter})
-    return res.x.tolist(), float(res.fun), res.nit
-
-
-STABLE_ARGSORT = functools.partial(np.argsort, kind="stable")
-
-
-def bits(values):
-    return [float(v).hex() for v in values]  # tells -0.0 from 0.0, and a NaN equals a NaN
-
-
-class TestNelderMead:
-    # the in-package simplex walk must take SciPy's path exactly, so every fit ends on the same bits
-
-    @pytest.mark.parametrize("targets", PARITY_SETS)
-    def test_equal_to_scipy_on_every_fit(self, targets):
-        objective = cost._fit_objective(targets)
-        for start in cost._FIT_STARTS:
-            x0 = np.log(start).tolist()
-            x, fun, nit = cost._nelder_mead(objective, x0)
-            ref_x, ref_fun, ref_nit = scipy_nelder_mead(objective, x0)
-            assert (bits(x), bits([fun]), nit) == (bits(ref_x), bits([ref_fun]), ref_nit), start
-
-    @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(
-        x0=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
-        center=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
-        weights=st.lists(st.floats(0.5, 4.0), min_size=3, max_size=3),
-        k=st.integers(0, 2),
-        bad=st.sampled_from([math.nan, math.inf]),
-    )
-    # x0[1] is lost in (x - center), so vertices that differ only there tie, and the SIMD argsort
-    # of NumPy on AVX2 and AVX-512 hosts puts them in another order than a stable sort does
-    @example(
-        x0=[0.5033329799474151, 2.303667073953543e-41, -0.1602456117906046],
-        center=[2.2507793590611893, 1.0, 2.1615953146006], weights=[2.84375, 1.0, 2.765625], k=1, bad=math.nan,
-    )
-    def test_equal_to_scipy_where_the_objective_is_not_finite(self, x0, center, weights, k, bad):
-        # A quadratic that gives ``bad`` past x0[k], on the side the first simplex moves it to, so that
-        # one first vertex is bad and NaN must sort last, as inf does.  SciPy sorts the simplex with
-        # np.argsort, whose order of tied values is the CPU's, so the reference sorts stably.
-        side = 1.0 if x0[k] >= 0 else -1.0
-
-        def objective(x):
-            x = [float(v) for v in x]
-            if side * (x[k] - x0[k]) > 0:
-                return bad
-            return sum(w * (v - c) * (v - c) for w, v, c in zip(weights, x, center))
-
-        x, fun, nit = cost._nelder_mead(objective, x0)
-        with mock.patch.object(np, "argsort", STABLE_ARGSORT):
-            ref_x, ref_fun, ref_nit = scipy_nelder_mead(objective, np.array(x0))
-        assert (bits(x), bits([fun]), nit) == (bits(ref_x), bits([ref_fun]), ref_nit)
-
-    def test_a_nan_vertex_at_the_iteration_limit_makes_the_value_nan(self):
-        # SciPy's value is np.min over the simplex, which a NaN wins; every point but x0 gives NaN
-        x0 = [0.5, -1.0, 2.0]
-
-        def objective(x):
-            return 1.0 if [float(v) for v in x] == x0 else math.nan
-
-        x, fun, nit = cost._nelder_mead(objective, x0, maxiter=2)
-        assert (x, math.isnan(fun), nit) == (x0, True, 2)
-        ref_x, ref_fun, ref_nit = scipy_nelder_mead(objective, x0, maxiter=2)
-        assert (bits(x), bits([fun]), nit) == (bits(ref_x), bits([ref_fun]), ref_nit)
-
-    def test_nan_sorts_last(self):
-        # NaN compares false both ways, so only the key keeps it after inf and every finite value
-        vertices = [(math.nan, [0.0]), (math.inf, [1.0]), (2.0, [2.0]), (-math.inf, [3.0])]
-        assert [x for _, x in sorted(vertices, key=cost._by_value)] == [[3.0], [2.0], [1.0], [0.0]]
+    def test_two_power_targets_leave_the_rest_to_the_default_anchors(self):
+        # two power targets fix two of the three free energy coefficients; the default anchors settle the third
+        params, residuals = calibrate(self.THREE_ANCHORS)
+        assert all(0 < value < math.inf for value in params)
+        assert residuals["sw2x2_L16_power"] <= 1e-9
+        assert residuals["sw1x1_L16_power"] <= 1e-9
+        assert calibrate(self.THREE_ANCHORS) == (params, residuals)
 
 
 class TestInventoryCache:

@@ -14,9 +14,9 @@ speedup = compute_ratio * conventional_total_per_compute / vector_total_per_comp
 where compute_ratio is conventional compute cycles over vector compute cycles.
 ``calibration.txt`` holds the relative error of every ``DEFAULT_ANCHORS``
 metric after ``calibrate`` fits all four anchors, and of each anchor's
-metrics when the other three are fitted (leave one out).  It prints 4
-significant digits to absorb last-bit differences between hosts; a value
-within about 1e-8 of a rounding boundary can still flip.
+metrics when the other three are fitted (leave one out).  The fit adds
+Python floats in a fixed order, so it gives the same bits on every host and
+supported Python; the file prints 4 significant digits to stay readable.
 
 A change that moves the model on purpose regenerates the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and explains the diff.  The
