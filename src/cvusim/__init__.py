@@ -1,38 +1,12 @@
 """Bit-sliced composable vector units: arithmetic, cost model, simulator.
 
-Importing the package loads only the standard library, and not its dataclass
-module or ``inspect``: the records are named tuples.  numpy loads when the first
-``QuantizedVector`` is built; nothing loads scipy.
+Import the submodules: ``bitslice`` holds the exact bit-slice arithmetic,
+``cvu`` the composition planning and one cycle of a unit, ``cost`` the
+power/area model and its calibration, ``workloads`` the network schema and
+the bundled benchmarks, ``arch`` the array simulator, ``errors`` the
+exception types and ``cli`` the command line.  Importing the package loads none of them, so a process compiles only
+the modules it uses.  No module loads ``dataclasses``, ``inspect`` or scipy;
+numpy loads when the first ``QuantizedVector`` is built.
 """
 
 __version__ = "0.1.0"
-
-from .bitslice import QuantizedVector, dot_exact, nbve_dot, slice_vector
-from .cvu import CompositionPlan, CvuConfig, CvuOutput, execute_cycle, plan_composition
-from .cost import (
-    CalibrationAnchor,
-    CostBreakdown,
-    CostParams,
-    DsePoint,
-    calibrate,
-    default_params,
-    dse_sweep,
-    iso_power_array_size,
-    per_mac_normalized,
-)
-from .workloads import LayerKind, LayerSpec, NetworkSpec, parse_network, to_homogeneous
-from .arch import (
-    DDR4,
-    HBM2,
-    AcceleratorConfig,
-    MemorySpec,
-    SimReport,
-    Style,
-    build_array,
-    compare,
-    lower_layer,
-    simulate_layer,
-    simulate_network,
-)
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -6,6 +6,13 @@ manifests produce byte-identical output; nothing in a report depends on
 time, locale, or environment.
 
 Exit codes: 0 success, 1 usage error, 2 input error, 3 internal error.
+
+A command loads only the modules it runs: ``dse`` loads ``cost``, ``cvu``,
+``bitslice`` and ``errors``; ``simulate`` and ``compare`` load ``arch`` and
+``workloads`` too, on their first call.  That call binds ``_FROM_ARCH`` and
+``_FROM_WORKLOADS`` here as module attributes, which the commands look up
+when called, so a caller may rebind ``cli.build_array`` and the rest to a
+wrapper; a binding already here is kept.
 """
 
 from __future__ import annotations
@@ -18,28 +25,18 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .arch import (
-    DDR4,
-    DEFAULT_BUDGET_MW,
-    DEFAULT_TOTAL_SRAM_BYTES,
-    HBM2,
-    MemorySpec,
-    Style,
-    build_array,
-    compare,
-    simulate_network,
-)
 from .cost import default_params, dse_sweep, load_params
 from .errors import ConfigError, NetworkFormatError, RangeError
-from .workloads import NetworkSpec, bundled_networks, load_network, to_homogeneous
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
-_STYLES = {"conventional": Style.CONVENTIONAL, "scalar": Style.SCALAR, "vector": Style.VECTOR}
-_MEMORIES = {"ddr4": DDR4, "hbm2": HBM2}
+_STYLES = {"conventional": "CONVENTIONAL", "scalar": "SCALAR", "vector": "VECTOR"}  # flag: Style member
+_MEMORIES = ("ddr4", "hbm2")  # arch.DDR4, arch.HBM2
+_FROM_ARCH = ("build_array", "compare", "simulate_network")
+_FROM_WORKLOADS = ("bundled_networks", "load_network", "to_homogeneous")
 # `simulate` columns: LayerReport attributes; the TOTAL row reads the SimReport's or "-"
 _LAYER_COLUMNS = (
     "name", "kind", "m", "k", "n", "repeats", "bw_x", "bw_w", "macs",
@@ -55,6 +52,30 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); usage errors are exit 1
         raise _UsageError(message)
+
+
+def _load_model():
+    """Import arch and workloads and bind ``_FROM_ARCH`` and ``_FROM_WORKLOADS``
+    here, keeping any binding already here; returns arch."""
+    from . import arch, workloads
+
+    for module, names in ((arch, _FROM_ARCH), (workloads, _FROM_WORKLOADS)):
+        for name in names:
+            globals().setdefault(name, getattr(module, name))
+    return arch
+
+
+def __getattr__(name: str):  # cli.build_array and the rest resolve before the first command, too
+    if name in _FROM_ARCH + _FROM_WORKLOADS:
+        _load_model()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _sizing(args, arch) -> tuple:
+    """The budget and SRAM flags, or arch's defaults, which the parser cannot read."""
+    budget = arch.DEFAULT_BUDGET_MW if args.budget is None else args.budget
+    return budget, arch.DEFAULT_TOTAL_SRAM_BYTES if args.sram_bytes is None else args.sram_bytes
 
 
 def _digest_file(path: Path) -> str:
@@ -94,7 +115,7 @@ def _load_cost_params(args) -> tuple:
     return default_params(), {"params": "default"}
 
 
-def _resolve_network(name_or_path: str) -> tuple[NetworkSpec, Path]:
+def _resolve_network(name_or_path: str) -> tuple:
     bundled = bundled_networks()
     if name_or_path in bundled:
         path = bundled[name_or_path]
@@ -108,17 +129,17 @@ def _resolve_network(name_or_path: str) -> tuple[NetworkSpec, Path]:
     return load_network(path), path
 
 
-def _memory_from_args(args) -> MemorySpec:
+def _memory_from_args(args, arch):
     given = [f for f, v in (("--bandwidth", args.bandwidth), ("--pj-per-bit", args.pj_per_bit)) if v is not None]
     if args.memory in _MEMORIES:
         if given:  # a named memory fixes both figures
             raise _UsageError(f"{given[0]} applies only to --memory custom, not --memory {args.memory}")
-        return _MEMORIES[args.memory]
+        return getattr(arch, args.memory.upper())
     if len(given) < 2:
         raise _UsageError("--memory custom requires --bandwidth and --pj-per-bit")
     if not 1 <= args.bandwidth * 1e9 < math.inf:  # MemorySpec's bound, in the flag's unit
         raise ConfigError(f"--bandwidth must be finite and at least 1e-9 GB/s, got {args.bandwidth!r} GB/s")
-    return MemorySpec("custom", args.bandwidth * 1e9, args.pj_per_bit)
+    return arch.MemorySpec("custom", args.bandwidth * 1e9, args.pj_per_bit)
 
 
 def _int_list(text: str) -> list[int]:
@@ -146,13 +167,15 @@ def cmd_dse(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    arch = _load_model()
     params, digests = _load_cost_params(args)
     net, path = _resolve_network(args.network)
     digests["network"] = _digest_file(path)
     if args.bitwidths == "homogeneous":
         net = to_homogeneous(net)
-    mem = _memory_from_args(args)
-    acc = build_array(_STYLES[args.style], params, budget_mw=args.budget, total_sram_bytes=args.sram_bytes)
+    mem = _memory_from_args(args, arch)
+    budget, sram_bytes = _sizing(args, arch)
+    acc = build_array(arch.Style[_STYLES[args.style]], params, budget_mw=budget, total_sram_bytes=sram_bytes)
     report = simulate_network(net, acc, mem, params)
 
     parameters = {
@@ -162,8 +185,8 @@ def cmd_simulate(args) -> int:
         "memory": mem.name,
         "bandwidth_gbps": mem.bandwidth_bytes_per_s / 1e9,
         "pj_per_bit": mem.access_energy_pj_per_bit,
-        "budget_mw": args.budget,
-        "sram_bytes": args.sram_bytes,
+        "budget_mw": budget,
+        "sram_bytes": sram_bytes,
         "array": f"{acc.rows}x{acc.cols}",
     }
     rows = [[getattr(layer, c) for c in _LAYER_COLUMNS] for layer in report.layers]
@@ -189,20 +212,21 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _parse_config_group(text: str) -> tuple[Style, MemorySpec]:
+def _parse_config_group(text: str, arch) -> tuple:
     parts = text.split(":")
     if len(parts) != 2 or parts[0] not in _STYLES or parts[1] not in _MEMORIES:
         raise _UsageError(
             f"--config must look like 'vector:ddr4' (styles: {', '.join(_STYLES)}; memories: ddr4, hbm2), got {text!r}"
         )
-    return _STYLES[parts[0]], _MEMORIES[parts[1]]
+    return arch.Style[_STYLES[parts[0]]], getattr(arch, parts[1].upper())
 
 
 def cmd_compare(args) -> int:
     if len(args.config) < 2:
         raise _UsageError("compare needs at least 2 --config groups")
+    arch = _load_model()
     params, digests = _load_cost_params(args)
-    groups = [_parse_config_group(c) for c in args.config]
+    groups = [_parse_config_group(c, arch) for c in args.config]
 
     nets = []
     for name in args.network:
@@ -216,17 +240,15 @@ def cmd_compare(args) -> int:
             net = to_homogeneous(net)
         nets.append(net)
 
-    configs = [
-        (build_array(style, params, budget_mw=args.budget, total_sram_bytes=args.sram_bytes), mem)
-        for style, mem in groups
-    ]
+    budget, sram_bytes = _sizing(args, arch)
+    configs = [(build_array(style, params, budget_mw=budget, total_sram_bytes=sram_bytes), mem) for style, mem in groups]
 
     parameters = {
         "networks": [n.name for n in nets],
         "bitwidths": args.bitwidths,
         "configs": list(args.config),
-        "budget_mw": args.budget,
-        "sram_bytes": args.sram_bytes,
+        "budget_mw": budget,
+        "sram_bytes": sram_bytes,
     }
     header = ["network", "config", "runtime_s", "energy_pj", "speedup", "energy_reduction"]
     rows = []
@@ -246,7 +268,7 @@ def cmd_compare(args) -> int:
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="cvusim", description=__doc__)
+    parser = _Parser(prog="cvusim", description=__doc__.rsplit("\n\n", 1)[0])  # the last paragraph is for callers
     parser.add_argument("--version", action="version", version=f"cvusim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -263,8 +285,8 @@ def _build_parser() -> _Parser:
     sim.add_argument("--memory", choices=[*_MEMORIES, "custom"], default="ddr4")
     sim.add_argument("--bandwidth", type=float, default=None, help="custom memory bandwidth, GB/s")
     sim.add_argument("--pj-per-bit", type=float, default=None, help="custom memory access energy")
-    sim.add_argument("--budget", type=float, default=DEFAULT_BUDGET_MW, help="core power budget, mW")
-    sim.add_argument("--sram-bytes", type=int, default=DEFAULT_TOTAL_SRAM_BYTES, help="total weight SRAM")
+    sim.add_argument("--budget", type=float, default=None, help="core power budget, mW")
+    sim.add_argument("--sram-bytes", type=int, default=None, help="total weight SRAM")
     sim.add_argument("--bitwidths", choices=["file", "homogeneous"], default="file")
     sim.add_argument("--params", default=None)
     sim.add_argument("--out", default=None)
@@ -274,8 +296,8 @@ def _build_parser() -> _Parser:
     cmp_.add_argument("--network", action="append", required=True, help="repeatable; file or bundled name")
     cmp_.add_argument("--config", action="append", required=True, help="repeatable; style:memory, e.g. vector:hbm2")
     cmp_.add_argument("--bitwidths", choices=["file", "homogeneous"], default="file")
-    cmp_.add_argument("--budget", type=float, default=DEFAULT_BUDGET_MW)
-    cmp_.add_argument("--sram-bytes", type=int, default=DEFAULT_TOTAL_SRAM_BYTES)
+    cmp_.add_argument("--budget", type=float)
+    cmp_.add_argument("--sram-bytes", type=int)
     cmp_.add_argument("--params", default=None)
     cmp_.add_argument("--out", default=None)
     cmp_.set_defaults(func=cmd_compare)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvusim import __version__
 from cvusim.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
 from cvusim.cost import default_params
 from cvusim.workloads import bundled_networks
@@ -258,6 +259,35 @@ def test_out_files_are_byte_identical(argv, tmp_path, capsys):
     assert run([*argv, "--out", str(second)], capsys) == EXIT_OK
     assert first.read_bytes() == second.read_bytes()
     assert first.read_bytes().startswith(f"# cvusim {argv[0]} report\n".encode())
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["dse", "--help"], ["simulate", "--help"], ["compare", "--help"]])
+def test_version_and_help_exit_0_to_stdout(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 0
+    out, err = capsys.readouterr()
+    assert not err
+    if argv == ["--version"]:
+        assert out == f"cvusim {__version__}\n"
+    else:
+        assert out.startswith(" ".join(["usage: cvusim", *argv[:-1]]) + " ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*SIM, "--memory", "hbm2"],
+        ["compare", "--network", "lstm", "--network", "alexnet", "--config", "scalar:ddr4", "--config", "vector:ddr4"],
+    ],
+)
+def test_explicit_default_budget_and_sram_write_the_same_report(argv, tmp_path, capsys):
+    # the parser leaves both unset, and the command fills in arch's defaults
+    implicit, explicit = tmp_path / "implicit.csv", tmp_path / "explicit.csv"
+    assert run([*argv, "--out", str(implicit)], capsys) == EXIT_OK
+    assert run([*argv, "--budget", "250", "--sram-bytes", "6291456", "--out", str(explicit)], capsys) == EXIT_OK
+    assert explicit.read_bytes() == implicit.read_bytes()
+    assert '"budget_mw":250.0' in implicit.read_text() and '"sram_bytes":6291456' in implicit.read_text()
 
 
 # Random inputs: one well-formed layer per kind, which a draw then breaks with wrong types,

@@ -1,9 +1,10 @@
 """Import hygiene: nothing loads scipy, and only the bit-exact functional path,
 from building its first `QuantizedVector` on, may load numpy; the only runtime
-dependency is numpy, and `calibrate` fits with neither numpy nor scipy loaded,
-and without scipy installed.  Neither importing the package nor a CLI command
-loads `dataclasses` or `inspect`, and even without `site`, `import cvusim.cli`
-loads no `typing`: each would add to every cold start."""
+dependency is numpy, and `calibrate` fits with neither numpy nor scipy loaded.
+Neither importing the package nor a CLI command loads `dataclasses` or
+`inspect`, and even without `site`, `import cvusim.cli` loads no `typing`.
+Each entry point loads exactly the cvusim modules it runs: a cold process
+compiles every module it loads, so each would add to every cold start."""
 
 import functools
 import json
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import cvusim
+from cvusim import cli
 
 SRC = Path(cvusim.__file__).resolve().parent.parent
 
@@ -45,23 +47,6 @@ print(json.dumps({"codes": codes, "loaded": loaded, "package": package, "command
                   "after_calibrate": sorted(m for m in sys.modules if m.startswith(("numpy", "scipy")))}))
 """
 
-# calibrate with every import of scipy failing, as if it were not installed
-_NO_SCIPY_CHILD = """
-import json, sys
-
-class NoScipy:
-    def find_spec(self, name, path=None, target=None):
-        if name.split(".")[0] == "scipy":
-            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
-        return None
-
-sys.meta_path.insert(0, NoScipy())
-from cvusim import cost
-
-params, residuals = cost.calibrate(cost.DEFAULT_ANCHORS)
-print(json.dumps({"params": params._asdict(), "shipped": cost.default_params()._asdict(), "residuals": len(residuals)}))
-"""
-
 _NO_SITE_CLI_CHILD = """
 import json, sys
 import cvusim.cli
@@ -88,6 +73,29 @@ value = arch.functional_dot(x, w, acc)
 print(json.dumps({"planned": planned, "constructed": constructed, "computed": loaded(), "value": value}))
 """
 
+# argv None imports the package only; the child prints the cvusim modules it loaded
+_ENTRY_CHILD = """
+import contextlib, io, json, sys
+
+argv = {argv!r}
+if argv is None:
+    import cvusim
+else:
+    from cvusim.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+print(json.dumps([m for m in sys.modules if m.startswith("cvusim")]))
+"""
+
+_NAMES_CHILD = """
+import json
+import cvusim.cli as cli
+
+names = cli.build_array, cli.load_network
+from cvusim import arch, workloads
+print(json.dumps([names[0] is arch.build_array, names[1] is workloads.load_network]))
+"""
+
 
 @functools.lru_cache(maxsize=None)  # each child runs once; its result is only read
 def _child(code: str, *flags: str) -> dict:
@@ -108,12 +116,6 @@ def test_cli_commands_load_neither_numpy_nor_scipy_and_calibrate_still_works():
     assert result["after_calibrate"] == []
 
 
-def test_calibrate_recovers_the_shipped_parameters_with_scipy_blocked():
-    result = _child(_NO_SCIPY_CHILD)
-    assert result["residuals"] == 8
-    assert result["params"] == pytest.approx(result["shipped"], rel=1e-6)
-
-
 def test_cli_import_loads_no_typing_without_site():
     # -S keeps site, and what it imports, out of the child, so only the package can load typing
     assert _child(_NO_SITE_CLI_CHILD, "-S") == {"typing": False}
@@ -130,3 +132,46 @@ def test_planning_loads_no_numpy_and_the_functional_path_no_scipy():
     assert result["planned"] == []
     assert result["constructed"] == result["computed"] == ["numpy"]
     assert result["value"] == 2
+
+
+SIMULATE = ["simulate", "--network", "convnet", "--style", "vector", "--memory", "hbm2"]
+DSE_MODULES = {"cvusim", "cvusim.cli", "cvusim.cost", "cvusim.cvu", "cvusim.bitslice", "cvusim.errors"}
+MODEL_MODULES = DSE_MODULES | {"cvusim.arch", "cvusim.workloads"}
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (None, {"cvusim"}),
+        (["dse"], DSE_MODULES),
+        (SIMULATE, MODEL_MODULES),
+        (["compare", "--network", "convnet", "--config", "conventional:ddr4", "--config", "vector:hbm2"], MODEL_MODULES),
+    ],
+    ids=["import", "dse", "simulate", "compare"],
+)
+def test_each_entry_point_loads_exactly_the_modules_it_runs(argv, modules):
+    assert set(_child(_ENTRY_CHILD.format(argv=argv))) == modules
+
+
+def test_cli_model_names_resolve_before_the_first_command():
+    # a tracer reads cli.build_array and the rest before it rebinds them
+    assert _child(_NAMES_CHILD) == [True, True]
+
+
+def test_commands_call_the_model_names_bound_in_cli(monkeypatch, capsys):
+    # a tracer rebinds these cli attributes after a first run, so a command must look them up when called
+    assert cli.main(SIMULATE) == 0
+    first = capsys.readouterr().out
+    calls = []
+    for name in ("load_network", "build_array"):
+        def counting(*args, _original=getattr(cli, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counting)
+    assert cli.main(SIMULATE) == 0
+    assert sorted(calls) == ["build_array", "load_network"]
+    assert capsys.readouterr().out == first
+    monkeypatch.undo()
+    assert cli.main(SIMULATE) == 0
+    assert capsys.readouterr().out == first
