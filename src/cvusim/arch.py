@@ -28,20 +28,26 @@ load.  The assumptions, each with its test in ``tests/test_arch.py``:
   on the 12 ``fc6`` rows on DDR4 in ``tests/golden/model.csv``);
 * each MAC makes one SRAM read of each operand, and every off-chip byte is
   one SRAM access too (``TestSimulateLayer.test_traffic_by_purpose``);
-* outputs are written back at 8 bits (``TestSimulateLayer.test_traffic_by_purpose``);
+* outputs are written back at ``OUTPUT_BITS`` (``TestSimulateLayer.test_traffic_by_purpose``);
 * every array runs at one fixed clock, ``FREQUENCY_HZ``, which converts off-chip bytes to
   cycles, unit power to pJ per MAC and cycles to ``SimReport.runtime_s`` (``TestClosedForm``);
   every SRAM byte costs ``SRAM_PJ_PER_BYTE`` (``TestSimulateLayer.test_traffic_by_purpose``);
   and each staging buffer holds ``STAGING_BUFFER_BYTES``
   (``TestSimulateLayer.test_staging_errors_name_the_layer``).
 
-Per call, :func:`simulate_network` builds one record per bitwidth pair, the
-first time the pair appears: a unit's MACs per cycle, the pJ per MAC, the
-array's peak MACs per cycle, the combined scratchpad bytes, and the pair's
-staging or weight-vector fit failure, if any.  It prices the array once, and
-the CVU inventory behind the price is cached per ``CvuConfig``.  A layer run
-does only per-layer arithmetic: it lowers the layer, sizes its generations,
-walks one or two passes and adds up its repeats.
+No source is recorded for any of the model's fixed constants: ``FREQUENCY_HZ`` (500 MHz),
+``SRAM_PJ_PER_BYTE`` (0.8), ``OUTPUT_BITS`` (8), ``STAGING_BUFFER_BYTES`` (64 KiB each for input and
+output), ``DEFAULT_BUDGET_MW`` (250 mW), ``DEFAULT_TOTAL_SRAM_BYTES`` (6 MiB), and the bandwidth and
+pJ per bit of ``DDR4`` (16 GB/s, 15) and ``HBM2`` (256 GB/s, 1.2).  ``tests/golden/constants.txt``
+shows how the paper's design points move with the energy, bandwidth and budget constants.
+
+A layer run reads one record per (array, params, bitwidth pair), built once per process by
+``_pair`` and kept in a bounded LRU: a unit's MACs per cycle, the pJ per MAC, the array's peak MACs
+per cycle, the combined scratchpad bytes, and the pair's staging or weight-vector fit failure, if
+any.  The record reads ``FREQUENCY_HZ`` and ``STAGING_BUFFER_BYTES``, so code that patches either
+must call ``_pair.cache_clear()``; the other constants and the memory are read per pass.  No layer,
+pass or network result is cached: a layer run lowers the layer, sizes its generations, walks one or
+two passes and adds up its repeats.
 
 Inputs are assumed to traverse the array combinationally (no pipeline fill
 cycles), which keeps compute_cycles exactly equal to the analytical count.
@@ -66,7 +72,7 @@ import math
 import operator
 from collections import namedtuple
 from enum import Enum
-from functools import reduce
+from functools import lru_cache, reduce
 
 from .bitslice import QuantizedVector
 from .cost import CostParams, iso_power_array_size, per_mac_normalized
@@ -74,8 +80,7 @@ from .cvu import CvuConfig, execute_cycle, plan_composition
 from .errors import Checked, ConfigError, RangeError, ShapeError
 from .workloads import LayerKind, LayerSpec, NetworkSpec
 
-# Completed outputs are written back requantized to 8 bits.
-OUTPUT_BITS = 8
+OUTPUT_BITS = 8  # completed outputs are written back requantized
 DEFAULT_BUDGET_MW = 250.0
 DEFAULT_TOTAL_SRAM_BYTES = 6 * 1024 * 1024
 FREQUENCY_HZ = 500e6
@@ -128,10 +133,16 @@ class AcceleratorConfig(Checked, namedtuple("AcceleratorConfig", "rows cols cvu 
         return self.unit_count * self.weight_scratchpad_bytes
 
 
-class GemmDims(namedtuple("GemmDims", "m k n")):
-    """Lowered layer: output rows m, reduction depth k, output columns n."""
+GemmDims = namedtuple("GemmDims", "m k n")  # a lowered layer: output rows, reduction depth, output columns
 
-    __slots__ = ()
+
+def _gemm(layer: LayerSpec) -> tuple:
+    """``(m, k, n)`` of ``layer`` as a plain tuple: the lowering rule, which every layer run reads."""
+    # One unpack in LayerSpec field order: a named-tuple field read costs several times a local read.
+    kind, _, _, _, in_channels, out_channels, height, width, kernel_h, kernel_w, stride, _, m, k, n, _ = layer
+    if kind is LayerKind.CONV:
+        return out_channels, in_channels * kernel_h * kernel_w, math.ceil(height / stride) * math.ceil(width / stride)
+    return m, k, n
 
 
 def lower_layer(layer: LayerSpec) -> GemmDims:
@@ -140,13 +151,7 @@ def lower_layer(layer: LayerSpec) -> GemmDims:
     Convolutions use im2col: m = output channels, k = C*R*S, n = output
     pixels, ``out_height * out_width``.
     """
-    # One unpack in LayerSpec field order: every layer run lowers its layer, and a named-tuple
-    # field read or property call costs several times a local read.
-    kind, _, _, _, in_channels, out_channels, height, width, kernel_h, kernel_w, stride, _, m, k, n, _ = layer
-    if kind is LayerKind.CONV:
-        pixels = math.ceil(height / stride) * math.ceil(width / stride)
-        return GemmDims(out_channels, in_channels * kernel_h * kernel_w, pixels)
-    return GemmDims(m, k, n)
+    return GemmDims(*_gemm(layer))
 
 
 # The figures that add up over the parts of a run (passes, layers, networks), in field order.
@@ -221,50 +226,46 @@ def build_array(
 _Pair = namedtuple("_Pair", "unit_macs mac_pj peak spad_bytes error")
 
 
-def _pair(acc: AcceleratorConfig, params: CostParams, bw_x: int, bw_w: int, memo: dict) -> _Pair:
-    """The facts of ``(bw_x, bw_w)`` on ``acc`` that no layer changes, built once into ``memo``."""
-    key = (bw_x, bw_w)
-    if key not in memo:
-        # mW -> pJ per cycle: P[mW] * 1e9 / f[Hz]
-        conventional_pj = params.conventional_mac_mw * 1e9 / FREQUENCY_HZ
-        if acc.style is Style.CONVENTIONAL:
-            unit_macs, mac_pj = 1, conventional_pj
-        else:
-            unit_macs = plan_composition(bw_x, bw_w, acc.cvu).effective_length
-            if "array" not in memo:
-                memo["array"] = acc.cvu.lanes * per_mac_normalized(acc.cvu, params)[0] * conventional_pj
-            mac_pj = memo["array"] / unit_macs
-        peak = unit_macs * acc.unit_count
-        # Double-buffered staging of one cycle's input broadcast and one column of 64-bit output
-        # partials; then every unit must hold one weight vector of the plan's width.  ``error`` is
-        # the first of these to fail, without the layer name, or None.
-        needs = (("input", 2 * -(-max(1, peak // acc.cols) * bw_x // 8)), ("output", 2 * acc.cols * 8))
-        errors = [
-            f"{side} staging needs {need} bytes, buffer holds {STAGING_BUFFER_BYTES}"
-            for side, need in needs
-            if need > STAGING_BUFFER_BYTES
-        ]
-        if unit_macs * bw_w > acc.weight_scratchpad_bytes * 8:
-            errors.append(
-                f"one {unit_macs}-element weight vector at {bw_w} bit "
-                f"does not fit the {acc.weight_scratchpad_bytes}-byte scratchpad"
-            )
-        memo[key] = _Pair(unit_macs, mac_pj, peak, acc.total_scratchpad_bytes, errors[0] if errors else None)
-    return memo[key]
+@lru_cache(maxsize=256)  # a pure function of hashable, frozen records and of FREQUENCY_HZ and STAGING_BUFFER_BYTES
+def _pair(acc: AcceleratorConfig, params: CostParams, bw_x: int, bw_w: int) -> _Pair:
+    """The facts of ``(bw_x, bw_w)`` on ``acc`` that no layer changes, built once per process."""
+    # mW -> pJ per cycle: P[mW] * 1e9 / f[Hz]
+    conventional_pj = params.conventional_mac_mw * 1e9 / FREQUENCY_HZ
+    if acc.style is Style.CONVENTIONAL:
+        unit_macs, mac_pj = 1, conventional_pj
+    else:
+        unit_macs = plan_composition(bw_x, bw_w, acc.cvu).effective_length
+        mac_pj = acc.cvu.lanes * per_mac_normalized(acc.cvu, params)[0] * conventional_pj / unit_macs
+    peak = unit_macs * acc.unit_count
+    # Double-buffered staging of one cycle's input broadcast and one column of 64-bit output
+    # partials; then every unit must hold one weight vector of the plan's width.  ``error`` is
+    # the first of these to fail, without the layer name, or None.
+    needs = (("input", 2 * -(-max(1, peak // acc.cols) * bw_x // 8)), ("output", 2 * acc.cols * 8))
+    errors = [
+        f"{side} staging needs {need} bytes, buffer holds {STAGING_BUFFER_BYTES}"
+        for side, need in needs
+        if need > STAGING_BUFFER_BYTES
+    ]
+    if unit_macs * bw_w > acc.weight_scratchpad_bytes * 8:
+        errors.append(
+            f"one {unit_macs}-element weight vector at {bw_w} bit "
+            f"does not fit the {acc.weight_scratchpad_bytes}-byte scratchpad"
+        )
+    return _Pair(unit_macs, mac_pj, peak, acc.total_scratchpad_bytes, errors[0] if errors else None)
 
 
 def _simulate_pass(
-    m: int, k: int, n: int, m_res: int, peak: int, mem: MemorySpec, mac_pj: float, bw_x: int, bw_w: int,
-    weights_resident: bool,
+    m: int, k: int, n: int, m_res: int, peak: int, bandwidth: float, pj_per_bit: float, mac_pj: float, bw_x: int,
+    bw_w: int, weights_resident: bool,
 ) -> tuple:
     """One invocation of a layer (one timestep for recurrent layers), priced from its traffic.
 
     The pass runs ``m // m_res`` identical full generations of ``m_res`` output rows, then
     one generation of the rows left, if any.  Resident weights need no fill.  Bytes round up
     from bits, and a transfer of b bytes takes ceil(b * FREQUENCY_HZ / bandwidth) cycles.
-    Returns the pass's sums as a plain tuple in ``_TOTALS`` order.
+    ``bandwidth`` and ``pj_per_bit`` are the memory's.  Returns the pass's sums as a plain tuple
+    in ``_TOTALS`` order.
     """
-    bandwidth = mem.bandwidth_bytes_per_s
     input_bytes = -(-k * n * bw_x // 8)
     compute = total = weight_fill = input_stream = output_write = next_load = 0
     # Double buffering: generation i+1 loads while generation i computes and streams; the
@@ -297,26 +298,24 @@ def _simulate_pass(
         offchip,
         macs * mac_pj,
         (offchip + -(-macs * bw_x // 8) + -(-macs * bw_w // 8)) * SRAM_PJ_PER_BYTE,
-        offchip * 8 * mem.access_energy_pj_per_bit,
+        offchip * 8 * pj_per_bit,
     )
 
 
-def simulate_layer(
-    layer: LayerSpec, acc: AcceleratorConfig, mem: MemorySpec, params: CostParams, *, _prices: dict | None = None
-) -> LayerReport:
+def simulate_layer(layer: LayerSpec, acc: AcceleratorConfig, mem: MemorySpec, params: CostParams) -> LayerReport:
     """Simulate one layer, aggregating recurrent timesteps.
 
     When a gemv layer's full weight set fits in the combined scratchpads,
     repeats after the first reuse the pinned weights and pay only for input
-    and output streaming.  ``_prices`` holds the per-pair records that
-    :func:`simulate_network` shares across the layers of one call.
+    and output streaming.
     """
+    kind, repeat = layer.kind.value, layer.repeat
     bw_x, bw_w = (8, 8) if acc.style is Style.CONVENTIONAL else (layer.bw_x, layer.bw_w)
-    _, mac_pj, peak, spad_bytes, error = _pair(acc, params, bw_x, bw_w, {} if _prices is None else _prices)
-    name = layer.name or layer.kind.value
+    _, mac_pj, peak, spad_bytes, error = _pair(acc, params, bw_x, bw_w)
+    name = layer.name or kind
     if error:
         raise ConfigError(f"layer {name}: {error}")
-    m, k, n = lower_layer(layer)
+    m, k, n = _gemm(layer)
     m_res = spad_bytes * 8 // bw_w // k
     if m_res < 1:
         raise ConfigError(
@@ -324,30 +323,31 @@ def simulate_layer(
             f"exceeds the combined scratchpad capacity of {spad_bytes} bytes"
         )
 
-    first = steady = _simulate_pass(m, k, n, m_res, peak, mem, mac_pj, bw_x, bw_w, False)
-    if layer.repeat > 1 and -(-m * k * bw_w // 8) <= spad_bytes:
-        steady = _simulate_pass(m, k, n, m_res, peak, mem, mac_pj, bw_x, bw_w, True)
+    _, bandwidth, pj_per_bit = mem
+    first = steady = _simulate_pass(m, k, n, m_res, peak, bandwidth, pj_per_bit, mac_pj, bw_x, bw_w, False)
+    if repeat > 1 and -(-m * k * bw_w // 8) <= spad_bytes:
+        steady = _simulate_pass(m, k, n, m_res, peak, bandwidth, pj_per_bit, mac_pj, bw_x, bw_w, True)
 
     # Integers as first + (repeat - 1) * steady, exactly; each energy float by _sums' left-to-right
     # additions over [first, steady, ...], not by sum() (its rounding changed in 3.12) or a product.
     macs, compute, memory, total, offchip, e_compute, e_sram, e_offchip = first
-    extra = layer.repeat - 1
+    extra = repeat - 1
     if extra:
         macs, compute, memory, total, offchip = (a + extra * b for a, b in zip(first, steady[:5]))
         for _ in range(extra):
             e_compute, e_sram, e_offchip = e_compute + steady[5], e_sram + steady[6], e_offchip + steady[7]
     return LayerReport(
         macs, compute, memory, total, offchip, e_compute, e_sram, e_offchip,
-        name, layer.kind.value, m, k, n, layer.repeat, bw_x, bw_w, macs / (peak * compute),
+        name, kind, m, k, n, repeat, bw_x, bw_w, macs / (peak * compute),
     )
 
 
 def simulate_network(net: NetworkSpec, acc: AcceleratorConfig, mem: MemorySpec, params: CostParams) -> SimReport:
     """Simulate every layer in order; deterministic for identical inputs."""
-    reports, prices = [], {}
+    reports = []
     for i, layer in enumerate(net.layers):
         try:
-            reports.append(simulate_layer(layer, acc, mem, params, _prices=prices))
+            reports.append(simulate_layer(layer, acc, mem, params))
         except ConfigError as exc:
             raise ConfigError(f"layers[{i}]: {exc}") from exc
     report = SimReport(*_sums(reports), net.name, acc.style.value, mem.name, tuple(reports))

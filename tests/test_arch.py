@@ -5,6 +5,7 @@ import operator
 import random
 from collections import Counter
 from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from cvusim.arch import (
     simulate_network,
 )
 from cvusim.bitslice import QuantizedVector, dot_exact, value_bounds
-from cvusim.cost import default_params, per_mac_normalized
+from cvusim.cost import CostParams, default_params, per_mac_normalized
 from cvusim.cvu import CvuConfig, plan_composition
 from cvusim.errors import ConfigError, RangeError, ShapeError
 from cvusim.workloads import LayerKind, LayerSpec, NetworkSpec, bundled_networks, load_network, to_homogeneous
@@ -230,6 +231,7 @@ class TestRepeats:
                 assert rep.compute_cycles == r * one.compute_cycles
 
     def test_layer_is_planned_lowered_and_priced_once(self, monkeypatch):
+        arch._pair.cache_clear()
         acc = build_array(Style.VECTOR, PARAMS)
         cell = next(layer for _, layer in recurrent_cells())
         assert cell.repeat == 25
@@ -239,10 +241,14 @@ class TestRepeats:
             real = getattr(arch, name)
             return lambda *args: calls.update([name]) or real(*args)
 
-        for name in ("plan_composition", "per_mac_normalized", "lower_layer"):
+        for name in ("plan_composition", "per_mac_normalized", "_gemm"):
             monkeypatch.setattr(arch, name, counted(name))
-        simulate_layer(cell, acc, DDR4, PARAMS)
-        assert calls == {"plan_composition": 1, "per_mac_normalized": 1, "lower_layer": 1}
+        first = simulate_layer(cell, acc, DDR4, PARAMS)
+        assert calls == {"plan_composition": 1, "per_mac_normalized": 1, "_gemm": 1}
+        # the pair's record lives on for the process; the layer is still lowered and walked again
+        calls.clear()
+        assert simulate_layer(cell, acc, DDR4, PARAMS) == first
+        assert calls == {"_gemm": 1}
 
 
 def reference_layer_totals(layer, acc, mem, params):
@@ -342,20 +348,26 @@ class TestClosedForm:
 class TestSimulateNetwork:
     @pytest.mark.parametrize("style", list(Style))
     def test_array_priced_once_and_each_pair_planned_once(self, style, monkeypatch):
+        # once per process: a cold cache plans and prices each pair once, a warm one neither
+        arch._pair.cache_clear()
         acc = build_array(style, PARAMS)
         # a chain of five fc layers at two distinct bitwidth pairs
         widths, pairs = (64, 128, 96, 64, 32, 16), ((8, 8), (4, 2), (8, 8), (4, 2), (8, 8))
         layers = tuple(fc(m, k, *pair) for k, m, pair in zip(widths, widths[1:], pairs))
         net = NetworkSpec(name="mixed", layers=layers)
-        by_layer = tuple(simulate_layer(layer, acc, DDR4, PARAMS) for layer in net.layers)
         calls = Counter()
-        for name in ("plan_composition", "per_mac_normalized"):
+        for name in ("plan_composition", "per_mac_normalized", "_gemm"):
             real = getattr(arch, name)
             monkeypatch.setattr(arch, name, lambda *args, name=name, real=real: calls.update([name]) or real(*args))
         report = simulate_network(net, acc, DDR4, PARAMS)
-        assert report.layers == by_layer
-        expected = {} if style is Style.CONVENTIONAL else {"per_mac_normalized": 1, "plan_composition": 2}
-        assert calls == expected
+        expected = {} if style is Style.CONVENTIONAL else {"per_mac_normalized": 2, "plan_composition": 2}
+        assert calls == {**expected, "_gemm": 5}
+        calls.clear()
+        assert simulate_network(net, acc, DDR4, PARAMS) == report
+        assert calls == {"_gemm": 5}
+        monkeypatch.undo()
+        arch._pair.cache_clear()
+        assert report.layers == tuple(simulate_layer(layer, acc, DDR4, PARAMS) for layer in net.layers)
 
     def test_reports_are_tuples_that_lead_with_the_totals(self):
         acc = build_array(Style.VECTOR, PARAMS)
@@ -422,16 +434,18 @@ class TestSimulateNetwork:
 
 
 class TestPairRecord:
-    """A pair's staging and fit verdict is built once per call and names no layer; each layer names itself."""
+    """A pair's staging and fit verdict is built once per process and names no layer; each layer names itself."""
 
     def test_each_error_names_its_own_layer(self):
+        arch._pair.cache_clear()
         # 2049 x 1 units of 16 lanes: the (8, 8) pair fails input staging whichever layer runs
-        acc, prices = small_array(rows=2049, cols=1), {}
-        for name in ("a", "b"):
+        acc = small_array(rows=2049, cols=1)
+        for name in ("a", "b", "a"):  # a cold cache, then a warm one twice
             message = rf"^layer {name}: input staging needs 65568 bytes, buffer holds 65536$"
             with pytest.raises(ConfigError, match=message):
-                simulate_layer(fc(64, 64, name=name), acc, INFINITE, PARAMS, _prices=prices)
-        assert (8, 8) in prices
+                simulate_layer(fc(64, 64, name=name), acc, INFINITE, PARAMS)
+        info = arch._pair.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
     def test_network_error_names_the_first_failing_layer(self):
         # a 32-byte scratchpad holds one 16-element 8-bit weight vector, not one 256-element 2-bit one
@@ -501,6 +515,52 @@ class TestPairRecord:
         for name in TOTALS:
             folded = reduce(operator.add, (getattr(layer, name) for layer in report.layers))
             assert getattr(report, name) == folded, name
+
+
+class TestPairCache:
+    """The pair records live for the process, keyed by all they read: none is stale or another key's."""
+
+    def test_arrays_differing_only_in_scratchpad_bytes_get_their_own_records(self):
+        # the SRAM sensitivity sweep sizes its arrays this way: same units, another scratchpad
+        small, large = (build_array(Style.VECTOR, PARAMS, total_sram_bytes=mib << 20) for mib in (4, 10))
+        assert small != large == small._replace(weight_scratchpad_bytes=large.weight_scratchpad_bytes)
+        net = load_network(bundled_networks()["gru"])
+
+        def cold(acc):
+            arch._pair.cache_clear()
+            return simulate_network(net, acc, DDR4, PARAMS)
+
+        expected = [cold(small), cold(large)]
+        assert expected[0] != expected[1]
+        arch._pair.cache_clear()
+        for _ in range(2):  # the second round reads both arrays' records warm
+            assert [simulate_network(net, acc, DDR4, PARAMS) for acc in (small, large)] == expected
+        assert arch._pair.cache_info().currsize == 2 * len({(layer.bw_x, layer.bw_w) for layer in net.layers})
+        assert [arch._pair(acc, PARAMS, 8, 8).spad_bytes for acc in (small, large)] == [
+            small.total_scratchpad_bytes, large.total_scratchpad_bytes
+        ]
+
+    @pytest.mark.parametrize("field", CostParams._fields)
+    def test_params_differing_in_one_coefficient_get_their_own_records(self, field):
+        other = PARAMS._replace(**{field: 2 * getattr(PARAMS, field)})
+        acc = build_array(Style.VECTOR, PARAMS)
+        arch._pair.cache_clear()
+        records = [arch._pair(acc, params, 4, 2) for params in (PARAMS, other, PARAMS, other)]
+        assert arch._pair.cache_info().currsize == 2
+        assert records[:2] == records[2:] == [arch._pair.__wrapped__(acc, params, 4, 2) for params in (PARAMS, other)]
+        if "area" not in field:  # an energy coefficient or the conventional MAC's power moves the pJ per MAC
+            assert records[0].mac_pj != records[1].mac_pj
+
+    def test_warm_report_follows_a_patched_sram_constant(self):
+        acc = build_array(Style.VECTOR, PARAMS)
+        net = load_network(bundled_networks()["convnet"])
+        base = simulate_network(net, acc, HBM2, PARAMS)  # the pair records are warm from here on
+        with mock.patch.object(arch, "SRAM_PJ_PER_BYTE", 2 * arch.SRAM_PJ_PER_BYTE):
+            doubled = simulate_network(net, acc, HBM2, PARAMS)
+        # doubling a factor doubles every product and sum exactly, and moves nothing else
+        assert doubled.energy_sram_pj == 2 * base.energy_sram_pj
+        assert doubled._replace(energy_sram_pj=base.energy_sram_pj, layers=base.layers) == base
+        assert simulate_network(net, acc, HBM2, PARAMS) == base
 
 
 class TestMonotonicity:

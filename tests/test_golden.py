@@ -12,6 +12,10 @@ conventional on the same memory, on DDR4 and on HBM2, with the file's and with
 homogeneous 8-bit widths.  Per net it splits each speedup into three factors,
 speedup = compute_ratio * conventional_total_per_compute / vector_total_per_compute,
 where compute_ratio is conventional compute cycles over vector compute cycles.
+``constants.txt`` holds the same four design points' geomeans with one of the
+model's fixed constants at a time scaled by 0.5 and by 2: the SRAM pJ per
+byte, the memory's off-chip pJ per bit, the memory's bandwidth and the core
+power budget, after the four at the shipped values (constant ``none``).
 ``calibration.txt`` holds the relative error of every ``DEFAULT_ANCHORS``
 metric after ``calibrate`` fits all four anchors, and of each anchor's
 metrics when the other three are fitted (leave one out).  The fit adds
@@ -28,12 +32,14 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import math
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
-from cvusim import cli
-from cvusim.arch import DDR4, HBM2, Style, build_array, simulate_network
+from cvusim import arch, cli
+from cvusim.arch import DDR4, HBM2, Style, build_array, compare, simulate_network
 from cvusim.cost import DEFAULT_ANCHORS, calibrate, default_params, per_mac_normalized
 from cvusim.workloads import bundled_networks, load_network, to_homogeneous
 
@@ -44,6 +50,8 @@ STYLES = {"conventional": Style.CONVENTIONAL, "scalar": Style.SCALAR, "vector": 
 MEMORIES = {"ddr4": DDR4, "hbm2": HBM2}
 COMPARE_CONFIGS = ("conventional:ddr4", "scalar:ddr4", "vector:ddr4", "vector:hbm2")
 SENSITIVITY_SRAM_MIB = (4, 6, 8, 10)
+CONSTANTS = ("sram_pj_per_byte", "offchip_pj_per_bit", "bandwidth", "budget_mw")
+CONSTANT_SCALES = (0.5, 2)
 LAYER_FIELDS = (
     "name", "kind", "m", "k", "n", "repeats", "bw_x", "bw_w", "macs",
     "compute_cycles", "memory_cycles", "total_cycles", "utilization", "bound",
@@ -148,6 +156,37 @@ def design_points_table() -> str:
     return "\n".join(lines) + "\n"
 
 
+def _design_point(mode: str, memory, budget_mw: float) -> tuple[str, str]:
+    """Vector over conventional on ``memory``: the geomean speedup and energy reduction over every
+    bundled net, computed and printed as ``compare`` does."""
+    params = default_params()
+    configs = [(build_array(style, params, budget_mw=budget_mw), memory) for style in (Style.CONVENTIONAL, Style.VECTOR)]
+    logs = [0.0, 0.0]
+    for net_name in NETS:
+        net = load_network(bundled_networks()[net_name])
+        entry = compare(to_homogeneous(net) if mode == "homogeneous" else net, configs, params)[1]
+        logs[0] += math.log(entry.speedup)
+        logs[1] += math.log(entry.energy_reduction)
+    return tuple(f"{math.exp(log / len(NETS)):.10g}" for log in logs)
+
+
+def constants_table() -> str:
+    lines = ["constant,scale,bitwidths,memory,speedup,energy_reduction"]
+    for constant, scale in [("none", 1), *((c, s) for c in CONSTANTS for s in CONSTANT_SCALES)]:
+        sram_pj = arch.SRAM_PJ_PER_BYTE * (scale if constant == "sram_pj_per_byte" else 1)
+        budget_mw = arch.DEFAULT_BUDGET_MW * (scale if constant == "budget_mw" else 1)
+        for mode in MODES:
+            for name, memory in MEMORIES.items():
+                if constant == "offchip_pj_per_bit":
+                    memory = memory._replace(access_energy_pj_per_bit=memory.access_energy_pj_per_bit * scale)
+                elif constant == "bandwidth":
+                    memory = memory._replace(bandwidth_bytes_per_s=memory.bandwidth_bytes_per_s * scale)
+                with mock.patch.object(arch, "SRAM_PJ_PER_BYTE", sram_pj):
+                    speedup, energy = _design_point(mode, memory, budget_mw)
+                lines.append(f"{constant},{scale:g},{mode},{name},{speedup},{energy}")
+    return "\n".join(lines) + "\n"
+
+
 def calibration_table() -> str:
     lines = ["fit,anchor,metric,relative_error"]
     with warnings.catch_warnings():
@@ -174,6 +213,7 @@ FILES = {
     "sensitivity.txt": sensitivity_table,
     "calibration.txt": calibration_table,
     "design-points.txt": design_points_table,
+    "constants.txt": constants_table,
 }
 
 
@@ -212,6 +252,34 @@ def test_calibration_table():
 
 def test_design_points_table():
     _check("design-points.txt")
+
+
+def test_constants_table():
+    _check("constants.txt")
+
+
+def test_constants_at_their_shipped_values_are_the_design_points():
+    with (GOLDEN / "constants.txt").open(newline="") as f:
+        shipped = [row for row in csv.DictReader(f) if row["constant"] == "none"]
+    with (GOLDEN / "design-points.txt").open(newline="") as f:
+        points = [row for row in csv.DictReader(f) if row["network"] == "geomean"]
+    assert len(shipped) == len(points) == 4
+    for row, point in zip(shipped, points):
+        for field in ("bitwidths", "memory", "speedup", "energy_reduction"):
+            assert row[field] == point[field], (field, row, point)
+
+
+def test_model_table_is_the_same_from_a_warm_and_a_cold_pair_cache():
+    golden = (GOLDEN / "model.csv").read_text()
+    model_table()  # every pair record is warm from here on
+    assert model_table() == golden
+
+    def cold(*args, simulate=simulate_network):
+        arch._pair.cache_clear()
+        return simulate(*args)
+
+    with mock.patch.object(sys.modules[__name__], "simulate_network", cold):
+        assert model_table() == golden
 
 
 def _model_rows() -> list[dict[str, str]]:
