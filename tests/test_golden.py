@@ -32,14 +32,13 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
-import math
 import sys
 import warnings
 from pathlib import Path
 from unittest import mock
 
 from cvusim import arch, cli
-from cvusim.arch import DDR4, HBM2, Style, build_array, compare, simulate_network
+from cvusim.arch import DDR4, HBM2, Style, build_array, simulate_network
 from cvusim.cost import DEFAULT_ANCHORS, calibrate, default_params, per_mac_normalized
 from cvusim.workloads import bundled_networks, load_network, to_homogeneous
 
@@ -156,33 +155,21 @@ def design_points_table() -> str:
     return "\n".join(lines) + "\n"
 
 
-def _design_point(mode: str, memory, budget_mw: float) -> tuple[str, str]:
-    """Vector over conventional on ``memory``: the geomean speedup and energy reduction over every
-    bundled net, computed and printed as ``compare`` does."""
-    params = default_params()
-    configs = [(build_array(style, params, budget_mw=budget_mw), memory) for style in (Style.CONVENTIONAL, Style.VECTOR)]
-    logs = [0.0, 0.0]
-    for net_name in NETS:
-        net = load_network(bundled_networks()[net_name])
-        entry = compare(to_homogeneous(net) if mode == "homogeneous" else net, configs, params)[1]
-        logs[0] += math.log(entry.speedup)
-        logs[1] += math.log(entry.energy_reduction)
-    return tuple(f"{math.exp(log / len(NETS)):.10g}" for log in logs)
-
-
 def constants_table() -> str:
     lines = ["constant,scale,bitwidths,memory,speedup,energy_reduction"]
     for constant, scale in [("none", 1), *((c, s) for c in CONSTANTS for s in CONSTANT_SCALES)]:
         sram_pj = arch.SRAM_PJ_PER_BYTE * (scale if constant == "sram_pj_per_byte" else 1)
-        budget_mw = arch.DEFAULT_BUDGET_MW * (scale if constant == "budget_mw" else 1)
+        budget = ("--budget", repr(arch.DEFAULT_BUDGET_MW * scale)) if constant == "budget_mw" else ()
         for mode in MODES:
             for name, memory in MEMORIES.items():
                 if constant == "offchip_pj_per_bit":
                     memory = memory._replace(access_energy_pj_per_bit=memory.access_energy_pj_per_bit * scale)
                 elif constant == "bandwidth":
                     memory = memory._replace(bandwidth_bytes_per_s=memory.bandwidth_bytes_per_s * scale)
-                with mock.patch.object(arch, "SRAM_PJ_PER_BYTE", sram_pj):
-                    speedup, energy = _design_point(mode, memory, budget_mw)
+                # compare looks up arch.DDR4 and arch.HBM2 when it runs
+                with mock.patch.object(arch, "SRAM_PJ_PER_BYTE", sram_pj), mock.patch.object(arch, name.upper(), memory):
+                    report = compare_report(mode, *budget, configs=(f"conventional:{name}", f"vector:{name}"))
+                _, _, _, _, speedup, energy = _compare_rows(report)[-1]  # the vector config's geomean
                 lines.append(f"{constant},{scale:g},{mode},{name},{speedup},{energy}")
     return "\n".join(lines) + "\n"
 
