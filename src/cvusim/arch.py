@@ -51,6 +51,8 @@ two passes and adds up its repeats.
 
 Inputs are assumed to traverse the array combinationally (no pipeline fill
 cycles), which keeps compute_cycles exactly equal to the analytical count.
+The model prices a unit through :mod:`cvusim.plan` alone.  The bit-exact engine, ``cvu.execute_cycle``,
+binds here on the first exact run or read of ``arch.execute_cycle``; a binding already here is kept.
 
 Three styles share the model: ``conventional`` units are one-lane 8-bit MACs
 that compute every layer at 8 bit (a report's ``bw_x``/``bw_w`` show the
@@ -74,10 +76,9 @@ from collections import namedtuple
 from enum import Enum
 from functools import lru_cache, reduce
 
-from .bitslice import QuantizedVector
 from .cost import CostParams, iso_power_array_size, per_mac_normalized
-from .cvu import CvuConfig, execute_cycle, plan_composition
 from .errors import Checked, ConfigError, RangeError, ShapeError
+from .plan import CvuConfig, plan_composition
 from .workloads import LayerKind, LayerSpec, NetworkSpec
 
 OUTPUT_BITS = 8  # completed outputs are written back requantized
@@ -413,4 +414,13 @@ def functional_gemm(
     if not weights or not inputs:
         return [[] for _ in weights]
     plan = plan_composition(max(v.bitwidth for v in inputs), max(v.bitwidth for v in weights), acc.cvu)
+    if "execute_cycle" not in globals():  # the first exact run binds the engine here; later runs look it up
+        __getattr__("execute_cycle")
     return execute_cycle(inputs, weights, plan).scalars.sum(axis=2).tolist()
+
+
+def __getattr__(name: str):  # arch.execute_cycle resolves before the first exact run, too; a binding here is kept
+    if name == "execute_cycle":
+        from .cvu import execute_cycle
+        return globals().setdefault(name, execute_cycle)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -37,7 +37,7 @@ at any padded width.  It runs in int16, which holds every value of at most ``MAX
 gives it the int16 values of a block's operands instead, once per side of the block.  The conventional
 style's dot product is one int64 dot of two arrays.  :func:`dot_exact` adds the Python integers of
 ``array.tolist()`` instead, so the oracle shares no arithmetic with the paths it checks.  numpy is
-imported only when a vector is built, so planning and the analytic model never load it.
+imported only when a vector is built, and planning (:mod:`cvusim.plan`) loads neither it nor this module.
 """
 
 from __future__ import annotations
@@ -48,25 +48,17 @@ import struct
 from collections.abc import Iterable
 
 from .errors import RangeError, ShapeError
+from .plan import MAX_BITWIDTH, VALID_SLICE_WIDTHS, padded_bitwidth
 
 TYPE_CHECKING = False  # true only to a type checker; importing typing would add to every cold start
 if TYPE_CHECKING:
     import numpy as np
-
-MAX_BITWIDTH = 8
-VALID_SLICE_WIDTHS = (1, 2, 4)
-
 
 def value_bounds(bitwidth: int, signed: bool) -> tuple[int, int]:
     """Inclusive (lo, hi) range representable at the given width."""
     if signed:
         return -(1 << (bitwidth - 1)), (1 << (bitwidth - 1)) - 1
     return 0, (1 << bitwidth) - 1
-
-
-def padded_bitwidth(bitwidth: int, slice_width: int) -> int:
-    """Bitwidth rounded up to the next multiple of the slice width."""
-    return -(-bitwidth // slice_width) * slice_width
 
 
 def _is_integer(value) -> bool:

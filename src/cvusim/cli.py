@@ -7,22 +7,26 @@ time, locale, or environment.
 
 Exit codes: 0 success, 1 usage error, 2 input error, 3 internal error.
 
-A command loads only the modules it runs: ``dse`` loads ``cost``, ``cvu``,
-``bitslice`` and ``errors``; ``simulate`` and ``compare`` load ``arch`` and
-``workloads`` too, on their first call.  That call binds ``_FROM_ARCH`` and
-``_FROM_WORKLOADS`` here as module attributes, which the commands look up
-when called, so a caller may rebind ``cli.build_array`` and the rest to a
-wrapper; a binding already here is kept.
+A command loads only the modules it runs: ``dse`` loads ``cost``, ``plan`` and ``errors``;
+``simulate`` and ``compare`` load ``arch`` and ``workloads`` too, on their first call, which binds
+``_FROM_ARCH`` and ``_FROM_WORKLOADS`` here as module attributes.  The commands look those up when
+called, so a caller may rebind ``cli.build_array`` and the rest to a wrapper; a binding already here
+is kept.  No command loads ``bitslice``, ``cvu``, ``fit``, numpy or OpenSSL: digests use CPython's
+builtin SHA-256.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
 from pathlib import Path
+
+try:  # CPython's builtin SHA-256, in _sha2 from 3.12 on, gives the same digests and loads no OpenSSL
+    sha256 = __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
+except ImportError:  # an interpreter built without it
+    from hashlib import sha256
 
 from . import __version__
 from .cost import default_params, dse_sweep, load_params
@@ -79,7 +83,7 @@ def _sizing(args, arch) -> tuple:
 
 
 def _digest_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+    return sha256(path.read_bytes()).hexdigest()[:16]
 
 
 def _fmt(value) -> str:
@@ -95,7 +99,7 @@ def _emit(command: str, parameters: dict, input_digests: dict, header: list[str]
         sort_keys=True,
         separators=(",", ":"),
     )
-    digest = hashlib.sha256(manifest.encode()).hexdigest()[:16]
+    digest = sha256(manifest.encode()).hexdigest()[:16]
     lines = [f"# cvusim {command} report", f"# manifest: {manifest}", f"# manifest-digest: {digest}", ",".join(header)]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
     text = "\n".join(lines) + "\n"
@@ -115,8 +119,7 @@ def _load_cost_params(args) -> tuple:
     return default_params(), {"params": "default"}
 
 
-def _resolve_network(name_or_path: str) -> tuple:
-    bundled = bundled_networks()
+def _resolve_network(name_or_path: str, bundled: dict) -> tuple:
     if name_or_path in bundled:
         path = bundled[name_or_path]
     else:
@@ -169,7 +172,7 @@ def cmd_dse(args) -> int:
 def cmd_simulate(args) -> int:
     arch = _load_model()
     params, digests = _load_cost_params(args)
-    net, path = _resolve_network(args.network)
+    net, path = _resolve_network(args.network, bundled_networks())
     digests["network"] = _digest_file(path)
     if args.bitwidths == "homogeneous":
         net = to_homogeneous(net)
@@ -228,9 +231,9 @@ def cmd_compare(args) -> int:
     params, digests = _load_cost_params(args)
     groups = [_parse_config_group(c, arch) for c in args.config]
 
-    nets = []
+    nets, bundled = [], bundled_networks()
     for name in args.network:
-        net, path = _resolve_network(name)
+        net, path = _resolve_network(name, bundled)
         digest = _digest_file(path)
         if digests.setdefault(f"network:{net.name}", digest) != digest:  # the manifest keys digests by name
             raise ConfigError(f"two different network files are both named {net.name!r}")

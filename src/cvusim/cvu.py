@@ -1,18 +1,11 @@
-"""One Composable Vector Unit: planning, functional execution, throughput.
-
-A CVU is a square grid of narrow-bitwidth vector engines (NBVEs), one per pair of ``slice_width``-bit
-planes of two ``MAX_BITWIDTH``-bit operands.  Each engine holds ``lanes`` multipliers, ``slice_width``
-bits wide on both operands, feeding a private adder tree, and emits one slice-plane dot-product scalar
-per cycle.  For a given operand bitwidth pair the engines are clustered at runtime: every cluster
-covers the full plane grid of one dot product, and independent clusters run disjoint dot products in
-parallel, so all engines stay busy at every bitwidth.
+"""Bit-level execution of one Composable Vector Unit's composition plan (see :mod:`cvusim.plan`).
 
 :func:`execute_cycle` runs every (w, x) pair of a set of operands of one length over the fewest
 cycles that hold it: each pair's element stream is spread over the clusters, ``cycles * lanes``
 elements each, and every cluster emits its share of the dot product.  An x block is staged in int16
 beside its first w block, each side is sliced by one :func:`slice_vector` call and cast once to float
 for the engines' matmuls, and the shift-add is one int64 contraction against weights cached per plan.
-The cluster scalars come back as one read-only int64 array.  Execution imports numpy; planning does not.
+The cluster scalars come back as one read-only int64 array.  Execution imports numpy.
 """
 
 from __future__ import annotations
@@ -21,83 +14,12 @@ import functools
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .bitslice import MAX_BITWIDTH, VALID_SLICE_WIDTHS, QuantizedVector, nbve_dot, padded_bitwidth, slice_vector
-from .errors import Checked, RangeError, ShapeError
-
-MAX_LANES = 2**16  # the cost model builds each engine's adder tree as a Python list of one leaf per lane
-
-
-class CvuConfig(Checked, namedtuple("CvuConfig", "lanes slice_width", defaults=(16, 2))):
-    """Geometry of one CVU: lanes per engine, and the slice width of both operands.
-
-    Every valid slice width divides ``MAX_BITWIDTH``.
-    """
-
-    __slots__ = ()
-
-    def _check(self):
-        if not isinstance(self.lanes, int) or not 1 <= self.lanes <= MAX_LANES:
-            raise RangeError(f"lanes must be an integer in 1..{MAX_LANES}, got {self.lanes!r}")
-        if not isinstance(self.slice_width, int) or self.slice_width not in VALID_SLICE_WIDTHS:
-            raise RangeError(f"slice_width must be one of {VALID_SLICE_WIDTHS}, got {self.slice_width!r}")
-
-    @property
-    def nbve_count(self) -> int:
-        return (MAX_BITWIDTH // self.slice_width) ** 2
-
-
-class CompositionPlan(namedtuple("CompositionPlan", "bw_x bw_w clusters shifts effective_length slice_width")):
-    """Runtime clustering of the engines for one bitwidth pair.
-
-    ``bw_x``/``bw_w`` are the plan-effective (padded) bitwidths.  ``shifts``
-    lists the shift amount of each engine within a cluster, j-major over the
-    (x-plane, w-plane) grid.  ``effective_length`` is the number of dot
-    product elements the whole CVU completes per cycle: its MACs per cycle.
-    """
-
-    __slots__ = ()
-
-    @property
-    def lanes(self) -> int:
-        return self.effective_length // self.clusters
-
+from .bitslice import QuantizedVector, nbve_dot, slice_vector
+from .errors import RangeError, ShapeError
+from .plan import CompositionPlan
 
 # Cluster scalars of every (w, x) pair of one call, plus the lane utilization.
 CvuOutput = namedtuple("CvuOutput", "scalars utilization")
-
-
-def _plan_width(bitwidth: int, slice_width: int) -> int:
-    """Pad a bitwidth so its plane count divides the maximum plane count.
-
-    Padding to a multiple of the slice width keeps the plane grid regular;
-    rounding the plane count up to a divisor of ``MAX_BITWIDTH/slice_width``
-    keeps every engine busy (integral cluster count).
-    """
-    planes = padded_bitwidth(bitwidth, slice_width) // slice_width
-    max_planes = MAX_BITWIDTH // slice_width
-    while max_planes % planes != 0:
-        planes += 1
-    return planes * slice_width
-
-
-@functools.lru_cache(maxsize=256, typed=True)  # a pure function of hashable, frozen arguments
-def plan_composition(bw_x: int, bw_w: int, cfg: CvuConfig) -> CompositionPlan:
-    """Cluster the engines of a CVU for one (bw_x, bw_w) pair; repeat calls share one plan."""
-    for name, bw in (("bw_x", bw_x), ("bw_w", bw_w)):
-        if not isinstance(bw, int) or not 1 <= bw <= MAX_BITWIDTH:
-            raise RangeError(f"{name} must be an integer in 1..{MAX_BITWIDTH}, got {bw!r}")
-    s = cfg.slice_width
-    planes_x, planes_w = _plan_width(bw_x, s) // s, _plan_width(bw_w, s) // s
-    clusters = cfg.nbve_count // (planes_x * planes_w)
-    shifts = tuple(s * j + s * k for j in range(planes_x) for k in range(planes_w))
-    return CompositionPlan(
-        bw_x=planes_x * s,
-        bw_w=planes_w * s,
-        clusters=clusters,
-        shifts=shifts,
-        effective_length=clusters * cfg.lanes,
-        slice_width=s,
-    )
 
 
 _BLOCK_ELEMENTS = 1 << 16  # staged elements per x block, and per w block plus its (w, x) pairs

@@ -37,7 +37,7 @@ from collections import namedtuple
 from enum import Enum
 from pathlib import Path
 
-from .bitslice import MAX_BITWIDTH
+from .plan import MAX_BITWIDTH
 from .errors import Checked, NetworkFormatError
 
 SCHEMA_VERSION = 1
@@ -239,7 +239,7 @@ def to_homogeneous(net: NetworkSpec) -> NetworkSpec:
 
 
 def bundled_networks() -> dict[str, Path]:
-    """Name -> path of the benchmark files shipped with the package."""
+    """Name -> path of the benchmark files shipped with the package, from one listing (a glob compiles a pattern)."""
     root = Path(__file__).with_name("data") / "benchmarks"
-    return {path.stem: path for path in sorted(root.glob("*.json"))}
+    return {path.stem: path for path in sorted(root.iterdir()) if path.suffix == ".json"}
 

@@ -29,8 +29,8 @@ from cvusim.arch import (
 )
 from cvusim.bitslice import QuantizedVector, dot_exact, value_bounds
 from cvusim.cost import CostParams, default_params, per_mac_normalized
-from cvusim.cvu import CvuConfig, plan_composition
 from cvusim.errors import ConfigError, RangeError, ShapeError
+from cvusim.plan import CvuConfig, plan_composition
 from cvusim.workloads import LayerKind, LayerSpec, NetworkSpec, bundled_networks, load_network, to_homogeneous
 
 PARAMS = default_params()

@@ -14,8 +14,9 @@ import cvusim.bitslice as bs
 from cvusim.arch import Style, build_array, functional_dot
 from cvusim.bitslice import QuantizedVector, dot_exact, nbve_dot, slice_vector
 from cvusim.cost import default_params
-from cvusim.cvu import CvuConfig, execute_cycle, plan_composition
+from cvusim.cvu import execute_cycle
 from cvusim.errors import RangeError, ShapeError
+from cvusim.plan import CvuConfig, plan_composition
 
 
 def reconstruct(slices, slice_width):

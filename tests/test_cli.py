@@ -5,18 +5,19 @@ input a user can give may produce it.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
+from importlib import resources
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvusim import __version__
+from cvusim import __version__, cli
 from cvusim.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
-from cvusim.cost import default_params
 from cvusim.workloads import bundled_networks
 
 SIM = ["simulate", "--network", "convnet", "--style", "vector"]
@@ -26,7 +27,7 @@ CUSTOM = [*SIM, "--memory", "custom"]
 @pytest.fixture
 def files(tmp_path):
     """Bad input files, by name."""
-    params = json.loads(default_params().to_json())
+    params = json.loads(resources.files("cvusim").joinpath("data/default_cost_params.json").read_text())
     params["energy"]["mult"] = -1.0
     negative = json.dumps(params)
     params["energy"]["mult"] = float("inf")
@@ -259,6 +260,24 @@ def test_out_files_are_byte_identical(argv, tmp_path, capsys):
     assert run([*argv, "--out", str(second)], capsys) == EXIT_OK
     assert first.read_bytes() == second.read_bytes()
     assert first.read_bytes().startswith(f"# cvusim {argv[0]} report\n".encode())
+
+
+def test_digests_equal_hashlib_sha256():
+    # cli hashes with CPython's builtin SHA-256 where it exists, and OpenSSL's otherwise
+    manifest = '{"command":"dse","input_digests":{"params":"default"},"seed":0}'.encode()
+    assert cli.sha256(manifest).hexdigest() == hashlib.sha256(manifest).hexdigest()
+    for path in bundled_networks().values():
+        data = path.read_bytes()
+        assert cli.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+
+def test_a_command_lists_the_bundled_networks_once(monkeypatch, capsys):
+    calls, listing = [], cli.bundled_networks
+    monkeypatch.setattr(cli, "bundled_networks", lambda: calls.append(None) or listing())
+    nets = [arg for name in ("convnet", "gru", "lstm") for arg in ("--network", name)]
+    assert run(["compare", *nets, "--config", "conventional:ddr4", "--config", "vector:ddr4"], capsys) == EXIT_OK
+    assert run(SIM, capsys) == EXIT_OK
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["dse", "--help"], ["simulate", "--help"], ["compare", "--help"]])

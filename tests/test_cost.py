@@ -1,5 +1,6 @@
 """Power/area model: breakdowns, sweep shape, calibration, iso-power sizing."""
 
+import json
 import math
 import warnings
 from importlib import resources
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import cvusim.cost as cost
+import cvusim.fit as fit
 from cvusim.cost import (
     ACCUMULATOR_BITS,
     DEFAULT_ANCHORS,
@@ -24,8 +26,8 @@ from cvusim.cost import (
     per_mac_breakdown,
     per_mac_normalized,
 )
-from cvusim.cvu import CvuConfig
 from cvusim.errors import CalibrationError, ConfigError, RangeError
+from cvusim.plan import CvuConfig
 
 PARAMS = default_params()
 LANES = (1, 2, 4, 8, 16)
@@ -41,7 +43,7 @@ def lstsq_fit(anchors, metric):
     the other three to the anchors' rows and, at the fit's tie-break weight, the default anchors' rows."""
     conv = np.array(cost._CONVENTIONAL_UNITS, dtype=float)
     rows, weights = [], []
-    for weight, group in ((1.0, anchors), (cost._TIE_BREAK_WEIGHT, DEFAULT_ANCHORS)):
+    for weight, group in ((1.0, anchors), (fit._TIE_BREAK_WEIGHT, DEFAULT_ANCHORS)):
         for anchor in group:
             if getattr(anchor, metric) is not None:
                 rows.append(np.array(_structure(anchor.cfg)) / (getattr(anchor, metric) * anchor.cfg.lanes) - conv)
@@ -311,13 +313,30 @@ def test_conventional_mac_cost_positive():
     assert energy > 0 and area > 0
 
 
-def test_default_params_round_trip_json():
-    text = PARAMS.to_json()
-    assert CostParams.from_json(text) == PARAMS
-    assert text == resources.files("cvusim").joinpath("data/default_cost_params.json").read_text()
+def shipped_params_document() -> dict:
+    return json.loads(resources.files("cvusim").joinpath("data/default_cost_params.json").read_text())
+
+
+def test_default_params_read_every_constant_of_the_shipped_file():
+    doc = shipped_params_document()
+    assert doc["version"] == cost.PARAMS_SCHEMA_VERSION
+    for key, energy, area in cost._CATEGORIES:
+        assert (getattr(PARAMS, energy), getattr(PARAMS, area)) == (doc["energy"][key], doc["area"][key])
+    assert PARAMS.conventional_mac_mw == doc["conventional_mac_mw"]
 
 
 @pytest.mark.parametrize("text", ["[]", "3", '"params"', "null"])
 def test_params_document_must_be_an_object(text):
     with pytest.raises(ConfigError, match="JSON object"):
         CostParams.from_json(text)
+
+
+@pytest.mark.parametrize("edit", ["version", "energy", "area"])
+def test_params_document_needs_its_version_and_every_constant(edit):
+    doc = shipped_params_document()
+    if edit == "version":
+        doc["version"] = cost.PARAMS_SCHEMA_VERSION + 1
+    else:
+        del doc[edit]["adder"]
+    with pytest.raises(ConfigError, match="version" if edit == "version" else "malformed"):
+        CostParams.from_json(json.dumps(doc))

@@ -13,8 +13,9 @@ import cvusim.cvu as cvu
 from cvusim.arch import Style, build_array, functional_gemm
 from cvusim.bitslice import QuantizedVector, dot_exact, value_bounds
 from cvusim.cost import default_params
-from cvusim.cvu import CompositionPlan, CvuConfig, execute_cycle, plan_composition
+from cvusim.cvu import execute_cycle
 from cvusim.errors import RangeError, ShapeError
+from cvusim.plan import CompositionPlan, CvuConfig, plan_composition
 
 DEFAULT = CvuConfig(lanes=16)
 

@@ -4,9 +4,14 @@ dependency is numpy, and `calibrate` fits with neither numpy nor scipy loaded.
 Neither importing the package nor a CLI command loads `dataclasses` or
 `inspect`, and even without `site`, `import cvusim.cli` loads no `typing`.
 Each entry point loads exactly the cvusim modules it runs: a cold process
-compiles every module it loads, so each would add to every cold start."""
+compiles every module it loads, so each would add to every cold start.  The
+analytic model plans through `plan`, so no command loads the bit-exact engine
+(`bitslice`, `cvu`) or the fit (`fit`), whose names `arch` and `cost` bind on
+first use, and no command loads OpenSSL's `_hashlib` where CPython's builtin
+SHA-256 exists."""
 
 import functools
+import importlib.util
 import json
 import os
 import subprocess
@@ -16,7 +21,9 @@ from pathlib import Path
 import pytest
 
 import cvusim
-from cvusim import cli
+from cvusim import arch, cli, cvu
+from cvusim.bitslice import QuantizedVector
+from cvusim.cost import default_params
 
 SRC = Path(cvusim.__file__).resolve().parent.parent
 
@@ -41,8 +48,9 @@ for argv in commands:
         codes.append(cli.main(argv))
 loaded = sorted(m for m in sys.modules if m.startswith(("numpy", "scipy")))
 by_commands = sorted(SLOW & (set(sys.modules) - started))
+openssl = "_hashlib" in sys.modules
 params, residuals = cost.calibrate(cost.DEFAULT_ANCHORS)
-print(json.dumps({"codes": codes, "loaded": loaded, "package": package, "commands": by_commands,
+print(json.dumps({"codes": codes, "loaded": loaded, "package": package, "commands": by_commands, "openssl": openssl,
                   "calibrated": type(params).__name__, "residuals": len(residuals),
                   "after_calibrate": sorted(m for m in sys.modules if m.startswith(("numpy", "scipy")))}))
 """
@@ -58,13 +66,13 @@ _FUNCTIONAL_CHILD = """
 import json, sys
 
 import cvusim
-from cvusim import arch, cost, cvu
+from cvusim import arch, cost, plan
 from cvusim.bitslice import QuantizedVector
 
 def loaded():
     return sorted({m.split(".")[0] for m in sys.modules if m.startswith(("numpy", "scipy"))})
 
-cvu.plan_composition(4, 2, cvu.CvuConfig())
+plan.plan_composition(4, 2, plan.CvuConfig())
 planned = loaded()
 x, w = QuantizedVector((3, 5), 4), QuantizedVector((-1, 1), 2, signed=True)
 constructed = loaded()
@@ -85,6 +93,32 @@ else:
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
 print(json.dumps([m for m in sys.modules if m.startswith("cvusim")]))
+"""
+
+# the lazy names, read in a fresh process before any use: each is its home module's object
+_LAZY_CHILD = """
+import json, sys
+from cvusim import arch, cost
+
+unloaded = [m for m in ("cvusim.bitslice", "cvusim.cvu", "cvusim.fit") if m not in sys.modules]
+from cvusim.cost import DEFAULT_ANCHORS, calibrate
+from cvusim import cvu, fit
+
+same = [arch.execute_cycle is cvu.execute_cycle, calibrate is fit.calibrate, DEFAULT_ANCHORS is fit.DEFAULT_ANCHORS,
+        cost.CalibrationAnchor is fit.CalibrationAnchor, cost.calibrate is cost.calibrate]
+bound = all(name in vars(module) for module, name in ((arch, "execute_cycle"), (cost, "calibrate")))
+print(json.dumps({"unloaded": unloaded, "same": same, "bound": bound}))
+"""
+
+# a binding set on cost before the first fit name is read survives the fit's import
+_KEPT_CHILD = """
+import json
+from cvusim import cost
+
+marker = cost.calibrate = object()
+anchors = cost.DEFAULT_ANCHORS
+from cvusim import fit
+print(json.dumps([cost.calibrate is marker, anchors is fit.DEFAULT_ANCHORS]))
 """
 
 _NAMES_CHILD = """
@@ -116,6 +150,15 @@ def test_cli_commands_load_neither_numpy_nor_scipy_and_calibrate_still_works():
     assert result["after_calibrate"] == []
 
 
+@pytest.mark.skipif(
+    not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")), reason="no builtin SHA-256 here"
+)
+def test_cli_commands_load_no_openssl():
+    result = _child(_CHILD)
+    assert result["codes"] == [0, 0, 0]
+    assert result["openssl"] is False
+
+
 def test_cli_import_loads_no_typing_without_site():
     # -S keeps site, and what it imports, out of the child, so only the package can load typing
     assert _child(_NO_SITE_CLI_CHILD, "-S") == {"typing": False}
@@ -135,7 +178,7 @@ def test_planning_loads_no_numpy_and_the_functional_path_no_scipy():
 
 
 SIMULATE = ["simulate", "--network", "convnet", "--style", "vector", "--memory", "hbm2"]
-DSE_MODULES = {"cvusim", "cvusim.cli", "cvusim.cost", "cvusim.cvu", "cvusim.bitslice", "cvusim.errors"}
+DSE_MODULES = {"cvusim", "cvusim.cli", "cvusim.cost", "cvusim.plan", "cvusim.errors"}
 MODEL_MODULES = DSE_MODULES | {"cvusim.arch", "cvusim.workloads"}
 
 
@@ -151,6 +194,39 @@ MODEL_MODULES = DSE_MODULES | {"cvusim.arch", "cvusim.workloads"}
 )
 def test_each_entry_point_loads_exactly_the_modules_it_runs(argv, modules):
     assert set(_child(_ENTRY_CHILD.format(argv=argv))) == modules
+
+
+def test_lazy_names_are_their_home_modules_objects_before_any_use():
+    result = _child(_LAZY_CHILD)
+    assert result["unloaded"] == ["cvusim.bitslice", "cvusim.cvu", "cvusim.fit"]  # importing arch and cost loads none
+    assert result["same"] == [True] * 5
+    assert result["bound"]  # after the first read, a plain module attribute: no __getattr__ call per read
+
+
+def test_a_binding_set_before_the_first_fit_name_is_read_is_kept():
+    assert _child(_KEPT_CHILD) == [True, True]
+
+
+def test_exact_runs_call_the_engine_bound_in_arch(monkeypatch):
+    # a tracer rebinds arch.execute_cycle after a first run, so an exact run must look it up when called
+    acc = arch.build_array(arch.Style.VECTOR, default_params())
+    weights = [QuantizedVector((1, -2, 3), 4, signed=True), QuantizedVector((0, 5, -6), 4, signed=True)]
+    inputs = [QuantizedVector((7, 8, 9), 4)]
+    assert arch.functional_gemm(weights, inputs, acc) == [[18], [-14]]
+    calls = []
+
+    def counting(*args, _original=arch.execute_cycle):
+        calls.append(None)
+        return _original(*args)
+
+    monkeypatch.setattr(arch, "execute_cycle", counting)
+    assert arch.__getattr__("execute_cycle") is counting  # binding the engine again keeps the wrapper
+    assert arch.functional_gemm(weights, inputs, acc) == [[18], [-14]]
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert arch.execute_cycle is cvu.execute_cycle
+    assert arch.functional_gemm(weights, inputs, acc) == [[18], [-14]]
+    assert len(calls) == 1
 
 
 def test_cli_model_names_resolve_before_the_first_command():

@@ -9,8 +9,8 @@ import pytest
 
 from cvusim.arch import DDR4, AcceleratorConfig, Style
 from cvusim.cost import DEFAULT_ANCHORS, CalibrationAnchor, CostParams, default_params
-from cvusim.cvu import CvuConfig
 from cvusim.errors import ConfigError, NetworkFormatError, RangeError
+from cvusim.plan import CvuConfig
 from cvusim.workloads import BitwidthMode, LayerKind, LayerSpec, NetworkSpec
 
 FC = LayerSpec(LayerKind.FC, 8, 8, m=4, k=4)

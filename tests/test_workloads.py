@@ -1,11 +1,13 @@
 """Network schema parsing, validation, and the bundled benchmark suite."""
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cvusim.workloads
 from cvusim.workloads import (
     BitwidthMode,
     LayerKind,
@@ -244,6 +246,11 @@ class TestToHomogeneous:
 class TestBundledSuite:
     def test_six_networks(self):
         assert sorted(bundled_networks()) == ["alexnet", "convnet", "gru", "lstm", "resnet", "vgg"]
+
+    def test_names_map_to_their_files_in_name_order(self):
+        root = Path(cvusim.workloads.__file__).with_name("data") / "benchmarks"
+        names = ("alexnet", "convnet", "gru", "lstm", "resnet", "vgg")
+        assert list(bundled_networks().items()) == [(name, root / f"{name}.json") for name in names]
 
     @pytest.mark.parametrize("name", sorted(bundled_networks()))
     def test_all_validate(self, name):
