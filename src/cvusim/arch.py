@@ -1,23 +1,19 @@
 """Cycle-approximate, energy-annotated simulation of a 2D array of CVUs.
 
-The array is weight stationary: every unit pins a tile of weights in its
-private scratchpad, input vectors are broadcast along rows, and partial sums
-flow down columns into 64-bit accumulators.  A layer is lowered to a GEMM
-and executed in "generations": the output channels whose weight rows fit in
-the combined scratchpads at once.  Within a generation, input streaming
-overlaps compute; across generations, the next weight tile loads while the
-current one computes (double buffering).  The first load and the last
-generation's compute have nothing to overlap with and are exposed.
+The array is weight stationary: every unit pins a tile of weights in its private scratchpad, input
+vectors are broadcast along rows, and partial sums flow down columns into 64-bit accumulators.  A layer
+is lowered to a GEMM and executed in "generations": the output channels whose weight rows fit in the
+combined scratchpads at once.  Within a generation, input streaming overlaps compute; across
+generations, the next weight tile loads while the current one computes (double buffering).  The first
+load and the last generation's compute have nothing to overlap with and are exposed.
 
-Data movement, in closed form: a pass runs ``m // m_res`` identical full
-generations of ``m_res`` output rows, then one generation of any rows left.
-It names each byte it moves by purpose (off chip: weight fill, input stream,
-output write; on chip: operand reads), and its cycles and energy come from
-those bytes and its MACs.  ``compute_cycles`` sums ceil(MACs / peak MACs per
-cycle) over the generations, ``memory_cycles`` is the off-chip bytes at the
-memory's bandwidth, and ``total_cycles`` is the first load plus, per
-generation, the max of its compute, its stream and the next generation's
-load.  The assumptions, each with its test in ``tests/test_arch.py``:
+Data movement, in closed form: a pass runs ``m // m_res`` identical full generations of ``m_res`` output
+rows, then one generation of any rows left.  It names each byte it moves by purpose (off chip: weight
+fill, input stream, output write; on chip: operand reads), and its cycles and energy come from those
+bytes and its MACs.  ``compute_cycles`` sums ceil(MACs / peak MACs per cycle) over the generations,
+``memory_cycles`` is the off-chip bytes at the memory's bandwidth, and ``total_cycles`` is the first
+load plus, per generation, the max of its compute, its stream and the next generation's load.  The
+assumptions, each with its test in ``tests/test_arch.py``:
 
 * weights stay resident across repeats only when all of them fit the
   combined scratchpads (``TestRepeats``);
@@ -46,35 +42,30 @@ A layer run reads one record per (array, params, bitwidth pair), built once per 
 per cycle, the combined scratchpad bytes, and the pair's staging or weight-vector fit failure, if
 any.  The record reads ``FREQUENCY_HZ`` and ``STAGING_BUFFER_BYTES``, so code that patches either
 must call ``_pair.cache_clear()``; the other constants and the memory are read per pass.  No layer,
-pass or network result is cached: a layer run lowers the layer, sizes its generations, walks one or
-two passes and adds up its repeats.
+pass or network result is cached: a layer run reads its layer once, prices at most two generation
+groups in each of one or two passes and adds up its repeats; a network adds its layers as it runs them.
 
-Inputs are assumed to traverse the array combinationally (no pipeline fill
-cycles), which keeps compute_cycles exactly equal to the analytical count.
-The model prices a unit through :mod:`cvusim.plan` alone.  The bit-exact engine, ``cvu.execute_cycle``,
-binds here on the first exact run or read of ``arch.execute_cycle``; a binding already here is kept.
+Inputs are assumed to traverse the array combinationally (no pipeline fill cycles), which keeps
+compute_cycles exactly equal to the analytical count.  The model prices a unit through :mod:`cvusim.plan`
+alone.  The bit-exact engine, ``cvu.execute_cycle``, binds here on the first exact run or read of
+``arch.execute_cycle``; a binding already here is kept.
 
-Three styles share the model: ``conventional`` units are one-lane 8-bit MACs
-that compute every layer at 8 bit (a report's ``bw_x``/``bw_w`` show the
-widths that ran), a ``scalar-composable`` unit is a one-lane CVU, and
-``vector-composable`` units are full CVUs.
+Three styles share the model: ``conventional`` units are one-lane 8-bit MACs that compute every layer at
+8 bit (a report's ``bw_x``/``bw_w`` show the widths that ran), a ``scalar-composable`` unit is a
+one-lane CVU, and ``vector-composable`` units are full CVUs.
 
-A pass, a whole layer (:class:`LayerReport`) and a whole network
-(:class:`SimReport`) are tuples that share their first eight fields, in the
-order of ``_TOTALS``: the summed MACs, cycle counts, off-chip bytes and energy
-categories.  A pass is a plain tuple; the reports are named tuples, which derive
-the energy total and the bound from those fields.  A layer's report is built
-once, from its passes' tuples added in the fixed left-to-right order, the order
-in which :func:`simulate_network` adds up its layers.
+A pass (a plain tuple), a layer (:class:`LayerReport`) and a network (:class:`SimReport`) share
+their first eight fields, the ``_TOTALS``: MACs, cycle counts, off-chip bytes and energy categories,
+which the reports' named tuples derive the energy total and the bound from.  Each adds up its parts
+left to right, never by sum(), whose float rounding changed in 3.12.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from collections import namedtuple
 from enum import Enum
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .cost import CostParams, iso_power_array_size, per_mac_normalized
 from .errors import Checked, ConfigError, RangeError, ShapeError
@@ -138,12 +129,12 @@ GemmDims = namedtuple("GemmDims", "m k n")  # a lowered layer: output rows, redu
 
 
 def _gemm(layer: LayerSpec) -> tuple:
-    """``(m, k, n)`` of ``layer`` as a plain tuple: the lowering rule, which every layer run reads."""
-    # One unpack in LayerSpec field order: a named-tuple field read costs several times a local read.
-    kind, _, _, _, in_channels, out_channels, height, width, kernel_h, kernel_w, stride, _, m, k, n, _ = layer
+    """``(kind value, name, bw_x, bw_w, repeat, m, k, n)`` of ``layer``, with ``(m, k, n)`` by the lowering rule."""
+    # One unpack: a named-tuple field read costs several times a local read, and ``Enum.value`` a property call.
+    kind, bw_x, bw_w, name, c_in, c_out, height, width, kernel_h, kernel_w, stride, _, m, k, n, repeat = layer
     if kind is LayerKind.CONV:
-        return out_channels, in_channels * kernel_h * kernel_w, math.ceil(height / stride) * math.ceil(width / stride)
-    return m, k, n
+        m, k, n = c_out, c_in * kernel_h * kernel_w, math.ceil(height / stride) * math.ceil(width / stride)
+    return kind._value_, name, bw_x, bw_w, repeat, m, k, n
 
 
 def lower_layer(layer: LayerSpec) -> GemmDims:
@@ -152,7 +143,7 @@ def lower_layer(layer: LayerSpec) -> GemmDims:
     Convolutions use im2col: m = output channels, k = C*R*S, n = output
     pixels, ``out_height * out_width``.
     """
-    return GemmDims(*_gemm(layer))
+    return GemmDims(*_gemm(layer)[5:])
 
 
 # The figures that add up over the parts of a run (passes, layers, networks), in field order.
@@ -173,11 +164,6 @@ class _Totals:
     @property
     def bound(self) -> str:
         return "memory" if self.memory_cycles > self.compute_cycles else "compute"
-
-
-def _sums(parts) -> tuple:
-    """The ``_TOTALS`` of ``parts``, each added left to right (``sum()``'s float rounding changed in 3.12)."""
-    return tuple(reduce(operator.add, column) for column in zip(*(part[:8] for part in parts)))
 
 
 class LayerReport(_Totals, namedtuple("LayerReport", f"{_TOTALS} name kind m k n repeats bw_x bw_w utilization")):
@@ -262,40 +248,44 @@ def _simulate_pass(
     """One invocation of a layer (one timestep for recurrent layers), priced from its traffic.
 
     The pass runs ``m // m_res`` identical full generations of ``m_res`` output rows, then
-    one generation of the rows left, if any.  Resident weights need no fill.  Bytes round up
-    from bits, and a transfer of b bytes takes ceil(b * FREQUENCY_HZ / bandwidth) cycles.
-    ``bandwidth`` and ``pj_per_bit`` are the memory's.  Returns the pass's sums as a plain tuple
-    in ``_TOTALS`` order.
+    one generation of the rows left, if any: at most two groups, each priced once, in its own
+    block.  Resident weights need no fill.  Bytes round up from bits, and a transfer of b bytes
+    takes ceil(b * FREQUENCY_HZ / bandwidth) cycles.  ``bandwidth`` and ``pj_per_bit`` are the
+    memory's.  Returns the pass's sums as a plain tuple in ``_TOTALS`` order.
     """
     input_bytes = -(-k * n * bw_x // 8)
-    compute = total = weight_fill = input_stream = output_write = next_load = 0
+    compute = total = weight_fill = output_write = next_load = 0
     # Double buffering: generation i+1 loads while generation i computes and streams; the
-    # first load and the last compute are exposed.  The groups are walked last to first, so
-    # the load after a group's last generation is the one of the group walked before it.
+    # first load and the last compute are exposed.  The groups are priced last to first, so
+    # the load after a group's last generation is the one of the group priced before it.
     full, rest = divmod(m, m_res)
-    for count, rows in ((1, rest), (full, m_res)):
-        if count * rows:
-            cycles = math.ceil(rows * k * n / peak)
-            weight = 0 if weights_resident else -(-rows * k * bw_w // 8)
-            output = -(-rows * n * OUTPUT_BITS // 8)
-            load = math.ceil(weight * FREQUENCY_HZ / bandwidth)
-            busy = max(cycles, math.ceil((input_bytes + output) * FREQUENCY_HZ / bandwidth))
-            total += (count - 1) * max(busy, load) + max(busy, next_load)
-            compute += count * cycles
-            weight_fill += count * weight
-            input_stream += count * input_bytes
-            output_write += count * output
-            next_load = load
+    if rest:  # the last generation, whose compute no load overlaps
+        compute = math.ceil(rest * k * n / peak)
+        weight_fill = 0 if weights_resident else -(-rest * k * bw_w // 8)
+        output_write = -(-rest * n * OUTPUT_BITS // 8)
+        next_load = math.ceil(weight_fill * FREQUENCY_HZ / bandwidth)
+        total = max(compute, math.ceil((input_bytes + output_write) * FREQUENCY_HZ / bandwidth))
+    if full:
+        cycles = math.ceil(m_res * k * n / peak)
+        weight = 0 if weights_resident else -(-m_res * k * bw_w // 8)
+        output = -(-m_res * n * OUTPUT_BITS // 8)
+        load = math.ceil(weight * FREQUENCY_HZ / bandwidth)
+        busy = max(cycles, math.ceil((input_bytes + output) * FREQUENCY_HZ / bandwidth))
+        total += (full - 1) * max(busy, load) + max(busy, next_load)
+        compute += full * cycles
+        weight_fill += full * weight
+        output_write += full * output
+        next_load = load
 
     # Off chip: the weight fill, the input stream and the output write-back, each also written
     # to or read from SRAM once.  On chip: one SRAM read of each operand per MAC.
     macs = m * k * n
-    offchip = weight_fill + input_stream + output_write
+    offchip = weight_fill + (full + (rest > 0)) * input_bytes + output_write
     return (
         macs,
         compute,
         math.ceil(offchip * FREQUENCY_HZ / bandwidth),
-        total + next_load,  # after the walk, the first generation's load: exposed
+        total + next_load,  # after both groups, the first generation's load: exposed
         offchip,
         macs * mac_pj,
         (offchip + -(-macs * bw_x // 8) + -(-macs * bw_w // 8)) * SRAM_PJ_PER_BYTE,
@@ -310,13 +300,13 @@ def simulate_layer(layer: LayerSpec, acc: AcceleratorConfig, mem: MemorySpec, pa
     repeats after the first reuse the pinned weights and pay only for input
     and output streaming.
     """
-    kind, repeat = layer.kind.value, layer.repeat
-    bw_x, bw_w = (8, 8) if acc.style is Style.CONVENTIONAL else (layer.bw_x, layer.bw_w)
+    kind, name, bw_x, bw_w, repeat, m, k, n = _gemm(layer)
+    if acc.style is Style.CONVENTIONAL:
+        bw_x = bw_w = 8
     _, mac_pj, peak, spad_bytes, error = _pair(acc, params, bw_x, bw_w)
-    name = layer.name or kind
+    name = name or kind
     if error:
         raise ConfigError(f"layer {name}: {error}")
-    m, k, n = _gemm(layer)
     m_res = spad_bytes * 8 // bw_w // k
     if m_res < 1:
         raise ConfigError(
@@ -329,29 +319,40 @@ def simulate_layer(layer: LayerSpec, acc: AcceleratorConfig, mem: MemorySpec, pa
     if repeat > 1 and -(-m * k * bw_w // 8) <= spad_bytes:
         steady = _simulate_pass(m, k, n, m_res, peak, bandwidth, pj_per_bit, mac_pj, bw_x, bw_w, True)
 
-    # Integers as first + (repeat - 1) * steady, exactly; each energy float by _sums' left-to-right
-    # additions over [first, steady, ...], not by sum() (its rounding changed in 3.12) or a product.
+    # Integers as first + (repeat - 1) * steady, exactly; each energy float by left-to-right
+    # additions over [first, steady, ...], not by a product.
     macs, compute, memory, total, offchip, e_compute, e_sram, e_offchip = first
     extra = repeat - 1
     if extra:
         macs, compute, memory, total, offchip = (a + extra * b for a, b in zip(first, steady[:5]))
         for _ in range(extra):
             e_compute, e_sram, e_offchip = e_compute + steady[5], e_sram + steady[6], e_offchip + steady[7]
-    return LayerReport(
+    # tuple.__new__ skips the named tuple's keyword __new__ and _make's length check of the 17 fields below
+    return tuple.__new__(LayerReport, (
         macs, compute, memory, total, offchip, e_compute, e_sram, e_offchip,
         name, kind, m, k, n, repeat, bw_x, bw_w, macs / (peak * compute),
-    )
+    ))
 
 
 def simulate_network(net: NetworkSpec, acc: AcceleratorConfig, mem: MemorySpec, params: CostParams) -> SimReport:
-    """Simulate every layer in order; deterministic for identical inputs."""
+    """Simulate every layer in order, adding up its ``_TOTALS`` as it goes; deterministic for identical inputs."""
+    run = simulate_layer  # the module attribute, once per call: a traced run wraps it
     reports = []
     for i, layer in enumerate(net.layers):
         try:
-            reports.append(simulate_layer(layer, acc, mem, params))
+            report = run(layer, acc, mem, params)
         except ConfigError as exc:
             raise ConfigError(f"layers[{i}]: {exc}") from exc
-    report = SimReport(*_sums(reports), net.name, acc.style.value, mem.name, tuple(reports))
+        if i:
+            macs, compute, memory, total, offchip, e_compute, e_sram, e_offchip = (
+                macs + report[0], compute + report[1], memory + report[2], total + report[3],
+                offchip + report[4], e_compute + report[5], e_sram + report[6], e_offchip + report[7],
+            )
+        else:  # a NetworkSpec has at least one layer
+            macs, compute, memory, total, offchip, e_compute, e_sram, e_offchip = report[:8]
+        reports.append(report)
+    totals = macs, compute, memory, total, offchip, e_compute, e_sram, e_offchip
+    report = SimReport(*totals, net.name, acc.style.value, mem.name, tuple(reports))
     if not math.isfinite(report.energy_total_pj):
         raise ConfigError(f"energy total overflows at {mem.access_energy_pj_per_bit:g} pJ per bit off chip")
     return report

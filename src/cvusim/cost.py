@@ -113,22 +113,20 @@ def _adder_units(width_bits: int) -> int:
     return width_bits + ADDER_OVERHEAD_BITS
 
 
-def _tree_reduce(maxima: list[int]) -> tuple[int, int, int]:
-    """Pairwise-reduce value maxima; return (bit units, adder count, out max)."""
+def _tree_reduce(maxima: list[int]) -> tuple[int, int]:
+    """Pairwise-reduce value maxima; return (bit units, out max)."""
     units = 0
-    count = 0
     level = list(maxima)
     while len(level) > 1:
         nxt = []
         for i in range(0, len(level) - 1, 2):
             out = level[i] + level[i + 1]
             units += _adder_units(out.bit_length())
-            count += 1
             nxt.append(out)
         if len(level) % 2:
             nxt.append(level[-1])
         level = nxt
-    return units, count, level[0] if level else 0
+    return units, level[0] if level else 0
 
 
 # The conventional 8-bit MAC baseline, as unit counts in category order: one
@@ -145,9 +143,9 @@ def _structure(cfg: CvuConfig) -> tuple[int, int, int, int]:
     and the global tree adds the shifted outputs."""
     s = cfg.slice_width
     product_max = ((1 << s) - 1) ** 2
-    nbve_units, _, nbve_out_max = _tree_reduce([product_max] * cfg.lanes)
+    nbve_units, nbve_out_max = _tree_reduce([product_max] * cfg.lanes)
     shifts = plan_composition(MAX_BITWIDTH, MAX_BITWIDTH, cfg).shifts
-    global_units, _, _ = _tree_reduce([nbve_out_max << shift for shift in shifts])
+    global_units, _ = _tree_reduce([nbve_out_max << shift for shift in shifts])
 
     return (
         cfg.nbve_count * cfg.lanes * s * s,

@@ -251,6 +251,42 @@ class TestRepeats:
         assert calls == {"_gemm": 1}
 
 
+def reference_pass(m, k, n, m_res, peak, mem, mac_pj, bw_x, bw_w, resident):
+    """The per-generation loop that ``_simulate_pass`` summed before its closed form: one pass of an
+    m x k x n GEMM in generations of at most ``m_res`` rows, each priced on its own."""
+
+    def mem_cycles(nbytes):
+        return max(1, math.ceil(nbytes * arch.FREQUENCY_HZ / mem.bandwidth_bytes_per_s)) if nbytes else 0
+
+    def to_bytes(elements, bits):
+        return -(-elements * bits // 8)
+
+    phases = []  # (macs, compute cycles, weight bytes, stream bytes) of each generation
+    for m_done in range(0, m, m_res):
+        rows = min(m_res, m - m_done)
+        macs = rows * k * n
+        stream = to_bytes(k * n, bw_x) + to_bytes(rows * n, arch.OUTPUT_BITS)
+        phases.append((macs, math.ceil(macs / peak), 0 if resident else to_bytes(rows * k, bw_w), stream))
+    total = mem_cycles(phases[0][2])
+    for i, (_, compute, _, stream) in enumerate(phases):
+        next_load = mem_cycles(phases[i + 1][2]) if i + 1 < len(phases) else 0
+        total += max(compute, mem_cycles(stream), next_load)
+    macs, compute, weight_bytes, stream_bytes = (sum(column) for column in zip(*phases))
+    offchip = weight_bytes + stream_bytes
+    sram = weight_bytes + stream_bytes + to_bytes(macs, bw_x) + to_bytes(macs, bw_w)
+    return (
+        macs, compute, mem_cycles(offchip), total, offchip,
+        macs * mac_pj, sram * arch.SRAM_PJ_PER_BYTE, offchip * 8 * mem.access_energy_pj_per_bit,
+    )
+
+
+def reference_lowering(layer):
+    """``(m, k, n)`` of ``layer`` from its own fields: im2col over the strided output for a conv."""
+    if layer.kind is LayerKind.CONV:
+        return layer.out_channels, layer.in_channels * layer.kernel_h * layer.kernel_w, layer.out_height * layer.out_width
+    return layer.m, layer.k, layer.n
+
+
 def reference_layer_totals(layer, acc, mem, params):
     """The per-generation loop that ``simulate_layer`` summed before its closed form.
 
@@ -263,71 +299,69 @@ def reference_layer_totals(layer, acc, mem, params):
     else:
         unit_macs = plan_composition(bw_x, bw_w, acc.cvu).effective_length
         mac_pj = acc.cvu.lanes * per_mac_normalized(acc.cvu, params)[0] * conventional_pj / unit_macs
-    dims = lower_layer(layer)
-    m_res = acc.total_scratchpad_bytes * 8 // bw_w // dims.k
+    m, k, n = reference_lowering(layer)
+    m_res = acc.total_scratchpad_bytes * 8 // bw_w // k
     if unit_macs * bw_w > acc.weight_scratchpad_bytes * 8 or m_res < 1:
         return None
-
-    def mem_cycles(nbytes):
-        return max(1, math.ceil(nbytes * arch.FREQUENCY_HZ / mem.bandwidth_bytes_per_s)) if nbytes else 0
-
-    def to_bytes(elements, bits):
-        return -(-elements * bits // 8)
-
-    peak = unit_macs * acc.unit_count
-    phases = []  # (macs, compute cycles, weight bytes, stream bytes) of each generation
-    for m_done in range(0, dims.m, m_res):
-        rows = min(m_res, dims.m - m_done)
-        macs = rows * dims.k * dims.n
-        stream = to_bytes(dims.k * dims.n, bw_x) + to_bytes(rows * dims.n, 8)
-        phases.append((macs, math.ceil(macs / peak), to_bytes(rows * dims.k, bw_w), stream))
-
-    def one_pass(phases):
-        total = mem_cycles(phases[0][2])
-        for i, (_, compute, _, stream) in enumerate(phases):
-            next_load = mem_cycles(phases[i + 1][2]) if i + 1 < len(phases) else 0
-            total += max(compute, mem_cycles(stream), next_load)
-        macs, compute, weight_bytes, stream_bytes = (sum(column) for column in zip(*phases))
-        offchip = weight_bytes + stream_bytes
-        sram = weight_bytes + stream_bytes + to_bytes(macs, bw_x) + to_bytes(macs, bw_w)
-        return (
-            macs, compute, mem_cycles(offchip), total, offchip,
-            macs * mac_pj, sram * arch.SRAM_PJ_PER_BYTE, offchip * 8 * mem.access_energy_pj_per_bit,
-        )
-
-    first = steady = one_pass(phases)
-    if layer.repeat > 1 and to_bytes(dims.m * dims.k, bw_w) <= acc.total_scratchpad_bytes:
-        steady = one_pass([(macs, compute, 0, stream) for macs, compute, _, stream in phases])
+    args = m, k, n, m_res, unit_macs * acc.unit_count, mem, mac_pj, bw_x, bw_w
+    first = steady = reference_pass(*args, False)
+    if layer.repeat > 1 and -(-m * k * bw_w // 8) <= acc.total_scratchpad_bytes:
+        steady = reference_pass(*args, True)
     parts = [first] + [steady] * (layer.repeat - 1)
     return tuple(reduce(operator.add, column) for column in zip(*parts))
+
+
+# Each kind of layer the schema allows: gemv with repeats, fc, and conv with non-square inputs and
+# kernels and a stride that need not divide them, so that the output size rounds up.
+_SMALL, _DEPTH = st.integers(1, 64), st.integers(1, 3000)
+LAYER_SHAPES = (
+    st.builds(dict, kind=st.just(LayerKind.GEMV), m=_DEPTH, k=_DEPTH, n=_SMALL, repeat=st.integers(1, 6))
+    | st.builds(dict, kind=st.just(LayerKind.FC), m=_DEPTH, k=_DEPTH, n=_SMALL)
+    | st.builds(
+        dict, kind=st.just(LayerKind.CONV), in_channels=_SMALL, out_channels=_DEPTH, height=_SMALL, width=_SMALL,
+        kernel_h=st.integers(1, 7), kernel_w=st.integers(1, 7), stride=st.integers(1, 4),
+    )
+)
 
 
 class TestClosedForm:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
         style=st.sampled_from(list(Style)),
-        m=st.integers(1, 3000),
-        k=st.integers(1, 3000),
-        n=st.integers(1, 64),
+        shape=LAYER_SHAPES,
+        name=st.sampled_from(["", "named"]),
         bw_x=st.integers(1, 8),
         bw_w=st.integers(1, 8),
         total_sram_bytes=st.integers(1 << 10, 1 << 22),
         mem=st.sampled_from([DDR4, HBM2])
         | st.builds(MemorySpec, st.just("drawn"), st.floats(1e8, 1e12), st.floats(0.0, 20.0)),
-        repeat=st.integers(1, 6),
     )
-    def test_matches_per_generation_loop(self, style, m, k, n, bw_x, bw_w, total_sram_bytes, mem, repeat):
-        # every TOTALS field, floats included, exactly as the per-generation loop sums it
+    def test_matches_per_generation_loop(self, style, shape, name, bw_x, bw_w, total_sram_bytes, mem):
+        # every TOTALS field, floats included, exactly as the per-generation loop sums it, and the
+        # fields a layer run reads from its layer once
         acc = build_array(style, PARAMS, total_sram_bytes=total_sram_bytes)
-        layer = LayerSpec(kind=LayerKind.GEMV, m=m, k=k, n=n, bw_x=bw_x, bw_w=bw_w, repeat=repeat)
+        layer = LayerSpec(name=name, bw_x=bw_x, bw_w=bw_w, **shape)
         expected = reference_layer_totals(layer, acc, mem, PARAMS)
         if expected is None:
             with pytest.raises(ConfigError):
                 simulate_layer(layer, acc, mem, PARAMS)
             return
         report = simulate_layer(layer, acc, mem, PARAMS)
-        for name, want in zip(TOTALS, expected, strict=True):
-            assert getattr(report, name) == want, name
+        for field, want in zip(TOTALS, expected, strict=True):
+            assert getattr(report, field) == want, field
+        ran = (8, 8) if style is Style.CONVENTIONAL else (bw_x, bw_w)
+        kind = layer.kind.value
+        assert report[8:16] == (name or kind, kind, *reference_lowering(layer), layer.repeat, *ran)
+
+    @pytest.mark.parametrize("resident", [True, False], ids=["resident", "streamed"])
+    @pytest.mark.parametrize("mem", [DDR4, HBM2], ids=["ddr4", "hbm2"])
+    @pytest.mark.parametrize("m, m_res", [(5, 8), (24, 8), (29, 8)], ids=["rest-only", "full-only", "both"])
+    def test_pass_prices_each_group_shape(self, m, m_res, mem, resident):
+        # the rest group alone, three full generations alone, and both; ceil rounds every cycle count,
+        # and on DDR4 a streamed weight load outlasts the compute it overlaps
+        args = m, 300, 3, m_res, 512, mem.bandwidth_bytes_per_s, mem.access_energy_pj_per_bit, 0.37, 3, 5
+        expected = reference_pass(m, 300, 3, m_res, 512, mem, 0.37, 3, 5, resident)
+        assert arch._simulate_pass(*args, resident) == expected
 
     @pytest.mark.parametrize("resident", [True, False], ids=["resident", "streamed"])
     @pytest.mark.parametrize("repeat", [25, 2**16])
@@ -561,6 +595,24 @@ class TestPairCache:
         assert doubled.energy_sram_pj == 2 * base.energy_sram_pj
         assert doubled._replace(energy_sram_pj=base.energy_sram_pj, layers=base.layers) == base
         assert simulate_network(net, acc, HBM2, PARAMS) == base
+
+    @pytest.mark.parametrize("constant", ["FREQUENCY_HZ", "OUTPUT_BITS"])
+    def test_warm_report_follows_a_patched_clock_or_output_width(self, constant):
+        # a layer run reads both at call time: a value bound at import would price the patched
+        # layers at the shipped clock or output width
+        acc = build_array(Style.VECTOR, PARAMS)
+        layers = [layer for name in ("convnet", "gru") for layer in load_network(bundled_networks()[name]).layers]
+        base = [simulate_layer(layer, acc, DDR4, PARAMS) for layer in layers]  # the pair records are warm
+        with mock.patch.object(arch, constant, 2 * getattr(arch, constant)):
+            arch._pair.cache_clear()
+            try:
+                patched = [simulate_layer(layer, acc, DDR4, PARAMS) for layer in layers]
+                expected = [reference_layer_totals(layer, acc, DDR4, PARAMS) for layer in layers]
+            finally:
+                arch._pair.cache_clear()
+        assert [report[:8] for report in patched] == expected
+        assert [report[:8] for report in base] != expected
+        assert [simulate_layer(layer, acc, DDR4, PARAMS) for layer in layers] == base
 
 
 class TestMonotonicity:

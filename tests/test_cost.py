@@ -66,11 +66,18 @@ class TestCvuCost:
 
     def test_single_lane_has_no_engine_tree(self):
         # 2-bit slices: 16 engines, each 3*3 at most per lane
-        engine_units, engine_adders, engine_max = _tree_reduce([3 * 3] * 1)
-        assert (engine_units, engine_adders, engine_max) == (0, 0, 9)
+        engine_units, engine_max = _tree_reduce([3 * 3] * 1)
+        assert (engine_units, engine_max) == (0, 9)
         shifted = [engine_max << (2 * j + 2 * k) for j in range(4) for k in range(4)]
-        global_units, global_adders, _ = _tree_reduce(shifted)
-        assert global_adders == 15
+        # the global tree over the 16 engine outputs, built pairwise here: 8 + 4 + 2 + 1 = 15 adders,
+        # each as wide as the sum it outputs
+        adders, level = [], shifted
+        while len(level) > 1:
+            level = [level[i] + level[i + 1] for i in range(0, len(level), 2)]
+            adders += level
+        assert len(adders) == 15
+        global_units, global_max = _tree_reduce(shifted)
+        assert (global_units, global_max) == (sum(_adder_units(out.bit_length()) for out in adders), sum(shifted))
         # the adder inventory is the global tree plus the accumulate adder only
         assert _structure(cfg(2, 1))[1] == global_units + _adder_units(ACCUMULATOR_BITS)
 
