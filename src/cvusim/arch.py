@@ -387,11 +387,11 @@ def functional_dot(x: QuantizedVector, w: QuantizedVector, acc: AcceleratorConfi
     64-bit column register; a longer dot product raises :class:`RangeError` up
     front.  Composable styles compute it as a 1 x 1 :func:`functional_gemm`.
     """
-    if len(x) != len(w):
-        raise ShapeError(f"vector length mismatch: {len(x)} vs {len(w)}")
+    if (k := len(x.array)) != len(w.array):
+        raise ShapeError(f"vector length mismatch: {k} vs {len(w.array)}")
     if acc.style is Style.CONVENTIONAL:
-        if len(x) << (x.bitwidth + w.bitwidth) >= 1 << 63:
-            raise RangeError(f"{len(x)} MACs at {x.bitwidth}x{w.bitwidth} bits could overflow the 64-bit accumulator")
+        if k << (x.bitwidth + w.bitwidth) >= 1 << 63:
+            raise RangeError(f"{k} MACs at {x.bitwidth}x{w.bitwidth} bits could overflow the 64-bit accumulator")
         return int(x.array @ w.array)
     return functional_gemm([w], [x], acc)[0][0]
 
@@ -401,20 +401,20 @@ def functional_gemm(
 ) -> list[list[int]]:
     """m x n output matrix computed through the style's functional path.
 
-    Conventional units run :func:`functional_dot` per output: a stacked int64 matmul ran 1.05-1.31x
-    slower on the benchmark's 2 x k x 1 tiles (3.7 -> 3.9 us at 8x8 bits, k = 512; 7.2 -> 9.4 us at
-    4x2, k = 4096), and a float64 one no faster.  Composable styles plan the CVU at the widest operand
-    widths and dispatch every output's whole dot product at once over the fewest cycles that hold it,
-    the same count as a cycle-major schedule: the whole m x n tile is one :func:`execute_cycle` call.
-    Each output sums its cluster scalars in int64, and only the m x n sums become Python ints.  The sum
-    is an exact dot product of k products of magnitude at most 2**16 (operands lie in [-128, 255]),
-    which passes the 64-bit column register range only at k >= 2**47.
+    Conventional units run :func:`functional_dot` per output: on the benchmark's 2 x k x 1 tiles, a stacked
+    int64 matmul took 3.9 against 4.1 us at 8x8 bits, k = 512, but 10.4 against 8.1 us at 4x2, k = 4096
+    (Python 3.11, numpy 2.4, 2-core x86), and a float64 one was no faster.  Composable styles plan the CVU
+    at the widest operand widths and dispatch every output's whole dot product at once over the fewest
+    cycles that hold it, the same count as a cycle-major schedule: the whole m x n tile is one
+    :func:`execute_cycle` call.  Each output sums its cluster scalars in int64, and only the m x n sums
+    become Python ints.  The sum is an exact dot product of k products of magnitude at most 2**16
+    (operands lie in [-128, 255]), which passes the 64-bit column register range only at k >= 2**47.
     """
     if acc.style is Style.CONVENTIONAL:
         return [[functional_dot(col, row, acc) for col in inputs] for row in weights]
     if not weights or not inputs:
         return [[] for _ in weights]
-    plan = plan_composition(max(v.bitwidth for v in inputs), max(v.bitwidth for v in weights), acc.cvu)
+    plan = plan_composition(max([v.bitwidth for v in inputs]), max([v.bitwidth for v in weights]), acc.cvu)
     if "execute_cycle" not in globals():  # the first exact run binds the engine here; later runs look it up
         __getattr__("execute_cycle")
     return execute_cycle(inputs, weights, plan).scalars.sum(axis=2).tolist()

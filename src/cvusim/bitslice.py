@@ -145,9 +145,7 @@ def slice_vector(vec: QuantizedVector | np.ndarray, slice_width: int, *, bitwidt
     bw = vec.bitwidth if bitwidth is None else bitwidth
     if bw < vec.bitwidth:
         raise RangeError(f"cannot slice {vec.bitwidth}-bit vector at narrower width {bw}")
-    import numpy as np
-
-    return slice_vector(vec.array.astype(np.int16), slice_width, bitwidth=bw).astype(np.int64)
+    return slice_vector(vec.array.astype("int16"), slice_width, bitwidth=bw).astype("int64")
 
 
 def nbve_dot(x_planes: np.ndarray, w_planes: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ cycles that hold it: each pair's element stream is spread over the clusters, ``c
 elements each, and every cluster emits its share of the dot product.  An x block is staged in int16
 beside its first w block, each side is sliced by one :func:`slice_vector` call and cast once to float
 for the engines' matmuls, and the shift-add is one int64 contraction against weights cached per plan.
-The cluster scalars come back as one read-only int64 array.  Execution imports numpy.
+The cluster scalars come back as one read-only int64 array.  Importing this module imports numpy.
 """
 
 from __future__ import annotations
@@ -14,14 +14,14 @@ import functools
 from collections import namedtuple
 from collections.abc import Sequence
 
+import numpy as np
+
 from .bitslice import QuantizedVector, nbve_dot, slice_vector
 from .errors import RangeError, ShapeError
 from .plan import CompositionPlan
 
 # Cluster scalars of every (w, x) pair of one call, plus the lane utilization.
 CvuOutput = namedtuple("CvuOutput", "scalars utilization")
-
-
 _BLOCK_ELEMENTS = 1 << 16  # staged elements per x block, and per w block plus its (w, x) pairs
 
 
@@ -37,8 +37,6 @@ def _planes(stage, slice_width: int, bitwidth: int, dtype, clusters: int, lanes:
 @functools.lru_cache(maxsize=256)
 def _shift_weights(plan: CompositionPlan):
     """Int64 shift-add weights ``2**s`` of ``plan.shifts``, which must be the plane grid; read-only, as every call shares them."""
-    import numpy as np
-
     s, pw = plan.slice_width, plan.bw_w // plan.slice_width
     if plan.shifts != tuple(s * j + s * k for j in range(plan.bw_x // s) for k in range(pw)):
         raise RangeError(f"plan shifts {plan.shifts} are not a {plan.bw_x // s} x {pw} grid of s * j + s * k")
@@ -55,6 +53,9 @@ def execute_cycle(
     elements ``[c * cycles * lanes, (c + 1) * cycles * lanes)``.  ``scalars`` is one read-only int64
     array of shape (m, n, clusters), indexed [w, x, cluster]; a pair's dot product is the sum of its
     cluster scalars.  Utilization is the share of a pair's ``cycles * effective_length`` lane slots in use.
+    One checking pass visits each operand once per check, in plain loops: every length against the first
+    operand's, x operands first, then every x and every w bitwidth against its side's padded width.  So a
+    length fault raises :class:`ShapeError` before any width fault raises :class:`RangeError`.
 
     Every scalar comes from the engines' plane dot products (:func:`nbve_dot`) and the plan's shift-add
     tree, never from the full-precision oracle.  Both sides run in blocks of about ``_BLOCK_ELEMENTS``
@@ -68,21 +69,22 @@ def execute_cycle(
     cluster's shift-add over L lanes is at most ``L * 2**(bw_x + bw_w)``, below 2**56 at 8-bit widths.
     Only a hand-built plan wider than ``MAX_BITWIDTH`` bits could pass 2**63, and raises :class:`RangeError`.
     """
-    lengths = {len(v.array) for v in (*x_ops, *w_ops)}
-    if len(lengths) > 1:
-        raise ShapeError(f"operands differ in length: {sorted(lengths)}")
-    k = max(lengths, default=0)
-    cycles = max(1, -(-k // plan.effective_length))
-    for side, ops, width in (("x", x_ops, plan.bw_x), ("w", w_ops, plan.bw_w)):
-        if any(v.bitwidth > width for v in ops):
-            raise RangeError(f"{side} operand bitwidths exceed the plan's padded width {width}")
-    lanes = max(1, min(k, cycles * plan.lanes))  # an empty stream still gets one lane of zeros
-    if lanes << (plan.bw_x + plan.bw_w) >= 1 << 63:
-        raise RangeError(f"{lanes}-lane clusters at {plan.bw_x}x{plan.bw_w} padded bits could overflow int64")
+    bw_x, bw_w, c, _, effective_length, s = plan
+    ops = (*x_ops, *w_ops)
+    k = len(ops[0].array) if ops else 0
+    for v in ops:
+        if len(v.array) != k:
+            raise ShapeError(f"operands differ in length: {sorted({len(v.array) for v in ops})}")
+    for side, side_ops, width in (("x", x_ops, bw_x), ("w", w_ops, bw_w)):
+        for v in side_ops:
+            if v.bitwidth > width:
+                raise RangeError(f"{side} operand bitwidths exceed the plan's padded width {width}")
+    cycles = max(1, -(-k // effective_length))
+    lanes = max(1, min(k, cycles * (effective_length // c)))  # an empty stream still gets one lane of zeros
+    if lanes << (bw_x + bw_w) >= 1 << 63:
+        raise RangeError(f"{lanes}-lane clusters at {bw_x}x{bw_w} padded bits could overflow int64")
 
-    import numpy as np
-
-    weights, c, s, n, m = _shift_weights(plan), plan.clusters, plan.slice_width, len(x_ops), len(w_ops)
+    weights, n, m = _shift_weights(plan), len(x_ops), len(w_ops)
     width, dtype = c * lanes, np.float32 if lanes << 2 * s <= 1 << 24 else np.float64  # float32 where exact
     scalars = np.empty((c, n, m), np.int64)
     cols = max(1, _BLOCK_ELEMENTS // width)
@@ -96,11 +98,11 @@ def execute_cycle(
             stage = np.zeros((len(staged), 1, width), np.int16)
             stage[:, 0, :k] = [v.array for v in staged]
             if not w_lo:  # its planes serve every w block
-                x = _planes(stage[:nx], s, plan.bw_x, dtype, c, lanes)
-            w = _planes(stage[-len(w_block) :].reshape(-1), s, plan.bw_w, dtype, c, lanes)
+                x = _planes(stage[:nx], s, bw_x, dtype, c, lanes)
+            w = _planes(stage[-len(w_block) :].reshape(-1), s, bw_w, dtype, c, lanes)
             # operand-major x rows, plane-major w rows: one contraction of [cluster, x, x plane * w plane, w]
             products = nbve_dot(x, w).astype(np.int64).reshape(c, nx, len(weights), -1)
             np.matmul(weights, products, out=scalars[:, x_lo : x_lo + nx, w_lo : w_lo + rows])
     scalars = scalars.transpose(2, 1, 0)
-    scalars.flags.writeable = False
-    return CvuOutput(scalars=scalars, utilization=k / (cycles * plan.effective_length))
+    scalars.setflags(write=False)
+    return tuple.__new__(CvuOutput, (scalars, k / (cycles * effective_length)))  # skips the keyword __new__

@@ -778,8 +778,15 @@ class TestFunctionalEquivalence:
     @pytest.mark.parametrize("style", list(Style))
     def test_gemm_length_mismatch(self, style):
         weights = [QuantizedVector((1, 2, 3), 4), QuantizedVector((1, 2), 4)]
-        with pytest.raises(ShapeError):
+        # conventional units check each dot product, composable ones every operand of the tile
+        message = "vector length mismatch: 3 vs 2" if style is Style.CONVENTIONAL else r"operands differ in length: \[2, 3\]"
+        with pytest.raises(ShapeError, match=f"^{message}$"):
             functional_gemm(weights, [QuantizedVector((1, 2, 3), 4)], build_array(style, PARAMS))
+
+    @pytest.mark.parametrize("style", list(Style))
+    def test_dot_length_mismatch(self, style):
+        with pytest.raises(ShapeError, match=r"^vector length mismatch: 2 vs 1$"):
+            functional_dot(QuantizedVector((1, 2), 4), QuantizedVector((1,), 4), build_array(style, PARAMS))
 
     @pytest.mark.parametrize("style", list(Style))
     def test_gemm_empty_sides(self, style):
@@ -800,19 +807,30 @@ class TestFunctionalEquivalence:
         assert functional_gemm([w, w], [x, x], build_array(style, PARAMS)) == [[expected] * 2] * 2
 
     def test_conventional_dot_bound_checked_up_front(self):
-        # a stand-in vector long enough that k * 2**(bw_x + bw_w) reaches 2**63
-        class Long:
-            bitwidth, array = 8, np.zeros(0, np.int64)
-
+        # a stand-in vector whose array is long enough that k * 2**(bw_x + bw_w) reaches 2**63
+        class LongArray:
             def __init__(self, length):
                 self.length = length
 
             def __len__(self):
                 return self.length
 
+            def __matmul__(self, other):
+                return 0
+
+        class Long:
+            bitwidth = 8
+
+            def __init__(self, length):
+                self.array = LongArray(length)
+
+            def __len__(self):
+                return len(self.array)
+
         acc = build_array(Style.CONVENTIONAL, PARAMS)
         assert functional_dot(Long((1 << 47) - 1), Long((1 << 47) - 1), acc) == 0
-        with pytest.raises(RangeError):
+        message = r"^140737488355328 MACs at 8x8 bits could overflow the 64-bit accumulator$"
+        with pytest.raises(RangeError, match=message):
             functional_dot(Long(1 << 47), Long(1 << 47), acc)
 
     @pytest.mark.parametrize("w_value,signed", [(255, False), (-113, True)])

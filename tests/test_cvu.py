@@ -355,8 +355,14 @@ class TestExecuteBatch:
 
     def test_length_mismatch(self):
         plan = plan_composition(8, 8, DEFAULT)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match=r"^operands differ in length: \[1, 2\]$"):
             execute_cycle([QuantizedVector((1, 2), 8)], [QuantizedVector((1,), 8)], plan)
+
+    def test_a_length_fault_is_named_before_a_width_fault(self):
+        # the x operand is both too wide for the plan and longer than the w operand
+        plan = plan_composition(4, 4, DEFAULT)
+        with pytest.raises(ShapeError, match=r"^operands differ in length: \[1, 2\]$"):
+            execute_cycle([QuantizedVector((1, 2), 8)], [QuantizedVector((1,), 4)], plan)
 
     def test_too_long_for_the_cycles(self):
         # a stream longer than one cycle's lane slots runs over as many cycles as it needs
@@ -366,8 +372,10 @@ class TestExecuteBatch:
 
     def test_bitwidth_over_plan(self):
         plan = plan_composition(4, 4, DEFAULT)
-        with pytest.raises(RangeError):
+        with pytest.raises(RangeError, match=r"^x operand bitwidths exceed the plan's padded width 4$"):
             execute_cycle([QuantizedVector((1,), 8)], [QuantizedVector((1,), 4)], plan)
+        with pytest.raises(RangeError, match=r"^w operand bitwidths exceed the plan's padded width 4$"):
+            execute_cycle([QuantizedVector((1,), 4)], [QuantizedVector((1,), 8)], plan)
 
     def test_refuses_plans_whose_shifts_are_not_the_plane_grid(self):
         # the shift-add weights are read off plan.shifts, which must be s * j + s * k

@@ -14,8 +14,9 @@ speedup = compute_ratio * conventional_total_per_compute / vector_total_per_comp
 where compute_ratio is conventional compute cycles over vector compute cycles.
 ``constants.txt`` holds the same four design points' geomeans with one of the
 model's fixed constants at a time scaled by 0.5 and by 2: the SRAM pJ per
-byte, the memory's off-chip pJ per bit, the memory's bandwidth and the core
-power budget, after the four at the shipped values (constant ``none``).
+byte, the memory's off-chip pJ per bit, the memory's bandwidth, the core
+power budget, the clock and the output width, after the four at the shipped
+values (constant ``none``).
 ``calibration.txt`` holds the relative error of every ``DEFAULT_ANCHORS``
 metric after ``calibrate`` fits all four anchors, and of each anchor's
 metrics when the other three are fitted (leave one out).  The fit adds
@@ -49,7 +50,7 @@ STYLES = {"conventional": Style.CONVENTIONAL, "scalar": Style.SCALAR, "vector": 
 MEMORIES = {"ddr4": DDR4, "hbm2": HBM2}
 COMPARE_CONFIGS = ("conventional:ddr4", "scalar:ddr4", "vector:ddr4", "vector:hbm2")
 SENSITIVITY_SRAM_MIB = (4, 6, 8, 10)
-CONSTANTS = ("sram_pj_per_byte", "offchip_pj_per_bit", "bandwidth", "budget_mw")
+CONSTANTS = ("sram_pj_per_byte", "offchip_pj_per_bit", "bandwidth", "budget_mw", "frequency_hz", "output_bits")
 CONSTANT_SCALES = (0.5, 2)
 LAYER_FIELDS = (
     "name", "kind", "m", "k", "n", "repeats", "bw_x", "bw_w", "macs",
@@ -159,6 +160,8 @@ def constants_table() -> str:
     lines = ["constant,scale,bitwidths,memory,speedup,energy_reduction"]
     for constant, scale in [("none", 1), *((c, s) for c in CONSTANTS for s in CONSTANT_SCALES)]:
         sram_pj = arch.SRAM_PJ_PER_BYTE * (scale if constant == "sram_pj_per_byte" else 1)
+        frequency = arch.FREQUENCY_HZ * (scale if constant == "frequency_hz" else 1)
+        output_bits = int(arch.OUTPUT_BITS * (scale if constant == "output_bits" else 1))
         budget = ("--budget", repr(arch.DEFAULT_BUDGET_MW * scale)) if constant == "budget_mw" else ()
         for mode in MODES:
             for name, memory in MEMORIES.items():
@@ -166,9 +169,13 @@ def constants_table() -> str:
                     memory = memory._replace(access_energy_pj_per_bit=memory.access_energy_pj_per_bit * scale)
                 elif constant == "bandwidth":
                     memory = memory._replace(bandwidth_bytes_per_s=memory.bandwidth_bytes_per_s * scale)
-                # compare looks up arch.DDR4 and arch.HBM2 when it runs
-                with mock.patch.object(arch, "SRAM_PJ_PER_BYTE", sram_pj), mock.patch.object(arch, name.upper(), memory):
+                # compare looks up arch.DDR4 and arch.HBM2 when it runs; _pair's records read FREQUENCY_HZ,
+                # so they are cleared once the constants are patched and again once they are restored
+                with mock.patch.object(arch, "SRAM_PJ_PER_BYTE", sram_pj), mock.patch.object(arch, name.upper(), memory), \
+                        mock.patch.object(arch, "FREQUENCY_HZ", frequency), mock.patch.object(arch, "OUTPUT_BITS", output_bits):
+                    arch._pair.cache_clear()
                     report = compare_report(mode, *budget, configs=(f"conventional:{name}", f"vector:{name}"))
+                arch._pair.cache_clear()
                 _, _, _, _, speedup, energy = _compare_rows(report)[-1]  # the vector config's geomean
                 lines.append(f"{constant},{scale:g},{mode},{name},{speedup},{energy}")
     return "\n".join(lines) + "\n"
