@@ -80,7 +80,7 @@ def execute_cycle(
             if v.bitwidth > width:
                 raise RangeError(f"{side} operand bitwidths exceed the plan's padded width {width}")
     cycles = max(1, -(-k // effective_length))
-    lanes = max(1, min(k, cycles * (effective_length // c)))  # an empty stream still gets one lane of zeros
+    lanes = max(1, min(k, cycles * plan.lanes))  # an empty stream still gets one lane of zeros
     if lanes << (bw_x + bw_w) >= 1 << 63:
         raise RangeError(f"{lanes}-lane clusters at {bw_x}x{bw_w} padded bits could overflow int64")
 

@@ -170,12 +170,14 @@ def constants_table() -> str:
                 elif constant == "bandwidth":
                     memory = memory._replace(bandwidth_bytes_per_s=memory.bandwidth_bytes_per_s * scale)
                 # compare looks up arch.DDR4 and arch.HBM2 when it runs; _pair's records read FREQUENCY_HZ,
-                # so they are cleared once the constants are patched and again once they are restored
+                # so they are cleared once the constants are patched and again, also on failure, before they are restored
                 with mock.patch.object(arch, "SRAM_PJ_PER_BYTE", sram_pj), mock.patch.object(arch, name.upper(), memory), \
                         mock.patch.object(arch, "FREQUENCY_HZ", frequency), mock.patch.object(arch, "OUTPUT_BITS", output_bits):
                     arch._pair.cache_clear()
-                    report = compare_report(mode, *budget, configs=(f"conventional:{name}", f"vector:{name}"))
-                arch._pair.cache_clear()
+                    try:
+                        report = compare_report(mode, *budget, configs=(f"conventional:{name}", f"vector:{name}"))
+                    finally:
+                        arch._pair.cache_clear()
                 _, _, _, _, speedup, energy = _compare_rows(report)[-1]  # the vector config's geomean
                 lines.append(f"{constant},{scale:g},{mode},{name},{speedup},{energy}")
     return "\n".join(lines) + "\n"

@@ -6,22 +6,24 @@ Usage, from the root of a source checkout:
     python tools/ab.py ../base . --rounds 10
 
 Each tree (a directory holding ``src/cvusim``) gets one worker process, which imports
-cvusim from that tree and the lane bodies from this checkout's ``bench/bodies.py``, so
-both trees run the same work.  The workers never run at once: each round runs every
+cvusim from that tree and the lanes from this checkout's ``bench/bodies.py`` and
+``bench/harness.py``, so both trees run the same work.  The workers never run at once: each round runs every
 lane once on each tree, one tree after the other, and the tree that goes first
 alternates from lane to lane and from round to round.  The lanes:
 
-* ``exact-<style>``: every seeded tile of the functional-exact workload, ``--passes``
-  times, through ``arch.functional_gemm`` for one style; the value is the geometric
-  mean over bitwidth pairs of MACs per second spent inside the call, as
-  ``exact_<style>_macs_per_s`` is reported by the benchmark;
+* ``exact-<style>``: the benchmark's own lane (``functional_lane`` in ``bench/harness.py``)
+  for one style, over every seeded tile of the functional-exact workload ``PASSES`` times;
+  the value is the geometric mean over bitwidth pairs of MACs per second spent inside
+  ``arch.functional_gemm``, as the benchmark reports ``exact_<style>_macs_per_s``;
 * ``sweep``: one model-sweep iteration; the value is its layer runs per second.
 
 Both trees run one untimed warm-up round first.  The report gives per lane the median
 value of each tree, the ratio of B's median to A's and the rounds that B won (higher
-is better for every lane), then one JSON line of the same.  Every functional output is
-checked against the int64 ``W @ X`` oracle, and each lane's outputs are digested; the
-exit code is 1 if any output is wrong or the two trees' outputs differ, and 0 otherwise.
+is better for every lane), then one JSON line of the same.  The benchmark's lane checks
+every functional output against the int64 ``W @ X`` oracle, so equal exact outputs need
+no further check; the sweep's outputs are digested and compared across the trees.  The
+exit code is 1 if any functional output is wrong or the trees' sweep outputs differ, and
+0 otherwise.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import math
 import statistics
 import subprocess
 import sys
-import time
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,6 +42,7 @@ BENCH = ROOT / "bench"
 STYLES = ("vector", "scalar", "conventional")
 LANES = (*(f"exact-{style}" for style in STYLES), "sweep")
 SEED = 1  # of the functional-exact tiles, as bench/run.py --seed gives it
+PASSES = 20  # over the tiles per exact round
 
 
 def _package_dir(tree: Path) -> Path:
@@ -54,50 +57,40 @@ def _package_dir(tree: Path) -> Path:
 class Worker:
     """The lane bodies of one tree, built once."""
 
-    def __init__(self, passes: int):
+    def __init__(self):
         import bodies
-        from cvusim import arch
+        import harness
 
-        self.bodies, self.arch, self.passes = bodies, arch, passes
+        self.bodies, self.harness = bodies, harness
         self.functional = bodies.FunctionalExact(SEED)
-        self.tiles = [tile for tiles in self.functional.rounds for tile in tiles]
+        self.tiles = sum(len(tiles) for tiles in self.functional.rounds)
         self.sweep = bodies.ModelSweep()
 
-    def exact(self, style: str) -> tuple[float, str, int]:
-        acc = self.functional.arrays[self.bodies.STYLES[style]]
-        gemm, oracle = self.arch.functional_gemm, self.bodies.oracle
-        totals: dict[tuple[int, int], list] = {}
-        outputs, failed = [], 0
-        for i in range(self.passes):
-            for tile in self.tiles:
-                start = time.perf_counter()
-                out = gemm(tile.weights, tile.inputs, acc)
-                elapsed = time.perf_counter() - start
-                entry = totals.setdefault(tile.pair, [0, 0.0])
-                entry[0] += tile.macs
-                entry[1] += elapsed
-                if not i:  # every later pass repeats the same tiles
-                    outputs.append(out)
-                    failed += out != oracle(tile.w, tile.x).tolist()
-        rate = math.exp(statistics.fmean(math.log(macs / seconds) for macs, seconds in totals.values()))
-        return rate, self.bodies.digest(outputs), failed
+    def exact(self, style: str) -> tuple[float, str | None, int]:
+        """Rate and failed tiles; the lane itself checks each output against the oracle."""
+        run, totals = self.harness.Run(SEED), defaultdict(lambda: [0, 0.0])
+        lane = self.harness.functional_lane(run, self.functional, style, totals)
+        for _ in range(PASSES * self.tiles):
+            next(lane)
+        rates = [math.log(macs / seconds) for macs, seconds in totals.values()]
+        return (math.exp(statistics.fmean(rates)) if rates else 0.0), None, run.checks.failed
 
-    def sweep_rate(self) -> tuple[float, str, int]:
+    def sweep_rate(self) -> tuple[float, str | None, int]:
         seconds, layer_runs, outputs = self.sweep.iteration()
         return layer_runs / seconds, self.bodies.digest(outputs), 0
 
-    def run(self, lane: str) -> tuple[float, str, int]:
+    def run(self, lane: str) -> tuple[float, str | None, int]:
         return self.sweep_rate() if lane == "sweep" else self.exact(lane.removeprefix("exact-"))
 
 
-def worker_main(tree: Path, passes: int) -> int:
+def worker_main(tree: Path) -> int:
     package = _package_dir(tree)
     sys.path[:0] = [str(package.parent), str(BENCH)]
     import cvusim
 
     if Path(cvusim.__file__).resolve().parent != package:
         raise ImportError(f"cvusim was imported from {cvusim.__file__}, not from {package}")
-    worker = Worker(passes)
+    worker = Worker()
     print("ready", flush=True)
     for line in sys.stdin:
         value, digest, failed = worker.run(line.strip())
@@ -107,8 +100,8 @@ def worker_main(tree: Path, passes: int) -> int:
 
 # --- controller ---------------------------------------------------------------
 
-def _start(tree: Path, passes: int) -> subprocess.Popen:
-    argv = [sys.executable, __file__, "--worker", str(tree), "--passes", str(passes)]
+def _start(tree: Path) -> subprocess.Popen:
+    argv = [sys.executable, __file__, "--worker", str(tree)]
     proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
     if proc.stdout.readline().strip() != "ready":
         proc.kill()
@@ -116,7 +109,7 @@ def _start(tree: Path, passes: int) -> subprocess.Popen:
     return proc
 
 
-def _ask(proc: subprocess.Popen, lane: str) -> tuple[float, str, int]:
+def _ask(proc: subprocess.Popen, lane: str) -> tuple[float, str | None, int]:
     proc.stdin.write(lane + "\n")
     proc.stdin.flush()
     line = proc.stdout.readline()
@@ -125,22 +118,22 @@ def _ask(proc: subprocess.Popen, lane: str) -> tuple[float, str, int]:
     return tuple(json.loads(line))
 
 
-def compare(tree_a: Path, tree_b: Path, rounds: int, passes: int) -> dict:
-    """Per lane: both trees' values per timed round, the medians, B/A and B's wins."""
+def compare(tree_a: Path, tree_b: Path, rounds: int) -> dict:
+    """Per lane: the medians, B/A, B's wins, each tree's failed outputs and whether the outputs hold."""
     for tree in (tree_a, tree_b):
         _package_dir(tree)
     procs = []
     try:
         for tree in (tree_a, tree_b):
-            procs.append(_start(tree, passes))
+            procs.append(_start(tree))
         values = {lane: ([], []) for lane in LANES}
         digests = {lane: (set(), set()) for lane in LANES}
-        failed = [0, 0]
+        failed = {lane: [0, 0] for lane in LANES}
         for r in range(1 + rounds):  # round 0 warms both trees up and is not kept
             for j, lane in enumerate(LANES):
                 for side in ((0, 1) if (r + j) % 2 == 0 else (1, 0)):
                     value, digest, bad = _ask(procs[side], lane)
-                    failed[side] += bad
+                    failed[lane][side] += bad
                     digests[lane][side].add(digest)
                     if r:
                         values[lane][side].append(value)
@@ -148,13 +141,16 @@ def compare(tree_a: Path, tree_b: Path, rounds: int, passes: int) -> dict:
         for proc in procs:
             proc.stdin.close()
             proc.wait(timeout=60)
-    result = {"rounds": rounds, "passes": passes, "failed": {"a": failed[0], "b": failed[1]}, "lanes": {}}
+    result = {"rounds": rounds, "passes": PASSES, "lanes": {}}
     for lane, (a, b) in values.items():
         result["lanes"][lane] = {
             "a": statistics.median(a), "b": statistics.median(b),
             "ratio": statistics.median(b) / statistics.median(a),
             "b_won": sum(vb > va for va, vb in zip(a, b)),
-            "same_outputs": digests[lane][0] == digests[lane][1] and len(digests[lane][0]) == 1,
+            "failed": dict(zip("ab", failed[lane])),
+            # exact lanes digest nothing (None on both sides); the sweep's digests must agree
+            "outputs_ok": not any(failed[lane]) and digests[lane][0] == digests[lane][1]
+            and len(digests[lane][0]) == 1,
         }
     return result
 
@@ -164,24 +160,24 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("tree_a", type=Path, nargs="?", help="the base tree, e.g. a git archive of the parent")
     parser.add_argument("tree_b", type=Path, nargs="?", help="the changed tree")
     parser.add_argument("--rounds", type=int, default=10, help="timed rounds, after one warm-up round")
-    parser.add_argument("--passes", type=int, default=20, help="passes over the tiles per exact round")
     parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
-        return worker_main(args.worker, args.passes)
-    if args.tree_a is None or args.tree_b is None or args.rounds < 1 or args.passes < 1:
-        parser.error("give two trees, and at least one round and one pass")
-    result = compare(args.tree_a, args.tree_b, args.rounds, args.passes)
-    print(f"A = {args.tree_a}, B = {args.tree_b}: {args.rounds} rounds, {args.passes} passes per exact round")
+        return worker_main(args.worker)
+    if args.tree_a is None or args.tree_b is None or args.rounds < 1:
+        parser.error("give two trees and at least one round")
+    result = compare(args.tree_a, args.tree_b, args.rounds)
+    print(f"A = {args.tree_a}, B = {args.tree_b}: {args.rounds} rounds, {PASSES} passes per exact round")
     print(f"{'lane':20s} {'median A':>12s} {'median B':>12s} {'B/A':>7s} {'B won':>7s}  outputs")
     for lane, entry in result["lanes"].items():
-        same = "same" if entry["same_outputs"] else "DIFFER"
+        held = ("same" if lane == "sweep" else "= oracle") if entry["outputs_ok"] else "WRONG"
         print(f"{lane:20s} {entry['a']:12.4g} {entry['b']:12.4g} {entry['ratio']:7.3f} "
-              f"{entry['b_won']:>3d}/{args.rounds:<3d}  {same}")
+              f"{entry['b_won']:>3d}/{args.rounds:<3d}  {held}")
     print(json.dumps(result))
-    ok = not any(result["failed"].values()) and all(e["same_outputs"] for e in result["lanes"].values())
+    ok = all(entry["outputs_ok"] for entry in result["lanes"].values())
     if not ok:
-        print("error: an output is wrong, or the trees' outputs differ", file=sys.stderr)
+        print("error: a functional output differs from the int64 oracle, or the trees' sweep outputs differ",
+              file=sys.stderr)
     return 0 if ok else 1
 
 
