@@ -86,6 +86,9 @@ class Style(str, Enum):
     VECTOR = "vector-composable"
 
 
+_CONVENTIONAL = Style.CONVENTIONAL  # for the exact path: each Style.CONVENTIONAL read takes ~100 ns on 3.11
+
+
 class MemorySpec(Checked, namedtuple("MemorySpec", "name bandwidth_bytes_per_s access_energy_pj_per_bit")):
     """Off-chip memory: sustained bandwidth and energy per bit moved."""
 
@@ -380,19 +383,20 @@ def compare(
 def functional_dot(x: QuantizedVector, w: QuantizedVector, acc: AcceleratorConfig) -> int:
     """Compute one dot product exactly as the configured style would.
 
-    Conventional units take the plain widening MAC path: one int64 dot product
-    of the two operands' arrays.  Each product is at most ``2**(bw_x + bw_w)``
-    in magnitude, so a partial sum of k products is at most
-    ``k * 2**(bw_x + bw_w)``.  Below 2**63 no partial sum can wrap or leave the
-    64-bit column register; a longer dot product raises :class:`RangeError` up
-    front.  Composable styles compute it as a 1 x 1 :func:`functional_gemm`.
+    Conventional units take the plain widening MAC path: one int64 dot product of the two operands'
+    arrays.  Each product is at most ``2**(bw_x + bw_w)`` in magnitude, so a partial sum of k products is
+    at most ``k * 2**(bw_x + bw_w)``.  Below 2**63 no partial sum can wrap or leave the 64-bit column
+    register; a longer dot product raises :class:`RangeError` up front.  Composable styles compute it as
+    a 1 x 1 :func:`functional_gemm`.  It is the per-output call of a conventional :func:`functional_gemm`,
+    the one a traced run counts: m * n calls for an m x n tile.
     """
-    if (k := len(x.array)) != len(w.array):
-        raise ShapeError(f"vector length mismatch: {k} vs {len(w.array)}")
-    if acc.style is Style.CONVENTIONAL:
+    xs, ws = x.array, w.array
+    if (k := len(xs)) != len(ws):
+        raise ShapeError(f"vector length mismatch: {k} vs {len(ws)}")
+    if acc.style is _CONVENTIONAL:
         if k << (x.bitwidth + w.bitwidth) >= 1 << 63:
             raise RangeError(f"{k} MACs at {x.bitwidth}x{w.bitwidth} bits could overflow the 64-bit accumulator")
-        return int(x.array @ w.array)
+        return int(xs @ ws)
     return functional_gemm([w], [x], acc)[0][0]
 
 
@@ -401,20 +405,31 @@ def functional_gemm(
 ) -> list[list[int]]:
     """m x n output matrix computed through the style's functional path.
 
-    Conventional units run :func:`functional_dot` per output: on the benchmark's 2 x k x 1 tiles, a stacked
-    int64 matmul took 3.9 against 4.1 us at 8x8 bits, k = 512, but 10.4 against 8.1 us at 4x2, k = 4096
-    (Python 3.11, numpy 2.4, 2-core x86), and a float64 one was no faster.  Composable styles plan the CVU
-    at the widest operand widths and dispatch every output's whole dot product at once over the fewest
-    cycles that hold it, the same count as a cycle-major schedule: the whole m x n tile is one
+    Conventional units run :func:`functional_dot` per output: on the benchmark's 2 x k x 1 tiles, that took
+    3.2 us against 3.9 us for a stacked int64 matmul at 8x8 bits, k = 512, and 7.2 against 10.5 us at 4x2,
+    k = 4096 (Python 3.11, numpy 2.4, 2-core x86).  The outputs and the bitwidth maxima are plain loops,
+    since 3.11 builds a frame for each comprehension (PEP 709 inlines them from 3.12).  Composable styles
+    plan the CVU at the widest operand widths and dispatch every output's whole dot product at once over
+    the fewest cycles that hold it, the same count as a cycle-major schedule: the whole m x n tile is one
     :func:`execute_cycle` call.  Each output sums its cluster scalars in int64, and only the m x n sums
     become Python ints.  The sum is an exact dot product of k products of magnitude at most 2**16
     (operands lie in [-128, 255]), which passes the 64-bit column register range only at k >= 2**47.
     """
-    if acc.style is Style.CONVENTIONAL:
-        return [[functional_dot(col, row, acc) for col in inputs] for row in weights]
+    if acc.style is _CONVENTIONAL:
+        dot, out = functional_dot, []  # the module attribute, once per call: a traced run wraps it
+        for row in weights:
+            out.append(outputs := [])
+            for col in inputs:
+                outputs.append(dot(col, row, acc))
+        return out
     if not weights or not inputs:
         return [[] for _ in weights]
-    plan = plan_composition(max([v.bitwidth for v in inputs]), max([v.bitwidth for v in weights]), acc.cvu)
+    bw_x = bw_w = 0
+    for v in inputs:
+        bw_x = v.bitwidth if v.bitwidth > bw_x else bw_x
+    for v in weights:
+        bw_w = v.bitwidth if v.bitwidth > bw_w else bw_w
+    plan = plan_composition(bw_x, bw_w, acc.cvu)
     if "execute_cycle" not in globals():  # the first exact run binds the engine here; later runs look it up
         __getattr__("execute_cycle")
     return execute_cycle(inputs, weights, plan).scalars.sum(axis=2).tolist()

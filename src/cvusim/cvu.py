@@ -70,10 +70,11 @@ def execute_cycle(
     Only a hand-built plan wider than ``MAX_BITWIDTH`` bits could pass 2**63, and raises :class:`RangeError`.
     """
     bw_x, bw_w, c, _, effective_length, s = plan
-    ops = (*x_ops, *w_ops)
+    ops, arrays = (*x_ops, *w_ops), []  # every operand's array, x first, as the blocks stage them
     k = len(ops[0].array) if ops else 0
     for v in ops:
-        if len(v.array) != k:
+        arrays.append(array := v.array)
+        if len(array) != k:
             raise ShapeError(f"operands differ in length: {sorted({len(v.array) for v in ops})}")
     for side, side_ops, width in (("x", x_ops, bw_x), ("w", w_ops, bw_w)):
         for v in side_ops:
@@ -90,16 +91,17 @@ def execute_cycle(
     cols = max(1, _BLOCK_ELEMENTS // width)
     rows = max(1, _BLOCK_ELEMENTS // (width + min(cols, n)))
     for x_lo in range(0, n, cols):
-        x_block = x_ops[x_lo : x_lo + cols]
-        nx = len(x_block)
+        nx = min(cols, n - x_lo)
         for w_lo in range(0, m, rows):
-            w_block = w_ops[w_lo : w_lo + rows]
-            staged = w_block if w_lo else [*x_block, *w_block]  # the x block once, beside its first w block
+            nw = min(rows, m - w_lo)
+            staged = arrays[n + w_lo : n + w_lo + nw]
+            if not w_lo:  # the x block once, beside its first w block
+                staged = arrays[x_lo : x_lo + nx] + staged
             stage = np.zeros((len(staged), 1, width), np.int16)
-            stage[:, 0, :k] = [v.array for v in staged]
+            stage[:, 0, :k] = staged
             if not w_lo:  # its planes serve every w block
                 x = _planes(stage[:nx], s, bw_x, dtype, c, lanes)
-            w = _planes(stage[-len(w_block) :].reshape(-1), s, bw_w, dtype, c, lanes)
+            w = _planes(stage[-nw:].reshape(-1), s, bw_w, dtype, c, lanes)
             # operand-major x rows, plane-major w rows: one contraction of [cluster, x, x plane * w plane, w]
             products = nbve_dot(x, w).astype(np.int64).reshape(c, nx, len(weights), -1)
             np.matmul(weights, products, out=scalars[:, x_lo : x_lo + nx, w_lo : w_lo + rows])

@@ -228,6 +228,24 @@ def test_exact_runs_call_the_engine_bound_in_arch(monkeypatch):
     assert arch.functional_gemm(weights, inputs, acc) == [[18], [-14]]
     assert len(calls) == 1
 
+    # a conventional run calls arch.functional_dot once per output, as bound when it runs: a tracer counts those
+    conventional = arch.build_array(arch.Style.CONVENTIONAL, default_params())
+    original, dots = arch.functional_dot, []
+
+    def counting_dot(*args):
+        dots.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(arch, "functional_dot", counting_dot)
+    assert arch.functional_gemm(weights, inputs * 3, conventional) == [[18] * 3, [-14] * 3]
+    assert len(dots) == 2 * 3
+    assert arch.functional_gemm(weights, [], conventional) == [[], []]
+    assert arch.functional_gemm([], inputs, conventional) == []
+    assert len(dots) == 2 * 3
+    monkeypatch.undo()
+    assert arch.functional_gemm(weights, inputs, conventional) == [[18], [-14]]
+    assert len(dots) == 2 * 3
+
 
 def test_cli_model_names_resolve_before_the_first_command():
     # a tracer reads cli.build_array and the rest before it rebinds them
