@@ -383,12 +383,13 @@ def compare(
 def functional_dot(x: QuantizedVector, w: QuantizedVector, acc: AcceleratorConfig) -> int:
     """Compute one dot product exactly as the configured style would.
 
-    Conventional units take the plain widening MAC path: one int64 dot product of the two operands'
-    arrays.  Each product is at most ``2**(bw_x + bw_w)`` in magnitude, so a partial sum of k products is
-    at most ``k * 2**(bw_x + bw_w)``.  Below 2**63 no partial sum can wrap or leave the 64-bit column
-    register; a longer dot product raises :class:`RangeError` up front.  Composable styles compute it as
-    a 1 x 1 :func:`functional_gemm`.  It is the per-output call of a conventional :func:`functional_gemm`,
-    the one a traced run counts: m * n calls for an m x n tile.
+    Conventional units take the plain widening MAC path: one int64 dot product of the two operands' arrays,
+    by ``ndarray.dot``, which calls numpy's int64 dot kernel without the matmul gufunc's dispatch.  Each
+    product is at most ``2**(bw_x + bw_w)`` in magnitude, so a partial sum of k products is at most
+    ``k * 2**(bw_x + bw_w)``.  Below 2**63 no partial sum can wrap or leave the 64-bit column register; a
+    longer dot product raises :class:`RangeError` up front.  Composable styles compute it as a 1 x 1
+    :func:`functional_gemm`.  It is the per-output call of a conventional :func:`functional_gemm`, the one a
+    traced run counts: m * n calls for an m x n tile.
     """
     xs, ws = x.array, w.array
     if (k := len(xs)) != len(ws):
@@ -396,7 +397,7 @@ def functional_dot(x: QuantizedVector, w: QuantizedVector, acc: AcceleratorConfi
     if acc.style is _CONVENTIONAL:
         if k << (x.bitwidth + w.bitwidth) >= 1 << 63:
             raise RangeError(f"{k} MACs at {x.bitwidth}x{w.bitwidth} bits could overflow the 64-bit accumulator")
-        return int(xs @ ws)
+        return int(xs.dot(ws))
     return functional_gemm([w], [x], acc)[0][0]
 
 
@@ -405,14 +406,14 @@ def functional_gemm(
 ) -> list[list[int]]:
     """m x n output matrix computed through the style's functional path.
 
-    Conventional units run :func:`functional_dot` per output: on the benchmark's 2 x k x 1 tiles, that took
-    3.2 us against 3.9 us for a stacked int64 matmul at 8x8 bits, k = 512, and 7.2 against 10.5 us at 4x2,
-    k = 4096 (Python 3.11, numpy 2.4, 2-core x86).  The outputs and the bitwidth maxima are plain loops,
-    since 3.11 builds a frame for each comprehension (PEP 709 inlines them from 3.12).  Composable styles
-    plan the CVU at the widest operand widths and dispatch every output's whole dot product at once over
-    the fewest cycles that hold it, the same count as a cycle-major schedule: the whole m x n tile is one
-    :func:`execute_cycle` call.  Each output sums its cluster scalars in int64, and only the m x n sums
-    become Python ints.  The sum is an exact dot product of k products of magnitude at most 2**16
+    Conventional units run :func:`functional_dot` per output: a 2 x k x 1 tile of the benchmark took 3.2 us,
+    against 9.9 us to stack the operand arrays, take one int64 matmul and ``tolist`` it, at 8x8 bits, k = 512,
+    and 6.8 against 16.8 us at 4x2, k = 4096 (timeit minima, Python 3.11, numpy 2.4, 2-core x86).  The outputs
+    and the bitwidth maxima are plain loops, since 3.11 builds a frame for each comprehension (PEP 709 inlines
+    them from 3.12).  Composable styles plan the CVU at the widest operand widths and dispatch every output's
+    whole dot product at once over the fewest cycles that hold it, the same count as a cycle-major schedule: the
+    whole m x n tile is one :func:`execute_cycle` call.  Each output sums its cluster scalars in int64, and only
+    the m x n sums become Python ints.  The sum is an exact dot product of k products of magnitude at most 2**16
     (operands lie in [-128, 255]), which passes the 64-bit column register range only at k >= 2**47.
     """
     if acc.style is _CONVENTIONAL:

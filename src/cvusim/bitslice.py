@@ -10,9 +10,8 @@ where ``xs[j]`` is the j-th slice plane of x and ``ws[k]`` the k-th plane of
 w, both cut at one slice width of ``s`` bits.  :func:`slice_vector` turns
 an operand into its plane array, of shape (planes, length), and
 :func:`nbve_dot` takes the engines' plane dot products; the shift-add over
-those products is :func:`cvusim.cvu.execute_cycle`.  :func:`dot_exact` is
-the independent full-precision path, in Python integers, that every composed
-result must reproduce bit for bit.
+those products is :func:`cvusim.cvu.execute_cycle`.  Every composed result
+must reproduce, bit for bit, the full-precision dot product in Python integers.
 
 No plane dot product can lose a bit.  A slice is s <= 4 bits wide, so every plane value is below
 2**s in magnitude, every lane product below 2**(2s) <= 2**8, and every partial sum of a plane dot
@@ -35,8 +34,8 @@ of the values shifted right by a cached column ``0, s, 2s, ...`` with a cached m
 at any padded width.  It runs in int16, which holds every value of at most ``MAX_BITWIDTH`` bits
 ([-128, 255]) and every plane of it.  Given one vector it returns int64 planes; :mod:`cvusim.cvu`
 gives it the int16 values of a block's operands instead, once per side of the block.  The conventional
-style's dot product is one int64 dot of two arrays.  :func:`dot_exact` adds the Python integers of
-``array.tolist()`` instead, so the oracle shares no arithmetic with the paths it checks.  numpy is
+style's dot product is one int64 dot of two arrays.  The tests' oracle (``tests/oracles.py``) adds the Python
+integers of ``array.tolist()`` instead, so it shares no arithmetic with the paths it checks.  numpy is
 imported only when a vector is built, and planning (:mod:`cvusim.plan`) loads neither it nor this module.
 """
 
@@ -159,9 +158,3 @@ def nbve_dot(x_planes: np.ndarray, w_planes: np.ndarray) -> np.ndarray:
         raise ShapeError(f"lane count mismatch: {x_planes.shape[-1]} vs {w_planes.shape[-1]}")
     return x_planes @ w_planes.swapaxes(-1, -2)
 
-
-def dot_exact(x: QuantizedVector, w: QuantizedVector) -> int:
-    """Plain widening integer dot product; the oracle for composed paths."""
-    if len(x) != len(w):
-        raise ShapeError(f"vector length mismatch: {len(x)} vs {len(w)}")
-    return sum(map(operator.mul, x.array.tolist(), w.array.tolist()))

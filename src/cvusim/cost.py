@@ -161,22 +161,24 @@ def _weighted(counts: tuple[int, ...], coeffs) -> float:
     return mult * c_mult + add * c_add + shift * c_shift + register * c_register
 
 
-def conventional_mac_cost(params: CostParams) -> tuple[float, float]:
-    """(energy, area) of the conventional 8-bit MAC normalization baseline."""
-    energy = _weighted(_CONVENTIONAL_UNITS, _energy_constants(params))
-    return energy, _weighted(_CONVENTIONAL_UNITS, _area_constants(params))
-
-
 def per_mac_breakdown(cfg: CvuConfig, params: CostParams) -> CostBreakdown:
     """CVU cost per 8-bit MAC, normalized to the conventional MAC.
 
-    At full width the engines form one cluster, so a CVU cycle is ``lanes`` MACs.
+    At full width the engines form one cluster, so a CVU cycle is ``lanes`` MACs.  Calibration, the DSE
+    sweep and array sizing all price through this call, so it is plain arithmetic over locals, as
+    :mod:`cvusim.fit` is and for its reason; each category is ``n * c / lanes / conventional`` in that order.
     """
-    units, lanes = _structure(cfg), cfg.lanes
-    conventional_energy, conventional_area = conventional_mac_cost(params)
+    (mult, add, shift, register), lanes = _structure(cfg), cfg.lanes
+    e_mult, e_add, e_shift, e_register = _energy_constants(params)
+    a_mult, a_add, a_shift, a_register = _area_constants(params)
+    m_mult, m_add, m_shift, m_register = _CONVENTIONAL_UNITS
+    energy = m_mult * e_mult + m_add * e_add + m_shift * e_shift + m_register * e_register
+    area = m_mult * a_mult + m_add * a_add + m_shift * a_shift + m_register * a_register
     return CostBreakdown(
-        *(n * c / lanes / conventional_energy for n, c in zip(units, _energy_constants(params))),
-        *(n * c / lanes / conventional_area for n, c in zip(units, _area_constants(params))),
+        mult * e_mult / lanes / energy, add * e_add / lanes / energy,
+        shift * e_shift / lanes / energy, register * e_register / lanes / energy,
+        mult * a_mult / lanes / area, add * a_add / lanes / area,
+        shift * a_shift / lanes / area, register * a_register / lanes / area,
     )
 
 

@@ -1,13 +1,15 @@
 """Calibration of :mod:`cvusim.cost`'s free constants to observed design points: as each metric is linear
 in the constants, a closed-form least squares on Python floats (see :func:`_fit_metric`), which needs
-neither numpy nor scipy and gives the same bits on every host."""
+neither numpy nor scipy and gives the same bits on every host.  The fit is plain loops and arithmetic over
+locals: Python 3.11 builds a frame for each comprehension and generator (PEP 709 inlines comprehensions
+from 3.12), and on 3.11 those frames took most of a fit's time.  Each loop does the float operations of
+the comprehension form that ``tests/test_cost.py`` keeps as its reference, in the same order, for the same bits."""
 
 from __future__ import annotations
 
 import math
-import operator
 from collections import namedtuple
-from functools import partial, reduce
+from functools import partial
 
 from .cost import _CATEGORIES, _CONVENTIONAL_UNITS, MAX_CALIBRATION_ERROR, CostParams, _structure, _weighted, per_mac_normalized
 from .errors import CalibrationError, Checked, ConfigError, RangeError
@@ -54,30 +56,41 @@ def _fit_metric(anchors: list[CalibrationAnchor], metric: str) -> list[float]:
     Python 3.12 made compensated), so the fit is the same bits on every host and Python version.  Returns c
     with ``conv . c = 1``, not yet scaled, or NaNs where the system is singular after an overflow.
     """
-    rows = [
-        (weight, [n / (t * x.cfg.lanes) - m for n, m in zip(_structure(x.cfg), _CONVENTIONAL_UNITS)])
-        for weight, group in ((1.0, anchors), (_TIE_BREAK_WEIGHT, DEFAULT_ANCHORS))
-        for x in group
-        if (t := getattr(x, metric)) is not None
-    ]
-    size = len(_CATEGORIES) + 1
-    system = [  # the augmented matrix [[M, conv | 0], [conv, 0 | 1]], M the weighted normal matrix
-        [*(reduce(operator.add, (w * a[i] * a[j] for w, a in rows), 0.0) for j in range(size - 1)), conv, 0.0]
-        for i, conv in enumerate(map(float, _CONVENTIONAL_UNITS))
-    ]
+    m_mult, m_add, m_shift, m_register = _CONVENTIONAL_UNITS
+    rows = []  # (weight, the anchor's equation in category order)
+    for weight, group in ((1.0, anchors), (_TIE_BREAK_WEIGHT, DEFAULT_ANCHORS)):
+        for x in group:
+            if (t := getattr(x, metric)) is not None:
+                (mult, add, shift, register), tl = _structure(x.cfg), t * x.cfg.lanes
+                rows.append((weight, (mult / tl - m_mult, add / tl - m_add, shift / tl - m_shift, register / tl - m_register)))
+    system = []  # the augmented matrix [[M, conv | 0], [conv, 0 | 1]], M the weighted normal matrix
+    for i, conv in enumerate(map(float, _CONVENTIONAL_UNITS)):
+        s0 = s1 = s2 = s3 = 0.0
+        for w, a in rows:
+            wa, (a0, a1, a2, a3) = w * a[i], a
+            s0, s1, s2, s3 = s0 + wa * a0, s1 + wa * a1, s2 + wa * a2, s3 + wa * a3
+        system.append([s0, s1, s2, s3, conv, 0.0])
     system.append([*map(float, _CONVENTIONAL_UNITS), 0.0, 1.0])
+    size = len(system)
     for col in range(size):
-        pivot = max(range(col, size), key=lambda r: abs(system[r][col]))
+        pivot, largest = col, abs(system[col][col])
+        for r in range(col + 1, size):  # the first largest magnitude, as max() picks it
+            if (magnitude := abs(system[r][col])) > largest:
+                pivot, largest = r, magnitude
         system[col], system[pivot] = system[pivot], system[col]
-        if not abs(system[col][col]) > 0.0:
+        head = system[col]
+        if not abs(p := head[col]) > 0.0:
             return [math.nan] * len(_CATEGORIES)
-        for r in range(col + 1, size):
-            factor = system[r][col] / system[col][col]
-            system[r] = [x - factor * y for x, y in zip(system[r], system[col])]
+        for row in system[col + 1:]:  # below the pivot, columns up to col are not read again
+            factor = row[col] / p
+            for j in range(col + 1, size + 1):
+                row[j] -= factor * head[j]
     solution = [0.0] * size
     for r in reversed(range(size)):
-        tail = reduce(operator.add, (system[r][j] * solution[j] for j in range(r + 1, size)), 0.0)
-        solution[r] = (system[r][size] - tail) / system[r][r]
+        row, tail = system[r], 0.0
+        for j in range(r + 1, size):
+            tail += row[j] * solution[j]
+        solution[r] = (row[size] - tail) / row[r]
     return solution[:-1]
 
 
@@ -99,7 +112,7 @@ def calibrate(anchors) -> tuple[CostParams, dict[str, float]]:
     if any(all(getattr(anchor, metric) is None for anchor in anchors) for metric in metrics):
         raise ConfigError("anchors must cover both power and area")
 
-    e, a = (_fit_metric(anchors, metric) for metric in metrics)
+    e, a = _fit_metric(anchors, metrics[0]), _fit_metric(anchors, metrics[1])
     positive = all(0 < c < math.inf for c in (*e, *a))
     if positive:
         params = CostParams(

@@ -27,11 +27,13 @@ from cvusim.arch import (
     simulate_layer,
     simulate_network,
 )
-from cvusim.bitslice import QuantizedVector, dot_exact, value_bounds
+from cvusim.bitslice import QuantizedVector, value_bounds
 from cvusim.cost import CostParams, default_params, per_mac_normalized
 from cvusim.errors import ConfigError, RangeError, ShapeError
 from cvusim.plan import CvuConfig, plan_composition
 from cvusim.workloads import LayerKind, LayerSpec, NetworkSpec, bundled_networks, load_network, to_homogeneous
+
+from oracles import dot_exact
 
 PARAMS = default_params()
 INFINITE = MemorySpec("infinite", 1e18, 0.0)
@@ -806,6 +808,18 @@ class TestFunctionalEquivalence:
         assert expected == -255 * 128 * k and abs(expected) <= k << 16
         assert functional_gemm([w, w], [x, x], build_array(style, PARAMS)) == [[expected] * 2] * 2
 
+    @pytest.mark.parametrize("style", list(Style))
+    def test_outputs_are_python_ints(self, style):
+        # not np.int64: an output must add, compare and print as the oracle's Python int does
+        rng = random.Random(17)
+        ws = [QuantizedVector([rng.randint(-128, 127) for _ in range(33)], 8, signed=True) for _ in range(2)]
+        xs = [QuantizedVector([rng.randrange(256) for _ in range(33)], 8) for _ in range(3)]
+        acc = build_array(style, PARAMS)
+        out = functional_gemm(ws, xs, acc)
+        assert out == [[dot_exact(x, w) for x in xs] for w in ws]
+        assert all(type(value) is int for row in out for value in row)
+        assert type(functional_dot(xs[0], ws[0], acc)) is int
+
     def test_conventional_dot_bound_checked_up_front(self):
         # a stand-in vector whose array is long enough that k * 2**(bw_x + bw_w) reaches 2**63
         class LongArray:
@@ -815,7 +829,7 @@ class TestFunctionalEquivalence:
             def __len__(self):
                 return self.length
 
-            def __matmul__(self, other):
+            def dot(self, other):
                 return 0
 
         class Long:

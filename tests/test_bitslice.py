@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 
 import cvusim.bitslice as bs
 from cvusim.arch import Style, build_array, functional_dot
-from cvusim.bitslice import QuantizedVector, dot_exact, nbve_dot, slice_vector
+from cvusim.bitslice import QuantizedVector, nbve_dot, slice_vector
 from cvusim.cost import default_params
 from cvusim.cvu import execute_cycle
 from cvusim.errors import RangeError, ShapeError
 from cvusim.plan import CvuConfig, plan_composition
+
+from oracles import dot_exact
 
 
 def reconstruct(slices, slice_width):

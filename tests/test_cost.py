@@ -2,11 +2,16 @@
 
 import json
 import math
+import operator
+import struct
 import warnings
+from functools import reduce
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cvusim.cost as cost
 import cvusim.fit as fit
@@ -19,7 +24,6 @@ from cvusim.cost import (
     _structure,
     _tree_reduce,
     calibrate,
-    conventional_mac_cost,
     default_params,
     dse_sweep,
     iso_power_array_size,
@@ -54,6 +58,105 @@ def lstsq_fit(anchors, metric):
     rest = np.linalg.lstsq(a[:, 1:] - np.outer(a[:, 0], conv[1:] / conv[0]), -a[:, 0] / conv[0], rcond=None)[0]
     c = np.concatenate((((1.0 - conv[1:] @ rest) / conv[0],), rest))
     return (c / c[0]).tolist()
+
+
+def reference_fit_metric(anchors, metric):
+    """``fit._fit_metric`` in its comprehension form: the same float operations in the same order."""
+    rows = [
+        (weight, [n / (t * x.cfg.lanes) - m for n, m in zip(_structure(x.cfg), cost._CONVENTIONAL_UNITS)])
+        for weight, group in ((1.0, anchors), (fit._TIE_BREAK_WEIGHT, DEFAULT_ANCHORS))
+        for x in group
+        if (t := getattr(x, metric)) is not None
+    ]
+    size = len(cost._CATEGORIES) + 1
+    system = [
+        [*(reduce(operator.add, (w * a[i] * a[j] for w, a in rows), 0.0) for j in range(size - 1)), conv, 0.0]
+        for i, conv in enumerate(map(float, cost._CONVENTIONAL_UNITS))
+    ]
+    system.append([*map(float, cost._CONVENTIONAL_UNITS), 0.0, 1.0])
+    for col in range(size):
+        pivot = max(range(col, size), key=lambda r: abs(system[r][col]))
+        system[col], system[pivot] = system[pivot], system[col]
+        if not abs(system[col][col]) > 0.0:
+            return [math.nan] * len(cost._CATEGORIES)
+        for r in range(col + 1, size):
+            factor = system[r][col] / system[col][col]
+            system[r] = [x - factor * y for x, y in zip(system[r], system[col])]
+    solution = [0.0] * size
+    for r in reversed(range(size)):
+        tail = reduce(operator.add, (system[r][j] * solution[j] for j in range(r + 1, size)), 0.0)
+        solution[r] = (system[r][size] - tail) / system[r][r]
+    return solution[:-1]
+
+
+def conventional_mac_cost(params):
+    """(energy, area) of the conventional 8-bit MAC normalization baseline."""
+    energy = cost._weighted(cost._CONVENTIONAL_UNITS, cost._energy_constants(params))
+    return energy, cost._weighted(cost._CONVENTIONAL_UNITS, cost._area_constants(params))
+
+
+def reference_per_mac_breakdown(cfg, params):
+    """``cost.per_mac_breakdown`` in its comprehension form: the same float operations in the same order."""
+    units, lanes = _structure(cfg), cfg.lanes
+    conventional_energy, conventional_area = conventional_mac_cost(params)
+    return cost.CostBreakdown(
+        *(n * c / lanes / conventional_energy for n, c in zip(units, cost._energy_constants(params))),
+        *(n * c / lanes / conventional_area for n, c in zip(units, cost._area_constants(params))),
+    )
+
+
+def bits(values) -> bytes:
+    """The float64 bits of each value: unlike ``==``, they tell 0.0 from -0.0, and a NaN equals its own bits."""
+    values = list(values)
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+DSE_GRID = [cfg(sw, lanes) for sw in (1, 2, 4) for lanes in LANES]  # the default ``cvusim dse`` grid
+# any configuration the fit takes: a slice width of {1, 2, 4} and 1-64 lanes
+configs = st.builds(CvuConfig, lanes=st.integers(1, 64), slice_width=st.sampled_from((1, 2, 4)))
+# a target near the model's normalized range, or anywhere in float64's, or absent
+targets = st.one_of(st.none(), st.floats(0.05, 20.0), st.floats(1e-300, 1e300))
+anchor_sets = st.lists(st.builds(CalibrationAnchor, configs, targets, targets), min_size=3, max_size=8)
+
+
+class TestKernelsEqualTheirComprehensionForms:
+    """The fit and the breakdown are plain loops over locals; their comprehension forms above give the same bits."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(anchors=anchor_sets)
+    def test_fit_metric(self, anchors):
+        for metric in ("power_norm", "area_norm"):
+            assert bits(fit._fit_metric(anchors, metric)) == bits(reference_fit_metric(anchors, metric)), metric
+
+    @pytest.mark.parametrize("left_out", [None, *range(len(DEFAULT_ANCHORS))])
+    def test_fit_metric_on_the_default_anchors(self, left_out):
+        anchors = [a for i, a in enumerate(DEFAULT_ANCHORS) if i != left_out]
+        for metric in ("power_norm", "area_norm"):
+            fitted = fit._fit_metric(anchors, metric)
+            assert fitted == reference_fit_metric(anchors, metric)
+            assert bits(fitted) == bits(reference_fit_metric(anchors, metric))
+
+    def test_fit_metric_on_an_overflowing_system(self):
+        # the singular system after an overflow returns NaNs on both forms
+        anchors = TestCalibrate.OVERFLOWING
+        for metric in ("power_norm", "area_norm"):
+            fitted = fit._fit_metric(anchors, metric)
+            assert all(math.isnan(c) for c in fitted)
+            assert bits(fitted) == bits(reference_fit_metric(anchors, metric))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(config=configs, params=st.builds(CostParams, *[st.floats(1e-6, 1e6)] * 8))
+    def test_per_mac_breakdown(self, config, params):
+        breakdown = per_mac_breakdown(config, params)
+        assert breakdown == reference_per_mac_breakdown(config, params)
+        assert bits(breakdown) == bits(reference_per_mac_breakdown(config, params))
+
+    @pytest.mark.parametrize("point", DSE_GRID, ids=lambda c: f"sw{c.slice_width}_L{c.lanes}")
+    def test_every_point_of_the_default_dse_grid(self, point):
+        swept = {(p.slice_width, p.lanes): p.breakdown for p in dse_sweep((1, 2, 4), LANES, PARAMS)}
+        breakdown = swept[point.slice_width, point.lanes]
+        assert breakdown == per_mac_breakdown(point, PARAMS) == reference_per_mac_breakdown(point, PARAMS)
+        assert bits(breakdown) == bits(reference_per_mac_breakdown(point, PARAMS))
 
 
 class TestCvuCost:
@@ -218,15 +321,16 @@ class TestCalibrate:
         assert err.value.residuals
         assert all(type(v) is float for v in err.value.residuals.values())
 
+    # the 1e-150 target's row, about 1e152, swamps the others, and elimination meets a zero pivot
+    OVERFLOWING = [
+        CalibrationAnchor(cfg(2, 16), power_norm=1.0, area_norm=1.0),
+        CalibrationAnchor(cfg(4, 8), power_norm=1.0, area_norm=1.0),
+        CalibrationAnchor(cfg(4, 4), power_norm=1e-150, area_norm=1e-150),
+    ]
+
     def test_targets_that_overflow_the_fit_raise_with_residuals(self):
-        # the 1e-150 target's row, about 1e152, swamps the others, and elimination meets a zero pivot
-        tiny = [
-            CalibrationAnchor(cfg(2, 16), power_norm=1.0, area_norm=1.0),
-            CalibrationAnchor(cfg(4, 8), power_norm=1.0, area_norm=1.0),
-            CalibrationAnchor(cfg(4, 4), power_norm=1e-150, area_norm=1e-150),
-        ]
         with pytest.raises(CalibrationError) as err:
-            calibrate(tiny)
+            calibrate(self.OVERFLOWING)
         assert len(err.value.residuals) == 6
         assert all(type(v) is float for v in err.value.residuals.values())
 
@@ -316,8 +420,13 @@ class TestIsoPower:
 
 
 def test_conventional_mac_cost_positive():
+    # every category of a breakdown is its units times its constant, per MAC, over the conventional MAC's cost
     energy, area = conventional_mac_cost(PARAMS)
     assert energy > 0 and area > 0
+    b = per_mac_breakdown(cfg(2, 16), PARAMS)
+    units = _structure(cfg(2, 16))
+    assert [e * 16 * energy for e in b[:4]] == pytest.approx([n * c for n, c in zip(units, cost._energy_constants(PARAMS))])
+    assert [a * 16 * area for a in b[4:]] == pytest.approx([n * c for n, c in zip(units, cost._area_constants(PARAMS))])
 
 
 def shipped_params_document() -> dict:

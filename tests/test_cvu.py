@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 
 import cvusim.cvu as cvu
 from cvusim.arch import Style, build_array, functional_gemm
-from cvusim.bitslice import QuantizedVector, dot_exact, value_bounds
+from cvusim.bitslice import QuantizedVector, value_bounds
 from cvusim.cost import default_params
 from cvusim.cvu import execute_cycle
 from cvusim.errors import RangeError, ShapeError
 from cvusim.plan import CompositionPlan, CvuConfig, plan_composition
+
+from oracles import dot_exact
 
 DEFAULT = CvuConfig(lanes=16)
 

@@ -15,15 +15,18 @@ alternates from lane to lane and from round to round.  The lanes:
   for one style, over every seeded tile of the functional-exact workload ``PASSES`` times;
   the value is the geometric mean over bitwidth pairs of MACs per second spent inside
   ``arch.functional_gemm``, as the benchmark reports ``exact_<style>_macs_per_s``;
-* ``sweep``: one model-sweep iteration; the value is its layer runs per second.
+* ``sweep``: one model-sweep iteration; the value is its layer runs per second;
+* ``calibrate``: ``CALIBRATES`` calls of the model-sweep body's ``calibrate``, which times
+  ``cost.calibrate(cost.DEFAULT_ANCHORS)`` as the benchmark's ``calibrate_s`` does; the value is
+  calls per second.
 
 Both trees run one untimed warm-up round first.  The report gives per lane the median
 value of each tree, the ratio of B's median to A's and the rounds that B won (higher
 is better for every lane), then one JSON line of the same.  The benchmark's lane checks
 every functional output against the int64 ``W @ X`` oracle, so equal exact outputs need
-no further check; the sweep's outputs are digested and compared across the trees.  The
-exit code is 1 if any functional output is wrong or the trees' sweep outputs differ, and
-0 otherwise.
+no further check; the sweep's outputs and the fitted parameters are digested and compared
+across the trees.  The exit code is 1 if any functional output is wrong or the trees' sweep
+outputs or fitted parameters differ, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -40,9 +43,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
 STYLES = ("vector", "scalar", "conventional")
-LANES = (*(f"exact-{style}" for style in STYLES), "sweep")
+LANES = (*(f"exact-{style}" for style in STYLES), "sweep", "calibrate")
 SEED = 1  # of the functional-exact tiles, as bench/run.py --seed gives it
 PASSES = 20  # over the tiles per exact round
+CALIBRATES = 200  # calibrate calls per calibrate round
 
 
 def _package_dir(tree: Path) -> Path:
@@ -79,8 +83,21 @@ class Worker:
         seconds, layer_runs, outputs = self.sweep.iteration()
         return layer_runs / seconds, self.bodies.digest(outputs), 0
 
+    def calibrate_rate(self) -> tuple[float, str | None, int]:
+        """Calls per second, and a digest of every distinct parameter set the calls returned."""
+        seconds, fitted = 0.0, set()
+        for _ in range(CALIBRATES):
+            elapsed, params = self.sweep.calibrate()
+            seconds += elapsed
+            fitted.add(repr(params))
+        return CALIBRATES / seconds, self.bodies.digest(sorted(fitted)), 0
+
     def run(self, lane: str) -> tuple[float, str | None, int]:
-        return self.sweep_rate() if lane == "sweep" else self.exact(lane.removeprefix("exact-"))
+        if lane == "sweep":
+            return self.sweep_rate()
+        if lane == "calibrate":
+            return self.calibrate_rate()
+        return self.exact(lane.removeprefix("exact-"))
 
 
 def worker_main(tree: Path) -> int:
@@ -148,7 +165,7 @@ def compare(tree_a: Path, tree_b: Path, rounds: int) -> dict:
             "ratio": statistics.median(b) / statistics.median(a),
             "b_won": sum(vb > va for va, vb in zip(a, b)),
             "failed": dict(zip("ab", failed[lane])),
-            # exact lanes digest nothing (None on both sides); the sweep's digests must agree
+            # exact lanes digest nothing (None on both sides); the sweep's and calibrate's digests must agree
             "outputs_ok": not any(failed[lane]) and digests[lane][0] == digests[lane][1]
             and len(digests[lane][0]) == 1,
         }
@@ -170,14 +187,14 @@ def main(argv: list[str] | None = None) -> int:
     print(f"A = {args.tree_a}, B = {args.tree_b}: {args.rounds} rounds, {PASSES} passes per exact round")
     print(f"{'lane':20s} {'median A':>12s} {'median B':>12s} {'B/A':>7s} {'B won':>7s}  outputs")
     for lane, entry in result["lanes"].items():
-        held = ("same" if lane == "sweep" else "= oracle") if entry["outputs_ok"] else "WRONG"
+        held = ("= oracle" if lane.startswith("exact-") else "same") if entry["outputs_ok"] else "WRONG"
         print(f"{lane:20s} {entry['a']:12.4g} {entry['b']:12.4g} {entry['ratio']:7.3f} "
               f"{entry['b_won']:>3d}/{args.rounds:<3d}  {held}")
     print(json.dumps(result))
     ok = all(entry["outputs_ok"] for entry in result["lanes"].values())
     if not ok:
-        print("error: a functional output differs from the int64 oracle, or the trees' sweep outputs differ",
-              file=sys.stderr)
+        print("error: a functional output differs from the int64 oracle, or the trees' sweep outputs"
+              " or fitted parameters differ", file=sys.stderr)
     return 0 if ok else 1
 
 
