@@ -63,7 +63,7 @@ def lstsq_fit(anchors, metric):
 def reference_fit_metric(anchors, metric):
     """``fit._fit_metric`` in its comprehension form: the same float operations in the same order."""
     rows = [
-        (weight, [n / (t * x.cfg.lanes) - m for n, m in zip(_structure(x.cfg), cost._CONVENTIONAL_UNITS)])
+        (weight, [n / (t * x.cfg.lanes) - m for n, m in zip(fit._structure(x.cfg), cost._CONVENTIONAL_UNITS)])
         for weight, group in ((1.0, anchors), (fit._TIE_BREAK_WEIGHT, DEFAULT_ANCHORS))
         for x in group
         if (t := getattr(x, metric)) is not None
@@ -143,6 +143,25 @@ class TestKernelsEqualTheirComprehensionForms:
             fitted = fit._fit_metric(anchors, metric)
             assert all(math.isnan(c) for c in fitted)
             assert bits(fitted) == bits(reference_fit_metric(anchors, metric))
+
+    def test_fit_metric_keeps_the_first_of_equal_pivots(self, monkeypatch):
+        # unit counts built so that the first column of the KKT system holds 64.0 twice: the normal
+        # matrix's first entry (one anchor row with a multiplier term of 72 - 64 = 8, every other row
+        # 64 - 64 = 0, all exact) and the border's conv[0]; taking the border row instead changes the last bits
+        units = {
+            cfg(2, 4): (72 * 4, 75 * 4, 3 * 4, 61 * 4),
+            cfg(2, 8): (64 * 8, 69 * 8, 5 * 8, 66 * 8),
+            cfg(4, 4): (64 * 4, 78 * 4, 2 * 4, 58 * 4),
+            cfg(1, 2): (64 * 2, 71 * 2, 7 * 2, 67 * 2),
+        }
+        for anchor, scale in zip(DEFAULT_ANCHORS, (74, 77, 70, 79)):
+            tl = anchor.power_norm * anchor.cfg.lanes
+            units[anchor.cfg] = (64 * tl, scale * tl, scale / 16 * tl, (scale - 12) * tl)
+        monkeypatch.setattr(fit, "_structure", units.__getitem__)
+        anchors = [CalibrationAnchor(c, power_norm=1.0) for c in list(units)[:4]]
+        fitted = fit._fit_metric(anchors, "power_norm")
+        assert all(math.isfinite(c) for c in fitted)
+        assert bits(fitted) == bits(reference_fit_metric(anchors, "power_norm"))
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(config=configs, params=st.builds(CostParams, *[st.floats(1e-6, 1e6)] * 8))

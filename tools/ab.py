@@ -193,8 +193,8 @@ def main(argv: list[str] | None = None) -> int:
     print(json.dumps(result))
     ok = all(entry["outputs_ok"] for entry in result["lanes"].values())
     if not ok:
-        print("error: a functional output differs from the int64 oracle, or the trees' sweep outputs"
-              " or fitted parameters differ", file=sys.stderr)
+        print("error: a functional output differs from the int64 oracle, or the trees' sweep outputs differ"
+              " or their fitted parameters differ", file=sys.stderr)
     return 0 if ok else 1
 
 
