@@ -10,7 +10,7 @@ VGG's ``conv1_2`` is 64 x 576 x 50,176.  ``execute_cycle`` blocks over
 the x operands as well as the w operands, so one call holds the planes of one block
 per side, and returns the layer's 12.8 M cluster scalars as one 103 MB int64 array; the
 reference is a float64 ``W @ X`` through BLAS.  The job's peak RSS is now set by ``fc6``
-(4096 x 25,088 x 1): its weight vectors hold 822 MB of int64, beside their int16 source.
+(4096 x 25,088 x 1): its weight vectors hold 822 MB of float64, beside their int16 source.
 """
 
 import pytest

@@ -383,20 +383,20 @@ def compare(
 def functional_dot(x: QuantizedVector, w: QuantizedVector, acc: AcceleratorConfig) -> int:
     """Compute one dot product exactly as the configured style would.
 
-    Conventional units take the plain widening MAC path: one int64 dot product of the two operands' arrays,
-    by ``ndarray.dot``, which calls numpy's int64 dot kernel without the matmul gufunc's dispatch.  Each
-    product is at most ``2**(bw_x + bw_w)`` in magnitude, so a partial sum of k products is at most
-    ``k * 2**(bw_x + bw_w)``.  Below 2**63 no partial sum can wrap or leave the 64-bit column register; a
-    longer dot product raises :class:`RangeError` up front.  Composable styles compute it as a 1 x 1
-    :func:`functional_gemm`.  It is the per-output call of a conventional :func:`functional_gemm`, the one a
-    traced run counts: m * n calls for an m x n tile.
+    Conventional units take the plain widening MAC path: one float64 dot product of the two operands' arrays,
+    by ``ndarray.dot``, which calls BLAS ``ddot`` without the matmul gufunc's dispatch.  Each product is
+    below ``2**(bw_x + bw_w)`` in magnitude, so every partial sum of k products, in any order, is an integer
+    below ``k * 2**(bw_x + bw_w)``.  Below 2**53 float64 holds every such sum exactly (k < 2**37 at 8x8 bits),
+    so the result is the exact integer; a longer dot product raises :class:`RangeError` up front.  Composable
+    styles compute it as a 1 x 1 :func:`functional_gemm`.  It is the per-output call of a conventional
+    :func:`functional_gemm`, the one a traced run counts: m * n calls for an m x n tile.
     """
     xs, ws = x.array, w.array
     if (k := len(xs)) != len(ws):
         raise ShapeError(f"vector length mismatch: {k} vs {len(ws)}")
     if acc.style is _CONVENTIONAL:
-        if k << (x.bitwidth + w.bitwidth) >= 1 << 63:
-            raise RangeError(f"{k} MACs at {x.bitwidth}x{w.bitwidth} bits could overflow the 64-bit accumulator")
+        if k << (x.bitwidth + w.bitwidth) >= 1 << 53:
+            raise RangeError(f"{k} MACs at {x.bitwidth}x{w.bitwidth} bits could pass float64's exact integer range")
         return int(xs.dot(ws))
     return functional_gemm([w], [x], acc)[0][0]
 
@@ -406,9 +406,9 @@ def functional_gemm(
 ) -> list[list[int]]:
     """m x n output matrix computed through the style's functional path.
 
-    Conventional units run :func:`functional_dot` per output: a 2 x k x 1 tile of the benchmark took 3.2 us,
-    against 9.9 us to stack the operand arrays, take one int64 matmul and ``tolist`` it, at 8x8 bits, k = 512,
-    and 6.8 against 16.8 us at 4x2, k = 4096 (timeit minima, Python 3.11, numpy 2.4, 2-core x86).  The outputs
+    Conventional units run :func:`functional_dot` per output: a 2 x k x 1 tile of the benchmark took 1.8 us,
+    against 7.7 us to stack the operand arrays, take one float64 matmul and ``tolist`` it, at 8x8 bits, k = 512,
+    and 3.2 against 11.6 us at 4x2, k = 4096 (timeit minima, Python 3.11, numpy 2.4, 2-core x86).  The outputs
     and the bitwidth maxima are plain loops, since 3.11 builds a frame for each comprehension (PEP 709 inlines
     them from 3.12).  Composable styles plan the CVU at the widest operand widths and dispatch every output's
     whole dot product at once over the fewest cycles that hold it, the same count as a cycle-major schedule: the

@@ -26,17 +26,20 @@ of a signed operand carrying a negative weight.  All other slices are
 unsigned.  Bitwidths that are not multiples of the slice width are sign- or
 zero-extended up to the next multiple before slicing.
 
-A :class:`QuantizedVector` holds its operand once, as a read-only int64 ``array``: its values are
-packed into it when the vector is built, and one min/max over it checks the declared range.  Every
-path computes from that array.  :func:`slice_vector` is the one shift-and-mask that slices: one AND
-of the values shifted right by a cached column ``0, s, 2s, ...`` with a cached mask column,
-``2**s - 1`` except for ``-1`` (all ones) on the top plane, which keeps the arithmetic shift's sign
-at any padded width.  It runs in int16, which holds every value of at most ``MAX_BITWIDTH`` bits
-([-128, 255]) and every plane of it.  Given one vector it returns int64 planes; :mod:`cvusim.cvu`
-gives it the int16 values of a block's operands instead, once per side of the block.  The conventional
-style's dot product is one int64 dot of two arrays.  The tests' oracle (``tests/oracles.py``) adds the Python
-integers of ``array.tolist()`` instead, so it shares no arithmetic with the paths it checks.  numpy is
-imported only when a vector is built, and planning (:mod:`cvusim.plan`) loads neither it nor this module.
+A :class:`QuantizedVector` holds its operand once, as a read-only float64 ``array`` of 8 bytes per
+element: its values are packed as int64, range-checked by one min/max and cast once.  float64 makes the
+conventional style's dot product one BLAS ``ddot`` (numpy's int64 dot is a plain C loop), and is exact:
+every value lies in [-128, 255], so every partial sum of k products is an integer below k * 2**16, exact
+in any summation order below 2**53 (k < 2**37), a bound :func:`cvusim.arch.functional_dot` checks up
+front.  Every path computes from that array.  :func:`slice_vector` is the one shift-and-mask that
+slices: one AND of the values shifted right by a cached column ``0, s, 2s, ...`` with a cached mask
+column, ``2**s - 1`` except for ``-1`` (all ones) on the top plane, which keeps the arithmetic shift's
+sign at any padded width.  It runs in int16, which holds every value of at most ``MAX_BITWIDTH`` bits
+([-128, 255]) and every plane of it.  Given one vector it returns int64 planes; :mod:`cvusim.cvu` gives
+it the int16 values of a block's operands instead, cast from float64 once per side of the block.  The
+tests' oracle (``tests/oracles.py``) adds Python integers read from ``array.tolist()`` instead, so it
+shares no arithmetic with the paths it checks.  numpy is imported only when a vector is built, and
+planning (:mod:`cvusim.plan`) loads neither it nor this module.
 """
 
 from __future__ import annotations
@@ -71,9 +74,10 @@ def _is_integer(value) -> bool:
 class QuantizedVector:
     """Integer vector with a declared bitwidth and signedness, held once.
 
-    ``values`` is read once, into ``array``: a read-only int64 array that every
-    path reads.  The vector keeps no other copy of its elements, refuses any
-    assignment to its attributes and, like any object, equals and hashes only itself.
+    ``values`` is read once, into ``array``: a read-only float64 array that every path reads, packed as
+    int64 first, so a non-integer or an out-of-range value is refused before the one cast.  The vector keeps
+    no other copy of its elements, refuses any assignment to its attributes and, like any object, equals and
+    hashes only itself.
     """
 
     __slots__ = ("bitwidth", "signed", "array")
@@ -96,6 +100,8 @@ class QuantizedVector:
             i, v = next((i, v) for i, v in enumerate(map(operator.index, raw)) if not lo <= v <= hi)
             kind = "signed" if signed else "unsigned"
             raise RangeError(f"value {v} at index {i} outside {kind} {bitwidth}-bit range [{lo}, {hi}]")
+        array = array.astype(np.float64)
+        array.flags.writeable = False
         for name, value in (("bitwidth", bitwidth), ("signed", signed), ("array", array)):
             object.__setattr__(self, name, value)
 

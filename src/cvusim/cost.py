@@ -190,9 +190,9 @@ def per_mac_normalized(cfg: CvuConfig, params: CostParams) -> tuple[float, float
 
 def dse_sweep(slice_widths, lanes_values, params: CostParams) -> list[DsePoint]:
     """One DsePoint per (slice width, lanes) pair, deterministic order."""
-    points = []
+    points, lanes_values = [], sorted(set(int(l) for l in lanes_values))  # once: either may be a one-shot iterator
     for sw in sorted(set(int(s) for s in slice_widths)):
-        for lanes in sorted(set(int(l) for l in lanes_values)):
+        for lanes in lanes_values:
             cfg = CvuConfig(lanes=lanes, slice_width=sw)
             points.append(DsePoint(slice_width=sw, lanes=lanes, breakdown=per_mac_breakdown(cfg, params)))
     return points

@@ -2,9 +2,10 @@
 
 :func:`execute_cycle` runs every (w, x) pair of a set of operands of one length over the fewest
 cycles that hold it: each pair's element stream is spread over the clusters, ``cycles * lanes``
-elements each, and every cluster emits its share of the dot product.  An x block is staged in int16
-beside its first w block, each side is sliced by one :func:`slice_vector` call and cast once to float
-for the engines' matmuls, and the shift-add is one int64 contraction against weights cached per plan.
+elements each, and every cluster emits its share of the dot product.  An x block is staged in int16,
+cast from the operands' float64 arrays, beside its first w block; each side is sliced by one
+:func:`slice_vector` call and cast once to float for the engines' matmuls, and the shift-add is one
+int64 contraction against weights cached per plan.
 The cluster scalars come back as one read-only int64 array.  Importing this module imports numpy.
 """
 

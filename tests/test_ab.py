@@ -1,10 +1,13 @@
 """``tools/ab.py``: one tiny round of this checkout against itself, and trees whose outputs differ."""
 
 import json
+import math
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 AB = ROOT / "tools" / "ab.py"
@@ -20,9 +23,18 @@ def test_this_checkout_against_itself():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert list(result["lanes"]) == ["exact-vector", "exact-scalar", "exact-conventional", "sweep", "calibrate"]
-    for entry in result["lanes"].values():
+    for lane, entry in result["lanes"].items():
         assert entry["outputs_ok"] and entry["failed"] == {"a": 0, "b": 0}
         assert entry["a"] > 0 and entry["b"] > 0 and entry["b_won"] in (0, 1)
+        # every bitwidth pair of the functional-exact tiles (bench/bodies.py PAIRS), for the exact lanes only
+        pairs = ["8x8", "8x4", "4x4", "4x2", "8x2", "6x3"] if lane.startswith("exact-") else []
+        assert list(entry["pairs"]) == pairs, lane
+        for pair in entry["pairs"].values():
+            assert pair["a"] > 0 and pair["b"] > 0 and pair["ratio"] == pair["b"] / pair["a"]
+        if pairs:  # the lane's value is the geometric mean of its pairs' rates, each one round's here
+            for side in "ab":
+                rates = [pair[side] for pair in entry["pairs"].values()]
+                assert entry[side] == pytest.approx(math.prod(rates) ** (1 / len(rates)), rel=1e-9)
 
 
 def edited_tree(tmp_path: Path, module: str, old: str, new: str) -> Path:

@@ -80,16 +80,27 @@ def float_oracle(w, x):
     return np.concatenate([w[i : i + rows].astype(np.float64) @ xf for i in range(0, len(w), rows)]).astype(np.int64)
 
 
+SAMPLED_OUTPUTS = 32  # (row, column) outputs of each layer checked against dot_exact as well
+
+
 def check_layer_whole(name, index):
     """Run one bundled layer whole through all three styles, against :func:`float_oracle`.
 
-    ``slow/test_whole_layers.py`` runs this on the nets too big for Tier-1."""
+    That oracle is independent of the composable styles, which slice their operands into planes and
+    shift-add the plane products, but not of the conventional style: both take float64 dot products
+    through BLAS.  So at a seeded sample of ``SAMPLED_OUTPUTS`` (row, column) pairs the oracle's outputs,
+    and with them every style's, must also equal :func:`dot_exact`'s, which adds Python integers and
+    shares no arithmetic with either.  ``slow/test_whole_layers.py`` runs this on the nets too big for Tier-1."""
     layer, w, x = layer_operands(name, index)
     expected = float_oracle(w, x).tolist()
     weights = [QuantizedVector(row.tolist(), layer.bw_w, signed=True) for row in w]
     inputs = [QuantizedVector(col.tolist(), layer.bw_x) for col in x.T]
     for style in (Style.VECTOR, Style.SCALAR, Style.CONVENTIONAL):
         assert functional_gemm(weights, inputs, build_array(style, PARAMS)) == expected, (name, index, style)
+    rng = random.Random(f"{name}/{index}")
+    for _ in range(SAMPLED_OUTPUTS):
+        r, c = rng.randrange(len(weights)), rng.randrange(len(inputs))
+        assert expected[r][c] == dot_exact(inputs[c], weights[r]), (name, index, r, c)
 
 
 class TestLowerLayer:
@@ -732,7 +743,7 @@ class TestFunctionalEquivalence:
             lo_w, hi_w = value_bounds(bw_w, sw)
             x = QuantizedVector(tuple(rng.randint(lo_x, hi_x) for _ in range(n)), bw_x, sx)
             w = QuantizedVector(tuple(rng.randint(lo_w, hi_w) for _ in range(n)), bw_w, sw)
-            expected = sum(a * b for a, b in zip(x.array.tolist(), w.array.tolist()))
+            expected = dot_exact(x, w)
             assert functional_dot(x, w, acc) == expected
 
     def test_gemm_matches_across_styles(self):
@@ -821,7 +832,8 @@ class TestFunctionalEquivalence:
         assert type(functional_dot(xs[0], ws[0], acc)) is int
 
     def test_conventional_dot_bound_checked_up_front(self):
-        # a stand-in vector whose array is long enough that k * 2**(bw_x + bw_w) reaches 2**63
+        # a stand-in vector whose array is long enough that k * 2**(bw_x + bw_w) reaches 2**53,
+        # past which float64 could round a partial sum: at 8x8 bits, k = 2**37 - 1 is the longest allowed
         class LongArray:
             def __init__(self, length):
                 self.length = length
@@ -842,10 +854,10 @@ class TestFunctionalEquivalence:
                 return len(self.array)
 
         acc = build_array(Style.CONVENTIONAL, PARAMS)
-        assert functional_dot(Long((1 << 47) - 1), Long((1 << 47) - 1), acc) == 0
-        message = r"^140737488355328 MACs at 8x8 bits could overflow the 64-bit accumulator$"
+        assert functional_dot(Long((1 << 37) - 1), Long((1 << 37) - 1), acc) == 0
+        message = r"^137438953472 MACs at 8x8 bits could pass float64's exact integer range$"
         with pytest.raises(RangeError, match=message):
-            functional_dot(Long(1 << 47), Long(1 << 47), acc)
+            functional_dot(Long(1 << 37), Long(1 << 37), acc)
 
     @pytest.mark.parametrize("w_value,signed", [(255, False), (-113, True)])
     def test_plane_products_past_2_to_24(self, w_value, signed):

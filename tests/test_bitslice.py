@@ -137,7 +137,7 @@ class TestSliceVector:
     def test_integer_types_stored_as_int(self):
         for values in ((1, True, 0), np.array([1, 3, 0], dtype=np.int8), (np.uint8(3), np.int64(1), False)):
             vec = QuantizedVector(values, 2)
-            assert vec.array.dtype == np.int64
+            assert vec.array.dtype == np.float64
             assert vec.array.tolist() == [int(values[0]), int(values[1]), int(values[2])]
 
     @pytest.mark.parametrize("value", [1 << 63, -(1 << 63) - 1, 1 << 70])
@@ -148,7 +148,7 @@ class TestSliceVector:
 
     def test_empty_vector(self):
         vec = QuantizedVector((), 8, signed=True)
-        assert len(vec) == 0 and vec.array.dtype == np.int64 and vec.array.shape == (0,)
+        assert len(vec) == 0 and vec.array.dtype == np.float64 and vec.array.shape == (0,)
         assert slice_vector(vec, 2).shape == (4, 0)
         assert dot_exact(vec, vec) == 0
         for style in Style:
@@ -156,7 +156,7 @@ class TestSliceVector:
 
     def test_array_is_read_only_and_outside_equality_hash_and_repr(self):
         vec = QuantizedVector((3, -2, 1), 4, signed=True)
-        assert vec.array.dtype == np.int64 and vec.array.tolist() == [3, -2, 1]
+        assert vec.array.dtype == np.float64 and vec.array.tolist() == [3, -2, 1]
         assert not vec.array.flags.writeable
         with pytest.raises(ValueError):
             vec.array[0] = 0
@@ -196,8 +196,19 @@ class TestSliceVector:
     def test_array_holds_the_values(self, bw, signed, data):
         values = data.draw(st.lists(st.integers(*bs.value_bounds(bw, signed)), max_size=32))
         vec = QuantizedVector(values, bw, signed)
-        assert vec.array.dtype == np.int64
+        assert vec.array.dtype == np.float64
         assert vec.array.tolist() == values
+
+    def test_every_value_round_trips_through_the_array(self):
+        # the whole range of every bitwidth and signedness, [-128, 255] in all, comes back exact,
+        # and so does the int16 cast that stages the composable styles' blocks
+        for bw in range(1, 9):
+            for signed in (False, True):
+                lo, hi = bs.value_bounds(bw, signed)
+                values = list(range(lo, hi + 1))
+                array = QuantizedVector(values, bw, signed).array
+                assert array.dtype == np.float64 and array.tolist() == values, (bw, signed)
+                assert array.astype(np.int16).tolist() == values, (bw, signed)
 
     def test_exhaustive_against_slice_value(self):
         # every declared width, slice width and signedness, over the whole value

@@ -279,6 +279,12 @@ class TestDseSweep:
             assert points[(2, lanes)].breakdown.total_energy < points[(1, lanes)].breakdown.total_energy
             assert points[(2, lanes)].breakdown.total_area < points[(1, lanes)].breakdown.total_area
 
+    def test_one_shot_iterators(self):
+        # each argument is read once, before the sweep: an iterator of lane counts serves every slice width
+        points = dse_sweep(iter((2, 1)), iter((2, 1)), PARAMS)
+        assert [(p.slice_width, p.lanes) for p in points] == [(1, 1), (1, 2), (2, 1), (2, 2)]
+        assert points == dse_sweep((1, 2), (1, 2), PARAMS)
+
     def test_4bit_included(self):
         points = dse_sweep({1, 2, 4}, {16}, PARAMS)
         assert {p.slice_width for p in points} == {1, 2, 4}

@@ -161,7 +161,7 @@ def cluster_dots(xs, ws, plan, cycles):
     chunk = cycles * plan.lanes
 
     def part(v, lo):
-        return QuantizedVector(v.array[lo : lo + chunk].tolist(), v.bitwidth, v.signed)
+        return QuantizedVector(v.array[lo : lo + chunk].astype(int).tolist(), v.bitwidth, v.signed)
 
     return tuple(
         dot_exact(part(x, lo), part(w, lo)) for w in ws for x in xs for lo in range(0, plan.clusters * chunk, chunk)

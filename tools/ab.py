@@ -14,7 +14,9 @@ alternates from lane to lane and from round to round.  The lanes:
 * ``exact-<style>``: the benchmark's own lane (``functional_lane`` in ``bench/harness.py``)
   for one style, over every seeded tile of the functional-exact workload ``PASSES`` times;
   the value is the geometric mean over bitwidth pairs of MACs per second spent inside
-  ``arch.functional_gemm``, as the benchmark reports ``exact_<style>_macs_per_s``;
+  ``arch.functional_gemm``, as the benchmark reports ``exact_<style>_macs_per_s``, and each
+  pair's own MACs per second are kept beside it, so that a cost that grows with the tiles'
+  depth k can be read pair by pair;
 * ``sweep``: one model-sweep iteration; the value is its layer runs per second;
 * ``calibrate``: ``CALIBRATES`` calls of the model-sweep body's ``calibrate``, which times
   ``cost.calibrate(cost.DEFAULT_ANCHORS)`` as the benchmark's ``calibrate_s`` does; the value is
@@ -22,7 +24,9 @@ alternates from lane to lane and from round to round.  The lanes:
 
 Both trees run one untimed warm-up round first.  The report gives per lane the median
 value of each tree, the ratio of B's median to A's and the rounds that B won (higher
-is better for every lane), then one JSON line of the same.  The benchmark's lane checks
+is better for every lane), then one JSON line of the same, in which each lane's ``pairs``
+maps every bitwidth pair ``"<bw_x>x<bw_w>"`` of an exact lane to the median of each tree and
+their ratio (it is empty for the other lanes).  The benchmark's lane checks
 every functional output against the int64 ``W @ X`` oracle, so equal exact outputs need
 no further check; the sweep's outputs and the fitted parameters are digested and compared
 across the trees.  The exit code is 1 if any functional output is wrong or the trees' sweep
@@ -70,29 +74,30 @@ class Worker:
         self.tiles = sum(len(tiles) for tiles in self.functional.rounds)
         self.sweep = bodies.ModelSweep()
 
-    def exact(self, style: str) -> tuple[float, str | None, int]:
-        """Rate and failed tiles; the lane itself checks each output against the oracle."""
+    def exact(self, style: str) -> tuple[float, str | None, int, dict]:
+        """Rate, failed tiles and each pair's rate; the lane itself checks each output against the oracle."""
         run, totals = self.harness.Run(SEED), defaultdict(lambda: [0, 0.0])
         lane = self.harness.functional_lane(run, self.functional, style, totals)
         for _ in range(PASSES * self.tiles):
             next(lane)
-        rates = [math.log(macs / seconds) for macs, seconds in totals.values()]
-        return (math.exp(statistics.fmean(rates)) if rates else 0.0), None, run.checks.failed
+        pairs = {f"{bw_x}x{bw_w}": macs / seconds for (bw_x, bw_w), (macs, seconds) in totals.items()}
+        rates = [math.log(rate) for rate in pairs.values()]
+        return (math.exp(statistics.fmean(rates)) if rates else 0.0), None, run.checks.failed, pairs
 
-    def sweep_rate(self) -> tuple[float, str | None, int]:
+    def sweep_rate(self) -> tuple[float, str | None, int, dict]:
         seconds, layer_runs, outputs = self.sweep.iteration()
-        return layer_runs / seconds, self.bodies.digest(outputs), 0
+        return layer_runs / seconds, self.bodies.digest(outputs), 0, {}
 
-    def calibrate_rate(self) -> tuple[float, str | None, int]:
+    def calibrate_rate(self) -> tuple[float, str | None, int, dict]:
         """Calls per second, and a digest of every distinct parameter set the calls returned."""
         seconds, fitted = 0.0, set()
         for _ in range(CALIBRATES):
             elapsed, params = self.sweep.calibrate()
             seconds += elapsed
             fitted.add(repr(params))
-        return CALIBRATES / seconds, self.bodies.digest(sorted(fitted)), 0
+        return CALIBRATES / seconds, self.bodies.digest(sorted(fitted)), 0, {}
 
-    def run(self, lane: str) -> tuple[float, str | None, int]:
+    def run(self, lane: str) -> tuple[float, str | None, int, dict]:
         if lane == "sweep":
             return self.sweep_rate()
         if lane == "calibrate":
@@ -110,8 +115,7 @@ def worker_main(tree: Path) -> int:
     worker = Worker()
     print("ready", flush=True)
     for line in sys.stdin:
-        value, digest, failed = worker.run(line.strip())
-        print(json.dumps([value, digest, failed]), flush=True)
+        print(json.dumps(worker.run(line.strip())), flush=True)
     return 0
 
 
@@ -126,7 +130,7 @@ def _start(tree: Path) -> subprocess.Popen:
     return proc
 
 
-def _ask(proc: subprocess.Popen, lane: str) -> tuple[float, str | None, int]:
+def _ask(proc: subprocess.Popen, lane: str) -> tuple[float, str | None, int, dict]:
     proc.stdin.write(lane + "\n")
     proc.stdin.flush()
     line = proc.stdout.readline()
@@ -136,7 +140,8 @@ def _ask(proc: subprocess.Popen, lane: str) -> tuple[float, str | None, int]:
 
 
 def compare(tree_a: Path, tree_b: Path, rounds: int) -> dict:
-    """Per lane: the medians, B/A, B's wins, each tree's failed outputs and whether the outputs hold."""
+    """Per lane: the medians, B/A, B's wins, each tree's failed outputs, whether the outputs hold,
+    and the medians and B/A of each bitwidth pair."""
     for tree in (tree_a, tree_b):
         _package_dir(tree)
     procs = []
@@ -146,14 +151,17 @@ def compare(tree_a: Path, tree_b: Path, rounds: int) -> dict:
         values = {lane: ([], []) for lane in LANES}
         digests = {lane: (set(), set()) for lane in LANES}
         failed = {lane: [0, 0] for lane in LANES}
+        pairs = {lane: defaultdict(lambda: ([], [])) for lane in LANES}
         for r in range(1 + rounds):  # round 0 warms both trees up and is not kept
             for j, lane in enumerate(LANES):
                 for side in ((0, 1) if (r + j) % 2 == 0 else (1, 0)):
-                    value, digest, bad = _ask(procs[side], lane)
+                    value, digest, bad, rates = _ask(procs[side], lane)
                     failed[lane][side] += bad
                     digests[lane][side].add(digest)
                     if r:
                         values[lane][side].append(value)
+                        for pair, rate in rates.items():
+                            pairs[lane][pair][side].append(rate)
     finally:
         for proc in procs:
             proc.stdin.close()
@@ -168,6 +176,11 @@ def compare(tree_a: Path, tree_b: Path, rounds: int) -> dict:
             # exact lanes digest nothing (None on both sides); the sweep's and calibrate's digests must agree
             "outputs_ok": not any(failed[lane]) and digests[lane][0] == digests[lane][1]
             and len(digests[lane][0]) == 1,
+            "pairs": {
+                pair: {"a": statistics.median(pa), "b": statistics.median(pb),
+                       "ratio": statistics.median(pb) / statistics.median(pa)}
+                for pair, (pa, pb) in pairs[lane].items()
+            },
         }
     return result
 
