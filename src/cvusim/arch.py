@@ -201,7 +201,7 @@ def build_array(
         unit_mw = cvu.lanes * per_mac_normalized(cvu, params)[0] * params.conventional_mac_mw
     units = iso_power_array_size(budget_mw, unit_mw)
     if units < 1:
-        raise ConfigError(f"power budget {budget_mw} mW fits no {style.value} unit ({unit_mw:.3f} mW each)")
+        raise ConfigError(f"power budget {budget_mw:g} mW fits no {style.value} unit ({unit_mw:.6g} mW each)")
     rows = math.isqrt(units)
     cols = units // rows
     scratchpad = total_sram_bytes // (rows * cols)
@@ -380,25 +380,22 @@ def compare(
     ]
 
 
-def functional_dot(x: QuantizedVector, w: QuantizedVector, acc: AcceleratorConfig) -> int:
-    """Compute one dot product exactly as the configured style would.
+def functional_dot(x: QuantizedVector, w: QuantizedVector) -> int:
+    """One output of a conventional unit: the plain widening MAC of two operands, exactly.
 
-    Conventional units take the plain widening MAC path: one float64 dot product of the two operands' arrays,
-    by ``ndarray.dot``, which calls BLAS ``ddot`` without the matmul gufunc's dispatch.  Each product is
-    below ``2**(bw_x + bw_w)`` in magnitude, so every partial sum of k products, in any order, is an integer
-    below ``k * 2**(bw_x + bw_w)``.  Below 2**53 float64 holds every such sum exactly (k < 2**37 at 8x8 bits),
-    so the result is the exact integer; a longer dot product raises :class:`RangeError` up front.  Composable
-    styles compute it as a 1 x 1 :func:`functional_gemm`.  It is the per-output call of a conventional
-    :func:`functional_gemm`, the one a traced run counts: m * n calls for an m x n tile.
+    It is one float64 dot product of the two operands' arrays, by ``ndarray.dot``, which calls BLAS ``ddot``
+    without the matmul gufunc's dispatch.  Each product is below ``2**(bw_x + bw_w)`` in magnitude, so every
+    partial sum of k products, in any order, is an integer below ``k * 2**(bw_x + bw_w)``.  Below 2**53 float64
+    holds every such sum exactly (k < 2**37 at 8x8 bits), so the result is the exact integer; a longer dot
+    product raises :class:`RangeError` up front.  A conventional :func:`functional_gemm` makes this call per
+    output, the one a traced run counts: m * n calls for an m x n tile.
     """
     xs, ws = x.array, w.array
     if (k := len(xs)) != len(ws):
         raise ShapeError(f"vector length mismatch: {k} vs {len(ws)}")
-    if acc.style is _CONVENTIONAL:
-        if k << (x.bitwidth + w.bitwidth) >= 1 << 53:
-            raise RangeError(f"{k} MACs at {x.bitwidth}x{w.bitwidth} bits could pass float64's exact integer range")
-        return int(xs.dot(ws))
-    return functional_gemm([w], [x], acc)[0][0]
+    if k << (x.bitwidth + w.bitwidth) >= 1 << 53:
+        raise RangeError(f"{k} MACs at {x.bitwidth}x{w.bitwidth} bits could pass float64's exact integer range")
+    return int(xs.dot(ws))
 
 
 def functional_gemm(
@@ -421,11 +418,9 @@ def functional_gemm(
         for row in weights:
             out.append(outputs := [])
             for col in inputs:
-                outputs.append(dot(col, row, acc))
+                outputs.append(dot(col, row))
         return out
-    if not weights or not inputs:
-        return [[] for _ in weights]
-    bw_x = bw_w = 0
+    bw_x = bw_w = 1  # an empty side plans at 1 bit and runs through execute_cycle's empty shapes
     for v in inputs:
         bw_x = v.bitwidth if v.bitwidth > bw_x else bw_x
     for v in weights:

@@ -8,7 +8,7 @@ planes, and recombining the plane results with shift-adds:
 
 where ``xs[j]`` is the j-th slice plane of x and ``ws[k]`` the k-th plane of
 w, both cut at one slice width of ``s`` bits.  :func:`slice_vector` turns
-an operand into its plane array, of shape (planes, length), and
+an operand's int16 values into their plane array, of shape (planes, length), and
 :func:`nbve_dot` takes the engines' plane dot products; the shift-add over
 those products is :func:`cvusim.cvu.execute_cycle`.  Every composed result
 must reproduce, bit for bit, the full-precision dot product in Python integers.
@@ -34,12 +34,12 @@ in any summation order below 2**53 (k < 2**37), a bound :func:`cvusim.arch.funct
 front.  Every path computes from that array.  :func:`slice_vector` is the one shift-and-mask that
 slices: one AND of the values shifted right by a cached column ``0, s, 2s, ...`` with a cached mask
 column, ``2**s - 1`` except for ``-1`` (all ones) on the top plane, which keeps the arithmetic shift's
-sign at any padded width.  It runs in int16, which holds every value of at most ``MAX_BITWIDTH`` bits
-([-128, 255]) and every plane of it.  Given one vector it returns int64 planes; :mod:`cvusim.cvu` gives
-it the int16 values of a block's operands instead, cast from float64 once per side of the block.  The
-tests' oracle (``tests/oracles.py``) adds Python integers read from ``array.tolist()`` instead, so it
-shares no arithmetic with the paths it checks.  numpy is imported only when a vector is built, and
-planning (:mod:`cvusim.plan`) loads neither it nor this module.
+sign at any padded width.  It takes and returns int16, which holds every value of at most ``MAX_BITWIDTH``
+bits ([-128, 255]) and every plane of it: :mod:`cvusim.cvu` stages a block's operands in int16, cast from
+float64 once per side of the block, and slices each side in one call.  The tests' oracle
+(``tests/oracles.py``) adds Python integers read from ``array.tolist()`` instead, so it shares no
+arithmetic with the paths it checks.  numpy is imported only when a vector is built, and planning
+(:mod:`cvusim.plan`) loads neither it nor this module.
 """
 
 from __future__ import annotations
@@ -129,28 +129,20 @@ def _shift_mask(bitwidth: int, slice_width: int) -> tuple[np.ndarray, np.ndarray
     return shifts, masks
 
 
-def slice_vector(vec: QuantizedVector | np.ndarray, slice_width: int, *, bitwidth: int | None = None) -> np.ndarray:
-    """Slice every element of a vector: an int64 array of shape (planes, length).
+def slice_vector(values: np.ndarray, slice_width: int, *, bitwidth: int) -> np.ndarray:
+    """Cut int16 values into their int16 slice planes at ``bitwidth``, unchecked.
 
-    Entry [j, i] is slice j (LSB-first) of element i; the last plane of a
-    signed vector holds signed slice values, every other plane is unsigned.
-    ``bitwidth`` optionally widens the declared bitwidth before slicing
-    (used when a composition plan pads operands); it must not be narrower
-    than the vector's own width.  ``vec`` may instead be int16 values of shape (length,) or
-    (..., 1, length), as :mod:`cvusim.cvu` stages operands, sliced unchecked at ``bitwidth``:
-    their planes, of shape (..., planes, length), come back in int16.
+    ``values`` has shape (length,) or, as :mod:`cvusim.cvu` stages a block's operands, (..., 1, length); the
+    planes come back of shape (..., planes, length).  Entry [..., j, i] is slice j (LSB-first) of value i at
+    ``bitwidth`` padded to a multiple of ``slice_width``.  Every plane but the last is unsigned; the last keeps
+    the arithmetic shift's sign, so a signed operand's top plane holds signed slice values.
     """
     if slice_width not in VALID_SLICE_WIDTHS:
         raise RangeError(f"slice_width must be one of {VALID_SLICE_WIDTHS}, got {slice_width}")
-    if not isinstance(vec, QuantizedVector):
-        shifts, masks = _shift_mask(bitwidth, slice_width)
-        planes = vec >> shifts
-        planes &= masks
-        return planes
-    bw = vec.bitwidth if bitwidth is None else bitwidth
-    if bw < vec.bitwidth:
-        raise RangeError(f"cannot slice {vec.bitwidth}-bit vector at narrower width {bw}")
-    return slice_vector(vec.array.astype("int16"), slice_width, bitwidth=bw).astype("int64")
+    shifts, masks = _shift_mask(bitwidth, slice_width)
+    planes = values >> shifts
+    planes &= masks
+    return planes
 
 
 def nbve_dot(x_planes: np.ndarray, w_planes: np.ndarray) -> np.ndarray:

@@ -275,34 +275,30 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"cvusim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    dse = sub.add_parser("dse", help="design-space sweep over slice widths and lane counts")
+    common = argparse.ArgumentParser(add_help=False)  # the flags every command takes
+    common.add_argument("--params", default=None, help="cost params JSON (default: shipped calibration)")
+    common.add_argument("--out", default=None, help="write CSV here instead of stdout")
+    shared = argparse.ArgumentParser(add_help=False, parents=[common])  # and the ones simulate and compare share
+    shared.add_argument("--bitwidths", choices=["file", "homogeneous"], default="file")
+    shared.add_argument("--budget", type=float, default=None, help="core power budget, mW")
+    shared.add_argument("--sram-bytes", type=int, default=None, help="total weight SRAM")
+
+    dse = sub.add_parser("dse", help="design-space sweep over slice widths and lane counts", parents=[common])
     dse.add_argument("--slices", type=_int_list, default=[1, 2, 4])
     dse.add_argument("--lanes", type=_int_list, default=[1, 2, 4, 8, 16])
-    dse.add_argument("--params", default=None, help="cost params JSON (default: shipped calibration)")
-    dse.add_argument("--out", default=None, help="write CSV here instead of stdout")
     dse.set_defaults(func=cmd_dse)
 
-    sim = sub.add_parser("simulate", help="simulate one network on one platform")
+    sim = sub.add_parser("simulate", help="simulate one network on one platform", parents=[shared])
     sim.add_argument("--network", required=True, help="network file or bundled benchmark name")
     sim.add_argument("--style", choices=sorted(_STYLES), required=True, help="conventional computes at 8 bit")
     sim.add_argument("--memory", choices=[*_MEMORIES, "custom"], default="ddr4")
     sim.add_argument("--bandwidth", type=float, default=None, help="custom memory bandwidth, GB/s")
     sim.add_argument("--pj-per-bit", type=float, default=None, help="custom memory access energy")
-    sim.add_argument("--budget", type=float, default=None, help="core power budget, mW")
-    sim.add_argument("--sram-bytes", type=int, default=None, help="total weight SRAM")
-    sim.add_argument("--bitwidths", choices=["file", "homogeneous"], default="file")
-    sim.add_argument("--params", default=None)
-    sim.add_argument("--out", default=None)
     sim.set_defaults(func=cmd_simulate)
 
-    cmp_ = sub.add_parser("compare", help="compare platforms over networks, normalized to the first")
+    cmp_ = sub.add_parser("compare", help="compare platforms over networks, normalized to the first", parents=[shared])
     cmp_.add_argument("--network", action="append", required=True, help="repeatable; file or bundled name")
     cmp_.add_argument("--config", action="append", required=True, help="repeatable; style:memory, e.g. vector:hbm2")
-    cmp_.add_argument("--bitwidths", choices=["file", "homogeneous"], default="file")
-    cmp_.add_argument("--budget", type=float)
-    cmp_.add_argument("--sram-bytes", type=int)
-    cmp_.add_argument("--params", default=None)
-    cmp_.add_argument("--out", default=None)
     cmp_.set_defaults(func=cmd_compare)
     return parser
 

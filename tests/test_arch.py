@@ -80,6 +80,11 @@ def float_oracle(w, x):
     return np.concatenate([w[i : i + rows].astype(np.float64) @ xf for i in range(0, len(w), rows)]).astype(np.int64)
 
 
+def style_dot(x, w, acc):
+    """One output of ``acc``'s style: a 1 x 1 :func:`functional_gemm`."""
+    return functional_gemm([w], [x], acc)[0][0]
+
+
 SAMPLED_OUTPUTS = 32  # (row, column) outputs of each layer checked against dot_exact as well
 
 
@@ -628,14 +633,39 @@ class TestPairCache:
         assert [simulate_layer(layer, acc, DDR4, PARAMS) for layer in layers] == base
 
 
+def every_net_in_both_modes():
+    """Every bundled net at its file bitwidths and homogeneous, by (name, mode)."""
+    nets = {}
+    for name, path in bundled_networks().items():
+        net = load_network(path)
+        nets[name, "file"], nets[name, "homogeneous"] = net, to_homogeneous(net)
+    return nets
+
+
 class TestMonotonicity:
     def test_bandwidth_never_hurts(self):
-        acc = build_array(Style.VECTOR, PARAMS)
-        for name in ("alexnet", "lstm"):
-            net = to_homogeneous(load_network(bundled_networks()[name]))
-            slow = simulate_network(net, acc, DDR4, PARAMS)
-            fast = simulate_network(net, acc, HBM2, PARAMS)
-            assert fast.total_cycles <= slow.total_cycles
+        # every net x mode x style x memory, its bandwidth scaled from x0.25 to x8: no step raises total cycles
+        scales = (0.25, 0.5, 1, 2, 4, 8)
+        for key, net in every_net_in_both_modes().items():
+            for style in Style:
+                acc = build_array(style, PARAMS)
+                for mem in (DDR4, HBM2):
+                    mems = [mem._replace(bandwidth_bytes_per_s=mem.bandwidth_bytes_per_s * scale) for scale in scales]
+                    cycles = [simulate_network(net, acc, scaled, PARAMS).total_cycles for scaled in mems]
+                    assert all(a >= b for a, b in zip(cycles, cycles[1:])), (key, style, mem.name, cycles)
+
+    def test_sram_never_adds_offchip_bytes_or_energy(self):
+        # every net x mode x style x memory at 3 to 20 MiB of total SRAM in 0.5 MiB steps.  Total cycles
+        # are left out: a larger SRAM can grow a generation tile, and with it the first, exposed load
+        sizes = [(6 + i) << 19 for i in range(35)]
+        for key, net in every_net_in_both_modes().items():
+            for style in Style:
+                arrays = [build_array(style, PARAMS, total_sram_bytes=size) for size in sizes]
+                for mem in (DDR4, HBM2):
+                    reports = [simulate_network(net, acc, mem, PARAMS) for acc in arrays]
+                    for smaller, larger in zip(reports, reports[1:]):
+                        assert larger.offchip_bytes <= smaller.offchip_bytes, (key, style, mem.name)
+                        assert larger.energy_total_pj <= smaller.energy_total_pj, (key, style, mem.name)
 
     def test_bandwidth_helps_only_memory_bound(self):
         acc = small_array()
@@ -744,7 +774,7 @@ class TestFunctionalEquivalence:
             x = QuantizedVector(tuple(rng.randint(lo_x, hi_x) for _ in range(n)), bw_x, sx)
             w = QuantizedVector(tuple(rng.randint(lo_w, hi_w) for _ in range(n)), bw_w, sw)
             expected = dot_exact(x, w)
-            assert functional_dot(x, w, acc) == expected
+            assert style_dot(x, w, acc) == expected
 
     def test_gemm_matches_across_styles(self):
         rng = random.Random(7)
@@ -775,7 +805,7 @@ class TestFunctionalEquivalence:
             x = QuantizedVector(tuple(rng.randrange(1 << layer.bw_x) for _ in range(k)), layer.bw_x)
             expected = dot_exact(x, w)
             for acc in arrays:
-                assert functional_dot(x, w, acc) == expected, (name, i, acc.style)
+                assert style_dot(x, w, acc) == expected, (name, i, acc.style)
 
     @pytest.mark.parametrize("name,index", every_layer_of("convnet", "lstm", "gru"))
     def test_every_layer_whole(self, name, index):
@@ -796,10 +826,9 @@ class TestFunctionalEquivalence:
         with pytest.raises(ShapeError, match=f"^{message}$"):
             functional_gemm(weights, [QuantizedVector((1, 2, 3), 4)], build_array(style, PARAMS))
 
-    @pytest.mark.parametrize("style", list(Style))
-    def test_dot_length_mismatch(self, style):
+    def test_dot_length_mismatch(self):
         with pytest.raises(ShapeError, match=r"^vector length mismatch: 2 vs 1$"):
-            functional_dot(QuantizedVector((1, 2), 4), QuantizedVector((1,), 4), build_array(style, PARAMS))
+            functional_dot(QuantizedVector((1, 2), 4), QuantizedVector((1,), 4))
 
     @pytest.mark.parametrize("style", list(Style))
     def test_gemm_empty_sides(self, style):
@@ -829,7 +858,7 @@ class TestFunctionalEquivalence:
         out = functional_gemm(ws, xs, acc)
         assert out == [[dot_exact(x, w) for x in xs] for w in ws]
         assert all(type(value) is int for row in out for value in row)
-        assert type(functional_dot(xs[0], ws[0], acc)) is int
+        assert type(style_dot(xs[0], ws[0], acc)) is int
 
     def test_conventional_dot_bound_checked_up_front(self):
         # a stand-in vector whose array is long enough that k * 2**(bw_x + bw_w) reaches 2**53,
@@ -853,11 +882,10 @@ class TestFunctionalEquivalence:
             def __len__(self):
                 return len(self.array)
 
-        acc = build_array(Style.CONVENTIONAL, PARAMS)
-        assert functional_dot(Long((1 << 37) - 1), Long((1 << 37) - 1), acc) == 0
+        assert functional_dot(Long((1 << 37) - 1), Long((1 << 37) - 1)) == 0
         message = r"^137438953472 MACs at 8x8 bits could pass float64's exact integer range$"
         with pytest.raises(RangeError, match=message):
-            functional_dot(Long(1 << 37), Long(1 << 37), acc)
+            functional_dot(Long(1 << 37), Long(1 << 37))
 
     @pytest.mark.parametrize("w_value,signed", [(255, False), (-113, True)])
     def test_plane_products_past_2_to_24(self, w_value, signed):
@@ -874,11 +902,11 @@ class TestFunctionalEquivalence:
         ]
         assert plan_composition(8, 8, cvu).clusters == 1  # one cluster: all k elements on its lanes
         for acc in arrays:
-            assert functional_dot(x, w, acc) == dot_exact(x, w), acc.style
+            assert style_dot(x, w, acc) == dot_exact(x, w), acc.style
 
     def test_within_64bit_bounds_no_overflow(self):
         n = 1 << 16
         acc = build_array(Style.VECTOR, PARAMS)
         x = QuantizedVector((127,) * n, 8, signed=True)
         w = QuantizedVector((-128,) * n, 8, signed=True)
-        assert functional_dot(x, w, acc) == 127 * -128 * n
+        assert style_dot(x, w, acc) == 127 * -128 * n

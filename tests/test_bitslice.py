@@ -2,7 +2,7 @@
 
 The shift-add recomposition itself is :func:`cvusim.cvu.execute_cycle`;
 ``TestComposeDot`` drives it for one vector pair, ``test_cvu.py`` covers its
-clusters and operand sets, and ``test_arch.py`` reaches it through ``functional_dot``.
+clusters and operand sets, and ``test_arch.py`` reaches it through ``functional_gemm``.
 """
 
 import numpy as np
@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cvusim.bitslice as bs
-from cvusim.arch import Style, build_array, functional_dot
+from cvusim.arch import Style, build_array, functional_gemm
 from cvusim.bitslice import QuantizedVector, nbve_dot, slice_vector
 from cvusim.cost import default_params
 from cvusim.cvu import execute_cycle
@@ -40,9 +40,14 @@ def slice_value(value, bitwidth, slice_width, signed):
     return slices
 
 
+def planes_of(vec, slice_width, bitwidth):
+    """``slice_vector``'s planes of a vector's values at ``bitwidth``, cast to int16 as :mod:`cvusim.cvu` stages them."""
+    return slice_vector(vec.array.astype(np.int16), slice_width, bitwidth=bitwidth)
+
+
 def slices_of(value, bitwidth, slice_width, signed):
-    """``slice_vector``'s slices of one value, LSB-first."""
-    return slice_vector(QuantizedVector((value,), bitwidth, signed), slice_width)[:, 0].tolist()
+    """``slice_vector``'s slices of one value at its own width, LSB-first."""
+    return planes_of(QuantizedVector((value,), bitwidth, signed), slice_width, bitwidth)[:, 0].tolist()
 
 
 def compose_dot(x, w, slice_width):
@@ -77,10 +82,8 @@ class TestSliceValue:
         for value, signed in ((16, False), (8, True), (-1, False)):
             with pytest.raises(RangeError, match="index 0"):
                 QuantizedVector((value,), 4, signed)
-        with pytest.raises(RangeError, match="narrower"):
-            slice_vector(QuantizedVector((3,), 4), 2, bitwidth=2)
         with pytest.raises(RangeError, match="slice_width"):
-            slice_vector(QuantizedVector((3,), 4), 3)
+            slice_vector(np.array([3], np.int16), 3, bitwidth=4)
 
     def test_padded_width(self):
         # 3-bit signed value sliced at 2 bits pads to 4 bits
@@ -107,16 +110,16 @@ class TestSliceValue:
 class TestSliceVector:
     def test_planes_example(self):
         vec = QuantizedVector((13, 5), 4, signed=False)
-        planes = slice_vector(vec, 2)
-        assert planes.dtype == np.int64
+        planes = planes_of(vec, 2, 4)
+        assert planes.dtype == np.int16
         assert planes.tolist() == [[1, 1], [3, 1]]
 
     def test_zero_planes(self):
-        planes = slice_vector(QuantizedVector((0, 0, 0), 6, signed=False), 2)
+        planes = planes_of(QuantizedVector((0, 0, 0), 6, signed=False), 2, 6)
         assert planes.tolist() == [[0, 0, 0]] * 3
 
     def test_signed_planes(self):
-        planes = slice_vector(QuantizedVector((-8, 7), 4, signed=True), 2)
+        planes = planes_of(QuantizedVector((-8, 7), 4, signed=True), 2, 4)
         assert planes.tolist() == [[0, 3], [-2, 1]]
         assert [reconstruct(column, 2) for column in zip(*planes.tolist())] == [-8, 7]
 
@@ -149,10 +152,10 @@ class TestSliceVector:
     def test_empty_vector(self):
         vec = QuantizedVector((), 8, signed=True)
         assert len(vec) == 0 and vec.array.dtype == np.float64 and vec.array.shape == (0,)
-        assert slice_vector(vec, 2).shape == (4, 0)
+        assert planes_of(vec, 2, 8).shape == (4, 0)
         assert dot_exact(vec, vec) == 0
         for style in Style:
-            assert functional_dot(vec, vec, build_array(style, default_params())) == 0, style
+            assert functional_gemm([vec], [vec], build_array(style, default_params())) == [[0]], style
 
     def test_array_is_read_only_and_outside_equality_hash_and_repr(self):
         vec = QuantizedVector((3, -2, 1), 4, signed=True)
@@ -224,7 +227,7 @@ class TestSliceVector:
         for bw, sw, signed, padded in sorted(cases):
             lo, hi = bs.value_bounds(bw, signed)
             values = tuple(range(lo, hi + 1))
-            planes = slice_vector(QuantizedVector(values, bw, signed), sw, bitwidth=padded)
+            planes = planes_of(QuantizedVector(values, bw, signed), sw, padded)
             expected = [slice_value(v, padded, sw, signed) for v in values]
             assert planes.tolist() == [list(plane) for plane in zip(*expected)], (bw, sw, signed, padded)
 
@@ -243,9 +246,9 @@ class TestSliceVector:
                             [v >> sw * j if j == planes - 1 else (v >> sw * j) & ((1 << sw) - 1) for v in values]
                             for j in range(planes)
                         ]
-                        sliced = slice_vector(vec, sw, bitwidth=width)
-                        assert sliced.dtype == np.int64 and sliced.tolist() == expected, (bw, signed, sw, width)
-                        # the same values staged in int16 as one operand of a block: the same planes, in int16
+                        sliced = planes_of(vec, sw, width)
+                        assert sliced.dtype == np.int16 and sliced.tolist() == expected, (bw, signed, sw, width)
+                        # the same values staged as one operand of a block: the same planes, one block of them
                         staged = slice_vector(vec.array.astype(np.int16).reshape(1, 1, -1), sw, bitwidth=width)
                         assert staged.dtype == np.int16 and staged[0].tolist() == expected, (bw, signed, sw, width)
 
@@ -259,7 +262,7 @@ class TestSliceVector:
     def test_reconstruction_all_elements(self, bw, sw, signed, data):
         lo, hi = bs.value_bounds(bw, signed)
         values = data.draw(st.lists(st.integers(lo, hi), max_size=32))
-        planes = slice_vector(QuantizedVector(tuple(values), bw, signed), sw)
+        planes = planes_of(QuantizedVector(tuple(values), bw, signed), sw, bw)
         assert [reconstruct(column, sw) for column in zip(*planes.tolist())] == values
         assert planes.shape == (-(-bw // sw), len(values))
 
@@ -365,8 +368,8 @@ class TestComposeDot:
         x = QuantizedVector((7,), 6)
         w = QuantizedVector((3,), 8)
         plan = plan_composition(x.bitwidth, w.bitwidth, CvuConfig(lanes=1, slice_width=s))
-        x_planes = slice_vector(x, s, bitwidth=plan.bw_x)
-        w_planes = slice_vector(w, s, bitwidth=plan.bw_w)
+        x_planes = planes_of(x, s, plan.bw_x)
+        w_planes = planes_of(w, s, plan.bw_w)
         products = nbve_dot(x_planes, w_planes).tolist()  # [x plane][w plane]
         assert len(plan.shifts) == len(x_planes) * len(w_planes)
         total = 0
@@ -405,4 +408,4 @@ def test_accumulator_sufficiency():
     expected = 128 * 128 * n
     assert expected < 2**63
     assert dot_exact(x, w) == expected
-    assert functional_dot(x, w, build_array(Style.VECTOR, default_params())) == expected
+    assert functional_gemm([w], [x], build_array(Style.VECTOR, default_params())) == [[expected]]

@@ -239,6 +239,18 @@ def test_budget_too_large_for_the_sram_names_budget_units_and_sram(capsys):
     )
 
 
+@pytest.mark.parametrize("mac_mw,budget,each", [(1e300, "250", "8.94399e+300"), (1e-300, "1e-305", "8.94399e-300")])
+def test_budget_that_fits_no_unit_names_the_unit_power_in_six_digits(mac_mw, budget, each, tmp_path, capsys):
+    # a unit's power at either end of the float range prints as neither some 300 digits nor 0.000
+    params = json.loads(resources.files("cvusim").joinpath("data/default_cost_params.json").read_text())
+    params["conventional_mac_mw"] = mac_mw
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    assert main([*SIM, "--params", str(path), "--budget", budget]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == f"input error: power budget {budget} mW fits no vector-composable unit ({each} mW each)\n"
+
+
 def test_budget_past_the_staging_buffers_names_the_layer(capsys):
     # 5 W of vector units: one column's input broadcast outgrows the fixed 64 KiB staging buffer
     assert main(["simulate", "--network", "lstm", "--style", "vector", "--budget", "5e6"]) == EXIT_INPUT

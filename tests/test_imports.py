@@ -77,7 +77,7 @@ planned = loaded()
 x, w = QuantizedVector((3, 5), 4), QuantizedVector((-1, 1), 2, signed=True)
 constructed = loaded()
 acc = arch.build_array(arch.Style.VECTOR, cost.default_params())
-value = arch.functional_dot(x, w, acc)
+value = arch.functional_gemm([w], [x], acc)[0][0]
 print(json.dumps({"planned": planned, "constructed": constructed, "computed": loaded(), "value": value}))
 """
 
