@@ -24,26 +24,23 @@ assumptions, each with its test in ``tests/test_arch.py``:
   on the 12 ``fc6`` rows on DDR4 in ``tests/golden/model.csv``);
 * each MAC makes one SRAM read of each operand, and every off-chip byte is
   one SRAM access too (``TestSimulateLayer.test_traffic_by_purpose``);
-* outputs are written back at ``OUTPUT_BITS`` (``TestSimulateLayer.test_traffic_by_purpose``);
-* every array runs at one fixed clock, ``FREQUENCY_HZ``, which converts off-chip bytes to
-  cycles, unit power to pJ per MAC and cycles to ``SimReport.runtime_s`` (``TestClosedForm``);
-  every SRAM byte costs ``SRAM_PJ_PER_BYTE`` (``TestSimulateLayer.test_traffic_by_purpose``);
-  and each staging buffer holds ``STAGING_BUFFER_BYTES``
-  (``TestSimulateLayer.test_staging_errors_name_the_layer``).
+* every array runs at one fixed clock, its ``frequency_hz``, which converts off-chip bytes to cycles, unit
+  power to pJ per MAC and cycles to a comparison's runtime (``TestClosedForm``); it writes outputs back at its
+  ``output_bits``, and every SRAM byte costs its ``sram_pj_per_byte`` (``TestSimulateLayer.test_traffic_by_purpose``);
+  and each staging buffer holds ``STAGING_BUFFER_BYTES`` (``TestSimulateLayer.test_staging_errors_name_the_layer``).
 
-No source is recorded for any of the model's fixed constants: ``FREQUENCY_HZ`` (500 MHz),
-``SRAM_PJ_PER_BYTE`` (0.8), ``OUTPUT_BITS`` (8), ``STAGING_BUFFER_BYTES`` (64 KiB each for input and
-output), ``DEFAULT_BUDGET_MW`` (250 mW), ``DEFAULT_TOTAL_SRAM_BYTES`` (6 MiB), and the bandwidth and
-pJ per bit of ``DDR4`` (16 GB/s, 15) and ``HBM2`` (256 GB/s, 1.2).  ``tests/golden/constants.txt``
+No source is recorded for any of the model's fixed constants: the ``AcceleratorConfig`` defaults of
+``frequency_hz`` (500 MHz), ``sram_pj_per_byte`` (0.8) and ``output_bits`` (8), ``STAGING_BUFFER_BYTES`` (64 KiB
+each for input and output), ``DEFAULT_BUDGET_MW`` (250 mW), ``DEFAULT_TOTAL_SRAM_BYTES`` (6 MiB), and the
+bandwidth and pJ per bit of ``DDR4`` (16 GB/s, 15) and ``HBM2`` (256 GB/s, 1.2).  ``tests/golden/constants.txt``
 shows how the paper's design points move with the energy, bandwidth and budget constants.
 
-A layer run reads one record per (array, params, bitwidth pair), built once per process by
-``_pair`` and kept in a bounded LRU: a unit's MACs per cycle, the pJ per MAC, the array's peak MACs
-per cycle, the combined scratchpad bytes, and the pair's staging or weight-vector fit failure, if
-any.  The record reads ``FREQUENCY_HZ`` and ``STAGING_BUFFER_BYTES``, so code that patches either
-must call ``_pair.cache_clear()``; the other constants and the memory are read per pass.  No layer,
-pass or network result is cached: a layer run reads its layer once, prices at most two generation
-groups in each of one or two passes and adds up its repeats; a network adds its layers as it runs them.
+A layer run reads one record per (array, params, bitwidth pair), built once per process by ``_pair`` and kept in
+a bounded LRU: a unit's MACs per cycle, the pJ per MAC, the array's peak MACs per cycle, the combined scratchpad
+bytes, and the pair's staging or weight-vector fit failure, if any.  The record reads only its key, which holds
+the array's clock, and ``STAGING_BUFFER_BYTES``, which nothing varies.  No layer, pass or network result is
+cached: a layer run reads its layer once, prices at most two generation groups in each of one or two passes
+and adds up its repeats; a network adds its layers as it runs them.
 
 Inputs are assumed to traverse the array combinationally (no pipeline fill cycles), which keeps
 compute_cycles exactly equal to the analytical count.  The model prices a unit through :mod:`cvusim.plan`
@@ -72,12 +69,9 @@ from .errors import Checked, ConfigError, RangeError, ShapeError
 from .plan import CvuConfig, plan_composition
 from .workloads import LayerKind, LayerSpec, NetworkSpec
 
-OUTPUT_BITS = 8  # completed outputs are written back requantized
 DEFAULT_BUDGET_MW = 250.0
 DEFAULT_TOTAL_SRAM_BYTES = 6 * 1024 * 1024
-FREQUENCY_HZ = 500e6
 STAGING_BUFFER_BYTES = 65536  # each of the input and output staging buffers
-SRAM_PJ_PER_BYTE = 0.8
 
 
 class Style(str, Enum):
@@ -86,7 +80,7 @@ class Style(str, Enum):
     VECTOR = "vector-composable"
 
 
-_CONVENTIONAL = Style.CONVENTIONAL  # for the exact path: each Style.CONVENTIONAL read takes ~100 ns on 3.11
+_CONVENTIONAL = Style.CONVENTIONAL  # for the hot paths: each Style.CONVENTIONAL read takes ~100 ns on 3.11
 
 
 class MemorySpec(Checked, namedtuple("MemorySpec", "name bandwidth_bytes_per_s access_energy_pj_per_bit")):
@@ -103,7 +97,9 @@ DDR4 = MemorySpec("ddr4", 16e9, 15.0)
 HBM2 = MemorySpec("hbm2", 256e9, 1.2)
 
 
-class AcceleratorConfig(Checked, namedtuple("AcceleratorConfig", "rows cols cvu weight_scratchpad_bytes style")):
+class AcceleratorConfig(Checked, namedtuple(
+    "AcceleratorConfig", "rows cols cvu weight_scratchpad_bytes style frequency_hz sram_pj_per_byte output_bits",
+    defaults=(500e6, 0.8, 8))):
     __slots__ = ()
 
     def _check(self):
@@ -113,6 +109,9 @@ class AcceleratorConfig(Checked, namedtuple("AcceleratorConfig", "rows cols cvu 
             raise ConfigError("weight scratchpad must be at least one byte")
         if self.style is not Style.VECTOR and self.cvu.lanes != 1:
             raise ConfigError(f"{self.style.value} style requires 1 lane, got {self.cvu.lanes}")
+        clock, sram_pj, bits = self[5:]
+        if not (0 < clock < math.inf and 0 <= sram_pj < math.inf and type(bits) is int and bits >= 1):
+            raise ConfigError(f"invalid {self}: needs finite clock > 0, finite SRAM pJ >= 0, integer output bits >= 1")
 
     @property
     def unit_count(self) -> int:
@@ -176,10 +175,6 @@ class LayerReport(_Totals, namedtuple("LayerReport", f"{_TOTALS} name kind m k n
 class SimReport(_Totals, namedtuple("SimReport", f"{_TOTALS} network style memory layers")):
     __slots__ = ()
 
-    @property
-    def runtime_s(self) -> float:
-        return self.total_cycles / FREQUENCY_HZ
-
 
 def build_array(
     style: Style,
@@ -216,11 +211,11 @@ def build_array(
 _Pair = namedtuple("_Pair", "unit_macs mac_pj peak spad_bytes error")
 
 
-@lru_cache(maxsize=256)  # a pure function of hashable, frozen records and of FREQUENCY_HZ and STAGING_BUFFER_BYTES
+@lru_cache(maxsize=256)  # a pure function of hashable, frozen records and of STAGING_BUFFER_BYTES
 def _pair(acc: AcceleratorConfig, params: CostParams, bw_x: int, bw_w: int) -> _Pair:
     """The facts of ``(bw_x, bw_w)`` on ``acc`` that no layer changes, built once per process."""
     # mW -> pJ per cycle: P[mW] * 1e9 / f[Hz]
-    conventional_pj = params.conventional_mac_mw * 1e9 / FREQUENCY_HZ
+    conventional_pj = params.conventional_mac_mw * 1e9 / acc.frequency_hz
     if acc.style is Style.CONVENTIONAL:
         unit_macs, mac_pj = 1, conventional_pj
     else:
@@ -245,17 +240,19 @@ def _pair(acc: AcceleratorConfig, params: CostParams, bw_x: int, bw_w: int) -> _
 
 
 def _simulate_pass(
-    m: int, k: int, n: int, m_res: int, peak: int, bandwidth: float, pj_per_bit: float, mac_pj: float, bw_x: int,
-    bw_w: int, weights_resident: bool,
+    m: int, k: int, n: int, m_res: int, peak: int, acc: AcceleratorConfig, mem: MemorySpec, mac_pj: float,
+    bw_x: int, bw_w: int, weights_resident: bool,
 ) -> tuple:
     """One invocation of a layer (one timestep for recurrent layers), priced from its traffic.
 
     The pass runs ``m // m_res`` identical full generations of ``m_res`` output rows, then
     one generation of the rows left, if any: at most two groups, each priced once, in its own
-    block.  Resident weights need no fill.  Bytes round up from bits, and a transfer of b bytes
-    takes ceil(b * FREQUENCY_HZ / bandwidth) cycles.  ``bandwidth`` and ``pj_per_bit`` are the
-    memory's.  Returns the pass's sums as a plain tuple in ``_TOTALS`` order.
+    block.  Resident weights need no fill.  Bytes round up from bits, and a transfer of b bytes takes
+    ceil(b * frequency / bandwidth) cycles, at the array's clock and the memory's bandwidth.  Returns the
+    pass's sums as a plain tuple in ``_TOTALS`` order.
     """
+    _, _, _, _, _, frequency, sram_pj, output_bits = acc  # one unpack each: a field read costs several
+    _, bandwidth, pj_per_bit = mem
     input_bytes = -(-k * n * bw_x // 8)
     compute = total = weight_fill = output_write = next_load = 0
     # Double buffering: generation i+1 loads while generation i computes and streams; the
@@ -265,15 +262,15 @@ def _simulate_pass(
     if rest:  # the last generation, whose compute no load overlaps
         compute = math.ceil(rest * k * n / peak)
         weight_fill = 0 if weights_resident else -(-rest * k * bw_w // 8)
-        output_write = -(-rest * n * OUTPUT_BITS // 8)
-        next_load = math.ceil(weight_fill * FREQUENCY_HZ / bandwidth)
-        total = max(compute, math.ceil((input_bytes + output_write) * FREQUENCY_HZ / bandwidth))
+        output_write = -(-rest * n * output_bits // 8)
+        next_load = math.ceil(weight_fill * frequency / bandwidth)
+        total = max(compute, math.ceil((input_bytes + output_write) * frequency / bandwidth))
     if full:
         cycles = math.ceil(m_res * k * n / peak)
         weight = 0 if weights_resident else -(-m_res * k * bw_w // 8)
-        output = -(-m_res * n * OUTPUT_BITS // 8)
-        load = math.ceil(weight * FREQUENCY_HZ / bandwidth)
-        busy = max(cycles, math.ceil((input_bytes + output) * FREQUENCY_HZ / bandwidth))
+        output = -(-m_res * n * output_bits // 8)
+        load = math.ceil(weight * frequency / bandwidth)
+        busy = max(cycles, math.ceil((input_bytes + output) * frequency / bandwidth))
         total += (full - 1) * max(busy, load) + max(busy, next_load)
         compute += full * cycles
         weight_fill += full * weight
@@ -287,11 +284,11 @@ def _simulate_pass(
     return (
         macs,
         compute,
-        math.ceil(offchip * FREQUENCY_HZ / bandwidth),
+        math.ceil(offchip * frequency / bandwidth),
         total + next_load,  # after both groups, the first generation's load: exposed
         offchip,
         macs * mac_pj,
-        (offchip + -(-macs * bw_x // 8) + -(-macs * bw_w // 8)) * SRAM_PJ_PER_BYTE,
+        (offchip + -(-macs * bw_x // 8) + -(-macs * bw_w // 8)) * sram_pj,
         offchip * 8 * pj_per_bit,
     )
 
@@ -304,7 +301,7 @@ def simulate_layer(layer: LayerSpec, acc: AcceleratorConfig, mem: MemorySpec, pa
     and output streaming.
     """
     kind, name, bw_x, bw_w, repeat, m, k, n = _gemm(layer)
-    if acc.style is Style.CONVENTIONAL:
+    if acc.style is _CONVENTIONAL:
         bw_x = bw_w = 8
     _, mac_pj, peak, spad_bytes, error = _pair(acc, params, bw_x, bw_w)
     name = name or kind
@@ -317,10 +314,9 @@ def simulate_layer(layer: LayerSpec, acc: AcceleratorConfig, mem: MemorySpec, pa
             f"exceeds the combined scratchpad capacity of {spad_bytes} bytes"
         )
 
-    _, bandwidth, pj_per_bit = mem
-    first = steady = _simulate_pass(m, k, n, m_res, peak, bandwidth, pj_per_bit, mac_pj, bw_x, bw_w, False)
+    first = steady = _simulate_pass(m, k, n, m_res, peak, acc, mem, mac_pj, bw_x, bw_w, False)
     if repeat > 1 and -(-m * k * bw_w // 8) <= spad_bytes:
-        steady = _simulate_pass(m, k, n, m_res, peak, bandwidth, pj_per_bit, mac_pj, bw_x, bw_w, True)
+        steady = _simulate_pass(m, k, n, m_res, peak, acc, mem, mac_pj, bw_x, bw_w, True)
 
     # Integers as first + (repeat - 1) * steady, exactly; each energy float by left-to-right
     # additions over [first, steady, ...], not by a product.
@@ -372,8 +368,8 @@ def compare(
     """Run one network on several platforms; ratios vs. the first entry."""
     if len(configs) < 2:
         raise ConfigError(f"compare needs at least 2 configurations, got {len(configs)}")
-    reports = [simulate_network(net, acc, mem, params) for acc, mem in configs]
-    results = [(report.runtime_s, report.energy_total_pj) for report in reports]
+    reports = [(simulate_network(net, acc, mem, params), acc.frequency_hz) for acc, mem in configs]
+    results = [(report.total_cycles / frequency, report.energy_total_pj) for report, frequency in reports]
     base_runtime, base_energy = results[0]
     return [
         ComparisonEntry(runtime, energy, base_runtime / runtime, base_energy / energy) for runtime, energy in results

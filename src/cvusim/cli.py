@@ -203,7 +203,7 @@ def cmd_simulate(args) -> int:
         f"({acc.mac_capacity} MAC/cycle)",
         f"  total cycles {report.total_cycles} "
         f"(compute {report.compute_cycles}, memory {report.memory_cycles}), "
-        f"runtime {report.runtime_s:.6g} s",
+        f"runtime {report.total_cycles / acc.frequency_hz:.6g} s",
         f"  energy {report.energy_total_pj:.6g} pJ "
         f"(compute {report.energy_compute_pj:.6g}, sram {report.energy_sram_pj:.6g}, "
         f"off-chip {report.energy_offchip_pj:.6g})",

@@ -73,8 +73,11 @@ class CostParams(Checked, namedtuple(
 
     @classmethod
     def from_json(cls, text: str) -> "CostParams":
-        try:
+        try:  # ValueError: JSONDecodeError or an integer past the int digit limit; RecursionError: deep nesting
             doc = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            raise ConfigError(f"malformed cost params file: {exc}") from exc
+        try:
             if not isinstance(doc, dict):
                 raise ConfigError(f"cost params must be a JSON object, got {type(doc).__name__}")
             if doc.get("version") != PARAMS_SCHEMA_VERSION:
@@ -84,7 +87,7 @@ class CostParams(Checked, namedtuple(
                 **{area: doc["area"][key] for key, _, area in _CATEGORIES},
                 conventional_mac_mw=doc.get("conventional_mac_mw", 0.25),
             )
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed cost params file: {exc}") from exc
 
 

@@ -203,9 +203,9 @@ def _layer_from_dict(i: int, raw: dict) -> LayerSpec:
 
 def parse_network(text: str) -> NetworkSpec:
     """Parse and validate a network description."""
-    try:
+    try:  # ValueError: JSONDecodeError or an integer past the int digit limit; RecursionError: deep nesting
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise NetworkFormatError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise NetworkFormatError("top level must be an object")

@@ -26,6 +26,8 @@ def test_this_checkout_against_itself():
     for lane, entry in result["lanes"].items():
         assert entry["outputs_ok"] and entry["failed"] == {"a": 0, "b": 0}
         assert entry["a"] > 0 and entry["b"] > 0 and entry["b_won"] in (0, 1)
+        # one round: its value is both quartiles of each tree
+        assert entry["a_quartiles"] == [entry["a"]] * 2 and entry["b_quartiles"] == [entry["b"]] * 2
         # every bitwidth pair of the functional-exact tiles (bench/bodies.py PAIRS), for the exact lanes only
         pairs = ["8x8", "8x4", "4x4", "4x2", "8x2", "6x3"] if lane.startswith("exact-") else []
         assert list(entry["pairs"]) == pairs, lane
@@ -47,7 +49,7 @@ def edited_tree(tmp_path: Path, module: str, old: str, new: str) -> Path:
 
 
 def test_fails_when_the_trees_outputs_differ(tmp_path):
-    proc = run_ab(ROOT, edited_tree(tmp_path, "arch.py", "OUTPUT_BITS = 8", "OUTPUT_BITS = 16"))
+    proc = run_ab(ROOT, edited_tree(tmp_path, "arch.py", "defaults=(500e6, 0.8, 8)", "defaults=(500e6, 0.8, 16)"))
     assert proc.returncode == 1
     lanes = json.loads(proc.stdout.splitlines()[-1])["lanes"]
     # the output width moves only the modelled sweep; the bit-exact outputs and the fit stay the same

@@ -5,7 +5,6 @@ import operator
 import random
 from collections import Counter
 from functools import reduce
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -139,9 +138,10 @@ def test_memory_spec_rejects_invalid(bandwidth, pj_per_bit):
 
 def test_slowest_memory_keeps_cycles_finite():
     # at the 1 byte/s floor, a layer of 2**31 - 1 rows still takes a finite, integral cycle count
-    report = simulate_layer(fc(2**31 - 1, 1), small_array(), MemorySpec("slowest", 1.0, 1.0), PARAMS)
+    acc = small_array()
+    report = simulate_layer(fc(2**31 - 1, 1), acc, MemorySpec("slowest", 1.0, 1.0), PARAMS)
     assert isinstance(report.total_cycles, int) and isinstance(report.memory_cycles, int)
-    assert report.memory_cycles == pytest.approx(report.offchip_bytes * arch.FREQUENCY_HZ)
+    assert report.memory_cycles == pytest.approx(report.offchip_bytes * acc.frequency_hz)
     assert math.isfinite(report.energy_total_pj)
 
 
@@ -269,12 +269,13 @@ class TestRepeats:
         assert calls == {"_gemm": 1}
 
 
-def reference_pass(m, k, n, m_res, peak, mem, mac_pj, bw_x, bw_w, resident):
+def reference_pass(m, k, n, m_res, peak, acc, mem, mac_pj, bw_x, bw_w, resident):
     """The per-generation loop that ``_simulate_pass`` summed before its closed form: one pass of an
-    m x k x n GEMM in generations of at most ``m_res`` rows, each priced on its own."""
+    m x k x n GEMM in generations of at most ``m_res`` rows, each priced on its own, at the clock, SRAM
+    energy and output width of ``acc``."""
 
     def mem_cycles(nbytes):
-        return max(1, math.ceil(nbytes * arch.FREQUENCY_HZ / mem.bandwidth_bytes_per_s)) if nbytes else 0
+        return max(1, math.ceil(nbytes * acc.frequency_hz / mem.bandwidth_bytes_per_s)) if nbytes else 0
 
     def to_bytes(elements, bits):
         return -(-elements * bits // 8)
@@ -283,7 +284,7 @@ def reference_pass(m, k, n, m_res, peak, mem, mac_pj, bw_x, bw_w, resident):
     for m_done in range(0, m, m_res):
         rows = min(m_res, m - m_done)
         macs = rows * k * n
-        stream = to_bytes(k * n, bw_x) + to_bytes(rows * n, arch.OUTPUT_BITS)
+        stream = to_bytes(k * n, bw_x) + to_bytes(rows * n, acc.output_bits)
         phases.append((macs, math.ceil(macs / peak), 0 if resident else to_bytes(rows * k, bw_w), stream))
     total = mem_cycles(phases[0][2])
     for i, (_, compute, _, stream) in enumerate(phases):
@@ -294,7 +295,7 @@ def reference_pass(m, k, n, m_res, peak, mem, mac_pj, bw_x, bw_w, resident):
     sram = weight_bytes + stream_bytes + to_bytes(macs, bw_x) + to_bytes(macs, bw_w)
     return (
         macs, compute, mem_cycles(offchip), total, offchip,
-        macs * mac_pj, sram * arch.SRAM_PJ_PER_BYTE, offchip * 8 * mem.access_energy_pj_per_bit,
+        macs * mac_pj, sram * acc.sram_pj_per_byte, offchip * 8 * mem.access_energy_pj_per_bit,
     )
 
 
@@ -311,7 +312,7 @@ def reference_layer_totals(layer, acc, mem, params):
     Returns None where ``simulate_layer`` must raise ``ConfigError``.
     """
     bw_x, bw_w = (8, 8) if acc.style is Style.CONVENTIONAL else (layer.bw_x, layer.bw_w)
-    conventional_pj = params.conventional_mac_mw * 1e9 / arch.FREQUENCY_HZ
+    conventional_pj = params.conventional_mac_mw * 1e9 / acc.frequency_hz
     if acc.style is Style.CONVENTIONAL:
         unit_macs, mac_pj = 1, conventional_pj
     else:
@@ -321,7 +322,7 @@ def reference_layer_totals(layer, acc, mem, params):
     m_res = acc.total_scratchpad_bytes * 8 // bw_w // k
     if unit_macs * bw_w > acc.weight_scratchpad_bytes * 8 or m_res < 1:
         return None
-    args = m, k, n, m_res, unit_macs * acc.unit_count, mem, mac_pj, bw_x, bw_w
+    args = m, k, n, m_res, unit_macs * acc.unit_count, acc, mem, mac_pj, bw_x, bw_w
     first = steady = reference_pass(*args, False)
     if layer.repeat > 1 and -(-m * k * bw_w // 8) <= acc.total_scratchpad_bytes:
         steady = reference_pass(*args, True)
@@ -353,11 +354,17 @@ class TestClosedForm:
         total_sram_bytes=st.integers(1 << 10, 1 << 22),
         mem=st.sampled_from([DDR4, HBM2])
         | st.builds(MemorySpec, st.just("drawn"), st.floats(1e8, 1e12), st.floats(0.0, 20.0)),
+        # the array's clock, SRAM pJ per byte and output width: the shipped ones or drawn
+        constants=st.just({})
+        | st.fixed_dictionaries({
+            "frequency_hz": st.floats(1e8, 2e9), "sram_pj_per_byte": st.floats(0.0, 4.0),
+            "output_bits": st.integers(1, 32),
+        }),
     )
-    def test_matches_per_generation_loop(self, style, shape, name, bw_x, bw_w, total_sram_bytes, mem):
+    def test_matches_per_generation_loop(self, style, shape, name, bw_x, bw_w, total_sram_bytes, mem, constants):
         # every TOTALS field, floats included, exactly as the per-generation loop sums it, and the
         # fields a layer run reads from its layer once
-        acc = build_array(style, PARAMS, total_sram_bytes=total_sram_bytes)
+        acc = build_array(style, PARAMS, total_sram_bytes=total_sram_bytes)._replace(**constants)
         layer = LayerSpec(name=name, bw_x=bw_x, bw_w=bw_w, **shape)
         expected = reference_layer_totals(layer, acc, mem, PARAMS)
         if expected is None:
@@ -377,9 +384,8 @@ class TestClosedForm:
     def test_pass_prices_each_group_shape(self, m, m_res, mem, resident):
         # the rest group alone, three full generations alone, and both; ceil rounds every cycle count,
         # and on DDR4 a streamed weight load outlasts the compute it overlaps
-        args = m, 300, 3, m_res, 512, mem.bandwidth_bytes_per_s, mem.access_energy_pj_per_bit, 0.37, 3, 5
-        expected = reference_pass(m, 300, 3, m_res, 512, mem, 0.37, 3, 5, resident)
-        assert arch._simulate_pass(*args, resident) == expected
+        args = m, 300, 3, m_res, 512, small_array(), mem, 0.37, 3, 5, resident
+        assert arch._simulate_pass(*args) == reference_pass(*args)
 
     @pytest.mark.parametrize("resident", [True, False], ids=["resident", "streamed"])
     @pytest.mark.parametrize("repeat", [25, 2**16])
@@ -603,34 +609,28 @@ class TestPairCache:
         if "area" not in field:  # an energy coefficient or the conventional MAC's power moves the pJ per MAC
             assert records[0].mac_pj != records[1].mac_pj
 
-    def test_warm_report_follows_a_patched_sram_constant(self):
+    @pytest.mark.parametrize("field", ["frequency_hz", "sram_pj_per_byte", "output_bits"])
+    def test_arrays_differing_only_in_a_constant_get_their_own_records(self, field):
+        # the clock, the SRAM pJ per byte or the output width at twice the shipped value: each array
+        # prices its layers at its own value, from a cold record and a warm one alike
         acc = build_array(Style.VECTOR, PARAMS)
-        net = load_network(bundled_networks()["convnet"])
-        base = simulate_network(net, acc, HBM2, PARAMS)  # the pair records are warm from here on
-        with mock.patch.object(arch, "SRAM_PJ_PER_BYTE", 2 * arch.SRAM_PJ_PER_BYTE):
-            doubled = simulate_network(net, acc, HBM2, PARAMS)
-        # doubling a factor doubles every product and sum exactly, and moves nothing else
-        assert doubled.energy_sram_pj == 2 * base.energy_sram_pj
-        assert doubled._replace(energy_sram_pj=base.energy_sram_pj, layers=base.layers) == base
-        assert simulate_network(net, acc, HBM2, PARAMS) == base
-
-    @pytest.mark.parametrize("constant", ["FREQUENCY_HZ", "OUTPUT_BITS"])
-    def test_warm_report_follows_a_patched_clock_or_output_width(self, constant):
-        # a layer run reads both at call time: a value bound at import would price the patched
-        # layers at the shipped clock or output width
-        acc = build_array(Style.VECTOR, PARAMS)
+        doubled = acc._replace(**{field: 2 * getattr(acc, field)})
         layers = [layer for name in ("convnet", "gru") for layer in load_network(bundled_networks()[name]).layers]
-        base = [simulate_layer(layer, acc, DDR4, PARAMS) for layer in layers]  # the pair records are warm
-        with mock.patch.object(arch, constant, 2 * getattr(arch, constant)):
+
+        def cold(array):
             arch._pair.cache_clear()
-            try:
-                patched = [simulate_layer(layer, acc, DDR4, PARAMS) for layer in layers]
-                expected = [reference_layer_totals(layer, acc, DDR4, PARAMS) for layer in layers]
-            finally:
-                arch._pair.cache_clear()
-        assert [report[:8] for report in patched] == expected
-        assert [report[:8] for report in base] != expected
-        assert [simulate_layer(layer, acc, DDR4, PARAMS) for layer in layers] == base
+            return [simulate_layer(layer, array, DDR4, PARAMS) for layer in layers]
+
+        expected = [cold(acc), cold(doubled)]
+        assert expected[0] != expected[1]
+        arch._pair.cache_clear()
+        for _ in range(2):  # the second round reads both arrays' records warm
+            for array, reports in zip((acc, doubled), expected):
+                assert [simulate_layer(layer, array, DDR4, PARAMS) for layer in layers] == reports
+        assert arch._pair.cache_info().currsize == 2 * len({(layer.bw_x, layer.bw_w) for layer in layers})
+        for array, reports in zip((acc, doubled), expected):
+            totals = [reference_layer_totals(layer, array, DDR4, PARAMS) for layer in layers]
+            assert [report[:8] for report in reports] == totals
 
 
 def every_net_in_both_modes():
@@ -666,6 +666,24 @@ class TestMonotonicity:
                     for smaller, larger in zip(reports, reports[1:]):
                         assert larger.offchip_bytes <= smaller.offchip_bytes, (key, style, mem.name)
                         assert larger.energy_total_pj <= smaller.energy_total_pj, (key, style, mem.name)
+
+    def test_energy_constants_never_lower_energy_or_move_cycles(self):
+        # every net x mode x style x memory, with the array's SRAM pJ per byte or the memory's off-chip
+        # pJ per bit doubled: the energy total never falls, and no layer's cycle count moves
+        def cycles(report):
+            return [(layer.compute_cycles, layer.memory_cycles, layer.total_cycles) for layer in report.layers]
+
+        for key, net in every_net_in_both_modes().items():
+            for style in Style:
+                acc = build_array(style, PARAMS)
+                pricier_sram = acc._replace(sram_pj_per_byte=2 * acc.sram_pj_per_byte)
+                for mem in (DDR4, HBM2):
+                    base = simulate_network(net, acc, mem, PARAMS)
+                    pricier_offchip = mem._replace(access_energy_pj_per_bit=2 * mem.access_energy_pj_per_bit)
+                    for pricier in (simulate_network(net, pricier_sram, mem, PARAMS),
+                                    simulate_network(net, acc, pricier_offchip, PARAMS)):
+                        assert pricier.energy_total_pj >= base.energy_total_pj, (key, style, mem.name)
+                        assert cycles(pricier) == cycles(base), (key, style, mem.name)
 
     def test_bandwidth_helps_only_memory_bound(self):
         acc = small_array()

@@ -48,6 +48,11 @@ def files(tmp_path):
         "huge-repeat-network": json.dumps(
             {"schema_version": 1, "name": "x", "layers": [{"kind": "gemv", "m": 4, "k": 4, "repeat": 10**105, "bw_x": 8, "bw_w": 8}]}
         ),
+        # past the interpreter's recursion limit, and past its 4300-digit limit on int literals
+        "deep-network": "[" * 100_000 + "]" * 100_000,
+        "digits-network": '{"schema_version": 1, "name": "x", "layers": [], "n": ' + "9" * 5000 + "}",
+        "deep-params": '{"version": ' + "[" * 100_000 + "]" * 100_000 + "}",
+        "digits-params": '{"version": ' + "9" * 5000 + "}",
     }
     out = {}
     for name, content in paths.items():
@@ -193,6 +198,12 @@ def test_custom_memory_flags_with_a_named_memory_are_usage_errors(memory, flags,
         [*CUSTOM, "--bandwidth", "5e-324", "--pj-per-bit", "1"],
         ["dse", "--lanes", "65537"],
         ["simulate", "--network", "convnet", "--style", "conventional", "--budget", "1e308"],
+        ["simulate", "--network", "{deep-network}", "--style", "vector"],
+        ["simulate", "--network", "{digits-network}", "--style", "vector"],
+        ["dse", "--params", "{deep-params}"],
+        ["dse", "--params", "{digits-params}"],
+        [*SIM, "--params", "{deep-params}"],
+        [*SIM, "--params", "{digits-params}"],
     ],
 )
 def test_input_errors(argv, files, capsys):

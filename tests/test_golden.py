@@ -16,7 +16,9 @@ where compute_ratio is conventional compute cycles over vector compute cycles.
 model's fixed constants at a time scaled by 0.5 and by 2: the SRAM pJ per
 byte, the memory's off-chip pJ per bit, the memory's bandwidth, the core
 power budget, the clock and the output width, after the four at the shipped
-values (constant ``none``).
+values (constant ``none``).  It varies the records that own the constants
+through ``_replace``: the array's clock, SRAM energy and output width, and
+the memory's bandwidth and pJ per bit; the budget goes to ``build_array``.
 ``calibration.txt`` holds the relative error of every ``DEFAULT_ANCHORS``
 metric after ``calibrate`` fits all four anchors, and of each anchor's
 metrics when the other three are fitted (leave one out).  The fit adds
@@ -33,13 +35,14 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import math
 import sys
 import warnings
 from pathlib import Path
 from unittest import mock
 
 from cvusim import arch, cli
-from cvusim.arch import DDR4, HBM2, Style, build_array, simulate_network
+from cvusim.arch import DDR4, HBM2, AcceleratorConfig, Style, build_array, compare, simulate_network
 from cvusim.cost import DEFAULT_ANCHORS, calibrate, default_params, per_mac_normalized
 from cvusim.workloads import bundled_networks, load_network, to_homogeneous
 
@@ -156,30 +159,43 @@ def design_points_table() -> str:
     return "\n".join(lines) + "\n"
 
 
+def _scaled(record, field: str, scale: float):
+    """``record`` with ``field`` scaled by ``scale``; an integer field stays an integer."""
+    value = getattr(record, field)
+    return record._replace(**{field: type(value)(value * scale)})
+
+
 def constants_table() -> str:
+    """The vector against conventional geomeans of ``compare``, with one constant scaled at a time.
+
+    Each variant is a record built through ``_replace``, run through ``arch.compare``; the geomean is
+    taken as ``cli.cmd_compare`` takes it: the log ratios added left to right over ``NETS``, then
+    written with ``:.10g``.
+    """
     lines = ["constant,scale,bitwidths,memory,speedup,energy_reduction"]
-    for constant, scale in [("none", 1), *((c, s) for c in CONSTANTS for s in CONSTANT_SCALES)]:
-        sram_pj = arch.SRAM_PJ_PER_BYTE * (scale if constant == "sram_pj_per_byte" else 1)
-        frequency = arch.FREQUENCY_HZ * (scale if constant == "frequency_hz" else 1)
-        output_bits = int(arch.OUTPUT_BITS * (scale if constant == "output_bits" else 1))
-        budget = ("--budget", repr(arch.DEFAULT_BUDGET_MW * scale)) if constant == "budget_mw" else ()
-        for mode in MODES:
-            for name, memory in MEMORIES.items():
-                if constant == "offchip_pj_per_bit":
-                    memory = memory._replace(access_energy_pj_per_bit=memory.access_energy_pj_per_bit * scale)
-                elif constant == "bandwidth":
-                    memory = memory._replace(bandwidth_bytes_per_s=memory.bandwidth_bytes_per_s * scale)
-                # compare looks up arch.DDR4 and arch.HBM2 when it runs; _pair's records read FREQUENCY_HZ,
-                # so they are cleared once the constants are patched and again, also on failure, before they are restored
-                with mock.patch.object(arch, "SRAM_PJ_PER_BYTE", sram_pj), mock.patch.object(arch, name.upper(), memory), \
-                        mock.patch.object(arch, "FREQUENCY_HZ", frequency), mock.patch.object(arch, "OUTPUT_BITS", output_bits):
-                    arch._pair.cache_clear()
-                    try:
-                        report = compare_report(mode, *budget, configs=(f"conventional:{name}", f"vector:{name}"))
-                    finally:
-                        arch._pair.cache_clear()
-                _, _, _, _, speedup, energy = _compare_rows(report)[-1]  # the vector config's geomean
-                lines.append(f"{constant},{scale:g},{mode},{name},{speedup},{energy}")
+    params = default_params()
+    file_nets = [load_network(bundled_networks()[name]) for name in NETS]
+    nets = {"file": file_nets, "homogeneous": [to_homogeneous(net) for net in file_nets]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # any warning fails the sweep
+        for constant, scale in [("none", 1), *((c, s) for c in CONSTANTS for s in CONSTANT_SCALES)]:
+            budget = arch.DEFAULT_BUDGET_MW * (scale if constant == "budget_mw" else 1)
+            arrays = [build_array(style, params, budget_mw=budget) for style in (Style.CONVENTIONAL, Style.VECTOR)]
+            if constant in AcceleratorConfig._fields:  # the clock, the SRAM pJ per byte and the output width
+                arrays = [_scaled(acc, constant, scale) for acc in arrays]
+            for mode in MODES:
+                for name, memory in MEMORIES.items():
+                    if constant == "offchip_pj_per_bit":
+                        memory = _scaled(memory, "access_energy_pj_per_bit", scale)
+                    elif constant == "bandwidth":
+                        memory = _scaled(memory, "bandwidth_bytes_per_s", scale)
+                    logs = [0.0, 0.0]
+                    for net in nets[mode]:
+                        entry = compare(net, [(acc, memory) for acc in arrays], params)[1]
+                        logs[0] += math.log(entry.speedup)
+                        logs[1] += math.log(entry.energy_reduction)
+                    speedup, energy = (math.exp(log / len(NETS)) for log in logs)
+                    lines.append(f"{constant},{scale:g},{mode},{name},{speedup:.10g},{energy:.10g}")
     return "\n".join(lines) + "\n"
 
 

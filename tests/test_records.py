@@ -15,6 +15,8 @@ from cvusim.workloads import BitwidthMode, LayerKind, LayerSpec, NetworkSpec
 
 FC = LayerSpec(LayerKind.FC, 8, 8, m=4, k=4)
 SCALAR = AcceleratorConfig(2, 2, CvuConfig(1, 2), 64, Style.SCALAR)
+# an invalid clock, SRAM energy or output width shows the whole record, up to and including the bad value
+INVALID_SCALAR = f"invalid {SCALAR!r}".split("frequency_hz=")[0]
 
 # case: (a valid record, the fields that make it invalid, the error, the start of its message)
 BAD = {
@@ -36,6 +38,14 @@ BAD = {
     "memory-energy": (DDR4, {"access_energy_pj_per_bit": math.inf}, ConfigError, "invalid memory spec"),
     "array-lanes": (SCALAR, {"cvu": CvuConfig(16, 2)}, ConfigError, "scalar-composable style requires 1 lane"),
     "array-rows": (SCALAR, {"rows": 0}, ConfigError, "array geometry must be positive, got 0x2"),
+    "array-clock": (SCALAR, {"frequency_hz": 0.0}, ConfigError, f"{INVALID_SCALAR}frequency_hz=0.0, "),
+    "array-sram-energy": (
+        SCALAR, {"sram_pj_per_byte": math.inf}, ConfigError, f"{INVALID_SCALAR}frequency_hz=500000000.0, sram_pj_per_byte=inf"
+    ),
+    "array-output-bits": (
+        SCALAR, {"output_bits": 8.0}, ConfigError,
+        f"{INVALID_SCALAR}frequency_hz=500000000.0, sram_pj_per_byte=0.8, output_bits=8.0): needs",
+    ),
     "params": (default_params(), {"adder_area_per_bit": -1.0}, RangeError, "adder_area_per_bit must be strictly"),
     "anchor": (DEFAULT_ANCHORS[0], {"power_norm": math.inf}, RangeError, "power_norm must be strictly positive"),
 }
@@ -75,6 +85,7 @@ def test_records_are_read_only_tuples_of_their_values_with_a_field_repr(record):
 def test_defaults_are_the_named_tuples_field_defaults():
     assert CvuConfig() == (16, 2) and CalibrationAnchor(CvuConfig()) == (CvuConfig(), None, None)
     assert CostParams(*[1.0] * 8).conventional_mac_mw == 0.25
+    assert SCALAR[5:] == (500e6, 0.8, 8)  # the clock, the SRAM pJ per byte and the output width
     assert NetworkSpec("x", (FC,)).bitwidth_mode is BitwidthMode.HETEROGENEOUS
     assert FC == (LayerKind.FC, 8, 8, "", 0, 0, 0, 0, 0, 0, 1, 1, 4, 4, 1, 1)
 

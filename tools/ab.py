@@ -23,10 +23,12 @@ alternates from lane to lane and from round to round.  The lanes:
   calls per second.
 
 Both trees run one untimed warm-up round first.  The report gives per lane the median
-value of each tree, the ratio of B's median to A's and the rounds that B won (higher
-is better for every lane), then one JSON line of the same, in which each lane's ``pairs``
-maps every bitwidth pair ``"<bw_x>x<bw_w>"`` of an exact lane to the median of each tree and
-their ratio (it is empty for the other lanes).  The benchmark's lane checks
+value of each tree, the ratio of B's median to A's, the rounds that B won (higher
+is better for every lane) and A's spread, its interquartile range over its median, so that a
+ratio can be read against the noise; then one JSON line of the same, in which each lane also
+has ``a_quartiles`` and ``b_quartiles``, each tree's (q1, q3) by inclusive quartiles (one
+round's value as both), and ``pairs`` maps every bitwidth pair ``"<bw_x>x<bw_w>"`` of an exact
+lane to the median of each tree and their ratio (it is empty for the other lanes).  The benchmark's lane checks
 every functional output against the int64 ``W @ X`` oracle, so equal exact outputs need
 no further check; the sweep's outputs and the fitted parameters are digested and compared
 across the trees.  The exit code is 1 if any functional output is wrong or the trees' sweep
@@ -139,9 +141,17 @@ def _ask(proc: subprocess.Popen, lane: str) -> tuple[float, str | None, int, dic
     return tuple(json.loads(line))
 
 
+def _quartiles(values: list[float]) -> tuple[float, float]:
+    """(q1, q3) of ``values`` by inclusive quartiles, as ``tools/record_bench.py`` takes them; one value is both."""
+    if len(values) == 1:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
 def compare(tree_a: Path, tree_b: Path, rounds: int) -> dict:
-    """Per lane: the medians, B/A, B's wins, each tree's failed outputs, whether the outputs hold,
-    and the medians and B/A of each bitwidth pair."""
+    """Per lane: the medians and quartiles, B/A, B's wins, each tree's failed outputs, whether the
+    outputs hold, and the medians and B/A of each bitwidth pair."""
     for tree in (tree_a, tree_b):
         _package_dir(tree)
     procs = []
@@ -171,6 +181,7 @@ def compare(tree_a: Path, tree_b: Path, rounds: int) -> dict:
         result["lanes"][lane] = {
             "a": statistics.median(a), "b": statistics.median(b),
             "ratio": statistics.median(b) / statistics.median(a),
+            "a_quartiles": _quartiles(a), "b_quartiles": _quartiles(b),
             "b_won": sum(vb > va for va, vb in zip(a, b)),
             "failed": dict(zip("ab", failed[lane])),
             # exact lanes digest nothing (None on both sides); the sweep's and calibrate's digests must agree
@@ -198,11 +209,12 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("give two trees and at least one round")
     result = compare(args.tree_a, args.tree_b, args.rounds)
     print(f"A = {args.tree_a}, B = {args.tree_b}: {args.rounds} rounds, {PASSES} passes per exact round")
-    print(f"{'lane':20s} {'median A':>12s} {'median B':>12s} {'B/A':>7s} {'B won':>7s}  outputs")
+    print(f"{'lane':20s} {'median A':>12s} {'median B':>12s} {'B/A':>7s} {'B won':>7s} {'IQR/A':>7s}  outputs")
     for lane, entry in result["lanes"].items():
         held = ("= oracle" if lane.startswith("exact-") else "same") if entry["outputs_ok"] else "WRONG"
+        q1, q3 = entry["a_quartiles"]
         print(f"{lane:20s} {entry['a']:12.4g} {entry['b']:12.4g} {entry['ratio']:7.3f} "
-              f"{entry['b_won']:>3d}/{args.rounds:<3d}  {held}")
+              f"{entry['b_won']:>3d}/{args.rounds:<3d} {(q3 - q1) / entry['a']:7.3f}  {held}")
     print(json.dumps(result))
     ok = all(entry["outputs_ok"] for entry in result["lanes"].values())
     if not ok:
